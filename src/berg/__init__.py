@@ -12,11 +12,9 @@ from .polynomials import (
     HermitianPolynomial,
     HoloPolynomial,
     MultiIndex,
-    eval_hermitian,
     minimal_poly_check,
     monomials_of_degree,
     monomials_up_to_degree,
-    poly_mul,
 )
 from .ball import (
     BallPoint,

@@ -16,8 +16,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .polynomials import HermitianPolynomial
-from .scalars import ExactComplex, conj_scalar, to_complex
+from .scalars import ExactComplex, conj_scalar, is_exact_scalar, to_complex
 
 BOUNDARY_TOL = 1e-9
 GRADIENT_TOL = 1e-9
@@ -64,10 +66,6 @@ def hermitian_inner(z: Sequence, w: Sequence):
     return 0 if total is None else total
 
 
-def _all_exact(values) -> bool:
-    return all(isinstance(v, (int, Fraction, ExactComplex)) for v in values)
-
-
 def ball_kernel(n: int, z, w):
     """Bergman kernel of the unit ball in C^n at (z, w).
 
@@ -79,7 +77,7 @@ def ball_kernel(n: int, z, w):
     w = _coords(w)
     if len(z) != n or len(w) != n:
         raise ValueError(f"expected points in C^{n}")
-    if _all_exact(z) and _all_exact(w):
+    if all(is_exact_scalar(v) for v in (*z, *w)):
         u = ExactComplex.coerce(hermitian_inner(z, w))
         one_minus = ExactComplex(1) - u
         if one_minus.is_zero:
@@ -94,45 +92,6 @@ def ball_kernel(n: int, z, w):
 def disk_kernel(z, w):
     """One-variable convenience wrapper: K(z, w) = 1/(pi (1 - z conj(w))^2)."""
     return ball_kernel(1, (z,), (w,))
-
-
-# ---------------------------------------------------------------------------
-# Hermitian eigenvalues via cyclic Jacobi (dimensions here are at most 3)
-# ---------------------------------------------------------------------------
-
-def jacobi_hermitian_eigenvalues(matrix: Sequence[Sequence[complex]], sweeps: int = 60) -> list[float]:
-    """Eigenvalues of a small Hermitian matrix by cyclic Jacobi rotations."""
-    n = len(matrix)
-    a = [[complex(matrix[i][j]) for j in range(n)] for i in range(n)]
-    if n == 0:
-        return []
-    if n == 1:
-        return [a[0][0].real]
-    for _ in range(sweeps):
-        off = math.sqrt(sum(abs(a[i][j]) ** 2 for i in range(n) for j in range(n) if i != j))
-        if off < 1e-14 * (1.0 + max(abs(a[i][i]) for i in range(n))):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if abs(apq) < 1e-300:
-                    continue
-                phase = apq / abs(apq)
-                app, aqq = a[p][p].real, a[q][q].real
-                tau = (aqq - app) / (2.0 * abs(apq))
-                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # columns: v_p' = c v_p - s conj(phase) v_q ; v_q' = s phase v_p + c v_q
-                for k in range(n):
-                    akp, akq = a[k][p], a[k][q]
-                    a[k][p] = c * akp - s * phase.conjugate() * akq
-                    a[k][q] = s * phase * akp + c * akq
-                for k in range(n):
-                    apk, aqk = a[p][k], a[q][k]
-                    a[p][k] = c * apk - s * phase * aqk
-                    a[q][k] = s * phase.conjugate() * apk + c * aqk
-    return sorted(a[i][i].real for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +169,8 @@ def levi_form(rho: DefiningFunction | HermitianPolynomial, point: Sequence[compl
         ]
         for a in range(m)
     ]
-    eigs = tuple(jacobi_hermitian_eigenvalues(restricted))
-    return LeviReport(point=p, smooth=True, eigenvalues=eigs, gradient_norm=gnorm)
+    eigs = np.linalg.eigvalsh(np.array(restricted, dtype=complex).reshape(m, m))
+    return LeviReport(point=p, smooth=True, eigenvalues=tuple(eigs.tolist()), gradient_norm=gnorm)
 
 
 def _tangent_basis(grad: Sequence[complex]) -> list[list[complex]]:

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import click
@@ -23,18 +24,42 @@ from .algebraic import (
     fit_relation,
     fit_surface_relation,
 )
-from .ball import ball_kernel, levi_form, sphere_defining_function, u_domain_defining_function
-from .groups import generate_group, is_fixed_point_free, is_reflection, matrices_from_json
+from .ball import (
+    SingularKernelError,
+    ball_kernel,
+    levi_form,
+    sphere_defining_function,
+    u_domain_defining_function,
+)
+from .groups import (
+    ClosureOverflowError,
+    generate_group,
+    is_fixed_point_free,
+    is_reflection,
+    matrices_from_json,
+)
 from .hartogs import (
+    BoundaryContactError,
     MomentTable,
+    NonConvergentError,
     kernel_series,
-    monomial_norm,
     omega_closed_kernel,
 )
 from .invariants import compute_basic_map, find_syzygies
 from .polynomials import HermitianPolynomial, HoloPolynomial, MultiIndex
 from .quotient import CoveringSpec, deck_sum_kernel, pushforward_kernel
 from .scalars import to_complex
+
+
+# bump when the basic-map payload or the algorithm behind it changes, so
+# cached results of an older version are never served
+CACHE_SCHEMA = 2
+
+
+class InputError(click.ClickException):
+    """Input the command cannot evaluate: one-line message, usage exit code."""
+
+    exit_code = 2
 
 
 def _parse_complex_list(text: str) -> list[complex]:
@@ -49,6 +74,13 @@ def _load_json(path: str):
         return json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"cannot read {path}: {exc}")
+
+
+def _load_group(data, max_order: int, source: str):
+    try:
+        return generate_group(matrices_from_json(data), max_order=max_order)
+    except (ClosureOverflowError, ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        raise InputError(f"unusable group in {source}: {exc}")
 
 
 def _cache_dir() -> Path:
@@ -95,7 +127,10 @@ def ball_kernel_cmd(dim, z_text, w_text):
     w = _parse_complex_list(w_text)
     if len(z) != dim or len(w) != dim:
         raise click.UsageError("coordinate count must match --dim")
-    value = to_complex(ball_kernel(dim, z, w))
+    try:
+        value = to_complex(ball_kernel(dim, z, w))
+    except SingularKernelError as exc:
+        raise InputError(str(exc))
     click.echo(json.dumps({"re": value.real, "im": value.imag}, sort_keys=True))
 
 
@@ -131,8 +166,7 @@ def levi_cmd(rho_src, point_text):
 @click.option("--max-order", type=int, default=4096)
 def group_cmd(gens_file, check_kind, max_order):
     """Generate the closure of unitary generators; optionally run checks."""
-    gens = matrices_from_json(_load_json(gens_file))
-    group = generate_group(gens, max_order=max_order)
+    group = _load_group(_load_json(gens_file), max_order, gens_file)
     payload = {"order": group.order, "dim": group.dim, "exact": group.exact}
     if check_kind == "fpf":
         report = is_fixed_point_free(group)
@@ -154,17 +188,16 @@ def group_cmd(gens_file, check_kind, max_order):
 @click.option("--no-cache", is_flag=True, default=False)
 def basic_map_cmd(group_file, syzygy_degree, max_order, no_cache):
     """Minimal invariant generators (and optional relations) for a group."""
-    gens = matrices_from_json(_load_json(group_file))
-    group = generate_group(gens, max_order=max_order)
-    cache_key = f"{group.canonical_hash()}-syz{syzygy_degree}"
-    cache_file = _cache_dir() / f"basic-map-{cache_key}.json"
-    if not no_cache and cache_file.exists():
-        click.echo(cache_file.read_text().strip())
-        return
+    group = _load_group(_load_json(group_file), max_order, group_file)
     if not group.exact:
         raise click.UsageError(
             "basic map needs exact matrices; encode entries as zeta terms"
         )
+    cache_key = f"v{CACHE_SCHEMA}-{group.canonical_hash()}-syz{syzygy_degree}"
+    cache_file = _cache_dir() / f"basic-map-{cache_key}.json"
+    if not no_cache and cache_file.exists():
+        click.echo(cache_file.read_text().strip())
+        return
     basic = compute_basic_map(group)
     payload = basic.to_json_dict()
     if syzygy_degree >= 2:
@@ -180,7 +213,11 @@ def basic_map_cmd(group_file, syzygy_degree, max_order, no_cache):
         ]
     text = json.dumps(payload, sort_keys=True)
     if not no_cache:
-        cache_file.write_text(text + "\n")
+        # a reader never sees a partly written entry
+        fd, tmp = tempfile.mkstemp(dir=cache_file.parent, suffix=".tmp")
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text + "\n")
+        os.replace(tmp, cache_file)
     click.echo(text)
 
 
@@ -191,8 +228,7 @@ def basic_map_cmd(group_file, syzygy_degree, max_order, no_cache):
 @click.option("--max-order", type=int, default=4096)
 def quotient_sum_cmd(group_file, dim, pairs_file, max_order):
     """Deck-transformation kernel sums at sample pairs, as CSV."""
-    gens = matrices_from_json(_load_json(group_file))
-    group = generate_group(gens, max_order=max_order)
+    group = _load_group(_load_json(group_file), max_order, group_file)
     pairs = _pairs_from_json(_load_json(pairs_file))
     writer = csv.writer(sys.stdout)
     writer.writerow(["z", "w", "re", "im"])
@@ -208,8 +244,7 @@ def quotient_sum_cmd(group_file, dim, pairs_file, max_order):
 def quotient_push_cmd(cover_file, pairs_file):
     """Push the ball kernel to the quotient in chart coordinates, as CSV."""
     data = _load_json(cover_file)
-    gens = matrices_from_json(data["generators"])
-    group = generate_group(gens, max_order=int(data.get("max_order", 4096)))
+    group = _load_group(data["generators"], int(data.get("max_order", 4096)), cover_file)
     cover_map = tuple(_holo_from_json(p) for p in data["map"])
     chart = tuple(data.get("chart", range(group.dim)))
     spec = CoveringSpec(group=group, cover_map=cover_map, chart=chart)
@@ -228,8 +263,7 @@ def quotient_push_cmd(cover_file, pairs_file):
 @click.option("--tau", "tau_text", default=None)
 @click.option("--series", "series_m", type=int, default=0,
               help="use the series kernel with this truncation instead of the closed form")
-@click.option("--closed", "use_closed", is_flag=True, default=True)
-def omega_kernel_cmd(z_text, lam_text, w_text, tau_text, series_m, use_closed):
+def omega_kernel_cmd(z_text, lam_text, w_text, tau_text, series_m):
     """Kernel of the standard Hartogs domain (closed form by default)."""
     z = _parse_complex_list(z_text)
     lam = _parse_complex_list(lam_text)[0]
@@ -237,14 +271,17 @@ def omega_kernel_cmd(z_text, lam_text, w_text, tau_text, series_m, use_closed):
     tau = _parse_complex_list(tau_text)[0] if tau_text else lam
     if len(z) != 2 or len(w) != 2:
         raise click.UsageError("--z/--w need exactly two components")
-    if series_m > 0:
-        result = kernel_series(z, lam, w, tau, truncation=series_m)
-        value = result.value
-        payload = {"re": value.real, "im": value.imag, "tail_bound": result.tail_bound,
-                   "terms": result.terms}
-    else:
-        value = to_complex(omega_closed_kernel(z, lam, w, tau))
-        payload = {"re": value.real, "im": value.imag}
+    try:
+        if series_m > 0:
+            result = kernel_series(z, lam, w, tau, truncation=series_m)
+            value = result.value
+            payload = {"re": value.real, "im": value.imag, "tail_bound": result.tail_bound,
+                       "terms": result.terms}
+        else:
+            value = to_complex(omega_closed_kernel(z, lam, w, tau))
+            payload = {"re": value.real, "im": value.imag}
+    except (BoundaryContactError, NonConvergentError) as exc:
+        raise InputError(str(exc))
     click.echo(json.dumps(payload, sort_keys=True))
 
 

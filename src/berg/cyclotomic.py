@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .scalars import ExactComplex
-
 
 # ---------------------------------------------------------------------------
 # dense univariate polynomial helpers over Fraction (internal)
@@ -93,6 +91,12 @@ class CyclotomicField:
             _, cur = _poly_divmod(cur, phi)
             cur = cur or [Fraction(0)]
         self.zeta_powers = table
+        # normalized trace of zeta^i, a primitive m-th root of unity: mu(m)/phi(m),
+        # read off Phi_m (mu(m) is minus its second-highest coefficient)
+        self.trace_weights = []
+        for i in range(self.degree):
+            phi_m = cyclotomic_polynomial(n // math.gcd(n, i))
+            self.trace_weights.append(-phi_m[-2] / (len(phi_m) - 1))
         cls._cache[n] = self
         return self
 
@@ -231,7 +235,7 @@ class Cyclotomic:
 
     # -- predicates / conversion -----------------------------------------
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -248,7 +252,9 @@ class Cyclotomic:
         return (self - o).is_zero()
 
     def __hash__(self):
-        return hash((self.field.n, self.coeffs))
+        # the normalized trace Tr(x)/[Q(zeta_N):Q] is the same in every field
+        # containing x, and is x itself for rational x
+        return hash(sum(c * t for c, t in zip(self.coeffs, self.field.trace_weights)))
 
     def to_complex(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.field.n)
@@ -258,8 +264,10 @@ class Cyclotomic:
                 total += float(c) * z**i
         return total
 
-    def to_exact_complex(self) -> ExactComplex:
+    def to_exact_complex(self) -> "ExactComplex":
         """Exact Gaussian-rational value; only possible when N divides 4."""
+        from .scalars import ExactComplex  # scalars builds on this module
+
         n = self.field.n
         if n not in (1, 2, 4):
             raise ValueError(f"Q(zeta_{n}) does not embed in the Gaussian rationals")

@@ -17,10 +17,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cyclotomic import Cyclotomic, CyclotomicField
-from .scalars import ExactComplex, to_complex
+from .scalars import ExactComplex, conj_scalar, inv_scalar, scalar_is_zero, to_complex
 
 UNITARITY_TOL = 1e-12
 DEDUP_DECIMALS = 12
+MAX_ZETA = 1024  # building Q(zeta_N) stores N * phi(N) rationals
 
 
 class NonUnitaryError(ValueError):
@@ -33,14 +34,6 @@ class ClosureOverflowError(RuntimeError):
 
 def _is_exact_entry(x) -> bool:
     return isinstance(x, (int, Fraction, Cyclotomic))
-
-
-def _entry_conj(x):
-    if isinstance(x, Cyclotomic):
-        return x.conjugate()
-    if isinstance(x, (int, Fraction)):
-        return x
-    return complex(x).conjugate()
 
 
 class UnitaryMatrix:
@@ -91,7 +84,7 @@ class UnitaryMatrix:
                 for j in range(self.n):
                     s = None
                     for k in range(self.n):
-                        t = _entry_conj(self.entries[k][i]) * self.entries[k][j]
+                        t = conj_scalar(self.entries[k][i]) * self.entries[k][j]
                         s = t if s is None else s + t
                     want = 1 if i == j else 0
                     if not s == want:
@@ -118,7 +111,7 @@ class UnitaryMatrix:
 
     def conj_transpose(self) -> "UnitaryMatrix":
         return UnitaryMatrix(
-            [[_entry_conj(self.entries[j][i]) for j in range(self.n)] for i in range(self.n)],
+            [[conj_scalar(self.entries[j][i]) for j in range(self.n)] for i in range(self.n)],
             check=False,
         )
 
@@ -138,7 +131,7 @@ class UnitaryMatrix:
 
     def det(self):
         """Determinant by Laplace expansion (n is small here)."""
-        return _det(self.entries)
+        return determinant(self.entries)
 
     def is_identity(self) -> bool:
         for i in range(self.n):
@@ -195,14 +188,16 @@ class UnitaryMatrix:
         return f"UnitaryMatrix({self.entries!r})"
 
 
-def _det(entries) -> object:
+def determinant(entries) -> object:
+    """Laplace expansion along the first row; entries may be scalars of any
+    kind or polynomials (n is small here)."""
     n = len(entries)
     if n == 1:
         return entries[0][0]
     total = None
     for j in range(n):
         minor = [row[:j] + row[j + 1:] for row in entries[1:]]
-        term = entries[0][j] * _det(minor)
+        term = entries[0][j] * determinant(minor)
         if j % 2:
             term = -term
         total = term if total is None else total + term
@@ -337,77 +332,55 @@ def generate_group(
 # exact linear algebra over a field (entries: Fraction or Cyclotomic)
 # ---------------------------------------------------------------------------
 
-def exact_nullspace(rows: list[list]) -> list[list]:
-    """Basis of the right nullspace of a matrix over an exact field."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
+def exact_rref(rows: list[list]) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form over an exact field, and its pivot columns.
+
+    Columns are scanned left to right, so the pivot columns are exactly the
+    columns independent of the columns before them.  Entries may mix
+    rationals and cyclotomic elements.
+    """
     mat = [list(r) for r in rows]
+    ncols = len(mat[0]) if mat else 0
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if not _zero(mat[i][c]):
-                pivot_row = i
-                break
+        r = len(pivots)
+        if r == len(mat):
+            break
+        pivot_row = next((i for i in range(r, len(mat)) if not scalar_is_zero(mat[i][c])), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = _inv(mat[r][c])
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not _zero(mat[i][c]):
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivot = mat[r]
+        inv = inv_scalar(pivot[c])
+        # earlier columns of the pivot row are already zero
+        support = [k for k in range(c, ncols) if not scalar_is_zero(pivot[k])]
+        for k in support:
+            pivot[k] = pivot[k] * inv
+        for i, row in enumerate(mat):
+            f = row[c]
+            if i != r and not scalar_is_zero(f):
+                for k in support:
+                    row[k] = row[k] - f * pivot[k]
         pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    return mat, pivots
+
+
+def exact_nullspace(rows: list[list]) -> list[list]:
+    """Basis of the right nullspace of a matrix over an exact field: one
+    vector per free column of the reduced row echelon form, with 1 there
+    and 0 at the other free columns."""
+    if not rows:
+        return []
+    mat, pivots = exact_rref(rows)
+    ncols = len(rows[0])
     basis = []
-    for fc in free:
-        vec = [_like_zero(rows) for _ in range(ncols)]
-        vec[fc] = _like_one(rows)
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
             vec[pc] = -mat[i][fc]
         basis.append(vec)
     return basis
-
-
-def exact_rank(rows: list[list]) -> int:
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    return ncols - len(exact_nullspace(rows))
-
-
-def _zero(x) -> bool:
-    if isinstance(x, Cyclotomic):
-        return x.is_zero()
-    return x == 0
-
-
-def _inv(x):
-    if isinstance(x, Cyclotomic):
-        return x.inverse()
-    return Fraction(1) / Fraction(x)
-
-
-def _like_zero(rows):
-    for r in rows:
-        for x in r:
-            if isinstance(x, Cyclotomic):
-                return x.field.zero()
-    return Fraction(0)
-
-
-def _like_one(rows):
-    for r in rows:
-        for x in r:
-            if isinstance(x, Cyclotomic):
-                return x.field.one()
-    return Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +412,7 @@ def _minus_identity(g: UnitaryMatrix) -> list[list]:
 def _eigenvector_for_one(g: UnitaryMatrix) -> tuple[complex, ...] | None:
     """A unit vector fixed by g, or None if eigenvalue 1 is absent."""
     if g.exact:
-        rows = [[_to_field(x, g) for x in row] for row in _minus_identity(g)]
-        basis = exact_nullspace(rows)
+        basis = exact_nullspace(_minus_identity(g))
         if not basis:
             return None
         vec = [to_complex(x) for x in basis[0]]
@@ -452,20 +424,6 @@ def _eigenvector_for_one(g: UnitaryMatrix) -> tuple[complex, ...] | None:
         vec = list(vecs[:, idx])
     norm = sum(abs(x) ** 2 for x in vec) ** 0.5
     return tuple(complex(x) / norm for x in vec)
-
-
-def _to_field(x, g: UnitaryMatrix):
-    if isinstance(x, Cyclotomic):
-        return x
-    field = None
-    for row in g.entries:
-        for e in row:
-            if isinstance(e, Cyclotomic):
-                field = e.field
-                break
-    if field is None:
-        return Fraction(x)
-    return field.from_rational(Fraction(x))
 
 
 def is_fixed_point_free(group: FiniteUnitaryGroup) -> FixedPointReport:
@@ -501,8 +459,7 @@ def is_reflection(g: UnitaryMatrix, order_bound: int = 4096) -> bool:
     if g.is_identity():
         return False
     if g.exact:
-        rows = [[_to_field(x, g) for x in row] for row in _minus_identity(g)]
-        fixed_dim = len(exact_nullspace(rows))
+        fixed_dim = len(exact_nullspace(_minus_identity(g)))
     else:
         vals = np.linalg.eigvals(g.to_numpy())
         fixed_dim = int(np.sum(np.abs(vals - 1.0) < 1e-9))
@@ -518,9 +475,9 @@ def matrix_from_json(data) -> UnitaryMatrix:
 
     Entries are either ``[re, im]`` numeric pairs or exact objects
     ``{"zeta": N, "terms": [[power, "p/q"], ...]}`` meaning a rational
-    combination of powers of the N-th root of unity.  If any entry is
-    exact, the numeric pairs are read as exact decimals too, so the whole
-    matrix stays in exact arithmetic.
+    combination of powers of the N-th root of unity, 1 <= N <= MAX_ZETA.
+    If any entry is exact, the numeric pairs are read as exact decimals
+    too, so the whole matrix stays in exact arithmetic.
     """
     any_exact = any(isinstance(e, dict) for row in data for e in row)
     rows = []
@@ -528,7 +485,10 @@ def matrix_from_json(data) -> UnitaryMatrix:
         new = []
         for entry in row:
             if isinstance(entry, dict):
-                field = CyclotomicField(int(entry["zeta"]))
+                order = int(entry["zeta"])
+                if not 1 <= order <= MAX_ZETA:
+                    raise ValueError(f"zeta order {order} is outside 1..{MAX_ZETA}")
+                field = CyclotomicField(order)
                 val = field.zero()
                 for power, coeff in entry["terms"]:
                     val = val + field.root(int(power)) * Fraction(str(coeff))

@@ -25,8 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .groups import exact_rref
 from .polynomials import HermitianPolynomial, MultiIndex
-from .scalars import ExactComplex, conj_scalar, to_complex
+from .scalars import ExactComplex, conj_scalar, is_exact_scalar, to_complex
 
 TWO_PI_CUBED = (2.0 * math.pi) ** 3
 
@@ -291,11 +292,7 @@ def omega_closed_kernel(z: Sequence, lam, w: Sequence, tau):
     Exact (rational times pi^-3) for exact inputs.  Raises
     BoundaryContactError where rho vanishes.
     """
-    exact = all(
-        isinstance(v, (int, Fraction, ExactComplex))
-        for v in (*z, lam, *w, tau)
-    )
-    if exact:
+    if all(is_exact_scalar(v) for v in (*z, lam, *w, tau)):
         rho = ExactComplex.coerce(complexified_rho(z, lam, w, tau))
         if rho.is_zero:
             raise BoundaryContactError("rho = 0: boundary contact")
@@ -346,10 +343,12 @@ def resum_polynomial_series(poly_coeffs: Sequence) -> tuple[Fraction, ...]:
     def p_at(m: int) -> Fraction:
         return sum(c * m**k for k, c in enumerate(coeffs))
 
-    # evaluate at m = 0..d and solve the exact linear system
-    rows = [[Fraction(math.comb(m + j, j)) for j in range(d + 1)] for m in range(d + 1)]
-    rhs = [p_at(m) for m in range(d + 1)]
-    a = _solve_exact(rows, rhs)
+    # evaluate at m = 0..d and solve the exact linear system; the binomial
+    # matrix is invertible, so the reduced augmented matrix is [I | a]
+    rows = [
+        [Fraction(math.comb(m + j, j)) for j in range(d + 1)] + [p_at(m)] for m in range(d + 1)
+    ]
+    a = [row[-1] for row in exact_rref(rows)[0]]
 
     # exact polynomial identity check: p(m) - sum a_j C(m+j, j) == 0
     remainder = list(coeffs) + [Fraction(0)] * (d + 1)
@@ -359,21 +358,6 @@ def resum_polynomial_series(poly_coeffs: Sequence) -> tuple[Fraction, ...]:
     if any(c != 0 for c in remainder):
         raise RuntimeError("binomial-basis resummation failed the exact identity check")
     return tuple(a)
-
-
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    n = len(rows)
-    mat = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if mat[i][col] != 0)
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv = Fraction(1) / mat[col][col]
-        mat[col] = [x * inv for x in mat[col]]
-        for i in range(n):
-            if i != col and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[col])]
-    return [mat[i][n] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +413,8 @@ class RationalKernel:
     denominator: HermitianPolynomial
 
     def eval(self, x: Sequence, y: Sequence):
-        exact = all(
-            isinstance(v, (int, Fraction, ExactComplex)) for v in (*x, *y)
-        )
         num_poly, den_poly = self.numerator, self.denominator
-        if not exact:
+        if not all(is_exact_scalar(v) for v in (*x, *y)):
             num_poly = num_poly.to_complex_coeffs()
             den_poly = den_poly.to_complex_coeffs()
         num = num_poly.eval(list(x), list(y))

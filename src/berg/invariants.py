@@ -8,18 +8,19 @@ among generators is only reported after an exact substitution check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .cyclotomic import Cyclotomic
-from .groups import FiniteUnitaryGroup, exact_nullspace
+from .groups import FiniteUnitaryGroup, exact_nullspace, exact_rref
 from .polynomials import (
     HoloPolynomial,
-    MultiIndex,
     monomials_of_degree,
     monomials_up_to_degree,
 )
+from .scalars import inv_scalar, scalar_is_zero
 
 
 def reynolds(f: HoloPolynomial, group: FiniteUnitaryGroup) -> HoloPolynomial:
@@ -37,67 +38,19 @@ def is_invariant(f: HoloPolynomial, group: FiniteUnitaryGroup) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact span arithmetic over monomial bases
+# exact span arithmetic
 # ---------------------------------------------------------------------------
 
-def _inv_coeff(x):
-    if isinstance(x, Cyclotomic):
-        return x.inverse()
-    return Fraction(1) / Fraction(x)
+def _pivot_columns(polys: list[HoloPolynomial]) -> list[int]:
+    """Indices of the polynomials independent of the ones before them: the
+    pivot columns of their coefficient matrix."""
+    monomials = sorted({a for p in polys for a in p.terms})
+    return exact_rref([[p.terms.get(a, 0) for p in polys] for a in monomials])[1]
 
 
-def _zero_coeff(x) -> bool:
-    if isinstance(x, Cyclotomic):
-        return x.is_zero()
-    return x == 0
-
-
-class _Span:
-    """Incremental row reduction over dict-vectors keyed by monomial."""
-
-    def __init__(self):
-        self.rows: dict[MultiIndex, dict[MultiIndex, object]] = {}
-
-    @staticmethod
-    def _leading(vec: dict) -> MultiIndex:
-        return max(vec, key=lambda a: (a.degree, a))
-
-    def reduce(self, vec: dict) -> dict:
-        vec = dict(vec)
-        while vec:
-            lead = self._leading(vec)
-            row = self.rows.get(lead)
-            if row is None:
-                return vec
-            factor = vec[lead]
-            for k, v in row.items():
-                new = vec.get(k, 0) - factor * v
-                if _zero_coeff(new):
-                    vec.pop(k, None)
-                else:
-                    vec[k] = new
-        return vec
-
-    def add(self, vec: dict) -> bool:
-        """Insert a vector; returns True when it enlarged the span."""
-        rem = self.reduce(vec)
-        if not rem:
-            return False
-        lead = self._leading(rem)
-        inv = _inv_coeff(rem[lead])
-        self.rows[lead] = {k: v * inv for k, v in rem.items()}
-        return True
-
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
-def _vec(p: HoloPolynomial) -> dict:
-    return dict(p.terms)
+def _reynolds_images(group: FiniteUnitaryGroup, degree: int) -> list[HoloPolynomial]:
+    n = group.dim
+    return [reynolds(HoloPolynomial.monomial(n, a), group) for a in monomials_of_degree(n, degree)]
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +112,7 @@ def _products_of_degree(
 
 def _monic(p: HoloPolynomial) -> HoloPolynomial:
     lead = p.leading_monomial()
-    return _rationalize(p.scale(_inv_coeff(p.terms[lead])))
+    return _rationalize(p.scale(inv_scalar(p.terms[lead])))
 
 
 def _rationalize(p: HoloPolynomial) -> HoloPolynomial:
@@ -184,25 +137,18 @@ def compute_basic_map(group: FiniteUnitaryGroup, verify: bool = True) -> BasicMa
     """
     if not group.exact:
         raise ValueError("basic map computation requires an exact group")
-    n = group.dim
-    m = group.order
     gens: list[HoloPolynomial] = []
     degrees: list[int] = []
-    for d in range(1, m + 1):
-        span = _Span()
-        lower = [g for g, dg in zip(gens, degrees) if dg < d]
-        lower_d = [dg for dg in degrees if dg < d]
-        for prod in _products_of_degree(lower, lower_d, d):
-            span.add(_vec(prod))
-        for alpha in monomials_of_degree(n, d):
-            inv = reynolds(HoloPolynomial.monomial(n, alpha), group)
-            if inv.is_zero():
-                continue
-            if span.add(_vec(inv)):
-                gens.append(_monic(inv))
+    for d in range(1, group.order + 1):
+        # every generator so far has degree < d
+        products = _products_of_degree(gens, degrees, d)
+        images = _reynolds_images(group, d)
+        for k in _pivot_columns(products + images):
+            if k >= len(products):
+                gens.append(_monic(images[k - len(products)]))
                 degrees.append(d)
     result = BasicMap(
-        generators=tuple(gens), degrees=tuple(degrees), dim=n, group_order=m
+        generators=tuple(gens), degrees=tuple(degrees), dim=group.dim, group_order=group.order
     )
     if verify:
         _verify_spanning(result, group)
@@ -210,45 +156,28 @@ def compute_basic_map(group: FiniteUnitaryGroup, verify: bool = True) -> BasicMa
     return result
 
 
-def _invariant_span(group: FiniteUnitaryGroup, degree: int) -> _Span:
-    span = _Span()
-    n = group.dim
-    for alpha in monomials_of_degree(n, degree):
-        inv = reynolds(HoloPolynomial.monomial(n, alpha), group)
-        if not inv.is_zero():
-            span.add(_vec(inv))
-    return span
-
-
 def _verify_spanning(basic: BasicMap, group: FiniteUnitaryGroup) -> None:
     gens, degs = list(basic.generators), list(basic.degrees)
     for d in range(1, 2 * group.order + 1):
-        algebra = _Span()
-        for prod in _products_of_degree(gens, degs, d):
-            algebra.add(_vec(prod))
-        for alpha in monomials_of_degree(group.dim, d):
-            inv = reynolds(HoloPolynomial.monomial(group.dim, alpha), group)
-            if not inv.is_zero() and not algebra.contains(_vec(inv)):
-                raise RuntimeError(
-                    f"generator set fails to span invariants at degree {d}"
-                )
+        products = _products_of_degree(gens, degs, d)
+        pivots = _pivot_columns(products + _reynolds_images(group, d))
+        if any(k >= len(products) for k in pivots):
+            raise RuntimeError(
+                f"generator set fails to span invariants at degree {d}"
+            )
 
 
 def _verify_minimality(basic: BasicMap) -> None:
     gens, degs = list(basic.generators), list(basic.degrees)
     for i, (g, d) in enumerate(zip(gens, degs)):
-        others = gens[:i] + gens[i + 1:]
-        odegs = degs[:i] + degs[i + 1:]
-        span = _Span()
-        for prod in _products_of_degree(others, odegs, d):
-            span.add(_vec(prod))
-        if span.contains(_vec(g)):
+        products = _products_of_degree(gens[:i] + gens[i + 1:], degs[:i] + degs[i + 1:], d)
+        if len(products) not in _pivot_columns(products + [g]):
             raise RuntimeError(f"generator {i} of degree {d} is redundant")
 
 
 def invariant_dimension(group: FiniteUnitaryGroup, degree: int) -> int:
     """Rank of the degree-d invariant subspace, by Reynolds images."""
-    return _invariant_span(group, degree).rank
+    return len(_pivot_columns(_reynolds_images(group, degree)))
 
 
 def trace_average_dimension(group: FiniteUnitaryGroup, degree: int) -> int:
@@ -307,9 +236,7 @@ def _diagonal_entries(g) -> list | None:
     for i in range(g.n):
         for j in range(g.n):
             if i != j:
-                x = g.entries[i][j]
-                zero = x.is_zero() if isinstance(x, Cyclotomic) else x == 0
-                if not zero:
+                if not scalar_is_zero(g.entries[i][j]):
                     return None
     return [g.entries[i][i] for i in range(g.n)]
 
@@ -383,19 +310,7 @@ def _canonical_relation(rel: HoloPolynomial) -> HoloPolynomial:
     coeffs = list(rel.terms.values())
     if all(isinstance(c, (int, Fraction)) for c in coeffs):
         fracs = [Fraction(c) for c in coeffs]
-        denom_lcm = 1
-        for f in fracs:
-            denom_lcm = denom_lcm * f.denominator // _gcd(denom_lcm, f.denominator)
-        scaled = [f * denom_lcm for f in fracs]
-        num_gcd = 0
-        for f in scaled:
-            num_gcd = _gcd(num_gcd, abs(f.numerator))
-        factor = Fraction(denom_lcm, num_gcd if num_gcd else 1)
-        rel = rel.scale(factor)
+        denom_lcm = math.lcm(*(f.denominator for f in fracs))
+        num_gcd = math.gcd(*(int(f * denom_lcm) for f in fracs))
+        rel = rel.scale(Fraction(denom_lcm, num_gcd if num_gcd else 1))
     return rel
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -209,7 +209,7 @@ class HoloPolynomial:
         return self.dim == other.dim and (self - other).is_zero()
 
     def __hash__(self):
-        return hash((self.dim, frozenset((a, repr(c)) for a, c in self.terms.items())))
+        return hash((self.dim, frozenset(self.terms.items())))
 
     # -- calculus / composition -----------------------------------------
     def partial(self, i: int) -> "HoloPolynomial":
@@ -380,7 +380,7 @@ class HermitianPolynomial:
         return self.dim == other.dim and (self - other).is_zero()
 
     def __hash__(self):
-        return hash((self.dim, frozenset((k, repr(c)) for k, c in self.terms.items())))
+        return hash((self.dim, frozenset(self.terms.items())))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -484,16 +484,6 @@ class HermitianPolynomial:
             c = self.terms[(a, b)]
             parts.append(f"({c})" + (f"*{mono}" if mono else ""))
         return " + ".join(parts)
-
-
-def eval_hermitian(p: HermitianPolynomial, z: Sequence, w: Sequence | None = None):
-    """Module-level alias for polarized evaluation p(z, conj(w))."""
-    return p.eval(z, w)
-
-
-def poly_mul(p: HermitianPolynomial, q: HermitianPolynomial) -> HermitianPolynomial:
-    """Product of two Hermitian polynomials (exact when coefficients are)."""
-    return p * q
 
 
 def minimal_poly_check(samples: Sequence[tuple], candidate) -> float:

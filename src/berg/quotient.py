@@ -24,10 +24,10 @@ from typing import Sequence
 
 from .ball import ball_kernel
 from .cyclotomic import CyclotomicField
-from .groups import FiniteUnitaryGroup, UnitaryMatrix, generate_group
+from .groups import FiniteUnitaryGroup, UnitaryMatrix, determinant, generate_group
 from .invariants import compute_basic_map
 from .polynomials import HoloPolynomial
-from .scalars import ExactComplex, conj_scalar, to_complex
+from .scalars import ExactComplex, conj_scalar, is_exact_scalar, to_complex
 
 BRANCH_TOL = 1e-12
 
@@ -40,31 +40,36 @@ class BranchPointError(ArithmeticError):
         super().__init__(f"Jacobian vanishes at {self.point} (|J| <= {BRANCH_TOL})")
 
 
-def _apply_group_element(g: UnitaryMatrix, z: Sequence, exact: bool):
-    if exact:
-        rows = g.to_exact_complex()
-        return [
-            sum((rows[i][j] * z[j] for j in range(g.n)), start=ExactComplex(0))
-            for i in range(g.n)
-        ]
-    m = g.to_numpy()
-    zc = [complex(to_complex(x)) for x in z]
-    return [sum(m[i, j] * zc[j] for j in range(g.n)) for i in range(g.n)]
-
-
-def _wants_exact(group: FiniteUnitaryGroup, *points) -> bool:
-    if not group.exact:
-        return False
+def _gaussian_elements(group: FiniteUnitaryGroup, *points) -> list | None:
+    """Every element's entries as Gaussian rationals when the points are
+    exact and the group embeds in Q(i); None means evaluate in floats."""
+    if not group.exact or not all(is_exact_scalar(x) for p in points for x in p):
+        return None
     try:
-        for g in group:
-            g.to_exact_complex()
+        return [g.to_exact_complex() for g in group]
     except ValueError:
-        return False
-    for p in points:
-        for x in p:
-            if not isinstance(x, (int, Fraction, ExactComplex)):
-                return False
-    return True
+        return None
+
+
+def _deck_sum(group: FiniteUnitaryGroup, n: int, z: Sequence, w: Sequence, dual: bool):
+    """The deck sum moving z by each group element, or w when ``dual``."""
+    if group.dim != n:
+        raise ValueError("group dimension does not match n")
+    gaussian = _gaussian_elements(group, z, w)
+    moved = w if dual else z
+    if gaussian is None:
+        moved = [complex(to_complex(x)) for x in moved]
+    total = None
+    for k, g in enumerate(group):
+        if gaussian is None:
+            m, det, zero = g.to_numpy(), to_complex(g.det()), 0
+        else:
+            m, zero = gaussian[k], ExactComplex(0)
+            det = determinant(m)
+        gv = [sum((m[i][j] * moved[j] for j in range(n)), start=zero) for i in range(n)]
+        term = ball_kernel(n, z, gv) * conj_scalar(det) if dual else ball_kernel(n, gv, w) * det
+        total = term if total is None else total + term
+    return total
 
 
 def deck_sum_kernel(group: FiniteUnitaryGroup, n: int, z: Sequence, w: Sequence):
@@ -73,39 +78,13 @@ def deck_sum_kernel(group: FiniteUnitaryGroup, n: int, z: Sequence, w: Sequence)
     Exact (Gaussian rational times pi^-n) when the group embeds in the
     Gaussian rationals and the points are exact; floating otherwise.
     """
-    if group.dim != n:
-        raise ValueError("group dimension does not match n")
-    exact = _wants_exact(group, z, w)
-    total = None
-    for g in group:
-        gz = _apply_group_element(g, z, exact)
-        det = g.det()
-        if exact:
-            det = det.to_exact_complex() if hasattr(det, "to_exact_complex") else ExactComplex(Fraction(det))
-        else:
-            det = to_complex(det)
-        term = ball_kernel(n, gz, w) * det
-        total = term if total is None else total + term
-    return total
+    return _deck_sum(group, n, z, w, dual=False)
 
 
 def dual_deck_sum_kernel(group: FiniteUnitaryGroup, n: int, z: Sequence, w: Sequence):
     """sum over the group of K_ball(z, g w) conj(det(g)); equal to
     deck_sum_kernel by the two pullback presentations of the same form."""
-    if group.dim != n:
-        raise ValueError("group dimension does not match n")
-    exact = _wants_exact(group, z, w)
-    total = None
-    for g in group:
-        gw = _apply_group_element(g, w, exact)
-        det = g.det()
-        if exact:
-            det = det.to_exact_complex() if hasattr(det, "to_exact_complex") else ExactComplex(Fraction(det))
-        else:
-            det = to_complex(det)
-        term = ball_kernel(n, z, gw) * conj_scalar(det)
-        total = term if total is None else total + term
-    return total
+    return _deck_sum(group, n, z, w, dual=True)
 
 
 def check_deck_sum_symmetry(
@@ -189,7 +168,7 @@ class CoveringSpec:
         comps = self.chart_components()
         n = self.group.dim
         partials = [[comps[i].partial(j) for j in range(n)] for i in range(n)]
-        return _poly_det(partials)
+        return determinant(partials)
 
     def jacobian(self, z: Sequence):
         return _eval_holo(self.jacobian_polynomial(), z)
@@ -205,21 +184,6 @@ def _eval_holo(p: HoloPolynomial, z: Sequence):
         return p.eval(z)
     except TypeError:
         return p.to_complex_coeffs().eval([to_complex(x) for x in z])
-
-
-def _poly_det(rows: list[list[HoloPolynomial]]) -> HoloPolynomial:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    dim = rows[0][0].dim
-    total = HoloPolynomial(dim)
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _poly_det(minor)
-        if j % 2:
-            term = -term
-        total = total + term
-    return total
 
 
 def pushforward_kernel(spec: CoveringSpec, z: Sequence, w: Sequence):

@@ -8,6 +8,11 @@ evaluate to exact rationals times a pi power instead of floats.
 Mixed pi powers cannot be added (the results in scope never require it);
 attempting to do so raises :class:`PiGradeError` rather than silently
 degrading to floats.
+
+This module is also the one scalar protocol of the package: the zero test,
+inverse, conjugate and Gaussian-rational predicate below accept every
+coefficient kind (int, Fraction, float, complex, ExactComplex and
+cyclotomic field elements).
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Union
+
+from .cyclotomic import Cyclotomic
 
 RationalLike = Union[int, Fraction]
 
@@ -164,9 +171,12 @@ class ExactComplex:
             other = ExactComplex(other)
         if not isinstance(other, ExactComplex):
             return NotImplemented
-        return (self - other).is_zero
+        # zero is normalized to pi-power 0, so the fields determine the value
+        return (self.re, self.im, self.pi_pow) == (other.re, other.im, other.pi_pow)
 
     def __hash__(self):
+        if self.im == 0 and self.pi_pow == 0:
+            return hash(self.re)  # equal to the int or Fraction of that value
         return hash((self.re, self.im, self.pi_pow))
 
     def to_complex(self) -> complex:
@@ -193,6 +203,7 @@ def exact(re: RationalLike = 0, im: RationalLike = 0, pi_pow: int = 0) -> ExactC
 
 
 def is_exact_scalar(x) -> bool:
+    """True for Gaussian-rational scalars: int, Fraction and ExactComplex."""
     return isinstance(x, (int, Fraction, ExactComplex))
 
 
@@ -200,20 +211,23 @@ def conj_scalar(x):
     """Conjugate a coefficient of any supported scalar kind."""
     if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, ExactComplex):
-        return x.conjugate()
-    if isinstance(x, complex):
-        return x.conjugate()
-    if hasattr(x, "conjugate"):
-        return x.conjugate()
-    return complex(x).conjugate()
+    return x.conjugate()
 
 
 def scalar_is_zero(x) -> bool:
-    """Zero test that works for floats, Fractions, ExactComplex and field elements."""
+    """Zero test for every supported scalar kind."""
+    if isinstance(x, Cyclotomic):
+        return x.is_zero()
     if isinstance(x, ExactComplex):
         return x.is_zero
     return x == 0
+
+
+def inv_scalar(x):
+    """Multiplicative inverse; exact for exact kinds."""
+    if isinstance(x, Cyclotomic):
+        return x.inverse()
+    return Fraction(1) / x
 
 
 def to_complex(x) -> complex:

@@ -29,9 +29,9 @@ import numpy as np
 from .hartogs import OMEGA, HartogsDomainSpec, monomial_norm, square_integrable
 from .quotient import (
     CoveringSpec,
+    check_deck_sum_symmetry,
     deck_sum_kernel,
     disk_power_cover,
-    dual_deck_sum_kernel,
     minus_identity_cover,
     scalar_rotation_cover,
 )
@@ -337,6 +337,23 @@ def _closed_deck_sum_scalar_rotation(z, w) -> complex:
     return 2.0 / math.pi**2 * total
 
 
+_CLOSED_DECK_SUMS = {
+    "minus-identity": _closed_deck_sum_minus_identity,
+    "scalar-i": _closed_deck_sum_scalar_rotation,
+}
+
+
+def _named_cover(cover: str) -> CoveringSpec:
+    """The stock covers by name: disk-<k>, minus-identity, scalar-i."""
+    if cover == "minus-identity":
+        return minus_identity_cover()
+    if cover == "scalar-i":
+        return scalar_rotation_cover()
+    if cover.startswith("disk-"):
+        return disk_power_cover(int(cover.split("-", 1)[1]))
+    raise ValueError(f"unknown cover {cover}")
+
+
 def _random_ball_pairs(rng, count: int, n: int, radius: float) -> list:
     pairs = []
     for _ in range(count):
@@ -370,10 +387,10 @@ def check_transformation_law(
     t0 = time.time()
     rng = np.random.default_rng(seed)
     worst = 0.0
+    spec = cover if isinstance(cover, CoveringSpec) else _named_cover(cover)
 
     if isinstance(cover, str) and cover.startswith("disk-"):
-        k = int(cover.split("-", 1)[1])
-        spec = disk_power_cover(k)
+        k = spec.sheets
         pairs = _random_ball_pairs(rng, count, 1, radius)
         for z, w in pairs:
             deck = to_complex(deck_sum_kernel(spec.group, 1, z, w))
@@ -385,16 +402,7 @@ def check_transformation_law(
             worst = max(worst, abs(deck - rhs))
         name = f"transformation:disk-z^{k}"
     else:
-        if cover == "minus-identity":
-            spec = minus_identity_cover()
-            closed = _closed_deck_sum_minus_identity
-        elif cover == "scalar-i":
-            spec = scalar_rotation_cover()
-            closed = _closed_deck_sum_scalar_rotation
-        elif isinstance(cover, CoveringSpec):
-            spec, closed = cover, None
-        else:
-            raise ValueError(f"unknown cover {cover}")
+        closed = _CLOSED_DECK_SUMS.get(cover) if isinstance(cover, str) else None
         n = spec.group.dim
         pairs = _random_ball_pairs(rng, count, n, radius)
         for z, w in pairs:
@@ -428,20 +436,9 @@ def check_deck_symmetry(
     """Row-sum versus column-sum presentation of the deck sum."""
     t0 = time.time()
     rng = np.random.default_rng(seed)
-    if cover == "minus-identity":
-        spec = minus_identity_cover()
-    elif cover == "scalar-i":
-        spec = scalar_rotation_cover()
-    elif cover.startswith("disk-"):
-        spec = disk_power_cover(int(cover.split("-", 1)[1]))
-    else:
-        raise ValueError(f"unknown cover {cover}")
+    spec = _named_cover(cover)
     n = spec.group.dim
-    worst = 0.0
-    for z, w in _random_ball_pairs(rng, count, n, 0.35):
-        a = to_complex(deck_sum_kernel(spec.group, n, z, w))
-        b = to_complex(dual_deck_sum_kernel(spec.group, n, z, w))
-        worst = max(worst, abs(a - b))
+    worst = check_deck_sum_symmetry(spec.group, n, _random_ball_pairs(rng, count, n, 0.35))
     return VerificationReport(
         name=f"deck-symmetry:{cover}",
         passed=worst <= tolerance,

@@ -9,7 +9,6 @@ from berg.ball import (
     SingularKernelError,
     ball_kernel,
     disk_kernel,
-    jacobi_hermitian_eigenvalues,
     levi_form,
     siegel_model_defining_function,
     sphere_defining_function,
@@ -188,14 +187,3 @@ def test_levi_scaling_invariance():
 def test_levi_preconditions():
     with pytest.raises(ValueError):
         levi_form(sphere_defining_function(2), (0.5, 0.0))  # not on the zero set
-
-
-def test_jacobi_matches_numpy():
-    rng = np.random.default_rng(11)
-    for n in (1, 2, 3):
-        for _ in range(6):
-            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            h = (a + a.conj().T) / 2
-            mine = jacobi_hermitian_eigenvalues(h.tolist())
-            ref = sorted(np.linalg.eigvalsh(h))
-            assert np.allclose(mine, ref, atol=1e-10)

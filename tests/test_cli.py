@@ -1,10 +1,14 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, strategies as st
 
-from berg.cli import main
+from berg.cli import CACHE_SCHEMA, main
+from berg.groups import generate_group, matrices_from_json
 
 
 @pytest.fixture()
@@ -79,6 +83,101 @@ def test_basic_map_cmd_with_cache(runner, tmp_path, monkeypatch):
     assert len(cached) == 1
     out2 = _invoke(runner, ["basic-map", "--group", str(path), "--syzygies", "2"])
     assert out1 == out2
+
+
+def test_basic_map_checks_exactness_before_the_cache(runner, tmp_path, monkeypatch):
+    monkeypatch.setenv("BERG_CACHE_DIR", str(tmp_path))
+    gens = [[[[0.0, 1.0], [0, 0]], [[0, 0], [0.0, 1.0]]]]
+    key = generate_group(matrices_from_json(gens)).canonical_hash()
+    (tmp_path / f"basic-map-v{CACHE_SCHEMA}-{key}-syz0.json").write_text("planted\n")
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(gens))
+    result = runner.invoke(main, ["basic-map", "--group", str(path)])
+    assert result.exit_code == 2 and "planted" not in result.output
+
+
+def test_basic_map_cache_key_carries_the_schema(runner, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("BERG_CACHE_DIR", str(cache))
+    key = generate_group(matrices_from_json(GENS_MINUS)).canonical_hash()
+    (cache / f"basic-map-{key}-syz2.json").write_text("stale\n")  # unversioned key
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(GENS_MINUS))
+    out = _invoke(runner, ["basic-map", "--group", str(path), "--syzygies", "2"])
+    assert json.loads(out)["degrees"] == [2, 2, 2]
+    written = cache / f"basic-map-v{CACHE_SCHEMA}-{key}-syz2.json"
+    assert written.read_text() == out
+    assert not list(cache.glob("*.tmp"))
+
+
+def _one_line_usage_error(result):
+    assert result.exit_code == 2, result.output
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+
+
+NON_UNITARY = [[[{"zeta": 4, "terms": [[1, "2"]]}]]]
+MALFORMED = [[[1]]]
+INFINITE_ZETA = [[[{"zeta": math.inf, "terms": []}]]]
+Z5 = [[[{"zeta": 5, "terms": [[1, "1"]]}]]]
+
+
+@pytest.mark.parametrize(
+    "gens, extra",
+    [(NON_UNITARY, []), (MALFORMED, []), (INFINITE_ZETA, []), (Z5, ["--max-order", "3"])],
+    ids=["non-unitary", "malformed", "infinite-zeta", "closure-overflow"],
+)
+def test_group_input_errors_exit_2(runner, tmp_path, gens, extra):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(gens))
+    _one_line_usage_error(runner.invoke(main, ["group", "--gens", str(path)] + extra))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["ball-kernel", "--dim", "1", "--z", "1", "--w", "1"],
+        ["omega-kernel", "--z", "0,0", "--lambda", "1"],
+        ["omega-kernel", "--z", "0,0", "--lambda", "2", "--series", "5"],
+    ],
+    ids=["singular-ball", "boundary-contact", "divergent-series"],
+)
+def test_kernel_evaluation_errors_exit_2(runner, args):
+    _one_line_usage_error(runner.invoke(main, args))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["zeta", "terms"]), inner, max_size=2),
+    max_leaves=12,
+)
+zeta_entries = st.fixed_dictionaries(
+    {
+        "zeta": st.integers(-1, 12) | st.integers(1025, 10**30) | json_values,
+        "terms": st.lists(
+            st.tuples(st.integers(-4, 4), st.sampled_from(["1", "-1", "1/2", "x"])), max_size=2
+        ),
+    }
+)
+numeric_pairs = st.lists(st.integers(-1, 1) | st.floats(), min_size=2, max_size=2)
+entries = zeta_entries | numeric_pairs | json_values
+matrices = st.integers(1, 2).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@given(st.lists(matrices, max_size=2) | json_values)
+def test_group_json_fuzz_exits_0_or_2(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "gens.json"
+        path.write_text(json.dumps(data))
+        result = CliRunner().invoke(main, ["group", "--gens", str(path), "--max-order", "24"])
+    if result.exit_code == 0:
+        assert json.loads(result.output)["order"] <= 24
+    else:
+        _one_line_usage_error(result)
 
 
 def test_quotient_sum_and_push(runner, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from berg.groups import (
     ClosureOverflowError,
     NonUnitaryError,
     UnitaryMatrix,
+    exact_nullspace,
+    exact_rref,
     generate_group,
     is_fixed_point_free,
     is_reflection,
@@ -149,3 +152,18 @@ def test_matrix_from_json_forms():
     numeric = matrix_from_json([[[0.0, 1.0]]])
     assert not numeric.exact
     assert abs(numeric.entries[0][0] - 1j) < 1e-15
+
+
+def test_exact_nullspace_is_the_rref_basis_on_mixed_entries():
+    w, wbar = OMEGA, OMEGA.conjugate()
+    rows = [[Fraction(1), w, Fraction(1), Fraction(2)], [wbar, Fraction(1), Fraction(0), wbar]]
+    reduced, pivots = exact_rref(rows)
+    assert pivots == [0, 2]
+    assert reduced == [[1, w, 0, 1], [0, 0, 1, 1]]
+    # one vector per free column (1, 3): 1 there, 0 at the other free column
+    basis = exact_nullspace(rows)
+    assert basis == [[-w, 1, 0, 0], [-1, 0, -1, 1]]
+    assert all(type(v[c]) is Fraction for v, c in zip(basis, (1, 3)))
+    for v in basis:
+        for row in rows:
+            assert sum((a * x for a, x in zip(row, v)), Fraction(0)) == 0

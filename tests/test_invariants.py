@@ -189,3 +189,38 @@ def test_basic_map_requires_exact_group():
     group = generate_group([g])
     with pytest.raises(ValueError):
         compute_basic_map(group)
+
+
+def _hilbert_basis(p, q):
+    """Indecomposable nonzero (a, b) >= 0 with a + q b = 0 mod p, by brute force."""
+    monoid = [
+        (a, b) for a in range(p + 1) for b in range(p + 1) if (a or b) and (a + q * b) % p == 0
+    ]
+    sums = {(x[0] + y[0], x[1] + y[1]) for x in monoid for y in monoid}
+    return {m for m in monoid if m not in sums}
+
+
+@pytest.mark.parametrize(
+    "p, q, expected",
+    [
+        # Riemenschneider: p/(p-q) = [2, 3] and [2, 4], so four generators each
+        (5, 2, {(5, 0), (3, 1), (1, 2), (0, 5)}),
+        (7, 3, {(7, 0), (4, 1), (1, 2), (0, 7)}),
+    ],
+)
+def test_lens_generators_are_the_hilbert_basis(p, q, expected):
+    assert _hilbert_basis(p, q) == expected
+    group = generate_group([UnitaryMatrix.diagonal([root_of_unity(p), root_of_unity(p, q)])])
+    basic = compute_basic_map(group, verify=False)
+    leading = [tuple(g.leading_monomial()) for g in basic.generators]
+    assert sorted(leading) == sorted(expected)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_binary_dihedral_degrees_and_one_relation(m):
+    zeta = root_of_unity(2 * m)
+    a = UnitaryMatrix.diagonal([zeta, zeta.conjugate()])
+    b = UnitaryMatrix([[0, I_UNIT], [I_UNIT, 0]])
+    basic = compute_basic_map(generate_group([a, b]), verify=False)
+    assert basic.degrees == (4, 2 * m, 2 * m + 2)
+    assert len(find_syzygies(basic, m + 1)) == 1

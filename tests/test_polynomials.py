@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from berg.ball import u_domain_defining_function
+from berg.cyclotomic import CyclotomicField, root_of_unity
 from berg.hartogs import standard_omega_weight
 from berg.polynomials import (
     HermitianPolynomial,
     HoloPolynomial,
     MultiIndex,
-    eval_hermitian,
     minimal_poly_check,
     monomials_of_degree,
-    poly_mul,
 )
 from berg.scalars import ExactComplex, to_complex
 
@@ -33,31 +32,31 @@ def test_graded_lex_order():
 
 def test_eval_modulus_squared():
     p = HermitianPolynomial.term(1, (1,), (1,))
-    assert eval_hermitian(p, (2 + 0j,), (2 + 0j,)) == 4 + 0j
+    assert p.eval((2 + 0j,), (2 + 0j,)) == 4 + 0j
 
 
 def test_eval_polarized_cross_term():
     p = HermitianPolynomial(2, {((1, 0), (0, 1)): 1})
-    assert eval_hermitian(p, (1 + 0j, 0j), (0j, 1 + 0j)) == 1 + 0j
+    assert p.eval((1 + 0j, 0j), (0j, 1 + 0j)) == 1 + 0j
 
 
 def test_boundary_point_of_projected_domain():
     rho = u_domain_defining_function().rho
-    val = eval_hermitian(rho, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+    val = rho.eval((1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
     assert val == 0
 
 
 def test_poly_mul_simple():
     z = HermitianPolynomial.term(1, (1,), (0,))
     zbar = HermitianPolynomial.term(1, (0,), (1,))
-    assert poly_mul(z, zbar) == HermitianPolynomial.term(1, (1,), (1,))
+    assert z * zbar == HermitianPolynomial.term(1, (1,), (1,))
 
 
 def test_poly_mul_builds_standard_weight():
     one = HermitianPolynomial.constant(2, Fraction(1))
     f1 = one + HermitianPolynomial.modulus_squared(2, 0)
     f2 = one + HermitianPolynomial.modulus_squared(2, 1)
-    h = poly_mul(f1, f2)
+    h = f1 * f2
     assert h == standard_omega_weight()
     assert h.terms[(MultiIndex((1, 1)), MultiIndex((1, 1)))] == 1
     assert len(h.terms) == 4
@@ -65,7 +64,17 @@ def test_poly_mul_builds_standard_weight():
 
 def test_poly_mul_by_zero():
     z = HermitianPolynomial.term(2, (1, 0), (0, 0))
-    assert poly_mul(z, HermitianPolynomial(2)).is_zero()
+    assert (z * HermitianPolynomial(2)).is_zero()
+
+
+def test_equal_polynomials_hash_equal():
+    one = CyclotomicField(4).one()
+    p = HoloPolynomial(2, {(1, 0): Fraction(1), (0, 2): root_of_unity(4, 2)})
+    q = HoloPolynomial(2, {(1, 0): one, (0, 2): -1})
+    assert p == q and hash(p) == hash(q)
+    h = HermitianPolynomial(1, {((1,), (1,)): Fraction(1)})
+    k = HermitianPolynomial(1, {((1,), (1,)): one})
+    assert h == k and hash(h) == hash(k)
 
 
 def test_mul_degree_adds():
@@ -134,7 +143,7 @@ def test_dimension_mismatch_errors():
         p.eval((1 + 0j,), (1 + 0j,))
     q = HermitianPolynomial.term(1, (1,), (0,))
     with pytest.raises(ValueError):
-        poly_mul(p, q)
+        p * q
 
 
 # -- minimal_poly_check ------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from berg.cyclotomic import CyclotomicField, root_of_unity
 from berg.scalars import ExactComplex, PiGradeError, exact, to_complex
 
 rationals = st.fractions(
@@ -70,3 +71,39 @@ def test_ring_axioms(a, b, c):
 def test_multiplicative_inverse(a):
     if not a.is_zero:
         assert a * (ExactComplex(1) / a) == ExactComplex(1)
+
+
+def test_equal_scalars_hash_equal_known_cases():
+    assert hash(root_of_unity(2)) == hash(root_of_unity(4, 2))
+    assert hash(CyclotomicField(4).one()) == hash(1)
+    assert len({exact(1), Fraction(1)}) == 1
+    assert not exact(1) == exact(1, 0, 1)
+
+
+FIELDS = (1, 2, 3, 4, 6, 8, 12)
+
+
+@st.composite
+def cyclotomic_values(draw):
+    field = CyclotomicField(draw(st.sampled_from(FIELDS)))
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=4))
+    return sum((field.root(k) * c for k, c in enumerate(coeffs)), field.zero())
+
+
+def representations(x):
+    """x as every scalar kind that can hold it, and in larger fields."""
+    if isinstance(x, Fraction):
+        out = [x, exact(x)] + [CyclotomicField(n).from_rational(x) for n in FIELDS]
+        return out + [int(x)] if x.denominator == 1 else out
+    return [CyclotomicField(x.field.n * k).zero() + x for k in (1, 2, 3)]
+
+
+scalar_values = st.one_of(rationals, cyclotomic_values())
+
+
+@given(scalar_values, scalar_values, st.data())
+def test_equal_scalars_hash_equal(x, y, data):
+    a = data.draw(st.sampled_from(representations(x)))
+    b = data.draw(st.sampled_from(representations(x) + representations(y)))
+    if a == b:
+        assert hash(a) == hash(b)
