@@ -70,23 +70,48 @@ def ball_kernel(n: int, z, w):
     """Bergman kernel of the unit ball in C^n at (z, w).
 
     Returns an ExactComplex (rational times pi^-n) for exact inputs and a
-    Python complex otherwise.  Raises SingularKernelError at boundary
-    contact <z, w> = 1.
+    Python complex otherwise.  Float points may also be arrays of shape
+    (..., n); their leading axes broadcast and the values come back as an
+    array over them.  Raises SingularKernelError at boundary contact
+    <z, w> = 1.
     """
     z = _coords(z)
     w = _coords(w)
-    if len(z) != n or len(w) != n:
-        raise ValueError(f"expected points in C^{n}")
-    if all(is_exact_scalar(v) for v in (*z, *w)):
+    check_points(n, z, w)
+    batched = _is_batch(z) or _is_batch(w)
+    if not batched and all(is_exact_scalar(v) for v in (*z, *w)):
         u = ExactComplex.coerce(hermitian_inner(z, w))
         one_minus = ExactComplex(1) - u
         if one_minus.is_zero:
             raise SingularKernelError("kernel singular at <z, w> = 1")
         return ExactComplex(math.factorial(n), 0, -n) * (one_minus ** (-(n + 1)))
-    uc = hermitian_inner([to_complex(x) for x in z], [to_complex(x) for x in w])
-    if abs(1.0 - uc) < 1e-14:
+    # a single point pair runs as a batch of one, so it matches a batched row bit for bit
+    zf = np.atleast_2d(float_point(z))
+    wf = np.atleast_2d(float_point(w))
+    one_minus = 1.0 - (zf * wf.conj()).sum(axis=-1)
+    if (np.abs(one_minus) < 1e-14).any():
         raise SingularKernelError("kernel singular at <z, w> = 1")
-    return math.factorial(n) / math.pi**n * (1.0 - uc) ** (-(n + 1))
+    values = math.factorial(n) / math.pi**n * one_minus ** (-(n + 1))
+    return values if batched else complex(values[0])
+
+
+def _is_batch(p) -> bool:
+    return isinstance(p, np.ndarray) and p.ndim > 1
+
+
+def float_point(p) -> np.ndarray:
+    """A point, or an (..., n) array of points, as a complex numpy array."""
+    if isinstance(p, np.ndarray):
+        return p.astype(complex, copy=False)
+    return np.array([to_complex(x) for x in p], dtype=complex)
+
+
+def check_points(n: int, *points) -> None:
+    """Raise ValueError unless every point (or array of points) lies in C^n."""
+    for p in points:
+        size = p.shape[-1] if isinstance(p, np.ndarray) and p.ndim else len(p)
+        if size != n:
+            raise ValueError(f"expected points in C^{n}")
 
 
 def disk_kernel(z, w):

@@ -47,7 +47,7 @@ from .hartogs import (
 )
 from .invariants import compute_basic_map, find_syzygies
 from .polynomials import HermitianPolynomial, HoloPolynomial, MultiIndex
-from .quotient import CoveringSpec, deck_sum_kernel, pushforward_kernel
+from .quotient import BranchPointError, CoveringSpec, deck_sum_kernel, pushforward_kernel
 from .scalars import to_complex
 
 
@@ -60,6 +60,11 @@ class InputError(click.ClickException):
     """Input the command cannot evaluate: one-line message, usage exit code."""
 
     exit_code = 2
+
+
+# what a JSON input of the wrong shape or value raises while it is decoded;
+# each becomes an InputError
+BAD_INPUT = (ArithmeticError, LookupError, TypeError, ValueError)
 
 
 def _parse_complex_list(text: str) -> list[complex]:
@@ -79,7 +84,7 @@ def _load_json(path: str):
 def _load_group(data, max_order: int, source: str):
     try:
         return generate_group(matrices_from_json(data), max_order=max_order)
-    except (ClosureOverflowError, ArithmeticError, LookupError, TypeError, ValueError) as exc:
+    except (ClosureOverflowError, *BAD_INPUT) as exc:
         raise InputError(f"unusable group in {source}: {exc}")
 
 
@@ -100,16 +105,27 @@ def _holo_from_json(data) -> HoloPolynomial:
     )
 
 
-def _pairs_from_json(data) -> list[tuple[tuple, tuple]]:
-    out = []
-    for z, w in data:
-        out.append(
-            (
-                tuple(complex(a, b) for a, b in z),
-                tuple(complex(a, b) for a, b in w),
-            )
-        )
-    return out
+def _pairs_from_json(data, source: str) -> list[tuple[tuple, tuple]]:
+    try:
+        return [
+            (tuple(complex(a, b) for a, b in z), tuple(complex(a, b) for a, b in w))
+            for z, w in data
+        ]
+    except BAD_INPUT as exc:
+        raise InputError(f"unusable pairs in {source}: {exc}")
+
+
+def _evaluate_pairs(kernel, pairs) -> None:
+    """Write the kernel at every pair as CSV once all of them evaluated, so
+    a pair that cannot be evaluated leaves only its error line."""
+    try:
+        rows = [(z, w, to_complex(kernel(z, w))) for z, w in pairs]
+    except (SingularKernelError, BranchPointError, ValueError) as exc:
+        raise InputError(str(exc))
+    writer = csv.writer(sys.stdout)
+    writer.writerow(["z", "w", "re", "im"])
+    for z, w, value in rows:
+        writer.writerow([repr(list(z)), repr(list(w)), value.real, value.imag])
 
 
 @click.group()
@@ -140,12 +156,15 @@ def ball_kernel_cmd(dim, z_text, w_text):
 @click.option("--point", "point_text", required=True)
 def levi_cmd(rho_src, point_text):
     """Levi-form eigenvalues of a defining function at a boundary point."""
-    if rho_src.startswith("sphere-"):
-        rho = sphere_defining_function(int(rho_src.split("-", 1)[1]))
-    elif rho_src == "u-domain":
-        rho = u_domain_defining_function()
-    else:
-        rho = HermitianPolynomial.from_json_dict(_load_json(rho_src))
+    try:
+        if rho_src.startswith("sphere-"):
+            rho = sphere_defining_function(int(rho_src.split("-", 1)[1]))
+        elif rho_src == "u-domain":
+            rho = u_domain_defining_function()
+        else:
+            rho = HermitianPolynomial.from_json_dict(_load_json(rho_src))
+    except BAD_INPUT as exc:
+        raise InputError(f"unusable defining function {rho_src}: {exc}")
     point = _parse_complex_list(point_text)
     try:
         report = levi_form(rho, point)
@@ -229,12 +248,8 @@ def basic_map_cmd(group_file, syzygy_degree, max_order, no_cache):
 def quotient_sum_cmd(group_file, dim, pairs_file, max_order):
     """Deck-transformation kernel sums at sample pairs, as CSV."""
     group = _load_group(_load_json(group_file), max_order, group_file)
-    pairs = _pairs_from_json(_load_json(pairs_file))
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["z", "w", "re", "im"])
-    for z, w in pairs:
-        value = to_complex(deck_sum_kernel(group, dim, z, w))
-        writer.writerow([repr(list(z)), repr(list(w)), value.real, value.imag])
+    pairs = _pairs_from_json(_load_json(pairs_file), pairs_file)
+    _evaluate_pairs(lambda z, w: deck_sum_kernel(group, dim, z, w), pairs)
 
 
 @main.command("quotient-push")
@@ -244,16 +259,15 @@ def quotient_sum_cmd(group_file, dim, pairs_file, max_order):
 def quotient_push_cmd(cover_file, pairs_file):
     """Push the ball kernel to the quotient in chart coordinates, as CSV."""
     data = _load_json(cover_file)
-    group = _load_group(data["generators"], int(data.get("max_order", 4096)), cover_file)
-    cover_map = tuple(_holo_from_json(p) for p in data["map"])
-    chart = tuple(data.get("chart", range(group.dim)))
-    spec = CoveringSpec(group=group, cover_map=cover_map, chart=chart)
-    pairs = _pairs_from_json(_load_json(pairs_file))
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["z", "w", "re", "im"])
-    for z, w in pairs:
-        value = to_complex(pushforward_kernel(spec, z, w))
-        writer.writerow([repr(list(z)), repr(list(w)), value.real, value.imag])
+    try:
+        group = _load_group(data["generators"], int(data.get("max_order", 4096)), cover_file)
+        cover_map = tuple(_holo_from_json(p) for p in data["map"])
+        chart = tuple(data.get("chart", range(group.dim)))
+        spec = CoveringSpec(group=group, cover_map=cover_map, chart=chart)
+    except BAD_INPUT as exc:
+        raise InputError(f"unusable cover in {cover_file}: {exc}")
+    pairs = _pairs_from_json(_load_json(pairs_file), pairs_file)
+    _evaluate_pairs(lambda z, w: pushforward_kernel(spec, z, w), pairs)
 
 
 @main.command("omega-kernel")
@@ -352,7 +366,10 @@ def fit_cmd(kernel_name, dz, dk, boundary_check, count, seed):
             boundary_max = boundary_leading_coefficient(relation, feats)
     else:
         data = _load_json(kernel_name)
-        samples = [(tuple(f), float(k)) for f, k in zip(data["features"], data["values"])]
+        try:
+            samples = [(tuple(map(float, f)), float(k)) for f, k in zip(data["features"], data["values"])]
+        except BAD_INPUT as exc:
+            raise InputError(f"unusable samples in {kernel_name}: {exc}")
         try:
             relation = fit_relation(samples, dz, dk)
         except ValueError as exc:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -22,6 +24,11 @@ from .scalars import ExactComplex, conj_scalar, inv_scalar, scalar_is_zero, to_c
 UNITARITY_TOL = 1e-12
 DEDUP_DECIMALS = 12
 MAX_ZETA = 1024  # building Q(zeta_N) stores N * phi(N) rationals
+# bounds on exact coefficient texts in group files: Fraction("1e3000000")
+# would build a three-million-digit integer before any check could run
+MAX_COEFF_CHARS = 100
+MAX_COEFF_EXPONENT = 400  # every float repr fits
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
 
 
 class NonUnitaryError(ValueError):
@@ -221,6 +228,29 @@ class FiniteUnitaryGroup:
 
     def identity(self) -> UnitaryMatrix:
         return self.elements[0]
+
+    # Both stacks are filled on first use and kept on this instance (the
+    # elements are immutable), so no other group can ever read them.
+    @cached_property
+    def float_stack(self) -> tuple[np.ndarray, np.ndarray]:
+        """The elements as one read-only (|G|, n, n) complex array, with the
+        (|G|,) array of their determinants."""
+        mats = np.array([g.to_numpy() for g in self.elements])
+        dets = np.array([to_complex(g.det()) for g in self.elements], dtype=complex)
+        mats.flags.writeable = dets.flags.writeable = False
+        return mats, dets
+
+    @cached_property
+    def gaussian_stack(self) -> tuple[tuple[list, ExactComplex], ...] | None:
+        """(entries as Gaussian rationals, exact determinant) per element, or
+        None when the group does not embed in Q(i)."""
+        if not self.exact:
+            return None
+        try:
+            elements = [g.to_exact_complex() for g in self.elements]
+        except ValueError:
+            return None
+        return tuple((m, determinant(m)) for m in elements)
 
     def __iter__(self):
         return iter(self.elements)
@@ -470,12 +500,27 @@ def is_reflection(g: UnitaryMatrix, order_bound: int = 4096) -> bool:
 # JSON group files
 # ---------------------------------------------------------------------------
 
+def _exact_coefficient(value) -> Fraction:
+    """Parse an exact coefficient ("p/q", a decimal or a JSON number),
+    refusing texts long or scaled enough to build huge integers."""
+    text = str(value)
+    exponent = _EXPONENT.search(text)
+    if len(text) > MAX_COEFF_CHARS or (exponent and abs(int(exponent.group(1))) > MAX_COEFF_EXPONENT):
+        raise ValueError(
+            f"exact coefficient {text[:24]!r} exceeds {MAX_COEFF_CHARS} characters "
+            f"or exponent {MAX_COEFF_EXPONENT}"
+        )
+    return Fraction(text)
+
+
 def matrix_from_json(data) -> UnitaryMatrix:
     """Decode one matrix.
 
     Entries are either ``[re, im]`` numeric pairs or exact objects
     ``{"zeta": N, "terms": [[power, "p/q"], ...]}`` meaning a rational
-    combination of powers of the N-th root of unity, 1 <= N <= MAX_ZETA.
+    combination of powers of the N-th root of unity, 1 <= N <= MAX_ZETA,
+    with coefficient texts of at most MAX_COEFF_CHARS characters and
+    decimal exponents of at most MAX_COEFF_EXPONENT.
     If any entry is exact, the numeric pairs are read as exact decimals
     too, so the whole matrix stays in exact arithmetic.
     """
@@ -491,18 +536,18 @@ def matrix_from_json(data) -> UnitaryMatrix:
                 field = CyclotomicField(order)
                 val = field.zero()
                 for power, coeff in entry["terms"]:
-                    val = val + field.root(int(power)) * Fraction(str(coeff))
+                    val = val + field.root(int(power)) * _exact_coefficient(coeff)
                 new.append(val)
             elif any_exact:
-                re, im = Fraction(str(entry[0])), Fraction(str(entry[1]))
-                if im == 0:
-                    new.append(re)
+                real, imag = _exact_coefficient(entry[0]), _exact_coefficient(entry[1])
+                if imag == 0:
+                    new.append(real)
                 else:
                     gauss = CyclotomicField(4)
-                    new.append(gauss.from_rational(re) + gauss.root(1) * im)
+                    new.append(gauss.from_rational(real) + gauss.root(1) * imag)
             else:
-                re, im = entry
-                new.append(complex(float(re), float(im)))
+                real, imag = entry
+                new.append(complex(float(real), float(imag)))
         rows.append(new)
     return UnitaryMatrix(rows)
 

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .ball import ball_kernel
+from .ball import ball_kernel, check_points, float_point
 from .cyclotomic import CyclotomicField
 from .groups import FiniteUnitaryGroup, UnitaryMatrix, determinant, generate_group
 from .invariants import compute_basic_map
@@ -40,35 +41,31 @@ class BranchPointError(ArithmeticError):
         super().__init__(f"Jacobian vanishes at {self.point} (|J| <= {BRANCH_TOL})")
 
 
-def _gaussian_elements(group: FiniteUnitaryGroup, *points) -> list | None:
-    """Every element's entries as Gaussian rationals when the points are
-    exact and the group embeds in Q(i); None means evaluate in floats."""
-    if not group.exact or not all(is_exact_scalar(x) for p in points for x in p):
-        return None
-    try:
-        return [g.to_exact_complex() for g in group]
-    except ValueError:
-        return None
-
-
 def _deck_sum(group: FiniteUnitaryGroup, n: int, z: Sequence, w: Sequence, dual: bool):
-    """The deck sum moving z by each group element, or w when ``dual``."""
+    """The deck sum moving z by each group element, or w when ``dual``.
+
+    Exact over the group's cached Gaussian-rational elements when the
+    points are exact and the group embeds in Q(i); otherwise one batched
+    kernel evaluation over the group's cached float stack.
+    """
     if group.dim != n:
         raise ValueError("group dimension does not match n")
-    gaussian = _gaussian_elements(group, z, w)
-    moved = w if dual else z
+    check_points(n, z, w)
+    exact = all(is_exact_scalar(x) for p in (z, w) for x in p)
+    gaussian = group.gaussian_stack if exact else None
     if gaussian is None:
-        moved = [complex(to_complex(x)) for x in moved]
-    total = None
-    for k, g in enumerate(group):
-        if gaussian is None:
-            m, det, zero = g.to_numpy(), to_complex(g.det()), 0
+        mats, dets = group.float_stack
+        z, w = float_point(z), float_point(w)
+        if dual:
+            terms = ball_kernel(n, z, mats @ w) * dets.conj()
         else:
-            m, zero = gaussian[k], ExactComplex(0)
-            det = determinant(m)
-        gv = [sum((m[i][j] * moved[j] for j in range(n)), start=zero) for i in range(n)]
-        term = ball_kernel(n, z, gv) * conj_scalar(det) if dual else ball_kernel(n, gv, w) * det
-        total = term if total is None else total + term
+            terms = ball_kernel(n, mats @ z, w) * dets
+        return complex(terms.sum())
+    moved = w if dual else z
+    total = ExactComplex(0)
+    for m, det in gaussian:
+        gv = [sum((m[i][j] * moved[j] for j in range(n)), start=ExactComplex(0)) for i in range(n)]
+        total += ball_kernel(n, z, gv) * conj_scalar(det) if dual else ball_kernel(n, gv, w) * det
     return total
 
 
@@ -125,6 +122,8 @@ class CoveringSpec:
         chart = self.chart or tuple(range(n))
         if len(chart) != n:
             raise ValueError(f"chart must select exactly {n} components")
+        if not all(isinstance(i, int) and 0 <= i < len(self.cover_map) for i in chart):
+            raise ValueError("chart entries must index components of the cover map")
         object.__setattr__(self, "chart", chart)
         self._check_invariance()
 
@@ -153,8 +152,7 @@ class CoveringSpec:
         pts = rng.uniform(-0.5, 0.5, (8, 2 * n))
         samples = [tuple(complex(r[i], r[n + i]) for i in range(n)) for r in pts]
         floats = [p.to_complex_coeffs() for p in self.cover_map]
-        for g in self.group:
-            gm = g.to_numpy()
+        for gm in self.group.float_stack[0]:
             for z in samples:
                 gz = tuple(gm @ np.array(z))
                 for p in floats:
@@ -164,14 +162,16 @@ class CoveringSpec:
     def chart_components(self) -> list[HoloPolynomial]:
         return [self.cover_map[i] for i in self.chart]
 
+    @cached_property
     def jacobian_polynomial(self) -> HoloPolynomial:
+        """det of the chart's partial derivatives, built once per spec."""
         comps = self.chart_components()
         n = self.group.dim
         partials = [[comps[i].partial(j) for j in range(n)] for i in range(n)]
         return determinant(partials)
 
     def jacobian(self, z: Sequence):
-        return _eval_holo(self.jacobian_polynomial(), z)
+        return _eval_holo(self.jacobian_polynomial, z)
 
     def map_point(self, z: Sequence) -> tuple:
         return tuple(_eval_holo(p, z) for p in self.cover_map)

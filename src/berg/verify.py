@@ -410,9 +410,8 @@ def check_transformation_law(
             if closed is not None:
                 worst = max(worst, abs(deck - closed(z, w)))
             # pullback invariance of the deck sum on either argument
-            for g in spec.group:
-                gm = g.to_numpy()
-                det = to_complex(g.det())
+            mats, dets = spec.group.float_stack
+            for gm, det in zip(mats, dets.tolist()):
                 gz = tuple(gm @ np.array(z))
                 gw = tuple(gm @ np.array(w))
                 left = to_complex(deck_sum_kernel(spec.group, n, gz, w)) * det

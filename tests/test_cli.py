@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,7 @@ def test_levi_cmd_builtin_and_file(runner, tmp_path):
 def test_levi_off_surface_is_usage_error(runner):
     result = runner.invoke(main, ["levi", "--rho", "sphere-2", "--point", "0.5,0"])
     assert result.exit_code == 2
+    _one_line_usage_error(runner.invoke(main, ["levi", "--rho", "sphere-x", "--point", "1,0"]))
 
 
 GENS_I = [[[{"zeta": 4, "terms": [[1, "1"]]}, [0, 0]], [[0, 0], {"zeta": 4, "terms": [[1, "1"]]}]]]
@@ -270,3 +272,100 @@ def test_verify_transform_small(runner):
 def test_usage_error_exit_code(runner):
     result = runner.invoke(main, ["moments", "--m", "not-an-int", "--alpha", "0,0"])
     assert result.exit_code == 2
+
+
+def test_huge_exact_coefficient_exits_2_quickly(runner, tmp_path):
+    path = tmp_path / "gens.json"
+    for coeff in ("1e3000000", "1E-3000000", "1e3_000_000", "1" * 200, "1/" + "7" * 200):
+        path.write_text(json.dumps([[[{"zeta": 4, "terms": [[1, coeff]]}]]]))
+        start = time.perf_counter()
+        result = runner.invoke(main, ["group", "--gens", str(path)])
+        assert time.perf_counter() - start < 0.5
+        _one_line_usage_error(result)
+        assert "exact coefficient" in result.output
+
+
+def test_exact_coefficients_within_the_bounds_still_parse(runner, tmp_path):
+    i_unit = {"zeta": 4, "terms": [[1, "10e-1"], [0, "0/7"]]}
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps([[[i_unit]], [[[1e-300, 0]]]]))
+    result = runner.invoke(main, ["group", "--gens", str(path)])
+    assert "not unitary" in result.output  # parsed, then rejected on unitarity
+    path.write_text(json.dumps([[[i_unit]]]))
+    assert json.loads(_invoke(runner, ["group", "--gens", str(path)]))["order"] == 4
+
+
+def _write(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+COVER_MINUS = {
+    "generators": GENS_MINUS,
+    "map": [
+        {"dim": 2, "terms": [[[2, 0], 1, 0]]},
+        {"dim": 2, "terms": [[[1, 1], 1, 0]]},
+        {"dim": 2, "terms": [[[0, 2], 1, 0]]},
+    ],
+}
+PAIR = [[0.2, 0.1], [0.05, -0.3]]
+
+
+@pytest.mark.parametrize(
+    "command, inputs",
+    [
+        ("levi", {"rho": {"dim": 2}}),
+        ("levi", {"rho": [1, 2]}),
+        ("quotient-sum", {"pairs": [[[[0.2, 0.1]], PAIR]]}),
+        ("quotient-sum", {"pairs": [[[[0.2], [0.1, 0.0]], PAIR]]}),
+        ("quotient-sum", {"pairs": [[[[0.6, 0], [0.8, 0]], [[0.6, 0], [0.8, 0]]]]}),
+        ("quotient-sum", {"pairs": {"z": 1}}),
+        ("quotient-push", {"pairs": [[[[0, 0], [0.1, 0.2]], PAIR]]}),
+        ("quotient-push", {"pairs": [[[[0.6, 0], [0.8, 0]], [[0.6, 0], [0.8, 0]]]]}),
+        ("quotient-push", {"cover": dict(COVER_MINUS, chart=[0, 7])}),
+        ("quotient-push", {"cover": dict(COVER_MINUS, map=[{"dim": 2}])}),
+        ("quotient-push", {"cover": [1]}),
+        ("fit", {"samples": {"dim": 2}}),
+        ("fit", {"samples": {"features": [["x"]], "values": [1]}}),
+    ],
+    ids=[
+        "levi-no-terms", "levi-list", "sum-one-number-coordinate", "sum-unpack", "sum-boundary-contact",
+        "sum-object", "push-branch-point", "push-boundary-contact", "push-chart-range", "push-map-terms",
+        "push-list", "fit-no-features", "fit-string-feature",
+    ],
+)
+def test_json_input_errors_exit_2(runner, tmp_path, command, inputs):
+    if command == "levi":
+        args = ["levi", "--rho", _write(tmp_path, "rho.json", inputs["rho"]), "--point", "1,0"]
+    elif command == "fit":
+        args = ["fit", "--kernel", _write(tmp_path, "s.json", inputs["samples"]), "--dz", "1", "--dk", "1"]
+    else:
+        pairs = _write(tmp_path, "pairs.json", inputs.get("pairs", [[PAIR, PAIR]]))
+        if command == "quotient-sum":
+            args = ["quotient-sum", "--group", _write(tmp_path, "g.json", GENS_MINUS), "--dim", "2"]
+        else:
+            args = ["quotient-push", "--cover", _write(tmp_path, "c.json", inputs.get("cover", COVER_MINUS))]
+        args += ["--pairs", pairs]
+    _one_line_usage_error(runner.invoke(main, args))
+
+
+coordinates = st.lists(st.integers(-1, 1) | st.floats(-2, 2) | json_values, min_size=0, max_size=3)
+points = st.lists(coordinates, min_size=1, max_size=3) | json_values
+pair_files = st.lists(st.lists(points, min_size=2, max_size=2) | json_values, max_size=3) | json_values
+
+
+@given(pair_files)
+def test_pairs_json_fuzz_exits_0_or_2(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        gens, pairs = Path(tmp) / "gens.json", Path(tmp) / "pairs.json"
+        gens.write_text(json.dumps(GENS_MINUS))
+        pairs.write_text(json.dumps(data))
+        result = CliRunner().invoke(
+            main, ["quotient-sum", "--group", str(gens), "--dim", "2", "--pairs", str(pairs)]
+        )
+    if result.exit_code == 0:
+        lines = result.output.strip().splitlines()
+        assert lines[0] == "z,w,re,im" and len(lines) == 1 + len(data)
+    else:
+        _one_line_usage_error(result)

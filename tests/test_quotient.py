@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from berg.algebraic import punctured_disk_kernel
-from berg.ball import ball_kernel
-from berg.cyclotomic import root_of_unity
+from berg.ball import SingularKernelError, ball_kernel
+from berg.cyclotomic import CyclotomicField, root_of_unity
 from berg.groups import UnitaryMatrix, generate_group
 from berg.polynomials import HoloPolynomial
 from berg.quotient import (
@@ -220,3 +220,117 @@ def test_covering_spec_chart_size():
     coords = tuple(HoloPolynomial.coordinate(2, i) for i in range(2))
     with pytest.raises(ValueError):
         CoveringSpec(group=group, cover_map=coords, chart=(0,))
+
+
+# -- batched float deck sums over the cached element stack --------------------
+
+def _binary_dihedral_12():
+    """BD12 = <diag(zeta_6, zeta_6^-1), [[0, i], [i, 0]]>: not inside Q(i)."""
+    zeta = CyclotomicField(6).root(1)
+    i_unit = root_of_unity(4)
+    return generate_group(
+        [UnitaryMatrix.diagonal([zeta, zeta.conjugate()]), UnitaryMatrix([[0, i_unit], [i_unit, 0]])]
+    )
+
+
+def _lens_5_12():
+    """1/5(1, 2): determinants zeta_5^3k, so the det weights are not all 1."""
+    zeta = CyclotomicField(5).root(1)
+    return generate_group([UnitaryMatrix.diagonal([zeta, zeta * zeta])])
+
+
+def _numpy_matrices(name):
+    if name == "BD12":
+        a = np.diag([np.exp(1j * np.pi / 3), np.exp(-1j * np.pi / 3)])
+        b = np.array([[0, 1j], [1j, 0]])
+        return [np.linalg.matrix_power(a, k) @ m for k in range(6) for m in (np.eye(2), b)]
+    return [np.diag([np.exp(2j * np.pi * k / 5), np.exp(4j * np.pi * k / 5)]) for k in range(5)]
+
+
+def _numpy_deck_sums(mats, z, w):
+    """Plain loop: sum_g K(g z, w) det g and sum_g K(z, g w) conj(det g)."""
+    def kernel(a, b):
+        return 2 / math.pi**2 * (1 - np.vdot(b, a)) ** -3
+
+    z, w = np.array(z), np.array(w)
+    deck = sum(kernel(m @ z, w) * np.linalg.det(m) for m in mats)
+    dual = sum(kernel(z, m @ w) * np.conj(np.linalg.det(m)) for m in mats)
+    return deck, dual
+
+
+@pytest.mark.parametrize("name, make", [("BD12", _binary_dihedral_12), ("lens-5-12", _lens_5_12)])
+def test_float_deck_sums_match_a_numpy_loop(name, make):
+    group = make()
+    mats = _numpy_matrices(name)
+    assert group.gaussian_stack is None and len(mats) == group.order
+    rng = np.random.default_rng(13)
+    for z, w in _pairs(rng, 25, 2):
+        deck, dual = _numpy_deck_sums(mats, z, w)
+        got = deck_sum_kernel(group, 2, z, w)
+        got_dual = dual_deck_sum_kernel(group, 2, z, w)
+        assert type(got) is complex and type(got_dual) is complex
+        assert abs(got - deck) <= 1e-12 * max(1.0, abs(deck))
+        assert abs(got_dual - dual) <= 1e-12 * max(1.0, abs(dual))
+
+
+def test_exact_deck_sums_equal_a_per_element_reference():
+    group = scalar_rotation_cover().group
+    z = (ExactComplex(Fraction(1, 4), Fraction(-1, 8)), ExactComplex(Fraction(1, 5)))
+    w = (ExactComplex(Fraction(-1, 3), Fraction(1, 7)), ExactComplex(0, Fraction(1, 6)))
+    ref = ref_dual = ExactComplex(0)
+    for g in group:
+        m = g.to_exact_complex()
+        det = g.det().to_exact_complex()
+        gz = [m[i][0] * z[0] + m[i][1] * z[1] for i in range(2)]
+        gw = [m[i][0] * w[0] + m[i][1] * w[1] for i in range(2)]
+        ref = ref + ball_kernel(2, gz, w) * det
+        ref_dual = ref_dual + ball_kernel(2, z, gw) * det.conjugate()
+    got = deck_sum_kernel(group, 2, z, w)
+    got_dual = dual_deck_sum_kernel(group, 2, z, w)
+    assert isinstance(got, ExactComplex) and got == ref
+    assert isinstance(got_dual, ExactComplex) and got_dual == ref_dual
+    assert got == got_dual
+
+
+def test_deck_sum_at_boundary_contact_raises():
+    contact = (0.6, 0.8)
+    for fn in (deck_sum_kernel, dual_deck_sum_kernel):
+        with pytest.raises(SingularKernelError):
+            fn(minus_identity_cover().group, 2, contact, contact)
+        with pytest.raises(SingularKernelError):
+            fn(disk_power_cover(2).group, 1, (ExactComplex(1),), (ExactComplex(1),))
+
+
+@pytest.mark.parametrize("z", [(0.1,), (0.1, 0.2, 0.3), (ExactComplex(0),)], ids=["short", "long", "exact"])
+def test_deck_sum_wrong_dimension_raises_the_kernel_error(z):
+    group = scalar_rotation_cover().group
+    with pytest.raises(ValueError, match=r"expected points in C\^2") as deck_err:
+        deck_sum_kernel(group, 2, z, (0.1, 0.2))
+    with pytest.raises(ValueError, match=r"expected points in C\^2"):
+        dual_deck_sum_kernel(group, 2, (0.1, 0.2), z)
+    with pytest.raises(ValueError) as kernel_err:
+        ball_kernel(2, z, (0.1, 0.2))
+    assert str(deck_err.value) == str(kernel_err.value)
+
+
+def test_same_order_groups_keep_their_own_stacks():
+    i_unit = root_of_unity(4)
+    scalar = generate_group([UnitaryMatrix.scalar(2, i_unit)])
+    twisted = generate_group([UnitaryMatrix.diagonal([i_unit, i_unit.conjugate()])])
+    assert scalar.order == twisted.order == 4
+    z, w = (0.3 + 0.1j, -0.2j), (0.1 - 0.25j, 0.2 + 0.05j)
+    first = deck_sum_kernel(scalar, 2, z, w)
+    second = deck_sum_kernel(twisted, 2, z, w)
+    for group in (scalar, twisted):
+        mats, dets = group.float_stack
+        assert np.array_equal(mats, [g.to_numpy() for g in group])
+        assert np.array_equal(dets, [to_complex(g.det()) for g in group])
+        with pytest.raises(ValueError):
+            mats[0, 0, 0] = 0  # the cache is read-only
+    assert scalar.float_stack[0] is not twisted.float_stack[0]
+    assert abs(first - second) > 1e-3
+    assert deck_sum_kernel(scalar, 2, z, w) == first
+    # a separately generated equal group builds its own stack
+    again = generate_group([UnitaryMatrix.scalar(2, i_unit)])
+    assert again == scalar and again.float_stack[0] is not scalar.float_stack[0]
+    assert deck_sum_kernel(again, 2, z, w) == first
