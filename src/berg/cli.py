@@ -169,7 +169,7 @@ def levi_cmd(rho_src, point_text):
     try:
         report = levi_form(rho, point)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise InputError(str(exc))
     payload = {
         "smooth": report.smooth,
         "eigenvalues": None if report.eigenvalues is None else list(report.eigenvalues),
@@ -359,7 +359,7 @@ def fit_cmd(kernel_name, dz, dk, boundary_check, count, seed):
         try:
             relation = fit_surface_relation(surface, dz, dk, count=count, seed=seed)
         except ValueError as exc:
-            raise click.UsageError(str(exc))
+            raise InputError(str(exc))
         boundary_max = None
         if boundary_check:
             feats = surface.boundary_features(50, seed=seed)
@@ -373,7 +373,7 @@ def fit_cmd(kernel_name, dz, dk, boundary_check, count, seed):
         try:
             relation = fit_relation(samples, dz, dk)
         except ValueError as exc:
-            raise click.UsageError(str(exc))
+            raise InputError(str(exc))
         boundary_max = None
         if boundary_check and "boundary_features" in data:
             boundary_max = boundary_leading_coefficient(

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cyclotomic import Cyclotomic, CyclotomicField
+from .polynomials import SymmetricPowerTable
 from .scalars import ExactComplex, conj_scalar, inv_scalar, scalar_is_zero, to_complex
 
 UNITARITY_TOL = 1e-12
@@ -229,8 +230,9 @@ class FiniteUnitaryGroup:
     def identity(self) -> UnitaryMatrix:
         return self.elements[0]
 
-    # Both stacks are filled on first use and kept on this instance (the
-    # elements are immutable), so no other group can ever read them.
+    # The stacks and the symmetric-power table are filled on first use and
+    # kept on this instance (the elements are immutable), so no other group
+    # can ever read them.
     @cached_property
     def float_stack(self) -> tuple[np.ndarray, np.ndarray]:
         """The elements as one read-only (|G|, n, n) complex array, with the
@@ -251,6 +253,12 @@ class FiniteUnitaryGroup:
         except ValueError:
             return None
         return tuple((m, determinant(m)) for m in elements)
+
+    @cached_property
+    def symmetric_powers(self) -> SymmetricPowerTable:
+        """Group averages of the images (gz)^alpha of every monomial, grown
+        on demand: the table behind ``invariants.reynolds``."""
+        return SymmetricPowerTable(self.dim, [g.entries for g in self.elements])
 
     def __iter__(self):
         return iter(self.elements)

@@ -24,13 +24,19 @@ from .scalars import inv_scalar, scalar_is_zero
 
 
 def reynolds(f: HoloPolynomial, group: FiniteUnitaryGroup) -> HoloPolynomial:
-    """Group average (1/|G|) sum of f(gz); a projection onto invariants."""
+    """Group average (1/|G|) sum of f(gz); a projection onto invariants.
+
+    Read off the group's symmetric-power table as sum c_alpha R(z^alpha),
+    so each monomial image is built once per group.
+    """
     if f.dim != group.dim:
         raise ValueError("polynomial dimension does not match the group")
+    table = group.symmetric_powers
     total = HoloPolynomial(f.dim)
-    for g in group:
-        total = total + f.compose_linear(g.entries)
-    return total.scale(Fraction(1, group.order))
+    for a, c in f.terms.items():
+        image = table.average(a)
+        total = total + (image if c == 1 else image.scale(c))
+    return total
 
 
 def is_invariant(f: HoloPolynomial, group: FiniteUnitaryGroup) -> bool:
@@ -132,6 +138,9 @@ def compute_basic_map(group: FiniteUnitaryGroup, verify: bool = True) -> BasicMa
     Within a degree, Reynolds images of monomials are scanned in
     graded-lex order and kept when independent of products of the
     generators already chosen; this makes the output deterministic.
+    The images are read from the group's symmetric-power table
+    (``group.symmetric_powers``), which grows one degree at a time and is
+    kept on the group, so the verification and later calls reuse it.
     When ``verify`` is set, spanning is re-checked up to twice the group
     order and minimality by deletion of each generator.
     """

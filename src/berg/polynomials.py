@@ -270,6 +270,51 @@ class HoloPolynomial:
         return " + ".join(parts)
 
 
+class SymmetricPowerTable:
+    """Images (Az)^alpha of the monomials under a list of square matrices,
+    averaged over the list, grown one degree at a time.
+
+    The degree-d images come from the degree-(d-1) ones by one product with
+    a linear form, (Az)^alpha = (Az)^(alpha - e_i) * (Az)_i, where i is the
+    last variable alpha uses.  Per matrix only the images at the highest
+    degree reached are kept; the averages are kept for every degree.
+    """
+
+    def __init__(self, dim: int, matrices: Sequence[Sequence[Sequence]]):
+        self.dim = dim
+        self._forms = [
+            [HoloPolynomial.coordinate(dim, i).compose_linear(m) for i in range(dim)]
+            for m in matrices
+        ]
+        one = HoloPolynomial.constant(dim, 1)
+        self._images = [{zero_index(dim): one} for _ in matrices]
+        self._weight = Fraction(1, len(matrices))
+        self._averages = {zero_index(dim): one}
+        self.degree = 0
+
+    def average(self, alpha: MultiIndex) -> HoloPolynomial:
+        """(1/N) sum of (Az)^alpha over the N matrices; do not modify it."""
+        while self.degree < alpha.degree:
+            self._grow()
+        return self._averages[alpha]
+
+    def _grow(self) -> None:
+        steps = []
+        for alpha in monomials_of_degree(self.dim, self.degree + 1):
+            i = max(k for k, e in enumerate(alpha) if e)
+            steps.append((alpha, MultiIndex(e - (k == i) for k, e in enumerate(alpha)), i))
+        self._images = [
+            {alpha: images[prev] * forms[i] for alpha, prev, i in steps}
+            for forms, images in zip(self._forms, self._images)
+        ]
+        for alpha, _, _ in steps:
+            total = HoloPolynomial(self.dim)
+            for images in self._images:
+                total = total + images[alpha]
+            self._averages[alpha] = total.scale(self._weight)
+        self.degree += 1
+
+
 class HermitianPolynomial:
     """Sparse polynomial in (z, conj(z)) with polarized evaluation p(z, conj(w)).
 

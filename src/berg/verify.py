@@ -374,6 +374,8 @@ def check_transformation_law(
     seed: int = 0,
     tolerance: float = 1e-12,
     radius: float = 0.35,
+    *,
+    spec: CoveringSpec | None = None,
 ) -> VerificationReport:
     """Max residual between the deck-transformation sum and an independent
     evaluation of the base kernel pulled back through the covering map.
@@ -382,12 +384,13 @@ def check_transformation_law(
     (base kernel given by the disk kernel in base coordinates) and
     ``minus-identity`` / ``scalar-i`` for the two scalar ball quotients
     (independent hand-expanded deck sums, plus well-definedness of the
-    push-forward under group translates on either argument).
+    push-forward under group translates on either argument).  ``spec``
+    is the cover a name builds, when the caller has built it already.
     """
     t0 = time.time()
     rng = np.random.default_rng(seed)
     worst = 0.0
-    spec = cover if isinstance(cover, CoveringSpec) else _named_cover(cover)
+    spec = cover if isinstance(cover, CoveringSpec) else spec or _named_cover(cover)
 
     if isinstance(cover, str) and cover.startswith("disk-"):
         k = spec.sheets
@@ -430,16 +433,22 @@ def check_transformation_law(
 
 
 def check_deck_symmetry(
-    cover: str, count: int = 20, seed: int = 0, tolerance: float = 1e-12
+    cover: str | CoveringSpec,
+    count: int = 20,
+    seed: int = 0,
+    tolerance: float = 1e-12,
+    *,
+    spec: CoveringSpec | None = None,
 ) -> VerificationReport:
-    """Row-sum versus column-sum presentation of the deck sum."""
+    """Row-sum versus column-sum presentation of the deck sum; ``cover``
+    and ``spec`` as for ``check_transformation_law``."""
     t0 = time.time()
     rng = np.random.default_rng(seed)
-    spec = _named_cover(cover)
+    spec = cover if isinstance(cover, CoveringSpec) else spec or _named_cover(cover)
     n = spec.group.dim
     worst = check_deck_sum_symmetry(spec.group, n, _random_ball_pairs(rng, count, n, 0.35))
     return VerificationReport(
-        name=f"deck-symmetry:{cover}",
+        name=f"deck-symmetry:{cover if isinstance(cover, str) else 'custom'}",
         passed=worst <= tolerance,
         residual=worst,
         tolerance=tolerance,
@@ -475,13 +484,14 @@ def suite_orthogonality(seed: int = 0, n_samples: int = 1_000_000) -> list[Verif
 
 
 def suite_transform(seed: int = 0, count: int = 50) -> list[VerificationReport]:
-    out = []
-    for k in range(2, 6):
-        out.append(check_transformation_law(f"disk-{k}", count=count, seed=seed))
-    out.append(check_transformation_law("minus-identity", count=count, seed=seed))
-    out.append(check_transformation_law("scalar-i", count=count, seed=seed))
-    for cover in ("disk-2", "minus-identity", "scalar-i"):
-        out.append(check_deck_symmetry(cover, seed=seed))
+    """Every named cover is built once and shared by both checks."""
+    names = [f"disk-{k}" for k in range(2, 6)] + ["minus-identity", "scalar-i"]
+    covers = {name: _named_cover(name) for name in names}
+    out = [
+        check_transformation_law(name, count=count, seed=seed, spec=covers[name]) for name in names
+    ]
+    for name in ("disk-2", "minus-identity", "scalar-i"):
+        out.append(check_deck_symmetry(name, seed=seed, spec=covers[name]))
     return out
 
 

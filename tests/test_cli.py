@@ -149,6 +149,24 @@ def test_kernel_evaluation_errors_exit_2(runner, args):
     _one_line_usage_error(runner.invoke(main, args))
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["levi", "--rho", "sphere-2", "--point", "0.5,0"],
+        ["fit", "--kernel", "disk", "--dz", "1", "--dk", "1", "--samples", "1"],
+    ],
+    ids=["levi-off-surface", "fit-underdetermined"],
+)
+def test_unusable_evaluation_input_prints_one_error_line(runner, args):
+    _one_line_usage_error(runner.invoke(main, args))
+
+
+def test_fit_samples_file_too_short_prints_one_error_line(runner, tmp_path):
+    path = tmp_path / "samples.json"
+    path.write_text(json.dumps({"features": [[0.1]], "values": [1.0]}))
+    _one_line_usage_error(runner.invoke(main, ["fit", "--kernel", str(path), "--dz", "1", "--dk", "1"]))
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3)

@@ -24,6 +24,19 @@ def z_power(dim, alpha):
     return HoloPolynomial.monomial(dim, alpha, Fraction(1))
 
 
+def lens(p, q):
+    return generate_group([UnitaryMatrix.diagonal([root_of_unity(p), root_of_unity(p, q)])])
+
+
+def binary_dihedral(m, conjugator=None):
+    zeta = root_of_unity(2 * m)
+    gens = [UnitaryMatrix.diagonal([zeta, zeta.conjugate()]), UnitaryMatrix([[0, I_UNIT], [I_UNIT, 0]])]
+    if conjugator is not None:
+        p = UnitaryMatrix(conjugator)
+        gens = [p.conj_transpose() @ g @ p for g in gens]
+    return generate_group(gens)
+
+
 @pytest.fixture(scope="module")
 def minus_identity():
     return generate_group([UnitaryMatrix.scalar(2, MINUS)])
@@ -113,7 +126,7 @@ def test_reflection_group_keeps_coordinate_count():
 
 
 def test_invariant_dimension_matches_trace_average(minus_identity, scalar_i, omega_scalar):
-    for group in (minus_identity, scalar_i, omega_scalar):
+    for group in (minus_identity, scalar_i, omega_scalar, binary_dihedral(2), lens(5, 2)):
         for d in range(1, 2 * group.order + 1):
             assert invariant_dimension(group, d) == trace_average_dimension(group, d)
 
@@ -224,3 +237,91 @@ def test_binary_dihedral_degrees_and_one_relation(m):
     basic = compute_basic_map(generate_group([a, b]), verify=False)
     assert basic.degrees == (4, 2 * m, 2 * m + 2)
     assert len(find_syzygies(basic, m + 1)) == 1
+
+
+# ---------------------------------------------------------------------------
+# the symmetric-power table against the definition
+# ---------------------------------------------------------------------------
+
+
+def reynolds_by_composition(f, group):
+    """The definition: the average of f(gz) over every element."""
+    total = HoloPolynomial(f.dim)
+    for g in group:
+        total = total + f.compose_linear(g.entries)
+    return total.scale(Fraction(1, group.order))
+
+
+SIGNED_SWAP = [[0, Fraction(-1)], [Fraction(1), 0]]
+
+
+def mixed_polynomials():
+    """Non-homogeneous test polynomials, each with a constant term."""
+    def z(*alpha):
+        return z_power(2, alpha)
+
+    return [
+        HoloPolynomial.constant(2, Fraction(3)) + z(1, 0) + z(0, 2).scale(Fraction(-2, 7)),
+        HoloPolynomial.constant(2, I_UNIT) + z(2, 1).scale(Fraction(5)) + z(4, 0) + z(1, 3).scale(I_UNIT),
+        HoloPolynomial.constant(2, Fraction(-1)) + z(5, 0) + z(2, 3) + z(0, 5).scale(OMEGA) + z(3, 3),
+    ]
+
+
+@pytest.mark.parametrize(
+    "group",
+    [lens(5, 2), lens(7, 3), binary_dihedral(2, SIGNED_SWAP), binary_dihedral(3, SIGNED_SWAP)],
+    ids=["1/5(1,2)", "1/7(1,3)", "BD8-conjugated", "BD12-conjugated"],
+)
+def test_reynolds_equals_the_average_of_compositions(group):
+    for f in mixed_polynomials():
+        assert reynolds(f, group) == reynolds_by_composition(f, group)
+    for d in range(1, 7):
+        for alpha in monomials_of_degree(2, d):
+            f = z_power(2, alpha)
+            assert reynolds(f, group) == reynolds_by_composition(f, group)
+
+
+def test_reynolds_on_a_float_group_matches_the_average():
+    import numpy as np
+
+    # BD8 in floats, conjugated by a rotation so no element is monomial
+    u = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2)
+    gens = [np.diag([1j, -1j]), np.array([[0, 1j], [1j, 0]])]
+    group = generate_group([UnitaryMatrix((u.T @ g @ u).tolist()) for g in gens])
+    assert group.order == 8 and not group.exact
+    polys = [p.to_complex_coeffs() for p in mixed_polynomials()]
+    polys += [HoloPolynomial.monomial(2, a, 1.0) for a in monomials_of_degree(2, 4)]
+    for f in polys:
+        got, want = reynolds(f, group), reynolds_by_composition(f, group)
+        keys = set(got.terms) | set(want.terms)
+        assert max(abs(got.terms.get(a, 0) - want.terms.get(a, 0)) for a in keys) <= 1e-12
+
+
+def test_same_order_groups_keep_separate_tables():
+    minus = generate_group([UnitaryMatrix.scalar(2, MINUS)])
+    reflection = generate_group([UnitaryMatrix.diagonal([MINUS, ONE])])
+    assert minus.order == reflection.order == 2
+    xy = z_power(2, (1, 1))
+    assert reynolds(xy, minus) == xy  # fills minus's table to degree 2
+    assert reynolds(xy, reflection).is_zero()
+    assert minus.symmetric_powers is not reflection.symmetric_powers
+    # a separately generated equal group builds its own table
+    again = generate_group([UnitaryMatrix.scalar(2, MINUS)])
+    assert again == minus and again.symmetric_powers is not minus.symmetric_powers
+    assert again.symmetric_powers.degree == 0
+
+
+def test_verified_basic_map_composes_once_per_element_and_coordinate(monkeypatch):
+    calls = []
+    compose = HoloPolynomial.compose_linear
+
+    def counting(self, matrix):
+        calls.append(matrix)
+        return compose(self, matrix)
+
+    group = binary_dihedral(2, SIGNED_SWAP)
+    monkeypatch.setattr(HoloPolynomial, "compose_linear", counting)
+    basic = compute_basic_map(group, verify=True)
+    assert basic.degrees == (4, 4, 6)
+    assert len(calls) == group.dim * group.order
+    assert group.symmetric_powers.degree == 2 * group.order

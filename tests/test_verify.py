@@ -14,6 +14,7 @@ from berg.verify import (
     disk_monomial_norm,
     integrate,
     suite_isometry,
+    suite_transform,
 )
 
 N_FAST = 200_000
@@ -144,3 +145,30 @@ def test_deck_symmetry_reports():
         report = check_deck_symmetry(cover, seed=10)
         assert report.passed
         assert report.residual <= 1e-12
+
+
+def test_deck_symmetry_accepts_a_built_cover():
+    from berg.quotient import scalar_rotation_cover
+
+    spec = scalar_rotation_cover()
+    named = check_deck_symmetry("scalar-i", seed=10)
+    built = check_deck_symmetry(spec, seed=10)
+    assert built.name == "deck-symmetry:custom" and built.residual == named.residual
+    shared = check_deck_symmetry("scalar-i", seed=10, spec=spec)
+    assert shared.to_json() == named.to_json()
+
+
+def test_suite_transform_builds_each_cover_once(monkeypatch):
+    import berg.verify as verify
+
+    built = []
+    named_cover = verify._named_cover
+
+    def counting(name):
+        built.append(name)
+        return named_cover(name)
+
+    monkeypatch.setattr(verify, "_named_cover", counting)
+    reports = suite_transform(seed=0, count=2)
+    assert len(reports) == 9 and all(r.passed for r in reports)
+    assert sorted(built) == sorted(["disk-2", "disk-3", "disk-4", "disk-5", "minus-identity", "scalar-i"])
