@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,42 +58,78 @@ def laurent_norm(k: int, inner_radius: float) -> float:
     return math.pi * (1.0 - r0 ** (2 * k + 2)) / (k + 1)
 
 
-def annulus_kernel(inner_radius: float, z: complex, w: complex, truncation: int = 200) -> complex:
+@lru_cache(maxsize=16)
+def _laurent_coefficients(r0: float, truncation: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Horner tables of the truncated Laurent series sum_k u^k / ||z^k||^2.
+
+    The k >= 0 half is sum_k c_k u^k with c_k = (k+1) / (pi (1 - r0^(2k+2))).
+    The k <= -2 half is rewritten to keep the r0 powers bounded,
+        (k+1) u^k / (pi (1 - r0^(2k+2))) = d_j v^j,  v = r0^2/u,  j = -k,
+        d_j = (j-1) / (r0^2 pi (1 - r0^(2j-2))),
+    and |v| < 1 on the annulus.  Both tables run from the top coefficient
+    down: (c_M, ..., c_0) and (d_M, ..., d_2).  With r0 = 0 the negative
+    powers have infinite norm and the second table is empty.
+    """
+    pos = tuple(
+        (k + 1) / (math.pi * (1.0 - r0 ** (2 * k + 2))) for k in range(truncation, -1, -1)
+    )
+    if r0 == 0.0:
+        return pos, ()
+    neg = tuple(
+        (j - 1) / (r0**2 * math.pi * (1.0 - r0 ** (2 * j - 2))) for j in range(truncation, 1, -1)
+    )
+    return pos, neg
+
+
+def _horner(coeffs: Sequence[float], x):
+    """sum_i coeffs[i] x^(n-1-i), shaped like x (0 * x starts the sum)."""
+    acc = 0 * x
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+def _laurent_series(r0: float, z, w, truncation: int):
+    """sum over |k| <= truncation of z^k conj(w)^k / ||z^k||^2 on the
+    annulus {r0 < |z| < 1} (r0 = 0: the punctured disk), for scalars or
+    broadcasting arrays of points."""
+    scalar = np.ndim(z) == 0 and np.ndim(w) == 0
+    if scalar:
+        u = complex(z) * complex(w).conjugate()
+    else:
+        u = np.asarray(z, dtype=complex) * np.conj(np.asarray(w, dtype=complex))
+    pos, neg = _laurent_coefficients(r0, truncation)
+    total = _horner(pos, u)
+    if r0 > 0.0 and truncation >= 1:
+        total = total + 1.0 / (u * 2.0 * math.pi * math.log(1.0 / r0))
+    if neg:
+        v = r0**2 / u
+        total = total + v * v * _horner(neg, v)
+    return total
+
+
+def annulus_kernel(inner_radius: float, z, w, truncation: int = 200):
     """Truncated Laurent-series kernel of the annulus {r0 < |z| < 1}:
-    sum over |k| <= M of z^k conj(w)^k / ||z^k||^2."""
+    sum over |k| <= M of z^k conj(w)^k / ||z^k||^2.
+
+    ``z`` and ``w`` are complex numbers or arrays that broadcast; arrays
+    give an array of values, two scalars a Python complex.
+    """
     r0 = float(inner_radius)
     if not 0.0 < r0 < 1.0:
         raise ValueError("inner radius must lie in (0, 1)")
     for p in (z, w):
-        m = abs(complex(p))
-        if not r0 < m < 1.0:
-            raise ValueError(f"point with |z| = {m} outside the open annulus")
-    u = complex(z) * complex(w).conjugate()
-    total = 0j
-    for k in range(0, truncation + 1):
-        total += (k + 1) * u**k / (math.pi * (1.0 - r0 ** (2 * k + 2)))
-    if truncation >= 1:
-        total += 1.0 / (u * 2.0 * math.pi * math.log(1.0 / r0))
-    # k <= -2, rewritten to keep the r0 powers bounded:
-    #   (k+1) u^k / (pi (1 - r0^(2k+2))) = -(k+1) (u/r0^2)^k / (r0^2 pi (1 - r0^s)),
-    # with s = -(2k+2) > 0 and |u| > r0^2 on the annulus.
-    for k in range(-truncation, -1):
-        s = -(2 * k + 2)
-        total += -(k + 1) * (u / r0**2) ** k / (r0**2 * math.pi * (1.0 - r0**s))
-    return total
+        m = np.abs(np.asarray(p, dtype=complex))
+        outside = ~((r0 < m) & (m < 1.0))
+        if outside.any():
+            raise ValueError(f"point with |z| = {m[outside].flat[0]} outside the open annulus")
+    return _laurent_series(r0, z, w, truncation)
 
 
-def punctured_disk_kernel(z: complex, w: complex, truncation: int = 200) -> complex:
-    """Kernel of the punctured disk from the Laurent norm table with
-    r0 = 0; infinite-norm powers are excluded."""
-    u = complex(z) * complex(w).conjugate()
-    total = 0j
-    for k in range(-truncation, truncation + 1):
-        norm = laurent_norm(k, 0.0)
-        if math.isinf(norm):
-            continue
-        total += u**k / norm
-    return total
+def punctured_disk_kernel(z, w, truncation: int = 200):
+    """Kernel of the punctured disk: the annulus series with r0 = 0, whose
+    negative powers have infinite norm and drop out."""
+    return _laurent_series(0.0, z, w, truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -103,15 +140,16 @@ def punctured_disk_kernel(z: complex, w: complex, truncation: int = 200) -> comp
 class KernelSurface:
     """A named diagonal kernel with sampling and feature structure.
 
-    ``diag`` maps a point to K(z, conj(z)); ``features`` maps a point to
-    the real coordinates used for relation fitting; ``feature_polys``
-    expresses each feature as a Hermitian polynomial so fitted
-    coefficients can be expanded back into (z, conj(z)).
+    ``diag`` maps an (m, ambient_dim) array of points to the m values
+    K(z, conj(z)); ``features`` maps a point to the real coordinates used
+    for relation fitting; ``feature_polys`` expresses each feature as a
+    Hermitian polynomial so fitted coefficients can be expanded back into
+    (z, conj(z)).
     """
 
     name: str
     ambient_dim: int
-    diag: Callable[[tuple], float]
+    diag: Callable[[np.ndarray], np.ndarray]
     features: Callable[[tuple], tuple]
     feature_polys: tuple[HermitianPolynomial, ...]
     sample: Callable[[np.random.Generator, int], list]
@@ -121,7 +159,8 @@ class KernelSurface:
     def samples(self, count: int, seed: int = 0) -> list[tuple[tuple, float]]:
         rng = np.random.default_rng(seed)
         pts = self.sample(rng, count)
-        return [(self.features(p), float(self.diag(p))) for p in pts]
+        values = self.diag(np.array(pts, dtype=complex).reshape(len(pts), self.ambient_dim))
+        return [(self.features(p), float(v)) for p, v in zip(pts, values)]
 
     def boundary_features(self, count: int, seed: int = 0) -> list[tuple]:
         if self.boundary_sample is None:
@@ -156,7 +195,7 @@ def disk_surface(radius_max: float = 0.9) -> KernelSurface:
     return KernelSurface(
         name="disk",
         ambient_dim=1,
-        diag=lambda p: to_complex(ball_kernel(1, p, p)).real,
+        diag=lambda pts: ball_kernel(1, pts, pts).real,
         features=lambda p: (p[0].real, p[0].imag),
         feature_polys=_real_coordinate_polys(1),
         sample=lambda rng, n: _reject_sample_disk(rng, n, 0.0, radius_max),
@@ -188,7 +227,7 @@ def ball2_surface(radius_max: float = 0.8) -> KernelSurface:
     return KernelSurface(
         name="ball2",
         ambient_dim=2,
-        diag=lambda p: to_complex(ball_kernel(2, p, p)).real,
+        diag=lambda pts: ball_kernel(2, pts, pts).real,
         features=lambda p: (p[0].real, p[0].imag, p[1].real, p[1].imag),
         feature_polys=_real_coordinate_polys(2),
         sample=sample,
@@ -234,9 +273,11 @@ def omega_diagonal_surface(
             )
         return pts
 
-    def diag(p):
-        z = (p[0], p[1])
-        return to_complex(omega_closed_kernel(z, p[2], z, p[2])).real
+    def diag(pts):
+        return [
+            to_complex(omega_closed_kernel((z1, z2), lam, (z1, z2), lam)).real
+            for z1, z2, lam in pts.tolist()
+        ]
 
     return KernelSurface(
         name="omega",
@@ -281,7 +322,7 @@ def u_surface(radial_max: float = 1.5) -> KernelSurface:
     return KernelSurface(
         name="u",
         ambient_dim=3,
-        diag=lambda p: to_complex(u_kernel(p, p, check_domain=False)).real,
+        diag=lambda pts: [to_complex(u_kernel(p, p, check_domain=False)).real for p in pts],
         features=lambda p: (abs(p[0]) ** 2, abs(p[1]) ** 2, abs(p[2]) ** 2),
         feature_polys=(
             HermitianPolynomial.modulus_squared(3, 0),
@@ -300,7 +341,7 @@ def annulus_surface(
     return KernelSurface(
         name="annulus",
         ambient_dim=1,
-        diag=lambda p: annulus_kernel(inner_radius, p[0], p[0], truncation).real,
+        diag=lambda pts: annulus_kernel(inner_radius, pts[:, 0], pts[:, 0], truncation).real,
         features=lambda p: (p[0].real, p[0].imag),
         feature_polys=_real_coordinate_polys(1),
         sample=lambda rng, n: _reject_sample_disk(
@@ -382,10 +423,12 @@ def fit_relation(
     features^beta * K^j.
 
     Requires at least twice as many samples as unknown coefficients.
-    Columns are scaled to unit norm before the SVD (raw monomial matrices
-    are badly conditioned at higher degree); the minimal right singular
-    direction, unscaled and renormalized to a unit coefficient vector, is
-    returned with its max-abs residual over the samples.
+    Columns are scaled to unit norm (raw monomial matrices are badly
+    conditioned at higher degree), the scaled matrix is reduced to the
+    square R of its QR decomposition, and the SVD of R gives the minimal
+    right singular direction.  That direction, unscaled and renormalized
+    to a unit coefficient vector, is returned with its max-abs residual
+    over the samples.
 
     The residual is in the kernel's own units: unit-norm coefficients on
     unscaled monomials make it change under K -> cK (the annulus 8/2 fit
@@ -419,7 +462,9 @@ def fit_relation(
     matrix = np.column_stack(cols)
     scale = np.linalg.norm(matrix, axis=0)
     scale[scale == 0] = 1.0
-    _, _, vt = np.linalg.svd(matrix / scale, full_matrices=False)
+    # the square R of a QR has the right singular vectors of the tall matrix
+    r = np.linalg.qr(matrix / scale, mode="r")
+    _, _, vt = np.linalg.svd(r)
     coeff = vt[-1] / scale
     coeff = coeff / np.linalg.norm(coeff)
     residual = float(np.max(np.abs(matrix @ coeff)))

@@ -55,18 +55,42 @@ def _poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
     return q, r
 
 
+def _mobius(m: int) -> int:
+    """The Moebius function, by trial division."""
+    mu, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if m > 1 else mu
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Coefficients (ascending) of the n-th cyclotomic polynomial."""
+    """Coefficients (ascending) of the n-th cyclotomic polynomial,
+    computed over the integers as prod_{d | n} (x^d - 1)^mu(n/d)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    # x^n - 1 divided by the cyclotomic polynomials of all proper divisors
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    for d in range(1, n):
-        if n % d == 0:
-            num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-            assert not rem
-    return tuple(num)
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    poly = [1]
+    # multiply first, so that every division by x^d - 1 below is exact
+    for d in divisors:
+        if _mobius(n // d) == 1:
+            poly = [0] * d + poly  # x^d * poly
+            for i in range(len(poly) - d):
+                poly[i] -= poly[i + d]
+    for d in divisors:
+        if _mobius(n // d) == -1:
+            # q (x^d - 1) = poly  gives  q_i = q_{i-d} - poly_i
+            q = [0] * (len(poly) - d)
+            for i in range(len(q)):
+                q[i] = (q[i - d] if i >= d else 0) - poly[i]
+            assert poly[len(q):] == ([0] * d + q)[len(q):], "inexact division by x^d - 1"
+            poly = q
+    return tuple(Fraction(c) for c in poly)
 
 
 class CyclotomicField:
@@ -82,14 +106,17 @@ class CyclotomicField:
         phi = list(cyclotomic_polynomial(n))
         self.modulus = phi
         self.degree = len(phi) - 1
-        # zeta^k reduced modulo the cyclotomic polynomial, for k = 0..n-1
+        # zeta^k reduced modulo the monic integral cyclotomic polynomial, for
+        # k = 0..n-1, by zeta^(k+1) = x zeta^k - lead(zeta^k) Phi_n
+        low = [int(c) for c in phi[:-1]]
+        cur = [1] + [0] * (self.degree - 1)
         table: list[tuple[Fraction, ...]] = []
-        cur = [Fraction(1)]
         for _ in range(n):
-            table.append(tuple(cur + [Fraction(0)] * (self.degree - len(cur))))
-            cur = _poly_mul(cur, [Fraction(0), Fraction(1)])
-            _, cur = _poly_divmod(cur, phi)
-            cur = cur or [Fraction(0)]
+            table.append(tuple(Fraction(c) for c in cur))
+            lead = cur[-1]
+            cur = [0] + cur[:-1]
+            if lead:
+                cur = [c - lead * m for c, m in zip(cur, low)]
         self.zeta_powers = table
         # normalized trace of zeta^i, a primitive m-th root of unity: mu(m)/phi(m),
         # read off Phi_m (mu(m) is minus its second-highest coefficient)

@@ -22,7 +22,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -94,35 +94,55 @@ class VerificationReport:
 
 # ---------------------------------------------------------------------------
 # samplers: (points array of shape (N, k), inverse density weights)
+#
+# Each sampler draws its whole RNG stream first, in the order and sizes of
+# a whole-array map, then maps the uniforms to points and weights one block
+# at a time: the temporaries stay block-sized and every value is the one
+# the whole-array map gives.
 # ---------------------------------------------------------------------------
+
+BLOCK = 1 << 16  # points mapped, and integrands evaluated, per block
+
+
+def _blocks(count: int):
+    return (slice(i, min(i + BLOCK, count)) for i in range(0, count, BLOCK))
+
 
 def _sample_box_domain(rng, count: int, n: int, keep) -> tuple[np.ndarray, np.ndarray]:
     pts = rng.uniform(-1.0, 1.0, (count, 2 * n))
-    z = pts[:, :n] + 1j * pts[:, n:]
-    inv = np.where(keep(z), float(4**n), 0.0)
+    z = np.empty((count, n), dtype=complex)
+    inv = np.empty(count)
+    for b in _blocks(count):
+        z[b] = pts[b, :n] + 1j * pts[b, n:]
+        inv[b] = np.where(keep(z[b]), float(4**n), 0.0)
     return z, inv
 
 
 def _sample_omega(rng, count: int, spec: HartogsDomainSpec) -> tuple[np.ndarray, np.ndarray]:
     if spec.base_dim != 2:
         raise ValueError("Hartogs sampler implemented for two base variables")
-    u = rng.uniform(0.0, 1.0, (count, 2))
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    r = u / (1.0 - u)
-    theta = rng.uniform(0.0, 2.0 * math.pi, (count, 2))
-    z = np.sqrt(r) * np.exp(1j * theta)
     if spec.omega_standard:
-        h = (1.0 + r[:, 0]) * (1.0 + r[:, 1])
+        radial = None
     else:
         from .hartogs import _radialize_weight
 
         radial, _ = _radialize_weight(spec.weight)
-        h = radial([r[:, 0], r[:, 1]])
+    uniform = rng.uniform(0.0, 1.0, (count, 2))
+    theta = rng.uniform(0.0, 2.0 * math.pi, (count, 2))
     s = rng.uniform(0.0, 1.0, count)
     phi = rng.uniform(0.0, 2.0 * math.pi, count)
-    lam = np.sqrt(s / h) * np.exp(1j * phi)
-    inv = math.pi**3 * (1.0 + r[:, 0]) ** 2 * (1.0 + r[:, 1]) ** 2 / h
-    points = np.column_stack([z, lam])
+    points = np.empty((count, 3), dtype=complex)
+    inv = np.empty(count)
+    for b in _blocks(count):
+        u = np.clip(uniform[b], 1e-12, 1.0 - 1e-12)
+        r = u / (1.0 - u)
+        points[b, :2] = np.sqrt(r) * np.exp(1j * theta[b])
+        if radial is None:
+            h = (1.0 + r[:, 0]) * (1.0 + r[:, 1])
+        else:
+            h = radial([r[:, 0], r[:, 1]])
+        points[b, 2] = np.sqrt(s[b] / h) * np.exp(1j * phi[b])
+        inv[b] = math.pi**3 * (1.0 + r[:, 0]) ** 2 * (1.0 + r[:, 1]) ** 2 / h
     return points, inv
 
 
@@ -146,19 +166,36 @@ def _draw(spec: IntegrationSpec, rng, count: int) -> tuple[np.ndarray, np.ndarra
     raise ValueError(f"unknown domain {d}")
 
 
+Integrand = Callable[[np.ndarray], np.ndarray]
+
+
 def integrate(
-    spec: IntegrationSpec, integrand: Callable[[np.ndarray], np.ndarray]
-) -> tuple[complex, float]:
+    spec: IntegrationSpec, integrand: Integrand | Sequence[Integrand]
+) -> tuple[complex, float] | list[tuple[complex, float]]:
     """Unbiased Monte Carlo estimate of the Lebesgue integral of a
-    vectorized integrand over the domain, with its standard error."""
+    vectorized integrand over the domain, with its standard error.
+
+    The integrand is evaluated per block of at most ``BLOCK`` points (an
+    ``(m, k)`` array in, ``m`` values out), so each output entry must
+    depend only on its own point.  Given a sequence of integrands, one
+    draw serves them all and one (estimate, stderr) pair is returned for
+    each, in order.
+    """
+    several = not callable(integrand)
+    integrands = list(integrand) if several else [integrand]
     rng = np.random.default_rng(spec.seed)
-    points, inv = _draw(spec, rng, spec.n_samples)
-    values = np.asarray(integrand(points), dtype=complex)
-    weighted = np.where(inv > 0, values, 0.0) * inv
     n = spec.n_samples
-    est = complex(np.mean(weighted))
-    var = np.var(weighted.real, ddof=1) + np.var(weighted.imag, ddof=1)
-    return est, math.sqrt(var / n)
+    points, inv = _draw(spec, rng, n)
+    weighted = np.empty((len(integrands), n), dtype=complex)
+    for b in _blocks(n):
+        for row, f in zip(weighted, integrands):
+            values = np.asarray(f(points[b]), dtype=complex)
+            row[b] = np.where(inv[b] > 0, values, 0.0) * inv[b]
+    out = []
+    for row in weighted:
+        var = np.var(row.real, ddof=1) + np.var(row.imag, ddof=1)
+        out.append((complex(np.mean(row)), math.sqrt(var / n)))
+    return out if several else out[0]
 
 
 def _stochastic_pass(estimate: complex, stderr: float, target: complex, scale: float) -> bool:
@@ -240,41 +277,55 @@ def check_reproducing(
     )
 
 
+Monomial = tuple[int, tuple[int, int]]
+
+
 def check_orthogonality(
-    first: tuple[int, tuple[int, int]],
-    second: tuple[int, tuple[int, int]],
+    first: Monomial,
+    second: Monomial,
     spec: IntegrationSpec | None = None,
 ) -> VerificationReport:
     """Inner product of two fiber monomials with distinct fiber degrees is
     zero; the Monte Carlo estimate must sit within 3 standard errors."""
+    return _orthogonality_reports([(first, second)], spec or IntegrationSpec(domain="omega"))[0]
+
+
+def _orthogonality_reports(
+    pairs: Sequence[tuple[Monomial, Monomial]], spec: IntegrationSpec
+) -> list[VerificationReport]:
+    """``check_orthogonality`` for several pairs over one draw of ``spec``."""
     t0 = time.time()
-    spec = spec or IntegrationSpec(domain="omega")
-    (m1, a1), (m2, a2) = first, second
-    if m1 == m2:
-        raise ValueError("orthogonality check needs distinct fiber degrees")
+    integrands, scales = [], []
+    for (m1, a1), (m2, a2) in pairs:
+        if m1 == m2:
+            raise ValueError("orthogonality check needs distinct fiber degrees")
+        n1 = monomial_norm(m1, a1)
+        n2 = monomial_norm(m2, a2)
+        if math.inf in (n1, n2):
+            raise ValueError("orthogonality check needs square-integrable monomials")
+        scales.append(math.sqrt(to_complex(n1).real * to_complex(n2).real))
 
-    def integrand(pts):
-        x1, x2, lam = pts[:, 0], pts[:, 1], pts[:, 2]
-        f = lam**m1 * x1 ** a1[0] * x2 ** a1[1]
-        g = lam**m2 * x1 ** a2[0] * x2 ** a2[1]
-        return FORM_FACTOR_C3 * f * np.conj(g)
+        def integrand(pts, m1=m1, a1=a1, m2=m2, a2=a2):
+            x1, x2, lam = pts[:, 0], pts[:, 1], pts[:, 2]
+            f = lam**m1 * x1 ** a1[0] * x2 ** a1[1]
+            g = lam**m2 * x1 ** a2[0] * x2 ** a2[1]
+            return FORM_FACTOR_C3 * f * np.conj(g)
 
-    estimate, stderr = integrate(spec, integrand)
-    n1 = monomial_norm(m1, a1)
-    n2 = monomial_norm(m2, a2)
-    if math.inf in (n1, n2):
-        raise ValueError("orthogonality check needs square-integrable monomials")
-    scale = math.sqrt(to_complex(n1).real * to_complex(n2).real)
-    passed = _stochastic_pass(estimate, stderr, 0j, scale)
-    return VerificationReport(
-        name=f"orthogonality:lam^{m1}z^{a1}|lam^{m2}z^{a2}",
-        passed=passed,
-        estimate=estimate,
-        stderr=stderr,
-        target=0j,
-        inputs={"domain": "omega", "seed": spec.seed, "n": spec.n_samples},
-        runtime=time.time() - t0,
-    )
+        integrands.append(integrand)
+    results = integrate(spec, integrands)
+    runtime = time.time() - t0
+    return [
+        VerificationReport(
+            name=f"orthogonality:lam^{m1}z^{a1}|lam^{m2}z^{a2}",
+            passed=_stochastic_pass(estimate, stderr, 0j, scale),
+            estimate=estimate,
+            stderr=stderr,
+            target=0j,
+            inputs={"domain": "omega", "seed": spec.seed, "n": spec.n_samples},
+            runtime=runtime,
+        )
+        for ((m1, a1), (m2, a2)), scale, (estimate, stderr) in zip(pairs, scales, results)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +527,9 @@ def suite_repro(seed: int = 0, n_samples: int = 1_000_000) -> list[VerificationR
 
 
 def suite_orthogonality(seed: int = 0, n_samples: int = 1_000_000) -> list[VerificationReport]:
+    """Both checks integrate over one shared draw."""
     spec = IntegrationSpec(domain="omega", n_samples=n_samples, seed=seed)
-    return [
-        check_orthogonality((1, (0, 0)), (2, (0, 0)), spec),
-        check_orthogonality((1, (0, 0)), (2, (1, 0)), spec),
-    ]
+    return _orthogonality_reports([((1, (0, 0)), (2, (0, 0))), ((1, (0, 0)), (2, (1, 0)))], spec)
 
 
 def suite_transform(seed: int = 0, count: int = 50) -> list[VerificationReport]:

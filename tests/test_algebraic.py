@@ -75,6 +75,63 @@ def test_annulus_domain_check():
         annulus_kernel(0.5, 0.7, 1.1)
 
 
+def _annulus_loop(r0, z, w, truncation):
+    """The term-by-term Laurent sum the coefficient tables replaced."""
+    u = complex(z) * complex(w).conjugate()
+    total = 0j
+    for k in range(0, truncation + 1):
+        total += (k + 1) * u**k / (math.pi * (1.0 - r0 ** (2 * k + 2)))
+    if truncation >= 1:
+        total += 1.0 / (u * 2.0 * math.pi * math.log(1.0 / r0))
+    for k in range(-truncation, -1):
+        s = -(2 * k + 2)
+        total += -(k + 1) * (u / r0**2) ** k / (r0**2 * math.pi * (1.0 - r0**s))
+    return total
+
+
+@pytest.mark.parametrize("truncation", [0, 1, 2, 200, 2000])
+def test_annulus_arrays_match_the_term_loop(truncation):
+    # off the diagonal the series cancels, so the scale of the comparison is
+    # the sum of the terms' moduli: the same series at (|z|, |w|)
+    rng = np.random.default_rng(truncation)
+    radii = rng.uniform(0.505, 0.995, (2, 40))
+    angles = rng.uniform(0.0, 2.0 * math.pi, (2, 40))
+    z, w = radii * np.exp(1j * angles)
+    w[:10] = z[:10]  # diagonal values, where the scale is the value itself
+    want = np.array([_annulus_loop(0.5, a, b, truncation) for a, b in zip(z, w)])
+    scale = np.array([_annulus_loop(0.5, abs(a), abs(b), truncation).real for a, b in zip(z, w)])
+    batched = annulus_kernel(0.5, z, w, truncation)
+    assert batched.shape == (40,)
+    assert np.all(np.abs(batched - want) <= 1e-13 * scale)
+    for a, b, ref, sc in zip(z[:8], w[:8], want, scale):
+        value = annulus_kernel(0.5, complex(a), complex(b), truncation)
+        assert isinstance(value, complex) and abs(value - ref) <= 1e-13 * sc
+    # broadcasting one point against an array
+    row = annulus_kernel(0.5, z[0], w, truncation)
+    ref = np.array([_annulus_loop(0.5, z[0], b, truncation) for b in w])
+    ref_scale = np.array([_annulus_loop(0.5, abs(z[0]), abs(b), truncation).real for b in w])
+    assert np.all(np.abs(row - ref) <= 1e-13 * ref_scale)
+
+
+def test_annulus_array_domain_check():
+    inside = np.array([0.6, 0.7j, -0.8])
+    with pytest.raises(ValueError):
+        annulus_kernel(0.5, np.array([0.6, 0.45j, -0.8]), inside)
+    with pytest.raises(ValueError):
+        annulus_kernel(0.5, inside, np.array([0.6, 0.7j, 1.0]))
+    assert annulus_kernel(0.5, inside, inside).shape == (3,)
+
+
+def test_ball_surfaces_sample_the_single_pair_kernel():
+    # the diagonal runs as one batched ball_kernel call; each value is the
+    # single-pair value bit for bit
+    for surface, n in ((disk_surface(), 1), (ball2_surface(), 2)):
+        rng = np.random.default_rng(4)
+        points = surface.sample(rng, 25)
+        samples = surface.samples(25, seed=4)
+        assert [k for _, k in samples] == [to_complex(ball_kernel(n, p, p)).real for p in points]
+
+
 def test_punctured_disk_equals_disk():
     z, w = 0.5 + 0.2j, -0.3 + 0.4j
     assert abs(

@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from berg.cyclotomic import CyclotomicField, cyclotomic_polynomial, root_of_unity
+from berg.cyclotomic import (
+    CyclotomicField,
+    _poly_divmod,
+    _poly_mul,
+    cyclotomic_polynomial,
+    root_of_unity,
+)
 
 
 def test_cyclotomic_polynomials():
@@ -16,6 +22,40 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == tuple(
         Fraction(c) for c in (1, 0, -1, 0, 1)
     )
+
+
+def _phi_by_division(n, cache={}):
+    """Phi_n as x^n - 1 divided by Phi_d of every proper divisor d."""
+    if n not in cache:
+        num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+        for d in range(1, n):
+            if n % d == 0:
+                num, rem = _poly_divmod(num, list(_phi_by_division(d)))
+                assert not rem
+        cache[n] = tuple(num)
+    return cache[n]
+
+
+def _powers_by_division(n):
+    """zeta^k for k < n, each reduced by a long division."""
+    phi = list(_phi_by_division(n))
+    degree = len(phi) - 1
+    table, cur = [], [Fraction(1)]
+    for _ in range(n):
+        table.append(tuple(cur + [Fraction(0)] * (degree - len(cur))))
+        cur = _poly_mul(cur, [Fraction(0), Fraction(1)])
+        _, cur = _poly_divmod(cur, phi)
+        cur = cur or [Fraction(0)]
+    return table
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 12, 20, 105, 360])
+def test_tables_match_long_division(n):
+    assert cyclotomic_polynomial(n) == _phi_by_division(n)
+    assert all(isinstance(c, Fraction) for c in cyclotomic_polynomial(n))
+    field = CyclotomicField(n)
+    assert field.modulus == list(_phi_by_division(n))
+    assert field.zeta_powers == _powers_by_division(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 12])

@@ -5,7 +5,9 @@ import pytest
 
 from berg.scalars import ExactComplex
 from berg.verify import (
+    BLOCK,
     IntegrationSpec,
+    _draw,
     check_deck_symmetry,
     check_orthogonality,
     check_pullback_isometry,
@@ -14,6 +16,7 @@ from berg.verify import (
     disk_monomial_norm,
     integrate,
     suite_isometry,
+    suite_orthogonality,
     suite_transform,
 )
 
@@ -172,3 +175,40 @@ def test_suite_transform_builds_each_cover_once(monkeypatch):
     reports = suite_transform(seed=0, count=2)
     assert len(reports) == 9 and all(r.passed for r in reports)
     assert sorted(built) == sorted(["disk-2", "disk-3", "disk-4", "disk-5", "minus-identity", "scalar-i"])
+
+
+def _fiber_weight(p):
+    return 8.0 * np.abs(p[:, 2]) ** 2
+
+
+def _fiber_product(p):
+    return 8.0 * p[:, 2] * np.conj(p[:, 2] ** 2) * p[:, 0]
+
+
+@pytest.mark.parametrize("domain", ["disk", "ball-2", "annulus", "omega"])
+def test_blockwise_integrate_equals_one_shot(domain):
+    # blocks change only where integrands are evaluated, not the values or
+    # the reductions: estimate and stderr equal a whole-array evaluation
+    spec = IntegrationSpec(domain, 3 * BLOCK + 17, seed=12)
+    f = _fiber_weight if domain == "omega" else (lambda p: p[:, 0] * np.conj(p[:, 0]) ** 2)
+    points, inv = _draw(spec, np.random.default_rng(spec.seed), spec.n_samples)
+    weighted = np.where(inv > 0, np.asarray(f(points), dtype=complex), 0.0) * inv
+    var = np.var(weighted.real, ddof=1) + np.var(weighted.imag, ddof=1)
+    want = (complex(np.mean(weighted)), math.sqrt(var / spec.n_samples))
+    assert integrate(spec, f) == want
+
+
+def test_several_integrands_share_one_draw():
+    spec = IntegrationSpec("omega", 2 * BLOCK + 5, seed=13)
+    together = integrate(spec, [_fiber_weight, _fiber_product])
+    assert together == [integrate(spec, _fiber_weight), integrate(spec, _fiber_product)]
+
+
+def test_suite_orthogonality_equals_standalone_checks():
+    spec = IntegrationSpec("omega", 50_000, seed=14)
+    suite = suite_orthogonality(seed=14, n_samples=50_000)
+    alone = [
+        check_orthogonality((1, (0, 0)), (2, (0, 0)), spec),
+        check_orthogonality((1, (0, 0)), (2, (1, 0)), spec),
+    ]
+    assert [r.to_json() for r in suite] == [r.to_json() for r in alone]
