@@ -273,16 +273,10 @@ def omega_diagonal_surface(
             )
         return pts
 
-    def diag(pts):
-        return [
-            to_complex(omega_closed_kernel((z1, z2), lam, (z1, z2), lam)).real
-            for z1, z2, lam in pts.tolist()
-        ]
-
     return KernelSurface(
         name="omega",
         ambient_dim=3,
-        diag=diag,
+        diag=lambda pts: omega_closed_kernel(pts.T[:2], pts[:, 2], pts.T[:2], pts[:, 2]).real,
         features=lambda p: (abs(p[2]) ** 2, abs(p[0]) ** 2, abs(p[1]) ** 2),
         feature_polys=(
             HermitianPolynomial.modulus_squared(3, 2),
@@ -322,7 +316,7 @@ def u_surface(radial_max: float = 1.5) -> KernelSurface:
     return KernelSurface(
         name="u",
         ambient_dim=3,
-        diag=lambda pts: [to_complex(u_kernel(p, p, check_domain=False)).real for p in pts],
+        diag=lambda pts: u_kernel(pts.T, pts.T, check_domain=False).real,
         features=lambda p: (abs(p[0]) ** 2, abs(p[1]) ** 2, abs(p[2]) ** 2),
         feature_polys=(
             HermitianPolynomial.modulus_squared(3, 0),

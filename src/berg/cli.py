@@ -331,17 +331,20 @@ def moments_cmd(m_value, alpha_text, want_exact):
 @click.option("--fiber", type=float, default=0.5, help="|lambda|^2 h as a fraction of 1")
 def omega_grid_cmd(rmax, steps, fiber):
     """CSV grid of diagonal kernel values over base radii."""
+    if not 0.0 < fiber < 1.0:
+        raise InputError(f"--fiber must lie in (0, 1), got {fiber}")
+    if not 0.0 < rmax < math.inf:
+        raise InputError(f"--rmax must be positive and finite, got {rmax}")
+    if steps < 1:
+        raise InputError(f"--steps must be at least 1, got {steps}")
+    radii = rmax * (np.arange(steps) + 0.5) / steps
+    r1, r2 = (r.ravel() for r in np.meshgrid(radii, radii, indexing="ij"))
+    lam = np.sqrt(fiber / ((1.0 + r1) * (1.0 + r2)))
+    z = (np.sqrt(r1), np.sqrt(r2))
+    values = omega_closed_kernel(z, lam, z, lam).real
     writer = csv.writer(sys.stdout)
     writer.writerow(["r1", "r2", "value"])
-    for i in range(steps):
-        for j in range(steps):
-            r1 = rmax * (i + 0.5) / steps
-            r2 = rmax * (j + 0.5) / steps
-            h = (1.0 + r1) * (1.0 + r2)
-            lam = math.sqrt(fiber / h)
-            z = (math.sqrt(r1), math.sqrt(r2))
-            value = to_complex(omega_closed_kernel(z, lam, z, lam))
-            writer.writerow([r1, r2, value.real])
+    writer.writerows(zip(r1.tolist(), r2.tolist(), values.tolist()))
 
 
 @main.command("fit")

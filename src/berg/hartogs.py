@@ -286,27 +286,45 @@ def complexified_rho(z: Sequence, lam, w: Sequence, tau):
     return lam * conj_scalar(tau) * f1 * f2 - 1
 
 
-def omega_closed_kernel(z: Sequence, lam, w: Sequence, tau):
-    """Closed rational form of the kernel of the standard Hartogs domain.
+def _is_batch(values) -> bool:
+    return any(np.ndim(v) for v in values)
 
-    Exact (rational times pi^-3) for exact inputs.  Raises
-    BoundaryContactError where rho vanishes.
+
+def _numeric(values) -> list:
+    """Complex arrays when any value is an array, else Python complex
+    scalars (numpy scalars included)."""
+    if _is_batch(values):
+        return [np.asarray(v, dtype=complex) for v in values]
+    return [complex(to_complex(v)) for v in values]
+
+
+def omega_closed_kernel(z: Sequence, lam, w: Sequence, tau):
+    """Closed rational form of the kernel of the standard Hartogs domain,
+    K = (4 lt / rho^3 + 6 lt / rho^4) / (2pi)^3 with lt = lam conj(tau),
+    evaluated in the arithmetic the inputs carry.
+
+    Exact inputs give an ExactComplex (rational times pi^-3).  Float
+    scalars give a Python complex: Python's complex arithmetic keeps the
+    diagonal K(z, lam; z, lam) exactly real, which numpy's complex multiply
+    does not.  Coordinates given as arrays that broadcast give an array of
+    values over them.  Raises BoundaryContactError where rho vanishes at
+    any of the points.
     """
-    if all(is_exact_scalar(v) for v in (*z, lam, *w, tau)):
-        rho = ExactComplex.coerce(complexified_rho(z, lam, w, tau))
-        if rho.is_zero:
-            raise BoundaryContactError("rho = 0: boundary contact")
-        lt = ExactComplex.coerce(lam * conj_scalar(tau))
-        inv8 = ExactComplex(Fraction(1, 8), 0, -3)  # 1/(2 pi)^3
-        return inv8 * (4 * lt / rho**3 + 6 * lt / rho**4)
-    zc = [to_complex(v) for v in z]
-    wc = [to_complex(v) for v in w]
-    lamc, tauc = to_complex(lam), to_complex(tau)
-    rho = complexified_rho(zc, lamc, wc, tauc)
-    if abs(rho) < 1e-13:
-        raise BoundaryContactError(f"|rho| = {abs(rho)}: boundary contact")
-    lt = lamc * tauc.conjugate()
-    return (4.0 * lt / rho**3 + 6.0 * lt / rho**4) / TWO_PI_CUBED
+    values = (z[0], z[1], lam, w[0], w[1], tau)
+    exact = not _is_batch(values) and all(is_exact_scalar(v) for v in values)
+    if exact:
+        z1, z2, lam, w1, w2, tau = (ExactComplex.coerce(v) for v in values)
+        two_pi_cubed = ExactComplex(8, 0, 3)
+    else:
+        z1, z2, lam, w1, w2, tau = _numeric(values)
+        two_pi_cubed = TWO_PI_CUBED
+    rho = complexified_rho((z1, z2), lam, (w1, w2), tau)
+    if exact and rho.is_zero:
+        raise BoundaryContactError("rho = 0: boundary contact")
+    if not exact and np.any(np.abs(rho) < 1e-13):
+        raise BoundaryContactError(f"|rho| = {np.min(np.abs(rho))}: boundary contact")
+    lt = lam * conj_scalar(tau)
+    return (4 * lt / rho**3 + 6 * lt / rho**4) / two_pi_cubed
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +388,11 @@ def embed_F(lam, z1, z2) -> tuple:
     return (lam, lam * z1, lam * z2, lam * z1 * z2)
 
 
-def u_domain_contains(x: Sequence) -> bool:
-    """Membership in {|w1|^4 + |w1|^2(|w2|^2+|w3|^2) + |w2 w3|^2 < |w1|^2}."""
-    a1 = abs(to_complex(x[0])) ** 2
-    a2 = abs(to_complex(x[1])) ** 2
-    a3 = abs(to_complex(x[2])) ** 2
+def u_domain_contains(x: Sequence):
+    """Membership in {|w1|^4 + |w1|^2(|w2|^2+|w3|^2) + |w2 w3|^2 < |w1|^2}:
+    a bool for a point, a bool array for coordinates given as arrays that
+    broadcast."""
+    a1, a2, a3 = (abs(v) ** 2 for v in _numeric((x[0], x[1], x[2])))
     return a1 * a1 + a1 * (a2 + a3) + a2 * a3 < a1
 
 
@@ -384,15 +402,17 @@ def u_kernel(x: Sequence, y: Sequence, check_domain: bool = True):
     The chart (lam, z1, z2) -> (lam, lam z1, lam z2) has Jacobian lam^2,
     so the kernel is the closed-form Hartogs kernel composed with the
     inverse chart divided by x1^2 conj(y1)^2.  The first coordinates must
-    be nonzero.
+    be nonzero.  Scalars and arrays follow ``omega_closed_kernel``: a
+    point pair gives an exact value or a Python complex, coordinates given
+    as arrays that broadcast give an array, and every point is checked.
     """
     if len(x) != 3 or len(y) != 3:
         raise ValueError("points must lie in C^3")
-    x0 = to_complex(x[0])
-    y0 = to_complex(y[0])
-    if abs(x0) == 0 or abs(y0) == 0:
+    if _is_batch((*x, *y)):
+        x, y = _numeric(x), _numeric(y)
+    if np.any(x[0] == 0) or np.any(y[0] == 0):
         raise ChartSingularityError("first coordinate vanishes: chart singular slice")
-    if check_domain and (not u_domain_contains(x) or not u_domain_contains(y)):
+    if check_domain and not (np.all(u_domain_contains(x)) and np.all(u_domain_contains(y))):
         raise ValueError("points must lie inside the bounded domain")
     lam_x, zx = x[0], (x[1] / x[0], x[2] / x[0])
     lam_y, zy = y[0], (y[1] / y[0], y[2] / y[0])

@@ -136,13 +136,6 @@ class HoloPolynomial:
     def degree(self) -> int:
         return max((a.degree for a in self.terms), default=0)
 
-    def is_homogeneous(self) -> bool:
-        degs = {a.degree for a in self.terms}
-        return len(degs) <= 1
-
-    def coefficient_vector(self, basis: Sequence[MultiIndex]) -> list:
-        return [self.terms.get(a, 0) for a in basis]
-
     # -- arithmetic -------------------------------------------------------
     def _binop(self, other, sign: int) -> "HoloPolynomial":
         if isinstance(other, (int, Fraction, complex, ExactComplex)):
@@ -353,11 +346,6 @@ class HermitianPolynomial:
         """|z_i|^2 as a Hermitian polynomial."""
         u = unit_index(dim, i)
         return HermitianPolynomial(dim, {(u, u): 1})
-
-    @staticmethod
-    def from_holo(p: HoloPolynomial) -> "HermitianPolynomial":
-        z = zero_index(p.dim)
-        return HermitianPolynomial(p.dim, {(a, z): c for a, c in p.terms.items()})
 
     # -- arithmetic --------------------------------------------------------
     def _binop(self, other, sign: int):

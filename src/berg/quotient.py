@@ -173,9 +173,6 @@ class CoveringSpec:
     def jacobian(self, z: Sequence):
         return _eval_holo(self.jacobian_polynomial, z)
 
-    def map_point(self, z: Sequence) -> tuple:
-        return tuple(_eval_holo(p, z) for p in self.cover_map)
-
 
 def _eval_holo(p: HoloPolynomial, z: Sequence):
     """Evaluate with whatever arithmetic the inputs support; fall back to

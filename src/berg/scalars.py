@@ -72,10 +72,6 @@ class ExactComplex:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):
         try:

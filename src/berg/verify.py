@@ -26,7 +26,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hartogs import OMEGA, HartogsDomainSpec, monomial_norm, square_integrable
+from .ball import ball_kernel
+from .hartogs import (
+    OMEGA,
+    HartogsDomainSpec,
+    monomial_norm,
+    omega_closed_kernel,
+    square_integrable,
+)
 from .quotient import (
     CoveringSpec,
     check_deck_sum_symmetry,
@@ -229,13 +236,13 @@ def check_reproducing(
         z0 = complex(z0)
 
         def integrand(pts):
-            zeta = pts[:, 0]
-            kernel = 1.0 / (math.pi * (1.0 - z0 * np.conj(zeta)) ** 2)
-            return zeta**d * kernel
+            return pts[:, 0] ** d * ball_kernel(1, (z0,), pts)
 
         target = z0**d
         name = f"reproducing:disk:z^{d}"
     elif domain in ("omega", "hartogs"):
+        if spec.hartogs is not None and not spec.hartogs.omega_standard:
+            raise ValueError("the reproducing check integrates the standard Hartogs kernel only")
         m, alpha = int(f[0]), tuple(f[1])
         if not square_integrable(m, alpha):
             raise ValueError(
@@ -246,17 +253,8 @@ def check_reproducing(
 
         def integrand(pts):
             x1, x2, lam_x = pts[:, 0], pts[:, 1], pts[:, 2]
-            rho = (
-                lam_y
-                * np.conj(lam_x)
-                * (1.0 + zy[0] * np.conj(x1))
-                * (1.0 + zy[1] * np.conj(x2))
-                - 1.0
-            )
-            lt = lam_y * np.conj(lam_x)
-            kernel = (4.0 * lt / rho**3 + 6.0 * lt / rho**4) / (2.0 * math.pi) ** 3
             fx = lam_x**m * x1 ** alpha[0] * x2 ** alpha[1]
-            return FORM_FACTOR_C3 * kernel * fx
+            return FORM_FACTOR_C3 * omega_closed_kernel(zy, lam_y, (x1, x2), lam_x) * fx
 
         target = lam_y**m * zy[0] ** alpha[0] * zy[1] ** alpha[1]
         name = f"reproducing:omega:lam^{m}z^{alpha}"

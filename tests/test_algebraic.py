@@ -22,6 +22,7 @@ from berg.algebraic import (
     u_surface,
 )
 from berg.ball import ball_kernel
+from berg.hartogs import omega_closed_kernel, u_kernel
 from berg.polynomials import MultiIndex
 from berg.scalars import to_complex
 
@@ -130,6 +131,26 @@ def test_ball_surfaces_sample_the_single_pair_kernel():
         points = surface.sample(rng, 25)
         samples = surface.samples(25, seed=4)
         assert [k for _, k in samples] == [to_complex(ball_kernel(n, p, p)).real for p in points]
+
+
+@pytest.mark.parametrize(
+    "surface, kernel",
+    [
+        (omega_diagonal_surface, lambda x, y: omega_closed_kernel(x[:2], x[2], y[:2], y[2])),
+        (u_surface, u_kernel),
+    ],
+    ids=["omega", "u"],
+)
+def test_hartogs_batches_match_single_pair_calls(surface, kernel):
+    # a batch runs numpy's complex arithmetic and a single pair Python's, so
+    # rows agree to rounding, amplified by cancellation in rho near the
+    # boundary; 1,820 points is the size of the Omega 12/1 fit
+    points = np.array(surface().sample(np.random.default_rng(6), 1820))
+    for x, y in ((points, points), (points, np.roll(points, 1, axis=0))):
+        rows = kernel(x.T, y.T)
+        single = np.array([kernel(p, q) for p, q in zip(x.tolist(), y.tolist())])
+        assert rows.shape == (1820,)
+        assert np.all(np.abs(rows - single) <= 1e-13 * np.abs(single))
 
 
 def test_punctured_disk_equals_disk():

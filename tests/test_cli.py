@@ -154,8 +154,21 @@ def test_kernel_evaluation_errors_exit_2(runner, args):
     [
         ["levi", "--rho", "sphere-2", "--point", "0.5,0"],
         ["fit", "--kernel", "disk", "--dz", "1", "--dk", "1", "--samples", "1"],
+        ["omega-grid", "--fiber", "1"],
+        ["omega-grid", "--fiber", "1.5"],
+        ["omega-grid", "--fiber", "-1"],
+        ["omega-grid", "--rmax", "-1"],
+        ["omega-grid", "--steps", "0"],
     ],
-    ids=["levi-off-surface", "fit-underdetermined"],
+    ids=[
+        "levi-off-surface",
+        "fit-underdetermined",
+        "grid-fiber-on-boundary",
+        "grid-fiber-outside",
+        "grid-fiber-negative",
+        "grid-rmax-negative",
+        "grid-no-steps",
+    ],
 )
 def test_unusable_evaluation_input_prints_one_error_line(runner, args):
     _one_line_usage_error(runner.invoke(main, args))

@@ -189,6 +189,10 @@ def test_closed_kernel_boundary_contact():
         omega_closed_kernel(
             (Fraction(0), Fraction(0)), Fraction(1), (Fraction(0), Fraction(0)), Fraction(1)
         )
+    # a batch is checked at every point: one contact point among interior ones
+    z = (np.zeros(3), np.zeros(3))
+    with pytest.raises(BoundaryContactError):
+        omega_closed_kernel(z, np.array([0.5, 1.0, 0.2]), z, np.array([0.5, 1.0, 0.2]))
 
 
 # -- resummation -------------------------------------------------------------------
@@ -280,6 +284,8 @@ def test_u_membership():
     assert u_domain_contains((0.5, 0.0, 0.0))
     assert not u_domain_contains((0.0, 0.5, 0.0))
     assert not u_domain_contains((1.0, 0.0, 0.0))
+    inside = u_domain_contains((np.array([0.5, 0.0, 1.0]), 0.0, np.zeros((2, 1))))
+    assert inside.tolist() == [[True, False, False]] * 2
 
 
 def test_u_kernel_reference_point():
@@ -324,6 +330,12 @@ def test_u_kernel_chart_singularity():
         u_kernel((0.0, 0.0, 0.0), (0.5, 0.0, 0.0), check_domain=False)
     with pytest.raises(ValueError):
         u_kernel((0.9, 0.5, 0.5), (0.5, 0.0, 0.0))  # outside the domain
+    # a batch is checked at every point
+    x = (np.array([0.5, 0.0]), np.zeros(2), np.zeros(2))
+    with pytest.raises(ChartSingularityError):
+        u_kernel(x, (0.5, 0.0, 0.0), check_domain=False)
+    with pytest.raises(ValueError):
+        u_kernel((np.array([0.5, 0.9]), 0.5, 0.5), (0.5, 0.0, 0.0))
 
 
 # -- rational form ------------------------------------------------------------------

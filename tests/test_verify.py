@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from berg import verify
+from berg.hartogs import HartogsDomainSpec, standard_omega_weight
 from berg.scalars import ExactComplex
 from berg.verify import (
     BLOCK,
@@ -80,6 +82,31 @@ def test_reproducing_omega():
     )
     assert report.passed
     assert abs(report.estimate - 0.4) <= 3 * report.stderr
+
+
+@pytest.mark.parametrize(
+    "domain, kernel, f, z0",
+    [
+        ("disk", "ball_kernel", 1, 0.3),
+        ("omega", "omega_closed_kernel", (1, (0, 0)), (0.0, 0.0, 0.4)),
+    ],
+)
+def test_reproducing_fails_for_a_doubled_kernel(monkeypatch, domain, kernel, f, z0):
+    # negative control for test_reproducing_disk / _omega at the same draw:
+    # the check integrates the kernel berg ships, so doubling it must fail
+    shipped = getattr(verify, kernel)
+    monkeypatch.setattr(verify, kernel, lambda *args: 2 * shipped(*args))
+    report = check_reproducing(domain, f, z0, IntegrationSpec(domain, N_FAST, seed=5))
+    assert not report.passed
+    assert abs(report.estimate - 2 * report.target) <= 3 * report.stderr
+
+
+def test_reproducing_rejects_a_non_standard_hartogs_domain():
+    weight = standard_omega_weight()
+    other = HartogsDomainSpec(base_dim=2, weight=weight * weight)
+    spec = IntegrationSpec("hartogs", N_FAST, seed=5, hartogs=other)
+    with pytest.raises(ValueError):
+        check_reproducing("hartogs", (1, (0, 0)), (0.0, 0.0, 0.4), spec)
 
 
 def test_reproducing_rejects_divergent_monomial():
