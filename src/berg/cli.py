@@ -78,7 +78,7 @@ def _load_json(path: str):
     try:
         return json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"cannot read {path}: {exc}")
+        raise InputError(f"cannot read {path}: {exc}")
 
 
 def _load_group(data, max_order: int, source: str):
@@ -209,9 +209,7 @@ def basic_map_cmd(group_file, syzygy_degree, max_order, no_cache):
     """Minimal invariant generators (and optional relations) for a group."""
     group = _load_group(_load_json(group_file), max_order, group_file)
     if not group.exact:
-        raise click.UsageError(
-            "basic map needs exact matrices; encode entries as zeta terms"
-        )
+        raise InputError("basic map needs exact matrices; encode entries as zeta terms")
     cache_key = f"v{CACHE_SCHEMA}-{group.canonical_hash()}-syz{syzygy_degree}"
     cache_file = _cache_dir() / f"basic-map-{cache_key}.json"
     if not no_cache and cache_file.exists():

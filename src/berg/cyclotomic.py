@@ -1,7 +1,11 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are stored as polynomials in a primitive N-th root of unity,
-reduced modulo the N-th cyclotomic polynomial, with rational coefficients.
+An element is a polynomial of degree below phi(N) in a primitive N-th
+root of unity zeta, stored as integer numerators over one positive common
+denominator that shares no factor with all of them.  The N-th cyclotomic
+polynomial is monic over the integers, so every power of zeta has integer
+coordinates; one table of them reduces products, complex conjugates,
+embeddings into larger fields and the Galois conjugates behind inverses.
 This is a genuine field: addition, multiplication, conjugation and
 division are all exact, which is what the invariant-theory linear algebra
 requires.  Matrix entries of every root-of-unity unitary group live here.
@@ -14,45 +18,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
-
-
-# ---------------------------------------------------------------------------
-# dense univariate polynomial helpers over Fraction (internal)
-# ---------------------------------------------------------------------------
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
-    a = list(a)
-    b = _poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = _poly_trim(a)
-    while len(r) >= len(b):
-        shift = len(r) - len(b)
-        c = r[-1] / b[-1]
-        q[shift] = c
-        for i, bi in enumerate(b):
-            r[shift + i] -= c * bi
-        r = _poly_trim(r)
-    return q, r
 
 
 def _mobius(m: int) -> int:
@@ -110,85 +75,118 @@ class CyclotomicField:
         # k = 0..n-1, by zeta^(k+1) = x zeta^k - lead(zeta^k) Phi_n
         low = [int(c) for c in phi[:-1]]
         cur = [1] + [0] * (self.degree - 1)
-        table: list[tuple[Fraction, ...]] = []
+        table: list[tuple[int, ...]] = []
         for _ in range(n):
-            table.append(tuple(Fraction(c) for c in cur))
+            table.append(tuple(cur))
             lead = cur[-1]
             cur = [0] + cur[:-1]
             if lead:
                 cur = [c - lead * m for c, m in zip(cur, low)]
         self.zeta_powers = table
+        self._power_terms = [[(j, x) for j, x in enumerate(row) if x] for row in table]
         # normalized trace of zeta^i, a primitive m-th root of unity: mu(m)/phi(m),
-        # read off Phi_m (mu(m) is minus its second-highest coefficient)
-        self.trace_weights = []
+        # read off Phi_m (mu(m) is minus its second-highest coefficient), kept
+        # as integers over one denominator
+        weights = []
         for i in range(self.degree):
             phi_m = cyclotomic_polynomial(n // math.gcd(n, i))
-            self.trace_weights.append(-phi_m[-2] / (len(phi_m) - 1))
+            weights.append(-phi_m[-2] / (len(phi_m) - 1))
+        self._trace_den = math.lcm(*(w.denominator for w in weights))
+        self._trace_nums = [int(w * self._trace_den) for w in weights]
+        # exponents k of the Galois conjugates zeta -> zeta^k other than the identity
+        self._galois = [k for k in range(2, n) if math.gcd(k, n) == 1]
+        z = cmath.exp(2j * cmath.pi / n)
+        self._zeta_floats = [z**i for i in range(self.degree)]
         cls._cache[n] = self
         return self
 
+    def _combine(self, nums: Sequence[int], step: int, den: int) -> "Cyclotomic":
+        """(sum_k nums[k] zeta^(k*step)) / den for integers nums[k] and den != 0,
+        reduced through the power table."""
+        out = [0] * self.degree
+        for k, c in enumerate(nums):
+            if c:
+                for j, x in self._power_terms[k * step % self.n]:
+                    out[j] += c * x
+        return _reduced(self, out, den)
+
     def element(self, coeffs: Sequence[Fraction]) -> "Cyclotomic":
-        c = list(coeffs) + [Fraction(0)] * (self.degree - len(coeffs))
-        if len(c) > self.degree:
-            _, c = _poly_divmod(c, self.modulus)
-            c = c + [Fraction(0)] * (self.degree - len(c))
-        return Cyclotomic(self, tuple(Fraction(x) for x in c))
+        """sum_k coeffs[k] zeta^k for rational coefficients, any number of them."""
+        fracs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(f.denominator for f in fracs))
+        return self._combine([f.numerator * (den // f.denominator) for f in fracs], 1, den)
 
     def zero(self) -> "Cyclotomic":
-        return self.element([])
+        return self.from_rational(0)
 
     def one(self) -> "Cyclotomic":
-        return self.element([Fraction(1)])
+        return self.from_rational(1)
 
     def root(self, power: int = 1) -> "Cyclotomic":
         """zeta_N ** power as a field element."""
-        return Cyclotomic(self, self.zeta_powers[power % self.n])
+        return Cyclotomic(self, self.zeta_powers[power % self.n], 1)
 
     def from_rational(self, x) -> "Cyclotomic":
-        return self.element([Fraction(x)])
+        x = Fraction(x)
+        return Cyclotomic(self, (x.numerator,) + (0,) * (self.degree - 1), x.denominator)
 
     def __repr__(self):
         return f"Q(zeta_{self.n})"
 
 
+def _reduced(field: CyclotomicField, nums: Sequence[int], den: int) -> "Cyclotomic":
+    """The element nums / den with a positive denominator coprime to the numerators."""
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    return Cyclotomic(field, tuple(c // g for c in nums), den // g)
+
+
 class Cyclotomic:
-    """An element of Q(zeta_N)."""
+    """An element of Q(zeta_N): (sum_k nums[k] zeta^k) / den."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "nums", "den")
 
-    def __init__(self, field: CyclotomicField, coeffs: tuple[Fraction, ...]):
+    def __init__(self, field: CyclotomicField, nums: tuple[int, ...], den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients of 1, zeta, ..., zeta^(phi(N)-1)."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- coercion -------------------------------------------------------
     def _coerce(self, other):
         if isinstance(other, Cyclotomic):
             if other.field is self.field:
                 return other
-            n = math.lcm(self.field.n, other.field.n)
-            big = CyclotomicField(n)
-            return _embed(other, big)
+            return other._in(CyclotomicField(math.lcm(self.field.n, other.field.n)))
         if isinstance(other, (int, Fraction)):
             return self.field.from_rational(other)
         return None
 
-    def _self_in(self, field: CyclotomicField) -> "Cyclotomic":
+    def _in(self, field: CyclotomicField) -> "Cyclotomic":
+        """This element in a field Q(zeta_M) with N dividing M: zeta_N = zeta_M^(M/N)."""
         if field is self.field:
             return self
-        return _embed(self, field)
+        return field._combine(self.nums, field.n // self.field.n, self.den)
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a = self._self_in(o.field)
-        return Cyclotomic(a.field, tuple(x + y for x, y in zip(a.coeffs, o.coeffs)))
+        a = self._in(o.field)
+        den = math.lcm(a.den, o.den)
+        sa, so = den // a.den, den // o.den
+        return _reduced(a.field, [x * sa + y * so for x, y in zip(a.nums, o.nums)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.field, tuple(-x for x in self.coeffs))
+        return Cyclotomic(self.field, tuple(-x for x in self.nums), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -206,41 +204,34 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a = self._self_in(o.field)
-        prod = _poly_mul(list(a.coeffs), list(o.coeffs))
-        _, red = _poly_divmod(prod, a.field.modulus)
-        red = red + [Fraction(0)] * (a.field.degree - len(red))
-        return Cyclotomic(a.field, tuple(red))
+        a = self._in(o.field)
+        prod = [0] * (2 * a.field.degree - 1)
+        for i, x in enumerate(a.nums):
+            if x:
+                for j, y in enumerate(o.nums):
+                    prod[i + j] += x * y
+        return a.field._combine(prod, 1, a.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse: the product of the other Galois conjugates
+        divided by the norm, which is that product times this element and
+        is rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        # gcd(self, modulus) = 1 since the modulus is irreducible over Q
-        r0, r1 = list(self.field.modulus), _poly_trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            qs = _poly_mul(q, s1)
-            news = [Fraction(0)] * max(len(s0), len(qs))
-            for i, x in enumerate(s0):
-                news[i] += x
-            for i, x in enumerate(qs):
-                news[i] -= x
-            s0, s1 = s1, _poly_trim(news)
-        # r0 = gcd (a nonzero constant), s0 solves self * s0 = r0 (mod modulus)
-        c = r0[0]
-        inv = [x / c for x in s0]
-        return self.field.element(inv)
+        field = self.field
+        rest = field.one()
+        for k in field._galois:
+            rest = rest * field._combine(self.nums, k, self.den)
+        norm = self * rest
+        return _reduced(field, [c * norm.den for c in rest.nums], rest.den * norm.nums[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a = self._self_in(o.field)
+        a = self._in(o.field)
         return a * o.inverse()
 
     def __rtruediv__(self, other):
@@ -251,67 +242,49 @@ class Cyclotomic:
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation: zeta -> zeta^{-1}."""
-        n = self.field.n
-        out = [Fraction(0)] * self.field.degree
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for j, x in enumerate(self.field.zeta_powers[(n - i) % n]):
-                out[j] += c * x
-        return Cyclotomic(self.field, tuple(out))
+        return self.field._combine(self.nums, -1, self.den)
 
     # -- predicates / conversion -----------------------------------------
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o).is_zero()
+        a = self._in(o.field)
+        return a.den == o.den and a.nums == o.nums
 
     def __hash__(self):
         # the normalized trace Tr(x)/[Q(zeta_N):Q] is the same in every field
         # containing x, and is x itself for rational x
-        return hash(sum(c * t for c, t in zip(self.coeffs, self.field.trace_weights)))
+        f = self.field
+        trace = sum(c * t for c, t in zip(self.nums, f._trace_nums))
+        return hash(Fraction(trace, self.den * f._trace_den))
 
     def to_complex(self) -> complex:
-        z = cmath.exp(2j * cmath.pi / self.field.n)
         total = 0j
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                total += float(c) * z**i
+        for c, z in zip(self.nums, self.field._zeta_floats):
+            if c:
+                total += c / self.den * z
         return total
 
     def to_exact_complex(self) -> "ExactComplex":
         """Exact Gaussian-rational value; only possible when N divides 4."""
         from .scalars import ExactComplex  # scalars builds on this module
 
-        n = self.field.n
-        if n not in (1, 2, 4):
-            raise ValueError(f"Q(zeta_{n}) does not embed in the Gaussian rationals")
-        re = Fraction(0)
-        im = Fraction(0)
-        # zeta_1 = 1, zeta_2 = -1, zeta_4 = i
-        unit_re = {1: Fraction(1), 2: Fraction(-1), 4: Fraction(0)}[n]
-        unit_im = {1: Fraction(0), 2: Fraction(0), 4: Fraction(1)}[n]
-        cur_re, cur_im = Fraction(1), Fraction(0)
-        for c in self.coeffs:
-            re += c * cur_re
-            im += c * cur_im
-            cur_re, cur_im = (
-                cur_re * unit_re - cur_im * unit_im,
-                cur_re * unit_im + cur_im * unit_re,
-            )
-        return ExactComplex(re, im)
+        if 4 % self.field.n:
+            raise ValueError(f"Q(zeta_{self.field.n}) does not embed in the Gaussian rationals")
+        x = self._in(CyclotomicField(4))
+        return ExactComplex(Fraction(x.nums[0], x.den), Fraction(x.nums[1], x.den))
 
     def __repr__(self):
         parts = []
@@ -325,19 +298,6 @@ class Cyclotomic:
             else:
                 parts.append(f"{c}*z{self.field.n}^{i}")
         return " + ".join(parts) if parts else "0"
-
-
-def _embed(x: Cyclotomic, big: CyclotomicField) -> Cyclotomic:
-    step = big.n // x.field.n
-    if big.n % x.field.n:
-        raise ValueError("target field does not contain the source field")
-    out = [Fraction(0)] * big.degree
-    for i, c in enumerate(x.coeffs):
-        if c == 0:
-            continue
-        for j, v in enumerate(big.zeta_powers[(i * step) % big.n]):
-            out[j] += c * v
-    return Cyclotomic(big, tuple(out))
 
 
 def root_of_unity(n: int, power: int = 1) -> Cyclotomic:

@@ -24,7 +24,7 @@ from .scalars import ExactComplex, conj_scalar, inv_scalar, scalar_is_zero, to_c
 
 UNITARITY_TOL = 1e-12
 DEDUP_DECIMALS = 12
-MAX_ZETA = 1024  # building Q(zeta_N) stores N * phi(N) rationals
+MAX_ZETA = 1024  # building Q(zeta_N) stores N * phi(N) integers
 # bounds on exact coefficient texts in group files: Fraction("1e3000000")
 # would build a three-million-digit integer before any check could run
 MAX_COEFF_CHARS = 100
@@ -156,7 +156,7 @@ class UnitaryMatrix:
     def dedup_key(self):
         if self.exact:
             return tuple(
-                (x.field.n, x.coeffs) if isinstance(x, Cyclotomic) else ("q", Fraction(x))
+                (x.field.n, x.nums, x.den) if isinstance(x, Cyclotomic) else ("q", Fraction(x))
                 for row in self.entries
                 for x in row
             )

@@ -11,16 +11,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from .cyclotomic import Cyclotomic
-from .groups import FiniteUnitaryGroup, exact_nullspace, exact_rref
+from .groups import FiniteUnitaryGroup, determinant, exact_nullspace, exact_rref
 from .polynomials import (
     HoloPolynomial,
     monomials_of_degree,
     monomials_up_to_degree,
 )
-from .scalars import inv_scalar, scalar_is_zero
+from .scalars import inv_scalar
 
 
 def reynolds(f: HoloPolynomial, group: FiniteUnitaryGroup) -> HoloPolynomial:
@@ -190,64 +190,36 @@ def invariant_dimension(group: FiniteUnitaryGroup, degree: int) -> int:
 
 
 def trace_average_dimension(group: FiniteUnitaryGroup, degree: int) -> int:
-    """Independent count of degree-d invariants by trace averaging.
+    """Independent count of degree-d invariants by Molien's formula.
 
-    For each element the trace on degree-d polynomials is the complete
-    homogeneous sum of its eigenvalue monomials; averaging over the group
-    gives the invariant dimension.  Diagonal exact elements are summed in
-    the cyclotomic field, general elements through floating eigenvalues.
+    The trace of g on degree-d polynomials is the complete homogeneous sum
+    h_d of its eigenvalues.  Newton's identity h_d = sum_k (-1)^(k+1) e_k
+    h_(d-k) builds it from the elementary sums e_k, the sums of the
+    principal k x k minors of g, so no eigenvalue is computed.  Averaged
+    over the group in its own arithmetic, the count is exact for exact
+    groups and checked to be near an integer for float groups.
     """
-    import numpy as np
-
-    total_c = 0j
-    exact_total = None
-    all_exact_diag = True
+    n = group.dim
+    total = 0
     for g in group:
-        diag = _diagonal_entries(g)
-        if diag is None:
-            all_exact_diag = False
-            break
-        s = None
-        for alpha in monomials_of_degree(group.dim, degree):
-            term = None
-            for lam, e in zip(diag, alpha):
-                for _ in range(e):
-                    term = lam if term is None else term * lam
-            if term is None:
-                term = Fraction(1)
-            s = term if s is None else s + term
-        exact_total = s if exact_total is None else exact_total + s
-    if all_exact_diag and exact_total is not None:
-        avg = exact_total * Fraction(1, group.order)
-        if isinstance(avg, Cyclotomic):
-            value = avg.as_rational()
-        else:
-            value = Fraction(avg)
+        e = []
+        for k in range(1, n + 1):
+            minors = combinations(range(n), k)
+            e.append(sum(determinant([[g.entries[i][j] for j in m] for i in m]) for m in minors))
+        h = [1]
+        for d in range(1, degree + 1):
+            h.append(sum((-1) ** (k + 1) * e[k - 1] * h[d - k] for k in range(1, min(d, n) + 1)))
+        total = total + h[degree]
+    if group.exact:
+        avg = total * Fraction(1, group.order)
+        value = avg.as_rational() if isinstance(avg, Cyclotomic) else Fraction(avg)
         if value.denominator != 1:
             raise RuntimeError("trace average is not an integer")
         return int(value)
-    for g in group:
-        lams = np.linalg.eigvals(g.to_numpy())
-        for alpha in monomials_of_degree(group.dim, degree):
-            term = 1.0 + 0j
-            for lam, e in zip(lams, alpha):
-                term *= lam**e
-            total_c += term
-    avg = total_c / group.order
+    avg = complex(total) / group.order
     if abs(avg.imag) > 1e-8 or abs(avg.real - round(avg.real)) > 1e-8:
         raise RuntimeError(f"trace average {avg} is not close to an integer")
     return int(round(avg.real))
-
-
-def _diagonal_entries(g) -> list | None:
-    if not g.exact:
-        return None
-    for i in range(g.n):
-        for j in range(g.n):
-            if i != j:
-                if not scalar_is_zero(g.entries[i][j]):
-                    return None
-    return [g.entries[i][i] for i in range(g.n)]
 
 
 # ---------------------------------------------------------------------------

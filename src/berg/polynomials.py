@@ -35,10 +35,11 @@ class MultiIndex(tuple):
     def degree(self) -> int:
         return sum(self)
 
-    def __add__(self, other) -> "MultiIndex":
+    def __add__(self, other: "MultiIndex") -> "MultiIndex":
         if len(self) != len(other):
             raise ValueError("multi-index length mismatch")
-        return MultiIndex(a + b for a, b in zip(self, other))
+        # both are nonnegative, so their sum needs no scan
+        return tuple.__new__(MultiIndex, [a + b for a, b in zip(self, other)])
 
     def factorial(self) -> int:
         out = 1
@@ -109,7 +110,8 @@ class HoloPolynomial:
         clean: dict[MultiIndex, object] = {}
         if terms:
             for idx, c in terms.items():
-                idx = MultiIndex(idx)
+                if not isinstance(idx, MultiIndex):
+                    idx = MultiIndex(idx)
                 if len(idx) != dim:
                     raise ValueError("exponent length does not match dimension")
                 if not scalar_is_zero(c):
@@ -324,7 +326,8 @@ class HermitianPolynomial:
         clean: dict[tuple[MultiIndex, MultiIndex], object] = {}
         if terms:
             for (a, b), c in terms.items():
-                a, b = MultiIndex(a), MultiIndex(b)
+                if not isinstance(a, MultiIndex) or not isinstance(b, MultiIndex):
+                    a, b = MultiIndex(a), MultiIndex(b)
                 if len(a) != dim or len(b) != dim:
                     raise ValueError("exponent length does not match dimension")
                 if not scalar_is_zero(c):

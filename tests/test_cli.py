@@ -123,17 +123,36 @@ NON_UNITARY = [[[{"zeta": 4, "terms": [[1, "2"]]}]]]
 MALFORMED = [[[1]]]
 INFINITE_ZETA = [[[{"zeta": math.inf, "terms": []}]]]
 Z5 = [[[{"zeta": 5, "terms": [[1, "1"]]}]]]
+FLOAT_I = [[[[0, 1], [0, 0]], [[0, 0], [0, -1]]]]  # diag(i, -i) as [re, im] pairs
+NOT_JSON = "[[[1"
 
 
 @pytest.mark.parametrize(
-    "gens, extra",
-    [(NON_UNITARY, []), (MALFORMED, []), (INFINITE_ZETA, []), (Z5, ["--max-order", "3"])],
-    ids=["non-unitary", "malformed", "infinite-zeta", "closure-overflow"],
+    "command, gens, extra",
+    [
+        (["group", "--gens"], NON_UNITARY, []),
+        (["group", "--gens"], MALFORMED, []),
+        (["group", "--gens"], INFINITE_ZETA, []),
+        (["group", "--gens"], Z5, ["--max-order", "3"]),
+        (["basic-map", "--group"], FLOAT_I, []),
+        (["basic-map", "--group"], NOT_JSON, []),
+        (["group", "--gens"], None, []),
+    ],
+    ids=[
+        "non-unitary",
+        "malformed",
+        "infinite-zeta",
+        "closure-overflow",
+        "basic-map-float-group",
+        "not-json",
+        "missing-file",
+    ],
 )
-def test_group_input_errors_exit_2(runner, tmp_path, gens, extra):
+def test_group_input_errors_exit_2(runner, tmp_path, command, gens, extra):
     path = tmp_path / "gens.json"
-    path.write_text(json.dumps(gens))
-    _one_line_usage_error(runner.invoke(main, ["group", "--gens", str(path)] + extra))
+    if gens is not None:
+        path.write_text(gens if isinstance(gens, str) else json.dumps(gens))
+    _one_line_usage_error(runner.invoke(main, command + [str(path)] + extra))
 
 
 @pytest.mark.parametrize(

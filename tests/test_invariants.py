@@ -131,6 +131,48 @@ def test_invariant_dimension_matches_trace_average(minus_identity, scalar_i, ome
             assert invariant_dimension(group, d) == trace_average_dimension(group, d)
 
 
+def _molien_series_t24(top):
+    """Coefficients of (1 + t^12) / ((1 - t^6)(1 - t^8)) up to t^top."""
+    series = [0] * (top + 1)
+    for a in range(0, top + 1, 6):
+        for b in range(0, top + 1 - a, 8):
+            for c in (0, 12):
+                if a + b + c <= top:
+                    series[a + b + c] += 1
+    return series
+
+
+def binary_tetrahedral():
+    """T24 in Q(i), generated by the quaternions i, j and (1 + i + j + k)/2."""
+    zero, one, half = 0 * I_UNIT, 1 + 0 * I_UNIT, Fraction(1, 2)
+    return generate_group(
+        [
+            UnitaryMatrix([[I_UNIT, zero], [zero, -I_UNIT]]),
+            UnitaryMatrix([[zero, one], [-one, zero]]),
+            UnitaryMatrix(
+                [[(1 + I_UNIT) * half, (1 + I_UNIT) * half], [(I_UNIT - 1) * half, (1 - I_UNIT) * half]]
+            ),
+        ]
+    )
+
+
+def test_molien_counts_of_the_binary_tetrahedral_group():
+    import numpy as np
+
+    exact = binary_tetrahedral()
+    assert exact.order == 24 and exact.exact
+    # the same group in floats, conjugated by a real rotation
+    c, s = np.cos(0.3), np.sin(0.3)
+    u = np.array([[c, -s], [s, c]])
+    floats = generate_group([UnitaryMatrix((u.T @ g.to_numpy() @ u).tolist()) for g in exact])
+    assert floats.order == 24 and not floats.exact
+    want = _molien_series_t24(24)
+    assert want[1:13] == [0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 2] and want[24] == 3
+    for d in range(1, 25):
+        assert trace_average_dimension(exact, d) == want[d]
+        assert trace_average_dimension(floats, d) == want[d]
+
+
 def test_brute_force_spanning_oracle(minus_identity):
     # every even monomial of degree <= 4 is a product of the three
     # degree-2 generators; check by explicit exponent bookkeeping
