@@ -7,7 +7,9 @@ for a polynomial relation
 
 by extracting the minimal singular direction of the evaluation matrix of
 monomials (features^beta * K^j), with per-column scaling to tame the
-conditioning.  Coefficients are normalized to a unit vector and the
+conditioning: the matrix is reduced to the square R of its QR
+decomposition, and inverse iteration on R finds the direction without
+a full SVD.  Coefficients are normalized to a unit vector and the
 reported residual is the max absolute value of the relation over the
 samples.  For a kernel with an exact relation at the searched degrees the
 residual sits at rounding level; "no relation found below tolerance at
@@ -407,6 +409,65 @@ class AlgebraicRelation:
         return total
 
 
+NULL_VECTOR_STEPS = 64  # inverse-iteration cap; exact relations settle in a few
+
+
+def _smallest_right_singular_vector(r: np.ndarray) -> np.ndarray:
+    """Unit x minimizing ||R x|| for a square upper-triangular R, by
+    inverse iteration x <- R^-1 R^-T x from a fixed pseudo-random start
+    (no relation is orthogonal to it by structure).
+
+    Pivots below eps * max|R_ii| are raised to that floor before R is
+    inverted, so an exactly singular R (a zero or repeated feature
+    column) still gives a null vector.  The iteration stops when ||R x||
+    stops falling, or after ``NULL_VECTOR_STEPS`` steps.
+    """
+    pivots = np.diagonal(r)
+    floor = np.finfo(float).eps * np.abs(pivots).max()
+    floored = r.copy()
+    np.fill_diagonal(floored, np.where(np.abs(pivots) < floor, floor, pivots))
+    r_inv = np.linalg.inv(floored)
+    x = np.random.default_rng(0).standard_normal(r.shape[0])
+    x /= np.linalg.norm(x)
+    best = math.inf
+    for _ in range(NULL_VECTOR_STEPS):
+        y = r_inv @ (x @ r_inv)
+        y /= np.linalg.norm(y)
+        size = np.linalg.norm(r @ y)
+        if not size < best:
+            break
+        x, best = y, size
+    return x
+
+
+def _evaluation_matrix(
+    samples: Sequence[tuple[Sequence[float], float]], feature_degree: int, k_degree: int
+) -> tuple[list[tuple[MultiIndex, int]], np.ndarray]:
+    """The keys (beta, j) and the matrix of features^beta * K^j, one row
+    per sample and one column per key."""
+    feats = np.array([list(s[0]) for s in samples], dtype=float)
+    kvals = np.array([s[1] for s in samples], dtype=float)
+    if np.allclose(kvals, 0.0):
+        raise ValueError("all kernel samples vanish")
+    betas = list(monomials_up_to_degree(feats.shape[1], feature_degree))
+    keys = [(beta, j) for j in range(k_degree + 1) for beta in betas]
+    if len(samples) < 2 * len(keys):
+        raise ValueError(
+            f"underdetermined fit: {len(samples)} samples for {len(keys)} unknowns "
+            f"(need at least {2 * len(keys)})"
+        )
+    k_powers = [kvals**j for j in range(k_degree + 1)]
+    feature_powers = [[x**e for e in range(feature_degree + 1)] for x in feats.T]
+    matrix = np.empty((len(keys), len(samples))).T  # columns contiguous
+    for column, (beta, j) in enumerate(keys):
+        col = k_powers[j]
+        for powers, e in zip(feature_powers, beta):
+            if e:
+                col = col * powers[e]
+        matrix[:, column] = col
+    return keys, matrix
+
+
 def fit_relation(
     samples: Sequence[tuple[Sequence[float], float]],
     feature_degree: int,
@@ -419,10 +480,10 @@ def fit_relation(
     Requires at least twice as many samples as unknown coefficients.
     Columns are scaled to unit norm (raw monomial matrices are badly
     conditioned at higher degree), the scaled matrix is reduced to the
-    square R of its QR decomposition, and the SVD of R gives the minimal
-    right singular direction.  That direction, unscaled and renormalized
-    to a unit coefficient vector, is returned with its max-abs residual
-    over the samples.
+    square R of its QR decomposition, and inverse iteration on R gives
+    the minimal right singular direction.  That direction, unscaled and
+    renormalized to a unit coefficient vector, is returned with its
+    max-abs residual over the samples.
 
     The residual is in the kernel's own units: unit-norm coefficients on
     unscaled monomials make it change under K -> cK (the annulus 8/2 fit
@@ -434,32 +495,12 @@ def fit_relation(
         raise ValueError("k_degree must be at least 1")
     if not samples:
         raise ValueError("no samples given")
-    feats = np.array([list(s[0]) for s in samples], dtype=float)
-    kvals = np.array([s[1] for s in samples], dtype=float)
-    if np.allclose(kvals, 0.0):
-        raise ValueError("all kernel samples vanish")
-    nfeat = feats.shape[1]
-    betas = list(monomials_up_to_degree(nfeat, feature_degree))
-    keys = [(beta, j) for j in range(k_degree + 1) for beta in betas]
-    if len(samples) < 2 * len(keys):
-        raise ValueError(
-            f"underdetermined fit: {len(samples)} samples for {len(keys)} unknowns "
-            f"(need at least {2 * len(keys)})"
-        )
-    cols = []
-    for beta, j in keys:
-        col = kvals**j
-        for axis, e in enumerate(beta):
-            if e:
-                col = col * feats[:, axis] ** e
-        cols.append(col)
-    matrix = np.column_stack(cols)
+    keys, matrix = _evaluation_matrix(samples, feature_degree, k_degree)
     scale = np.linalg.norm(matrix, axis=0)
     scale[scale == 0] = 1.0
     # the square R of a QR has the right singular vectors of the tall matrix
     r = np.linalg.qr(matrix / scale, mode="r")
-    _, _, vt = np.linalg.svd(r)
-    coeff = vt[-1] / scale
+    coeff = _smallest_right_singular_vector(r) / scale
     coeff = coeff / np.linalg.norm(coeff)
     residual = float(np.max(np.abs(matrix @ coeff)))
     coefficients = {
@@ -468,7 +509,7 @@ def fit_relation(
     return AlgebraicRelation(
         k_degree=k_degree,
         feature_degree=feature_degree,
-        nfeatures=nfeat,
+        nfeatures=len(samples[0][0]),
         coefficients=coefficients,
         residual=residual,
         feature_polys=feature_polys,

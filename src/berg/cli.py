@@ -71,7 +71,7 @@ def _parse_complex_list(text: str) -> list[complex]:
     try:
         return [complex(part.strip().replace(" ", "")) for part in text.split(",")]
     except ValueError as exc:
-        raise click.UsageError(f"cannot parse complex list {text!r}: {exc}")
+        raise InputError(f"cannot parse complex list {text!r}: {exc}")
 
 
 def _load_json(path: str):
@@ -90,9 +90,7 @@ def _load_group(data, max_order: int, source: str):
 
 def _cache_dir() -> Path:
     root = os.environ.get("BERG_CACHE_DIR")
-    path = Path(root) if root else Path.home() / ".cache" / "berg"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(root) if root else Path.home() / ".cache" / "berg"
 
 
 def _holo_from_json(data) -> HoloPolynomial:
@@ -142,7 +140,7 @@ def ball_kernel_cmd(dim, z_text, w_text):
     z = _parse_complex_list(z_text)
     w = _parse_complex_list(w_text)
     if len(z) != dim or len(w) != dim:
-        raise click.UsageError("coordinate count must match --dim")
+        raise InputError("coordinate count must match --dim")
     try:
         value = to_complex(ball_kernel(dim, z, w))
     except SingularKernelError as exc:
@@ -231,6 +229,7 @@ def basic_map_cmd(group_file, syzygy_degree, max_order, no_cache):
     text = json.dumps(payload, sort_keys=True)
     if not no_cache:
         # a reader never sees a partly written entry
+        cache_file.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_file.parent, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text + "\n")
@@ -282,7 +281,7 @@ def omega_kernel_cmd(z_text, lam_text, w_text, tau_text, series_m):
     w = _parse_complex_list(w_text) if w_text else z
     tau = _parse_complex_list(tau_text)[0] if tau_text else lam
     if len(z) != 2 or len(w) != 2:
-        raise click.UsageError("--z/--w need exactly two components")
+        raise InputError("--z/--w need exactly two components")
     try:
         if series_m > 0:
             result = kernel_series(z, lam, w, tau, truncation=series_m)

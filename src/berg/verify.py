@@ -10,9 +10,10 @@ Sampling.  Disk, balls and the annulus are rejection-sampled from
 bounding boxes.  The unbounded Hartogs domain is sampled exactly: the
 fiber disk in lambda is sampled uniformly (its area is known per base
 point) and each base radius r_i = |z_i|^2 is drawn from the heavy-tailed
-density (1+r)^-2 by inverse CDF, giving an unbiased estimator with no
-domain truncation and bounded weights for every square-integrable fiber
-monomial.
+density (1+r)^-2, giving an unbiased estimator with no domain truncation
+and bounded weights for every square-integrable fiber monomial.  All
+three coordinates are maps of uniform disk points drawn by rejection, so
+the sampler needs no trigonometry.
 """
 
 from __future__ import annotations
@@ -102,13 +103,14 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 # samplers: (points array of shape (N, k), inverse density weights)
 #
-# Each sampler draws its whole RNG stream first, in the order and sizes of
-# a whole-array map, then maps the uniforms to points and weights one block
-# at a time: the temporaries stay block-sized and every value is the one
-# the whole-array map gives.
+# The box sampler draws its whole RNG stream first, in the order and sizes
+# of a whole-array map, then maps the uniforms one block at a time, so
+# every value is the one the whole-array map gives.  The Hartogs sampler
+# draws block by block: its stream, and so its points, depend on BLOCK.
 # ---------------------------------------------------------------------------
 
 BLOCK = 1 << 16  # points mapped, and integrands evaluated, per block
+RADIUS_SQ_CAP = 1.0 - 1e-12  # keeps the Hartogs weights finite
 
 
 def _blocks(count: int):
@@ -125,7 +127,32 @@ def _sample_box_domain(rng, count: int, n: int, keep) -> tuple[np.ndarray, np.nd
     return z, inv
 
 
+def _unit_disk_points(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` uniform points p of the open unit disk and their |p|^2,
+    by rejection from the square [-1, 1]^2; accepted candidates keep
+    their draw order."""
+    points, modsq, filled = [], [], 0
+    while filled < count:
+        need = count - filled
+        # pi/4 of the candidates land in the disk; the margin makes a
+        # second round rare
+        cand = rng.uniform(-1.0, 1.0, 2 * (need + need // 3 + 64))
+        square = cand * cand
+        sq = square[0::2] + square[1::2]
+        keep = np.flatnonzero(sq < 1.0)[:need]
+        points.append(cand.view(complex).take(keep))
+        modsq.append(sq.take(keep))
+        filled += len(keep)
+    if len(points) == 1:
+        return points[0], modsq[0]
+    return np.concatenate(points), np.concatenate(modsq)
+
+
 def _sample_omega(rng, count: int, spec: HartogsDomainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """z_1, z_2 and lambda each come from a uniform point p of the unit
+    disk: z_i = p_i / sqrt(1 - |p_i|^2), so r_i = |z_i|^2 has density
+    (1+r)^-2 and a uniform argument, and lambda = p_3 / sqrt(h) is
+    uniform on its fiber disk {|lambda|^2 < 1/h}."""
     if spec.base_dim != 2:
         raise ValueError("Hartogs sampler implemented for two base variables")
     if spec.omega_standard:
@@ -134,22 +161,20 @@ def _sample_omega(rng, count: int, spec: HartogsDomainSpec) -> tuple[np.ndarray,
         from .hartogs import _radialize_weight
 
         radial, _ = _radialize_weight(spec.weight)
-    uniform = rng.uniform(0.0, 1.0, (count, 2))
-    theta = rng.uniform(0.0, 2.0 * math.pi, (count, 2))
-    s = rng.uniform(0.0, 1.0, count)
-    phi = rng.uniform(0.0, 2.0 * math.pi, count)
     points = np.empty((count, 3), dtype=complex)
     inv = np.empty(count)
     for b in _blocks(count):
-        u = np.clip(uniform[b], 1e-12, 1.0 - 1e-12)
-        r = u / (1.0 - u)
-        points[b, :2] = np.sqrt(r) * np.exp(1j * theta[b])
-        if radial is None:
-            h = (1.0 + r[:, 0]) * (1.0 + r[:, 1])
-        else:
-            h = radial([r[:, 0], r[:, 1]])
-        points[b, 2] = np.sqrt(s[b] / h) * np.exp(1j * phi[b])
-        inv[b] = math.pi**3 * (1.0 + r[:, 0]) ** 2 * (1.0 + r[:, 1]) ** 2 / h
+        m = b.stop - b.start
+        # one disk draw per coordinate keeps the temporaries small
+        (p1, q1), (p2, q2), (p3, _) = (_unit_disk_points(rng, m) for _ in range(3))
+        q1, q2 = np.minimum(q1, RADIUS_SQ_CAP), np.minimum(q2, RADIUS_SQ_CAP)
+        grow1, grow2 = 1.0 / (1.0 - q1), 1.0 / (1.0 - q2)  # 1 + r_i
+        np.multiply(p1, np.sqrt(grow1), out=points[b, 0])
+        np.multiply(p2, np.sqrt(grow2), out=points[b, 1])
+        growth = grow1 * grow2
+        h = growth if radial is None else radial([q1 * grow1, q2 * grow2])
+        np.divide(p3, np.sqrt(h), out=points[b, 2])
+        inv[b] = math.pi**3 * growth * (growth / h)
     return points, inv
 
 
@@ -205,6 +230,17 @@ def integrate(
     return out if several else out[0]
 
 
+def _fiber_monomial(pts: np.ndarray, m: int, alpha: Sequence[int]) -> np.ndarray:
+    """lambda^m z_1^a z_2^b at each (z_1, z_2, lambda) row of ``pts``,
+    with no power taken for a zero exponent."""
+    value = None
+    for column, e in ((2, m), (0, alpha[0]), (1, alpha[1])):
+        if e:
+            power = pts[:, column] ** e
+            value = power if value is None else value * power
+    return np.ones(len(pts), dtype=complex) if value is None else value
+
+
 def _stochastic_pass(estimate: complex, stderr: float, target: complex, scale: float) -> bool:
     return abs(estimate - target) <= 3.0 * stderr and stderr <= STDERR_REL_CAP * scale
 
@@ -252,9 +288,8 @@ def check_reproducing(
         lam_y = complex(z0[2])
 
         def integrand(pts):
-            x1, x2, lam_x = pts[:, 0], pts[:, 1], pts[:, 2]
-            fx = lam_x**m * x1 ** alpha[0] * x2 ** alpha[1]
-            return FORM_FACTOR_C3 * omega_closed_kernel(zy, lam_y, (x1, x2), lam_x) * fx
+            kernel = omega_closed_kernel(zy, lam_y, (pts[:, 0], pts[:, 1]), pts[:, 2])
+            return FORM_FACTOR_C3 * kernel * _fiber_monomial(pts, m, alpha)
 
         target = lam_y**m * zy[0] ** alpha[0] * zy[1] ** alpha[1]
         name = f"reproducing:omega:lam^{m}z^{alpha}"
@@ -304,10 +339,8 @@ def _orthogonality_reports(
         scales.append(math.sqrt(to_complex(n1).real * to_complex(n2).real))
 
         def integrand(pts, m1=m1, a1=a1, m2=m2, a2=a2):
-            x1, x2, lam = pts[:, 0], pts[:, 1], pts[:, 2]
-            f = lam**m1 * x1 ** a1[0] * x2 ** a1[1]
-            g = lam**m2 * x1 ** a2[0] * x2 ** a2[1]
-            return FORM_FACTOR_C3 * f * np.conj(g)
+            f = _fiber_monomial(pts, m1, a1)
+            return FORM_FACTOR_C3 * f * np.conj(_fiber_monomial(pts, m2, a2))
 
         integrands.append(integrand)
     results = integrate(spec, integrands)

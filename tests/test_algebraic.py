@@ -5,6 +5,7 @@ import pytest
 
 from berg.algebraic import (
     AlgebraicRelation,
+    _evaluation_matrix,
     annulus_surface,
     annulus_kernel,
     ball2_surface,
@@ -23,7 +24,7 @@ from berg.algebraic import (
 )
 from berg.ball import ball_kernel
 from berg.hartogs import omega_closed_kernel, u_kernel
-from berg.polynomials import MultiIndex
+from berg.polynomials import MultiIndex, monomials_up_to_degree
 from berg.scalars import to_complex
 
 
@@ -216,6 +217,55 @@ def test_fit_constant_surface():
     a1 = relation.eval_coefficient(1, (0.0,))
     a0 = relation.eval_coefficient(0, (0.0,))
     assert a0 / a1 == pytest.approx(-c, rel=1e-12)
+
+
+EPS = np.finfo(float).eps
+BENCH_FIT_SEED, BENCH_CONTROL_SEED = 506456969, 2127877499  # perfbench verify-suites, seed 1
+
+
+@pytest.mark.parametrize(
+    "make, feature_degree, k_degree, seed",
+    [
+        (disk_surface, 4, 1, 3),
+        (ball2_surface, 6, 1, 5),
+        (u_surface, 8, 1, 5),
+        (omega_diagonal_surface, 12, 1, BENCH_FIT_SEED),
+        (omega_diagonal_surface, 12, 1, 106),
+        (annulus_surface, 8, 2, 106),
+        (annulus_surface, 8, 2, BENCH_CONTROL_SEED),
+        (lambda: annulus_surface(truncation=1), 8, 2, 106),
+    ],
+    ids=["disk", "ball2", "u", "omega-bench", "omega-106", "annulus-106", "annulus-bench", "twin"],
+)
+def test_fit_direction_is_the_smallest_singular_direction(make, feature_degree, k_degree, seed):
+    # the fitted unit direction x of the column-scaled matrix A = QR meets
+    # ||R x|| = ||A x|| <= sigma_min up to rounding, checked by a full SVD
+    surface = make()
+    betas = sum(1 for _ in monomials_up_to_degree(len(surface.feature_polys), feature_degree))
+    samples = surface.samples(2 * betas * (k_degree + 1), seed=seed)
+    relation = fit_relation(samples, feature_degree, k_degree)
+    keys, matrix = _evaluation_matrix(samples, feature_degree, k_degree)
+    scale = np.linalg.norm(matrix, axis=0)
+    scale[scale == 0] = 1.0
+    x = np.array([relation.coefficients.get(key, 0.0) for key in keys]) * scale
+    x /= np.linalg.norm(x)
+    scaled = matrix / scale
+    sigma = np.linalg.svd(scaled, compute_uv=False)
+    assert np.linalg.norm(scaled @ x) <= (1 + 1e-6) * sigma[-1] + 8 * EPS * sigma[0]
+
+
+def _with_degenerate_feature(kind):
+    # annulus samples have no relation at degree (3, 1) (residual ~0.7);
+    # the extra feature makes some columns vanish or repeat
+    samples = annulus_surface().samples(200, seed=4)
+    extra = {"zero": lambda x: 0.0, "duplicate": lambda x: x}[kind]
+    return [((x, y, extra(x)), k) for (x, y), k in samples]
+
+
+@pytest.mark.parametrize("kind", ["zero", "duplicate"])
+def test_fit_finds_the_null_vector_of_a_degenerate_feature(kind):
+    assert fit_relation(annulus_surface().samples(200, seed=4), 3, 1).residual > 0.1
+    assert fit_relation(_with_degenerate_feature(kind), 3, 1).residual <= 1e-12
 
 
 def test_fit_rescaling_invariance():

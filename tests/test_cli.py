@@ -87,6 +87,16 @@ def test_basic_map_cmd_with_cache(runner, tmp_path, monkeypatch):
     assert out1 == out2
 
 
+def test_basic_map_without_cache_leaves_no_cache_directory(runner, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("BERG_CACHE_DIR", str(cache))
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(GENS_MINUS))
+    data = json.loads(_invoke(runner, ["basic-map", "--group", str(path), "--no-cache"]))
+    assert data["degrees"] == [2, 2, 2]
+    assert not cache.exists()
+
+
 def test_basic_map_checks_exactness_before_the_cache(runner, tmp_path, monkeypatch):
     monkeypatch.setenv("BERG_CACHE_DIR", str(tmp_path))
     gens = [[[[0.0, 1.0], [0, 0]], [[0, 0], [0.0, 1.0]]]]
@@ -161,8 +171,18 @@ def test_group_input_errors_exit_2(runner, tmp_path, command, gens, extra):
         ["ball-kernel", "--dim", "1", "--z", "1", "--w", "1"],
         ["omega-kernel", "--z", "0,0", "--lambda", "1"],
         ["omega-kernel", "--z", "0,0", "--lambda", "2", "--series", "5"],
+        ["ball-kernel", "--dim", "2", "--z", "x,0", "--w", "0,0"],
+        ["ball-kernel", "--dim", "2", "--z", "0", "--w", "0,0"],
+        ["omega-kernel", "--z", "0", "--lambda", "0.1"],
     ],
-    ids=["singular-ball", "boundary-contact", "divergent-series"],
+    ids=[
+        "singular-ball",
+        "boundary-contact",
+        "divergent-series",
+        "unparsable-coordinate",
+        "ball-wrong-dimension",
+        "omega-wrong-dimension",
+    ],
 )
 def test_kernel_evaluation_errors_exit_2(runner, args):
     _one_line_usage_error(runner.invoke(main, args))

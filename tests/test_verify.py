@@ -239,3 +239,65 @@ def test_suite_orthogonality_equals_standalone_checks():
         check_orthogonality((1, (0, 0)), (2, (1, 0)), spec),
     ]
     assert [r.to_json() for r in suite] == [r.to_json() for r in alone]
+
+
+def _uniform_bins_close(values, low, high, bins=20, rel=0.06):
+    counts, _ = np.histogram(values, bins=bins, range=(low, high))
+    expected = len(values) / bins
+    return counts.sum() == len(values) and np.all(np.abs(counts - expected) <= rel * expected)
+
+
+@pytest.mark.parametrize("squared_weight", [False, True], ids=["standard", "radial"])
+def test_omega_sampler_law(squared_weight):
+    # u_i = r_i / (1 + r_i) and |lambda|^2 h are uniform on [0, 1], every
+    # argument is uniform, and the weight is pi^3 (1+r_1)^2 (1+r_2)^2 / h
+    weight = standard_omega_weight()
+    hspec = HartogsDomainSpec(base_dim=2, weight=weight * weight) if squared_weight else None
+    spec = IntegrationSpec("hartogs", 200_000, seed=21, hartogs=hspec)
+    points, inv = _draw(spec, np.random.default_rng(spec.seed), spec.n_samples)
+    r = np.abs(points[:, :2]) ** 2
+    growth = (1.0 + r[:, 0]) * (1.0 + r[:, 1])
+    h = growth**2 if squared_weight else growth
+    for u in (r[:, 0] / (1.0 + r[:, 0]), r[:, 1] / (1.0 + r[:, 1]), np.abs(points[:, 2]) ** 2 * h):
+        assert _uniform_bins_close(u, 0.0, 1.0)
+    for column in range(3):
+        assert _uniform_bins_close(np.angle(points[:, column]), -math.pi, math.pi)
+    np.testing.assert_allclose(inv, math.pi**3 * growth**2 / h, rtol=1e-12)
+
+
+@pytest.mark.parametrize("domain", ["disk", "omega"])
+@pytest.mark.parametrize("count", [1, BLOCK, 3 * BLOCK + 17])
+def test_draw_count_and_byte_replay(domain, count):
+    spec = IntegrationSpec(domain, count)
+    for seed in (0, 1, 2):
+        first = _draw(spec, np.random.default_rng(seed), count)
+        again = _draw(spec, np.random.default_rng(seed), count)
+        assert first[0].shape == (count, 3 if domain == "omega" else 1)
+        assert first[1].shape == (count,)
+        assert [a.tobytes() for a in first] == [a.tobytes() for a in again]
+
+
+def test_disk_points_keep_draw_order_across_rounds():
+    # a first round with every candidate outside the disk forces a second
+    class FirstRoundOutside:
+        def __init__(self, seed):
+            self.rng, self.drawn = np.random.default_rng(seed), []
+
+        def uniform(self, low, high, size):
+            first = not self.drawn
+            self.drawn.append(np.full(size, 0.9) if first else self.rng.uniform(low, high, size))
+            return self.drawn[-1]
+
+    stub = FirstRoundOutside(8)
+    points, modsq = verify._unit_disk_points(stub, 1000)
+    assert len(stub.drawn) == 2
+    cand = stub.drawn[1].view(complex)
+    assert np.array_equal(points, cand[np.abs(cand) < 1.0][:1000])
+    np.testing.assert_allclose(modsq, np.abs(points) ** 2, rtol=1e-15)
+
+
+@pytest.mark.parametrize("m, alpha", [(0, (0, 0)), (1, (0, 0)), (2, (1, 0)), (0, (2, 3)), (3, (1, 2))])
+def test_fiber_monomial(m, alpha):
+    pts = np.random.default_rng(9).normal(size=(50, 6)).view(complex)
+    want = pts[:, 2] ** m * pts[:, 0] ** alpha[0] * pts[:, 1] ** alpha[1]
+    np.testing.assert_allclose(verify._fiber_monomial(pts, m, alpha), want, rtol=1e-14)
