@@ -172,7 +172,8 @@ class UnitaryMatrix:
         )
 
     def to_exact_complex(self) -> list[list[ExactComplex]]:
-        """Entries as Gaussian rationals; requires a field inside Q(i)."""
+        """Entries as Gaussian rationals; raises ValueError unless every
+        entry lies in Q(i), whichever field it is written in."""
         out = []
         for row in self.entries:
             new = []

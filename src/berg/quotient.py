@@ -64,7 +64,11 @@ def _deck_sum(group: FiniteUnitaryGroup, n: int, z: Sequence, w: Sequence, dual:
     moved = w if dual else z
     total = ExactComplex(0)
     for m, det in gaussian:
-        gv = [sum((m[i][j] * moved[j] for j in range(n)), start=ExactComplex(0)) for i in range(n)]
+        # zero entries are skipped: diagonal groups move each coordinate once
+        gv = [
+            sum((e * x for e, x in zip(row, moved) if not e.is_zero), start=ExactComplex(0))
+            for row in m
+        ]
         total += ball_kernel(n, z, gv) * conj_scalar(det) if dual else ball_kernel(n, gv, w) * det
     return total
 

@@ -1,7 +1,12 @@
 """Exact complex scalars: Gaussian rationals carrying a symbolic power of pi.
 
 Every exact quantity in this package is a number of the form
-``(a + b*i) * pi**k`` with ``a, b`` rational and ``k`` an integer.  Keeping
+``(a + b*i) / d * pi**k`` with integers ``a, b``, a positive integer ``d``
+and an integer ``k``.  Each value is stored that way, reduced so that
+``gcd(a, b, d) == 1`` (one ``math.gcd`` per result, as ``Cyclotomic`` does;
+see Cohen, GTM 138, section 4.2), which makes every operation a few
+integer products: a quotient multiplies by the conjugate and divides by
+the norm.  ``re`` and ``im`` read the parts back as ``Fraction``.  Keeping
 pi symbolic lets weighted norms, kernel constants, and isometry identities
 evaluate to exact rationals times a pi power instead of floats.
 
@@ -30,167 +35,225 @@ class PiGradeError(ArithmeticError):
     """Raised when adding exact scalars with different powers of pi."""
 
 
-def _as_fraction(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int, k: int) -> "ExactComplex":
+    """(a + b i) / d * pi^k from integers already reduced, with d > 0."""
+    x = _new(ExactComplex)
+    x._a, x._b, x._d, x._k = a, b, d, k
+    return x
+
+
+def _reduced(a: int, b: int, d: int, k: int) -> "ExactComplex":
+    """(a + b i) / d * pi^k for integers with d > 0, reduced by one gcd."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _make(a, b, d, k if a or b else 0)
 
 
 class ExactComplex:
-    """A Gaussian rational times an integer power of pi.
+    """A Gaussian rational times an integer power of pi: (a + b i)/d * pi^k.
 
-    Closed under +, -, * and division by nonzero values.  Zero is
-    normalized to pi-power 0 so that it is the additive identity for
-    every grade.
+    Closed under +, -, * and division by nonzero values.  The integers
+    ``_a, _b, _d`` share no common factor and ``_d > 0``; zero is
+    normalized to ``0/1`` at pi-power 0 so that it is the additive identity
+    for every grade.  The stored fields are private; ``re``, ``im`` and
+    ``pi_pow`` are read-only.
     """
 
-    __slots__ = ("re", "im", "pi_pow")
+    __slots__ = ("_a", "_b", "_d", "_k")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0, pi_pow: int = 0):
-        re = _as_fraction(re)
-        im = _as_fraction(im)
-        if re == 0 and im == 0:
-            pi_pow = 0
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-        object.__setattr__(self, "pi_pow", pi_pow)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("ExactComplex is immutable")
+        if not isinstance(pi_pow, int):
+            raise TypeError(f"pi power must be an int, got {type(pi_pow).__name__}")
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+                kinds = f"{type(re).__name__}, {type(im).__name__}"
+                raise TypeError(f"expected int or Fraction parts, got {kinds}")
+            p, q = re.denominator, im.denominator
+            # both parts are in lowest terms, so gcd(a, b, lcm(p, q)) == 1
+            d = math.lcm(p, q)
+            a, b = re.numerator * (d // p), im.numerator * (d // q)
+        self._a, self._b, self._d = a, b, d
+        self._k = pi_pow if a or b else 0
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def coerce(x: "ExactComplex | RationalLike") -> "ExactComplex":
-        if isinstance(x, ExactComplex):
-            return x
-        return ExactComplex(_as_fraction(x))
+        o = _coerce(x)
+        if o is None:
+            raise TypeError(f"expected int, Fraction or ExactComplex, got {type(x).__name__}")
+        return o
 
-    # -- predicates ----------------------------------------------------
+    @staticmethod
+    def from_integers(a: int, b: int, d: int, pi_pow: int = 0) -> "ExactComplex":
+        """(a + b i) / d * pi^pi_pow for integers a, b and d > 0."""
+        if d <= 0:
+            raise ValueError("the denominator must be positive")
+        return _reduced(a, b, d, pi_pow)
+
+    # -- parts -----------------------------------------------------------
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    @property
+    def pi_pow(self) -> int:
+        return self._k
+
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):
-        try:
-            other = ExactComplex.coerce(other)
-        except TypeError:
+        o = _coerce(other)
+        if o is None:
             return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.pi_pow != other.pi_pow:
-            raise PiGradeError(
-                f"cannot add pi^{self.pi_pow} and pi^{other.pi_pow} terms exactly"
-            )
-        return ExactComplex(self.re + other.re, self.im + other.im, self.pi_pow)
+        return _add(self, o._a, o._b, o._d, o._k)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactComplex(-self.re, -self.im, self.pi_pow)
+        return _make(-self._a, -self._b, self._d, self._k)
 
     def __sub__(self, other):
-        try:
-            other = ExactComplex.coerce(other)
-        except TypeError:
+        o = _coerce(other)
+        if o is None:
             return NotImplemented
-        return self + (-other)
+        return _add(self, -o._a, -o._b, o._d, o._k)
 
     def __rsub__(self, other):
-        try:
-            other = ExactComplex.coerce(other)
-        except TypeError:
+        o = _coerce(other)
+        if o is None:
             return NotImplemented
-        return other + (-self)
+        return _add(o, -self._a, -self._b, self._d, self._k)
 
     def __mul__(self, other):
-        try:
-            other = ExactComplex.coerce(other)
-        except TypeError:
+        o = _coerce(other)
+        if o is None:
             return NotImplemented
-        return ExactComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-            self.pi_pow + other.pi_pow,
-        )
+        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * o._d, self._k + o._k)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        try:
-            other = ExactComplex.coerce(other)
-        except TypeError:
+        o = _coerce(other)
+        if o is None:
             return NotImplemented
-        if other.is_zero:
+        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        norm = a2 * a2 + b2 * b2
+        if not norm:
             raise ZeroDivisionError("division by exact zero")
-        den = other.re * other.re + other.im * other.im
-        return ExactComplex(
-            (self.re * other.re + self.im * other.im) / den,
-            (self.im * other.re - self.re * other.im) / den,
-            self.pi_pow - other.pi_pow,
+        d2 = o._d
+        return _reduced(
+            (a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * norm, self._k - o._k
         )
 
     def __rtruediv__(self, other):
-        try:
-            other = ExactComplex.coerce(other)
-        except TypeError:
+        o = _coerce(other)
+        if o is None:
             return NotImplemented
-        return other / self
+        return o / self
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
+        a, b, d, k = self._a, self._b, self._d, self._k
         if n < 0:
-            return (ExactComplex(1) / self) ** (-n)
-        out = ExactComplex(1)
-        base = self
+            norm = a * a + b * b
+            if not norm:
+                raise ZeroDivisionError("division by exact zero")
+            a, b, d, k, n = a * d, -b * d, norm, -k, -n
+        # square and multiply on the integers, reduced once at the end
+        ra, rb, rd = 1, 0, 1
+        k *= n
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                ra, rb, rd = ra * a - rb * b, ra * b + rb * a, rd * d
             n >>= 1
-        return out
+            if n:
+                a, b, d = a * a - b * b, 2 * a * b, d * d
+        return _reduced(ra, rb, rd, k)
 
     def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im, self.pi_pow)
+        return _make(self._a, -self._b, self._d, self._k)
 
     def abs_squared(self) -> "ExactComplex":
-        return ExactComplex(self.re * self.re + self.im * self.im, 0, 2 * self.pi_pow)
+        a, b, d = self._a, self._b, self._d
+        return _reduced(a * a + b * b, 0, d * d, 2 * self._k)
 
     # -- comparisons / conversion ---------------------------------------
     def __eq__(self, other):
+        if isinstance(other, ExactComplex):
+            # values are reduced, so the fields determine the value
+            return (self._a, self._b, self._d, self._k) == (other._a, other._b, other._d, other._k)
         if isinstance(other, (int, Fraction)):
-            other = ExactComplex(other)
-        if not isinstance(other, ExactComplex):
-            return NotImplemented
-        # zero is normalized to pi-power 0, so the fields determine the value
-        return (self.re, self.im, self.pi_pow) == (other.re, other.im, other.pi_pow)
+            rational = (other.numerator, other.denominator)
+            return not (self._b or self._k) and (self._a, self._d) == rational
+        if isinstance(other, Cyclotomic):
+            if self._k:
+                return False
+            try:
+                return self == other.to_exact_complex()
+            except ValueError:  # not a Gaussian rational
+                return False
+        return NotImplemented
 
     def __hash__(self):
-        if self.im == 0 and self.pi_pow == 0:
-            return hash(self.re)  # equal to the int or Fraction of that value
-        return hash((self.re, self.im, self.pi_pow))
+        if not self._k:
+            # the real part, as int, Fraction and Cyclotomic (its normalized
+            # trace) hash a value of Q(i)
+            return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d, self._k))
 
     def to_complex(self) -> complex:
-        scale = math.pi ** self.pi_pow
-        return complex(float(self.re) * scale, float(self.im) * scale)
+        # int true division rounds correctly, as float(Fraction) does
+        scale = math.pi ** self._k
+        return complex(self._a / self._d * scale, self._b / self._d * scale)
 
     def __complex__(self) -> complex:
         return self.to_complex()
 
     def __repr__(self) -> str:
-        body = f"{self.re}" if self.im == 0 else f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
-        if self.pi_pow == 0:
+        re, im = self.re, self.im
+        body = f"{re}" if im == 0 else f"({re}{'+' if im >= 0 else ''}{im}i)"
+        if self._k == 0:
             return body
-        return f"{body}*pi^{self.pi_pow}"
+        return f"{body}*pi^{self._k}"
 
 
-EXACT_ZERO = ExactComplex(0)
-EXACT_ONE = ExactComplex(1)
+def _add(x: ExactComplex, a: int, b: int, d: int, k: int) -> ExactComplex:
+    """x + (a + b i) / d * pi^k for a reduced right-hand side."""
+    if not (a or b):
+        return x
+    if not (x._a or x._b):
+        return _make(a, b, d, k)
+    if x._k != k:
+        raise PiGradeError(f"cannot add pi^{x._k} and pi^{k} terms exactly")
+    if x._d == d:
+        return _reduced(x._a + a, x._b + b, d, k)
+    return _reduced(x._a * d + a * x._d, x._b * d + b * x._d, x._d * d, k)
+
+
+def _coerce(x) -> ExactComplex | None:
+    """x as an ExactComplex, or None when it is not a Gaussian rational kind."""
+    if isinstance(x, ExactComplex):
+        return x
+    if type(x) is int:
+        return _make(x, 0, 1, 0)
+    if isinstance(x, (int, Fraction)):
+        return ExactComplex(x)
+    return None
 
 
 def exact(re: RationalLike = 0, im: RationalLike = 0, pi_pow: int = 0) -> ExactComplex:

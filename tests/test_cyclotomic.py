@@ -130,6 +130,18 @@ def test_gaussian_export():
         root_of_unity(3).to_exact_complex()
 
 
+def test_gaussian_export_is_decided_by_value():
+    i = root_of_unity(4).to_exact_complex()
+    assert root_of_unity(8, 2).to_exact_complex() == i
+    assert root_of_unity(12, 3).to_exact_complex() == i
+    assert CyclotomicField(20).root(15).to_exact_complex() == i.conjugate()
+    half = CyclotomicField(6).element([Fraction(1, 3), Fraction(1, 2)])  # 1/3 + zeta_6 / 2
+    assert (half + half.conjugate()).to_exact_complex() == Fraction(7, 6)
+    for x in (root_of_unity(8), root_of_unity(3), root_of_unity(12), half):
+        with pytest.raises(ValueError):
+            x.to_exact_complex()
+
+
 small_elements = st.builds(
     lambda a, b: CyclotomicField(6).element([a, b]),
     st.fractions(min_value=-3, max_value=3, max_denominator=6),

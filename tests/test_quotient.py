@@ -292,6 +292,52 @@ def test_exact_deck_sums_equal_a_per_element_reference():
     assert got == got_dual
 
 
+GAUSSIAN_PAIRS = [
+    ((Fraction(1, 4), Fraction(-1, 8), Fraction(1, 5), 0), (Fraction(-1, 3), Fraction(1, 7), 0, Fraction(1, 6))),
+    ((Fraction(11, 64), Fraction(-5, 64), Fraction(-17, 64), Fraction(3, 64)),
+     (Fraction(-9, 64), Fraction(20, 64), Fraction(1, 64), Fraction(-22, 64))),
+    ((Fraction(1, 2), 0, 0, Fraction(1, 3)), (Fraction(-2, 5), Fraction(1, 5), Fraction(1, 10), 0)),
+]
+
+
+def _gaussian_point(parts):
+    return (ExactComplex(parts[0], parts[1]), ExactComplex(parts[2], parts[3]))
+
+
+@pytest.mark.parametrize("pair", GAUSSIAN_PAIRS)
+def test_exact_scalar_i_sums_and_pushforwards_equal_a_per_element_reference(pair):
+    """The cover of i*I: g = i^k I, det g = (-1)^k, K(u) = 2 pi^-2 (1 - u)^-3
+    and the chart (z1^4, z1^3 z2) with Jacobian 4 z1^6."""
+    cover = scalar_rotation_cover()
+    z, w = (_gaussian_point(p) for p in pair)
+    assert [repr(p) for p in cover.chart_components()] == ["(1)*z1^4", "(1)*z1^3*z2"]
+    inner = z[0] * w[0].conjugate() + z[1] * w[1].conjugate()
+    ref = ExactComplex(0)
+    for k in range(4):
+        ref = ref + ExactComplex(2 * (-1) ** k, 0, -2) / (1 - ExactComplex(0, 1) ** k * inner) ** 3
+    jacobian = (4 * z[0] ** 6) * (4 * w[0] ** 6).conjugate()
+    for deck in (deck_sum_kernel(cover.group, 2, z, w), dual_deck_sum_kernel(cover.group, 2, z, w)):
+        assert isinstance(deck, ExactComplex) and deck == ref
+    push = pushforward_kernel(cover, z, w)
+    assert isinstance(push, ExactComplex) and push == ref / jacobian
+
+
+def test_exact_deck_sums_do_not_depend_on_the_field_the_group_is_written_in():
+    gauss = generate_group([UnitaryMatrix.scalar(2, CyclotomicField(4).root(1))])
+    eighth = generate_group([UnitaryMatrix.scalar(2, CyclotomicField(8).root(2))])
+    assert gauss.order == eighth.order == 4 and eighth.gaussian_stack is not None
+    for pair in GAUSSIAN_PAIRS:
+        z, w = (_gaussian_point(p) for p in pair)
+        for fn in (deck_sum_kernel, dual_deck_sum_kernel):
+            got = fn(eighth, 2, z, w)
+            assert isinstance(got, ExactComplex) and got == fn(gauss, 2, z, w)
+    # zeta_8 I does not act on Gaussian rationals, so its sums stay float
+    rotation = generate_group([UnitaryMatrix.scalar(2, root_of_unity(8))])
+    assert rotation.gaussian_stack is None
+    z, w = (_gaussian_point(p) for p in GAUSSIAN_PAIRS[0])
+    assert type(deck_sum_kernel(rotation, 2, z, w)) is complex
+
+
 def test_deck_sum_at_boundary_contact_raises():
     contact = (0.6, 0.8)
     for fn in (deck_sum_kernel, dual_deck_sum_kernel):

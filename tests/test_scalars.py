@@ -7,6 +7,141 @@ from hypothesis import given, strategies as st
 from berg.cyclotomic import CyclotomicField, root_of_unity
 from berg.scalars import ExactComplex, PiGradeError, exact, to_complex
 
+
+# -- reference arithmetic: a Gaussian rational as two Fractions ---------------
+
+class RefComplex:
+    """(re + im i) * pi^pi_pow on two Fractions, zero at pi-power 0."""
+
+    def __init__(self, re, im=0, pi_pow=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+        self.pi_pow = pi_pow if self.re or self.im else 0
+
+    @property
+    def is_zero(self):
+        return self.re == 0 and self.im == 0
+
+    def __add__(self, o):
+        if self.is_zero:
+            return o
+        if o.is_zero:
+            return self
+        if self.pi_pow != o.pi_pow:
+            raise PiGradeError("mixed grades")
+        return RefComplex(self.re + o.re, self.im + o.im, self.pi_pow)
+
+    def __neg__(self):
+        return RefComplex(-self.re, -self.im, self.pi_pow)
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __mul__(self, o):
+        return RefComplex(
+            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re, self.pi_pow + o.pi_pow
+        )
+
+    def __truediv__(self, o):
+        if o.is_zero:
+            raise ZeroDivisionError("division by exact zero")
+        den = o.re * o.re + o.im * o.im
+        return RefComplex(
+            (self.re * o.re + self.im * o.im) / den,
+            (self.im * o.re - self.re * o.im) / den,
+            self.pi_pow - o.pi_pow,
+        )
+
+    def __pow__(self, n):
+        if n < 0:
+            return (RefComplex(1) / self) ** -n
+        out = RefComplex(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def conjugate(self):
+        return RefComplex(self.re, -self.im, self.pi_pow)
+
+    def abs_squared(self):
+        return RefComplex(self.re * self.re + self.im * self.im, 0, 2 * self.pi_pow)
+
+    def to_complex(self):
+        scale = math.pi**self.pi_pow
+        return complex(float(self.re) * scale, float(self.im) * scale)
+
+    def __repr__(self):
+        body = f"{self.re}" if self.im == 0 else f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
+        return body if self.pi_pow == 0 else f"{body}*pi^{self.pi_pow}"
+
+
+def _fields(x):
+    return (x.re, x.im, x.pi_pow)
+
+
+def _bits(z: complex):
+    return (z.real.hex(), z.imag.hex())
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except (ZeroDivisionError, PiGradeError) as err:
+        return type(err)
+
+
+wide_rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
+gaussian_pairs = st.tuples(
+    st.one_of(wide_rationals, st.integers(-5, 5).map(Fraction)),
+    st.one_of(wide_rationals, st.just(Fraction(0))),
+    st.integers(min_value=-1, max_value=1),
+)
+
+
+@given(gaussian_pairs, gaussian_pairs)
+def test_integer_representation_matches_the_fraction_reference(p, q):
+    x, y = ExactComplex(*p), ExactComplex(*q)
+    rx, ry = RefComplex(*p), RefComplex(*q)
+    for op in (
+        lambda u, v: u + v,
+        lambda u, v: u - v,
+        lambda u, v: u * v,
+        lambda u, v: u / v,
+    ):
+        got, want = _outcome(op, x, y), _outcome(op, rx, ry)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert _fields(got) == _fields(want)
+    for n in range(-4, 5):
+        got, want = _outcome(pow, x, n), _outcome(pow, rx, n)
+        assert got is want if isinstance(want, type) else _fields(got) == _fields(want)
+    assert _fields(x.conjugate()) == _fields(rx.conjugate())
+    assert _fields(x.abs_squared()) == _fields(rx.abs_squared())
+    assert _fields(x) == _fields(rx)
+    assert repr(x) == repr(rx)
+    assert _bits(x.to_complex()) == _bits(rx.to_complex())
+    # grade 0 hashes as its real part; equal values built another way hash equal
+    if x.pi_pow == 0:
+        assert hash(x) == hash(rx.re)
+    assert hash(x) == hash(ExactComplex(rx.re, rx.im, rx.pi_pow)) == hash(x.conjugate().conjugate())
+    # zero drops its pi grade
+    zero = x - x
+    assert zero == ExactComplex(0) and zero.pi_pow == 0 and (x * 0).pi_pow == 0
+
+
+def test_constructor_accepts_ints_and_fractions_only():
+    assert ExactComplex(3) == 3 and ExactComplex(Fraction(6, 4), 1) == exact(Fraction(3, 2), 1)
+    assert ExactComplex(0, 0, 7).pi_pow == 0
+    with pytest.raises(TypeError):
+        ExactComplex(Fraction(1, 2), 0, 1.5)
+    with pytest.raises(TypeError):
+        ExactComplex(Fraction(1, 2), 0, Fraction(3))
+    with pytest.raises(TypeError):
+        ExactComplex(0.5)
+    with pytest.raises(AttributeError):
+        exact(1).re = Fraction(2)
+
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=12
 )
@@ -78,6 +213,11 @@ def test_equal_scalars_hash_equal_known_cases():
     assert hash(CyclotomicField(4).one()) == hash(1)
     assert len({exact(1), Fraction(1)}) == 1
     assert not exact(1) == exact(1, 0, 1)
+    # equality is transitive across kinds: int, ExactComplex and Cyclotomic
+    assert exact(1) == CyclotomicField(4).one() == 1
+    assert exact(0, 1) == CyclotomicField(4).root(1) == CyclotomicField(8).root(2)
+    assert hash(exact(0, 1)) == hash(CyclotomicField(8).root(2))
+    assert exact(0, 1) != root_of_unity(8) and exact(1, 0, 1) != CyclotomicField(4).one()
 
 
 FIELDS = (1, 2, 3, 4, 6, 8, 12)
@@ -95,7 +235,11 @@ def representations(x):
     if isinstance(x, Fraction):
         out = [x, exact(x)] + [CyclotomicField(n).from_rational(x) for n in FIELDS]
         return out + [int(x)] if x.denominator == 1 else out
-    return [CyclotomicField(x.field.n * k).zero() + x for k in (1, 2, 3)]
+    out = [CyclotomicField(x.field.n * k).zero() + x for k in (1, 2, 3)]
+    try:
+        return out + [x.to_exact_complex()]
+    except ValueError:  # not in Q(i)
+        return out
 
 
 scalar_values = st.one_of(rationals, cyclotomic_values())
@@ -107,3 +251,10 @@ def test_equal_scalars_hash_equal(x, y, data):
     b = data.draw(st.sampled_from(representations(x) + representations(y)))
     if a == b:
         assert hash(a) == hash(b)
+
+
+@given(scalar_values, st.data())
+def test_representations_of_one_value_are_equal(x, data):
+    a = data.draw(st.sampled_from(representations(x)))
+    b = data.draw(st.sampled_from(representations(x)))
+    assert a == b and b == a and hash(a) == hash(b)
