@@ -283,19 +283,16 @@ class Cyclotomic:
         written in."""
         from .scalars import ExactComplex  # scalars builds on this module
 
-        if 4 % self.field.n:
-            # in Q(zeta_L), L = lcm(N, 4): 2 re = x + conj x, 2 im = -i (x - conj x)
-            field = CyclotomicField(math.lcm(self.field.n, 4))
-            x = self._in(field)
-            c = x.conjugate()
-            re2, im2 = x + c, (c - x) * field.root(field.n // 4)
-            if not (re2.is_rational() and im2.is_rational()):
-                raise ValueError(f"{self} is not a Gaussian rational")
-            return ExactComplex.from_integers(
-                re2.nums[0] * im2.den, im2.nums[0] * re2.den, 2 * re2.den * im2.den
-            )
-        x = self._in(CyclotomicField(4))
-        return ExactComplex.from_integers(x.nums[0], x.nums[1], x.den)
+        # in Q(zeta_L), L = lcm(N, 4): 2 re = x + conj x, 2 im = -i (x - conj x)
+        field = CyclotomicField(math.lcm(self.field.n, 4))
+        x = self._in(field)
+        c = x.conjugate()
+        re2, im2 = x + c, (c - x) * field.root(field.n // 4)
+        if not (re2.is_rational() and im2.is_rational()):
+            raise ValueError(f"{self} is not a Gaussian rational")
+        return ExactComplex(
+            Fraction(re2.nums[0], 2 * re2.den), Fraction(im2.nums[0], 2 * im2.den)
+        )
 
     def __repr__(self):
         parts = []

@@ -41,7 +41,10 @@ _new = object.__new__
 def _make(a: int, b: int, d: int, k: int) -> "ExactComplex":
     """(a + b i) / d * pi^k from integers already reduced, with d > 0."""
     x = _new(ExactComplex)
-    x._a, x._b, x._d, x._k = a, b, d, k
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    _set_k(x, k)
     return x
 
 
@@ -59,8 +62,9 @@ class ExactComplex:
     Closed under +, -, * and division by nonzero values.  The integers
     ``_a, _b, _d`` share no common factor and ``_d > 0``; zero is
     normalized to ``0/1`` at pi-power 0 so that it is the additive identity
-    for every grade.  The stored fields are private; ``re``, ``im`` and
-    ``pi_pow`` are read-only.
+    for every grade.  Values are immutable: the fields are written once,
+    through their slot descriptors, and ``re``, ``im`` and ``pi_pow`` are
+    read-only.
     """
 
     __slots__ = ("_a", "_b", "_d", "_k")
@@ -78,8 +82,13 @@ class ExactComplex:
             # both parts are in lowest terms, so gcd(a, b, lcm(p, q)) == 1
             d = math.lcm(p, q)
             a, b = re.numerator * (d // p), im.numerator * (d // q)
-        self._a, self._b, self._d = a, b, d
-        self._k = pi_pow if a or b else 0
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
+        _set_k(self, pi_pow if a or b else 0)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ExactComplex is immutable")
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -88,13 +97,6 @@ class ExactComplex:
         if o is None:
             raise TypeError(f"expected int, Fraction or ExactComplex, got {type(x).__name__}")
         return o
-
-    @staticmethod
-    def from_integers(a: int, b: int, d: int, pi_pow: int = 0) -> "ExactComplex":
-        """(a + b i) / d * pi^pi_pow for integers a, b and d > 0."""
-        if d <= 0:
-            raise ValueError("the denominator must be positive")
-        return _reduced(a, b, d, pi_pow)
 
     # -- parts -----------------------------------------------------------
     @property
@@ -213,7 +215,7 @@ class ExactComplex:
         if not self._k:
             # the real part, as int, Fraction and Cyclotomic (its normalized
             # trace) hash a value of Q(i)
-            return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
+            return hash(Fraction(self._a, self._d))
         return hash((self._a, self._b, self._d, self._k))
 
     def to_complex(self) -> complex:
@@ -232,6 +234,11 @@ class ExactComplex:
         return f"{body}*pi^{self._k}"
 
 
+_set_a, _set_b, _set_d, _set_k = (
+    ExactComplex.__dict__[name].__set__ for name in ExactComplex.__slots__
+)
+
+
 def _add(x: ExactComplex, a: int, b: int, d: int, k: int) -> ExactComplex:
     """x + (a + b i) / d * pi^k for a reduced right-hand side."""
     if not (a or b):
@@ -240,8 +247,6 @@ def _add(x: ExactComplex, a: int, b: int, d: int, k: int) -> ExactComplex:
         return _make(a, b, d, k)
     if x._k != k:
         raise PiGradeError(f"cannot add pi^{x._k} and pi^{k} terms exactly")
-    if x._d == d:
-        return _reduced(x._a + a, x._b + b, d, k)
     return _reduced(x._a * d + a * x._d, x._b * d + b * x._d, x._d * d, k)
 
 

@@ -139,8 +139,15 @@ def test_constructor_accepts_ints_and_fractions_only():
         ExactComplex(Fraction(1, 2), 0, Fraction(3))
     with pytest.raises(TypeError):
         ExactComplex(0.5)
-    with pytest.raises(AttributeError):
-        exact(1).re = Fraction(2)
+
+
+def test_exact_complex_is_immutable():
+    x = exact(Fraction(1, 2), 3, 1)
+    for name, value in [("re", Fraction(2)), ("im", 0), ("pi_pow", 0), ("_a", 7), ("_d", 5)]:
+        with pytest.raises(AttributeError):
+            setattr(x, name, value)
+    assert x == exact(Fraction(1, 2), 3, 1) and x._a == 1 and x._d == 2
+
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=12
