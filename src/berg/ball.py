@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .polynomials import HermitianPolynomial
-from .scalars import ExactComplex, conj_scalar, is_exact_scalar, to_complex
+from .scalars import ExactComplex, conj_scalar, gaussian_points, to_complex
 
 BOUNDARY_TOL = 1e-9
 GRADIENT_TOL = 1e-9
@@ -69,7 +69,8 @@ def hermitian_inner(z: Sequence, w: Sequence):
 def ball_kernel(n: int, z, w):
     """Bergman kernel of the unit ball in C^n at (z, w).
 
-    Returns an ExactComplex (rational times pi^-n) for exact inputs and a
+    Returns an ExactComplex (rational times pi^-n) for Gaussian-rational
+    inputs, ``Cyclotomic`` coordinates that lie in Q(i) included, and a
     Python complex otherwise.  Float points may also be arrays of shape
     (..., n); their leading axes broadcast and the values come back as an
     array over them.  Raises SingularKernelError at boundary contact
@@ -79,8 +80,9 @@ def ball_kernel(n: int, z, w):
     w = _coords(w)
     check_points(n, z, w)
     batched = _is_batch(z) or _is_batch(w)
-    if not batched and all(is_exact_scalar(v) for v in (*z, *w)):
-        u = ExactComplex.coerce(hermitian_inner(z, w))
+    exact = None if batched else gaussian_points(z, w)
+    if exact is not None:
+        u = ExactComplex.coerce(hermitian_inner(*exact))
         one_minus = ExactComplex(1) - u
         if one_minus.is_zero:
             raise SingularKernelError("kernel singular at <z, w> = 1")
@@ -88,10 +90,20 @@ def ball_kernel(n: int, z, w):
     # a single point pair runs as a batch of one, so it matches a batched row bit for bit
     zf = np.atleast_2d(float_point(z))
     wf = np.atleast_2d(float_point(w))
-    one_minus = 1.0 - (zf * wf.conj()).sum(axis=-1)
+    if n == 1:  # no reduction over a length-1 axis
+        u = zf[..., 0] * wf[..., 0].conj()
+    else:
+        u = (zf * wf.conj()).sum(axis=-1)
+    one_minus = 1.0 - u
     if (np.abs(one_minus) < 1e-14).any():
         raise SingularKernelError("kernel singular at <z, w> = 1")
-    values = math.factorial(n) / math.pi**n * one_minus ** (-(n + 1))
+    # (1 - u)^(n+1) by products, not an elementwise complex power; not in
+    # place, since numpy's in-place complex multiply can round differently
+    # and a batch of one would then miss its batched row
+    power = one_minus * one_minus
+    for _ in range(n - 1):
+        power = power * one_minus
+    values = math.factorial(n) / math.pi**n / power
     return values if batched else complex(values[0])
 
 

@@ -301,7 +301,8 @@ def _numeric(values) -> list:
 def omega_closed_kernel(z: Sequence, lam, w: Sequence, tau):
     """Closed rational form of the kernel of the standard Hartogs domain,
     K = (4 lt / rho^3 + 6 lt / rho^4) / (2pi)^3 with lt = lam conj(tau),
-    evaluated in the arithmetic the inputs carry.
+    evaluated as lt (4 rho + 6) / (rho^4 (2pi)^3) with no complex power,
+    in the arithmetic the inputs carry.
 
     Exact inputs give an ExactComplex (rational times pi^-3).  Float
     scalars give a Python complex: Python's complex arithmetic keeps the
@@ -324,7 +325,8 @@ def omega_closed_kernel(z: Sequence, lam, w: Sequence, tau):
     if not exact and np.any(np.abs(rho) < 1e-13):
         raise BoundaryContactError(f"|rho| = {np.min(np.abs(rho))}: boundary contact")
     lt = lam * conj_scalar(tau)
-    return (4 * lt / rho**3 + 6 * lt / rho**4) / two_pi_cubed
+    rho2 = rho * rho
+    return lt * (4 * rho + 6) / (rho2 * rho2 * two_pi_cubed)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .cyclotomic import CyclotomicField
 from .groups import FiniteUnitaryGroup, UnitaryMatrix, determinant, generate_group
 from .invariants import compute_basic_map
 from .polynomials import HoloPolynomial
-from .scalars import ExactComplex, conj_scalar, is_exact_scalar, to_complex
+from .scalars import ExactComplex, conj_scalar, gaussian_points, to_complex
 
 BRANCH_TOL = 1e-12
 
@@ -45,14 +45,15 @@ def _deck_sum(group: FiniteUnitaryGroup, n: int, z: Sequence, w: Sequence, dual:
     """The deck sum moving z by each group element, or w when ``dual``.
 
     Exact over the group's cached Gaussian-rational elements when the
-    points are exact and the group embeds in Q(i); otherwise one batched
+    points are Gaussian rationals (``Cyclotomic`` coordinates by value)
+    and the group embeds in Q(i); otherwise one batched
     kernel evaluation over the group's cached float stack.
     """
     if group.dim != n:
         raise ValueError("group dimension does not match n")
     check_points(n, z, w)
-    exact = all(is_exact_scalar(x) for p in (z, w) for x in p)
-    gaussian = group.gaussian_stack if exact else None
+    exact = gaussian_points(z, w)
+    gaussian = group.gaussian_stack if exact is not None else None
     if gaussian is None:
         mats, dets = group.float_stack
         z, w = float_point(z), float_point(w)
@@ -61,6 +62,7 @@ def _deck_sum(group: FiniteUnitaryGroup, n: int, z: Sequence, w: Sequence, dual:
         else:
             terms = ball_kernel(n, mats @ z, w) * dets
         return complex(terms.sum())
+    z, w = exact
     moved = w if dual else z
     total = ExactComplex(0)
     for m, det in gaussian:
@@ -192,6 +194,7 @@ def pushforward_kernel(spec: CoveringSpec, z: Sequence, w: Sequence):
     deck_sum(z, w) / (J(z) conj(J(w))).  Well-defined on the base: the
     value is unchanged when z or w is replaced by a group translate."""
     n = spec.group.dim
+    z, w = gaussian_points(z, w) or (z, w)
     jz = spec.jacobian(z)
     jw = spec.jacobian(w)
     if abs(to_complex(jz)) <= BRANCH_TOL:

@@ -271,6 +271,27 @@ def is_exact_scalar(x) -> bool:
     return isinstance(x, (int, Fraction, ExactComplex))
 
 
+def gaussian_points(*points) -> list[tuple] | None:
+    """The points with every coordinate a Gaussian-rational scalar, or None
+    when some coordinate is not one.  A ``Cyclotomic`` coordinate counts
+    by value: it is converted when it lies in Q(i), whatever field it is
+    written in.  Float coordinates return None at the first test."""
+    out = []
+    for p in points:
+        coords = []
+        for x in p:
+            if not is_exact_scalar(x):
+                if not isinstance(x, Cyclotomic):
+                    return None
+                try:
+                    x = x.to_exact_complex()
+                except ValueError:
+                    return None
+            coords.append(x)
+        out.append(tuple(coords))
+    return out
+
+
 def conj_scalar(x):
     """Conjugate a coefficient of any supported scalar kind."""
     if isinstance(x, (int, Fraction)):

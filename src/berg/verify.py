@@ -103,13 +103,15 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 # samplers: (points array of shape (N, k), inverse density weights)
 #
-# The box sampler draws its whole RNG stream first, in the order and sizes
-# of a whole-array map, then maps the uniforms one block at a time, so
-# every value is the one the whole-array map gives.  The Hartogs sampler
-# draws block by block: its stream, and so its points, depend on BLOCK.
+# ``integrate`` draws one block of at most BLOCK points at a time, so no
+# whole draw is ever held.  Both samplers consume their RNG streams in
+# sequence, so consecutive block draws give the points one draw of the
+# whole count gives: the box sampler takes a fixed number of uniforms per
+# point, and the Hartogs sampler draws block by block itself (its stream,
+# and so its points, depend on BLOCK).
 # ---------------------------------------------------------------------------
 
-BLOCK = 1 << 16  # points mapped, and integrands evaluated, per block
+BLOCK = 1 << 16  # points drawn, and integrands evaluated, per block
 RADIUS_SQ_CAP = 1.0 - 1e-12  # keeps the Hartogs weights finite
 
 
@@ -119,12 +121,8 @@ def _blocks(count: int):
 
 def _sample_box_domain(rng, count: int, n: int, keep) -> tuple[np.ndarray, np.ndarray]:
     pts = rng.uniform(-1.0, 1.0, (count, 2 * n))
-    z = np.empty((count, n), dtype=complex)
-    inv = np.empty(count)
-    for b in _blocks(count):
-        z[b] = pts[b, :n] + 1j * pts[b, n:]
-        inv[b] = np.where(keep(z[b]), float(4**n), 0.0)
-    return z, inv
+    z = pts[:, :n] + 1j * pts[:, n:]
+    return z, np.where(keep(z), float(4**n), 0.0)
 
 
 def _unit_disk_points(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -207,22 +205,22 @@ def integrate(
     """Unbiased Monte Carlo estimate of the Lebesgue integral of a
     vectorized integrand over the domain, with its standard error.
 
-    The integrand is evaluated per block of at most ``BLOCK`` points (an
-    ``(m, k)`` array in, ``m`` values out), so each output entry must
-    depend only on its own point.  Given a sequence of integrands, one
-    draw serves them all and one (estimate, stderr) pair is returned for
-    each, in order.
+    Points are drawn, and the integrand evaluated, per block of at most
+    ``BLOCK`` points (an ``(m, k)`` array in, ``m`` values out), so each
+    output entry must depend only on its own point.  Given a sequence of
+    integrands, one draw serves them all and one (estimate, stderr) pair
+    is returned for each, in order.
     """
     several = not callable(integrand)
     integrands = list(integrand) if several else [integrand]
     rng = np.random.default_rng(spec.seed)
     n = spec.n_samples
-    points, inv = _draw(spec, rng, n)
     weighted = np.empty((len(integrands), n), dtype=complex)
     for b in _blocks(n):
+        points, inv = _draw(spec, rng, b.stop - b.start)
         for row, f in zip(weighted, integrands):
-            values = np.asarray(f(points[b]), dtype=complex)
-            row[b] = np.where(inv[b] > 0, values, 0.0) * inv[b]
+            values = np.asarray(f(points), dtype=complex)
+            row[b] = np.where(inv > 0, values, 0.0) * inv
     out = []
     for row in weighted:
         var = np.var(row.real, ddof=1) + np.var(row.imag, ddof=1)

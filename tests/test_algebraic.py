@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from berg.algebraic import (
+    TRIANGULAR_BLOCK,
     AlgebraicRelation,
     _evaluation_matrix,
+    _smallest_right_singular_vector,
+    _triangular_inverse,
     annulus_surface,
     annulus_kernel,
     ball2_surface,
@@ -252,6 +255,78 @@ def test_fit_direction_is_the_smallest_singular_direction(make, feature_degree, 
     scaled = matrix / scale
     sigma = np.linalg.svd(scaled, compute_uv=False)
     assert np.linalg.norm(scaled @ x) <= (1 + 1e-6) * sigma[-1] + 8 * EPS * sigma[0]
+
+
+@pytest.mark.parametrize("n", [1, TRIANGULAR_BLOCK - 1, TRIANGULAR_BLOCK, TRIANGULAR_BLOCK + 1, 200])
+def test_triangular_inverse_matches_a_general_inverse(n):
+    # well conditioned: unit-size pivots of either sign, small off-diagonal part
+    rng = np.random.default_rng(n)
+    pivots = rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    r = np.triu(rng.standard_normal((n, n))) / math.sqrt(n) + np.diag(pivots)
+    x = _triangular_inverse(r)
+    want = np.linalg.inv(r)
+    assert np.abs(x - want).max() <= 1e-13 * np.abs(want).max()
+    assert not np.tril(x, -1).any()
+
+
+def test_floored_zero_pivot_still_gives_a_null_vector():
+    # R_kk = 0 with the rows below zero in column k: column k is a
+    # combination of the columns before it, so R has a null vector
+    rng = np.random.default_rng(7)
+    n, k = 90, 70
+    r = np.triu(rng.standard_normal((n, n))) + 3.0 * np.eye(n)
+    r[k, k] = 0.0
+    x = _smallest_right_singular_vector(r)
+    assert np.linalg.norm(x) == pytest.approx(1.0)
+    assert np.linalg.norm(r @ x) <= 1e-12 * np.linalg.norm(r)
+
+
+def _omega_sample_loop(rng, count, radial_max=2.5, fiber_low=0.05, fiber_high=0.95):
+    # the per-point sampler the vectorized one replaced, kept as its oracle
+    pts = []
+    for _ in range(count):
+        r1, r2 = rng.uniform(0.0, radial_max, 2)
+        h = (1.0 + r1) * (1.0 + r2)
+        t = rng.uniform(fiber_low, fiber_high) / h
+        th = rng.uniform(0.0, 2.0 * math.pi, 3)
+        pts.append(
+            (
+                math.sqrt(r1) * complex(math.cos(th[0]), math.sin(th[0])),
+                math.sqrt(r2) * complex(math.cos(th[1]), math.sin(th[1])),
+                math.sqrt(t) * complex(math.cos(th[2]), math.sin(th[2])),
+            )
+        )
+    return pts
+
+
+def _omega_boundary_loop(rng, count, radial_max=2.5):
+    pts = []
+    for _ in range(count):
+        r1, r2 = rng.uniform(0.0, radial_max, 2)
+        h = (1.0 + r1) * (1.0 + r2)
+        th = rng.uniform(0.0, 2.0 * math.pi, 3)
+        pts.append(
+            (
+                math.sqrt(r1) * complex(math.cos(th[0]), math.sin(th[0])),
+                math.sqrt(r2) * complex(math.cos(th[1]), math.sin(th[1])),
+                math.sqrt(1.0 / h) * complex(math.cos(th[2]), math.sin(th[2])),
+            )
+        )
+    return pts
+
+
+def _bits(points):
+    return [(z.real.hex(), z.imag.hex()) for p in points for z in p]
+
+
+@pytest.mark.parametrize("seed", [0, 106, BENCH_FIT_SEED])
+def test_omega_samplers_equal_the_per_point_loop_bit_for_bit(seed):
+    surface = omega_diagonal_surface()
+    got = surface.sample(np.random.default_rng(seed), 1820)
+    assert all(type(z) is complex for p in got for z in p)
+    assert _bits(got) == _bits(_omega_sample_loop(np.random.default_rng(seed), 1820))
+    got = surface.boundary_sample(np.random.default_rng(seed), 50)
+    assert _bits(got) == _bits(_omega_boundary_loop(np.random.default_rng(seed), 50))
 
 
 def _with_degenerate_feature(kind):

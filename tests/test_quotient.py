@@ -338,6 +338,25 @@ def test_exact_deck_sums_do_not_depend_on_the_field_the_group_is_written_in():
     assert type(deck_sum_kernel(rotation, 2, z, w)) is complex
 
 
+def test_a_point_written_in_q_zeta4_stays_exact():
+    # the same Gaussian-rational point as Cyclotomic and as ExactComplex
+    q4 = CyclotomicField(4)
+    i, third, fifth = q4.root(1), Fraction(1, 3), Fraction(1, 5)
+    group = scalar_rotation_cover().group
+    as_cyclotomic = ((i * Fraction(1, 4), q4.from_rational(fifth)), (q4.from_rational(third), i * Fraction(1, 7)))
+    as_gaussian = ((ExactComplex(0, Fraction(1, 4)), fifth), (third, ExactComplex(0, Fraction(1, 7))))
+    for fn in (deck_sum_kernel, dual_deck_sum_kernel):
+        got, want = fn(group, 2, *as_cyclotomic), fn(group, 2, *as_gaussian)
+        assert isinstance(got, ExactComplex) and got == want and repr(got) == repr(want)
+    got = ball_kernel(2, *as_cyclotomic)
+    assert isinstance(got, ExactComplex) and got == ball_kernel(2, *as_gaussian)
+    got = pushforward_kernel(scalar_rotation_cover(), *as_cyclotomic)
+    assert isinstance(got, ExactComplex) and got == pushforward_kernel(scalar_rotation_cover(), *as_gaussian)
+    # a coordinate outside Q(i) keeps the float path
+    zeta5 = CyclotomicField(5).root(1) * Fraction(1, 3)
+    assert type(deck_sum_kernel(group, 2, (zeta5, fifth), as_gaussian[1])) is complex
+
+
 def test_deck_sum_at_boundary_contact_raises():
     contact = (0.6, 0.8)
     for fn in (deck_sum_kernel, dual_deck_sum_kernel):

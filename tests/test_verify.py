@@ -225,6 +225,20 @@ def test_blockwise_integrate_equals_one_shot(domain):
     assert integrate(spec, f) == want
 
 
+@pytest.mark.parametrize("domain", ["disk", "omega"])
+def test_integrate_draws_one_block_at_a_time(domain, monkeypatch):
+    counts = []
+
+    def recording(spec, rng, count):
+        counts.append(count)
+        return _draw(spec, rng, count)
+
+    monkeypatch.setattr(verify, "_draw", recording)
+    spec = IntegrationSpec(domain, 2 * BLOCK + 5, seed=15)
+    integrate(spec, [_fiber_weight, _fiber_product] if domain == "omega" else lambda p: p[:, 0])
+    assert max(counts) <= BLOCK and sum(counts) == spec.n_samples
+
+
 def test_several_integrands_share_one_draw():
     spec = IntegrationSpec("omega", 2 * BLOCK + 5, seed=13)
     together = integrate(spec, [_fiber_weight, _fiber_product])
