@@ -45,6 +45,7 @@ from .invariants import (
     find_syzygies,
     invariant_dimension,
     is_invariant,
+    molien_counts,
     reynolds,
     trace_average_dimension,
 )

@@ -53,7 +53,7 @@ from .scalars import to_complex
 
 # bump when the basic-map payload or the algorithm behind it changes, so
 # cached results of an older version are never served
-CACHE_SCHEMA = 2
+CACHE_SCHEMA = 3
 
 
 class InputError(click.ClickException):

@@ -223,7 +223,7 @@ class Cyclotomic:
         field = self.field
         rest = field.one()
         for k in field._galois:
-            rest = rest * field._combine(self.nums, k, self.den)
+            rest = rest * self.galois(k)
         norm = self * rest
         return _reduced(field, [c * norm.den for c in rest.nums], rest.den * norm.nums[0])
 
@@ -242,7 +242,18 @@ class Cyclotomic:
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation: zeta -> zeta^{-1}."""
-        return self.field._combine(self.nums, -1, self.den)
+        return self.galois(-1)
+
+    def galois(self, k: int) -> "Cyclotomic":
+        """The Galois conjugate zeta -> zeta^k, for k coprime to N."""
+        return self.field._combine(self.nums, k, self.den)
+
+    def normalized_trace(self) -> Fraction:
+        """Tr(x)/[Q(zeta_N):Q]: the same in every field containing x, equal
+        for Galois conjugates, and x itself for rational x."""
+        f = self.field
+        trace = sum(c * t for c, t in zip(self.nums, f._trace_nums))
+        return Fraction(trace, self.den * f._trace_den)
 
     # -- predicates / conversion -----------------------------------------
     def is_zero(self) -> bool:
@@ -264,11 +275,8 @@ class Cyclotomic:
         return a.den == o.den and a.nums == o.nums
 
     def __hash__(self):
-        # the normalized trace Tr(x)/[Q(zeta_N):Q] is the same in every field
-        # containing x, and is x itself for rational x
-        f = self.field
-        trace = sum(c * t for c, t in zip(self.nums, f._trace_nums))
-        return hash(Fraction(trace, self.den * f._trace_den))
+        # equal elements written in different fields share a normalized trace
+        return hash(self.normalized_trace())
 
     def to_complex(self) -> complex:
         total = 0j

@@ -8,8 +8,10 @@ exact in exact mode.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -197,6 +199,44 @@ class UnitaryMatrix:
         return f"UnitaryMatrix({self.entries!r})"
 
 
+def _is_diagonal(g: UnitaryMatrix) -> bool:
+    """Whether an exact matrix is diagonal."""
+    return all(x == 0 for i, row in enumerate(g.entries) for j, x in enumerate(row) if i != j)
+
+
+def _fixed_by(diagonal: list[UnitaryMatrix]):
+    """Predicate on exponent vectors beta: whether every element of a
+    finite group of exact diagonal matrices fixes z^beta.
+
+    A diagonal entry has finite order and lies in some Q(zeta_N), so it is
+    an M-th root of unity zeta_M^k, M = lcm(2, N) over all entries; k is
+    read off its argument, which keeps the M-th roots 2 pi / M apart, and
+    h fixes z^beta when sum_i beta_i k_i is divisible by M.
+    """
+    m = 2
+    for h in diagonal:
+        for i in range(h.n):
+            x = h.entries[i][i]
+            if isinstance(x, Cyclotomic):
+                m = math.lcm(m, x.field.n)
+    exponents = []
+    for h in diagonal:
+        ks = []
+        for i in range(h.n):
+            turns = cmath.phase(to_complex(h.entries[i][i])) * m / (2 * math.pi)
+            k = round(turns)
+            if abs(turns - k) > 1e-6:
+                raise ValueError(f"diagonal entry {h.entries[i][i]} is not an {m}-th root of unity")
+            ks.append(k % m)
+        if any(ks):
+            exponents.append(ks)
+
+    def fixed(beta) -> bool:
+        return all(sum(b * k for b, k in zip(beta, ks)) % m == 0 for ks in exponents)
+
+    return fixed
+
+
 def determinant(entries) -> object:
     """Laplace expansion along the first row; entries may be scalars of any
     kind or polynomials (n is small here)."""
@@ -258,8 +298,21 @@ class FiniteUnitaryGroup:
     @cached_property
     def symmetric_powers(self) -> SymmetricPowerTable:
         """Group averages of the images (gz)^alpha of every monomial, grown
-        on demand: the table behind ``invariants.reynolds``."""
-        return SymmetricPowerTable(self.dim, [g.entries for g in self.elements])
+        on demand: the table behind ``invariants.reynolds``.  An exact
+        group's table runs over one element of each coset gH of its
+        diagonal subgroup H, which holds the scalar subgroup, and keeps the
+        terms H fixes; a float group's runs over every element."""
+        if not self.exact:
+            return SymmetricPowerTable(self.dim, [g.entries for g in self.elements])
+        diagonal = [g for g in self.elements if _is_diagonal(g)]
+        covered, reps = set(), []
+        for g in self.elements:
+            if g not in covered:
+                reps.append(g)
+                covered.update(g @ h for h in diagonal)
+        if len(reps) * len(diagonal) != self.order:
+            raise RuntimeError("the diagonal elements do not split the group into cosets")
+        return SymmetricPowerTable(self.dim, [g.entries for g in reps], _fixed_by(diagonal))
 
     def __iter__(self):
         return iter(self.elements)
@@ -295,14 +348,12 @@ def _fmt_entry(x) -> list[float]:
 
 
 def _common_field(gens: list[UnitaryMatrix]) -> CyclotomicField:
-    import math as _math
-
     n = 1
     for g in gens:
         for row in g.entries:
             for x in row:
                 if isinstance(x, Cyclotomic):
-                    n = _math.lcm(n, x.field.n)
+                    n = math.lcm(n, x.field.n)
     return CyclotomicField(n)
 
 

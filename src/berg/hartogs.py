@@ -27,7 +27,7 @@ import numpy as np
 
 from .groups import exact_rref
 from .polynomials import HermitianPolynomial, MultiIndex
-from .scalars import ExactComplex, conj_scalar, is_exact_scalar, to_complex
+from .scalars import ExactComplex, conj_scalar, gaussian_points, is_exact_scalar, to_complex
 
 TWO_PI_CUBED = (2.0 * math.pi) ** 3
 
@@ -304,17 +304,20 @@ def omega_closed_kernel(z: Sequence, lam, w: Sequence, tau):
     evaluated as lt (4 rho + 6) / (rho^4 (2pi)^3) with no complex power,
     in the arithmetic the inputs carry.
 
-    Exact inputs give an ExactComplex (rational times pi^-3).  Float
-    scalars give a Python complex: Python's complex arithmetic keeps the
-    diagonal K(z, lam; z, lam) exactly real, which numpy's complex multiply
-    does not.  Coordinates given as arrays that broadcast give an array of
+    Gaussian-rational inputs give an ExactComplex (rational times pi^-3),
+    whether a coordinate is written as a rational, an ExactComplex or a
+    ``Cyclotomic`` whose value lies in Q(i).  Float scalars give a Python
+    complex: Python's complex arithmetic keeps the diagonal
+    K(z, lam; z, lam) exactly real, which numpy's complex multiply does
+    not.  Coordinates given as arrays that broadcast give an array of
     values over them.  Raises BoundaryContactError where rho vanishes at
     any of the points.
     """
     values = (z[0], z[1], lam, w[0], w[1], tau)
-    exact = not _is_batch(values) and all(is_exact_scalar(v) for v in values)
+    gaussian = None if _is_batch(values) else gaussian_points(values)
+    exact = gaussian is not None
     if exact:
-        z1, z2, lam, w1, w2, tau = (ExactComplex.coerce(v) for v in values)
+        z1, z2, lam, w1, w2, tau = (ExactComplex.coerce(v) for v in gaussian[0])
         two_pi_cubed = ExactComplex(8, 0, 3)
     else:
         z1, z2, lam, w1, w2, tau = _numeric(values)

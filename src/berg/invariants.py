@@ -134,25 +134,52 @@ def _rationalize(p: HoloPolynomial) -> HoloPolynomial:
 def compute_basic_map(group: FiniteUnitaryGroup, verify: bool = True) -> BasicMap:
     """Minimal homogeneous generators of the invariant algebra.
 
-    Degrees are processed up to the group order (the Noether bound).
-    Within a degree, Reynolds images of monomials are scanned in
-    graded-lex order and kept when independent of products of the
-    generators already chosen; this makes the output deterministic.
-    The images are read from the group's symmetric-power table
-    (``group.symmetric_powers``), which grows one degree at a time and is
-    kept on the group, so the verification and later calls reuse it.
-    When ``verify`` is set, spanning is re-checked up to twice the group
-    order and minimality by deletion of each generator.
+    The exact Molien counts m_d (``molien_counts``) give the dimension of
+    the degree-d invariants.  In each degree d up to the group order (the
+    Noether bound), the rank of the products of the generators found so
+    far is compared with m_d; only where it falls short can a generator
+    appear.  There the Reynolds images of the monomials are scanned in
+    graded-lex order and kept when independent of the products and of the
+    images before them, which makes the output deterministic.  The images
+    are read from the group's symmetric-power table
+    (``group.symmetric_powers``), kept on the group and grown only to the
+    highest degree scanned.  A product rank above m_d, or a scan that
+    does not end at rank m_d, raises.
+
+    The result is certified without ``verify``: the products span every
+    invariant of degree at most |G|, and by Noether's bound those
+    generate the algebra.  ``verify`` re-checks spanning up to twice the
+    group order by "product rank = m_d" in every degree, with no Reynolds
+    image, and checks minimality by deleting each generator.
     """
     if not group.exact:
         raise ValueError("basic map computation requires an exact group")
+    counts = molien_counts(group, 2 * group.order if verify else group.order)
     gens: list[HoloPolynomial] = []
     degrees: list[int] = []
-    for d in range(1, group.order + 1):
+    for d in range(1, len(counts)):
         # every generator so far has degree < d
         products = _products_of_degree(gens, degrees, d)
+        # fewer products than m_d cannot span, so their rank is not needed
+        if len(products) >= counts[d]:
+            rank = len(_pivot_columns(products)) if products else 0
+            if rank > counts[d]:
+                raise RuntimeError(
+                    f"generator products of degree {d} have rank {rank}, "
+                    f"above the Molien count {counts[d]}"
+                )
+            if rank == counts[d]:
+                continue
+        if d > group.order:
+            raise RuntimeError(f"generator set fails to span invariants at degree {d}")
         images = _reynolds_images(group, d)
-        for k in _pivot_columns(products + images):
+        pivots = _pivot_columns(products + images)
+        if len(pivots) != counts[d]:
+            raise RuntimeError(
+                f"invariants of degree {d} have rank {len(pivots)}, "
+                f"not the Molien count {counts[d]}"
+            )
+        for k in pivots:
             if k >= len(products):
                 gens.append(_monic(images[k - len(products)]))
                 degrees.append(d)
@@ -160,20 +187,8 @@ def compute_basic_map(group: FiniteUnitaryGroup, verify: bool = True) -> BasicMa
         generators=tuple(gens), degrees=tuple(degrees), dim=group.dim, group_order=group.order
     )
     if verify:
-        _verify_spanning(result, group)
         _verify_minimality(result)
     return result
-
-
-def _verify_spanning(basic: BasicMap, group: FiniteUnitaryGroup) -> None:
-    gens, degs = list(basic.generators), list(basic.degrees)
-    for d in range(1, 2 * group.order + 1):
-        products = _products_of_degree(gens, degs, d)
-        pivots = _pivot_columns(products + _reynolds_images(group, d))
-        if any(k >= len(products) for k in pivots):
-            raise RuntimeError(
-                f"generator set fails to span invariants at degree {d}"
-            )
 
 
 def _verify_minimality(basic: BasicMap) -> None:
@@ -189,37 +204,86 @@ def invariant_dimension(group: FiniteUnitaryGroup, degree: int) -> int:
     return len(_pivot_columns(_reynolds_images(group, degree)))
 
 
-def trace_average_dimension(group: FiniteUnitaryGroup, degree: int) -> int:
-    """Independent count of degree-d invariants by Molien's formula.
+# ---------------------------------------------------------------------------
+# Molien series
+# ---------------------------------------------------------------------------
+
+def _elementary_sums(entries) -> tuple:
+    """e_1..e_n of a matrix: the sums of its principal k x k minors."""
+    n = len(entries)
+    return tuple(
+        sum(determinant([[entries[i][j] for j in m] for i in m]) for m in combinations(range(n), k))
+        for k in range(1, n + 1)
+    )
+
+
+def _galois_orbit(key: tuple) -> set[tuple]:
+    """The Galois conjugates of a tuple of elements of one cyclotomic field,
+    itself included; any other tuple is its own orbit."""
+    fields = {x.field for x in key if isinstance(x, Cyclotomic)}
+    if len(fields) != 1 or not all(isinstance(x, Cyclotomic) for x in key):
+        return {key}
+    n = fields.pop().n
+    return {tuple(x.galois(k) for x in key) for k in range(1, max(n, 2)) if math.gcd(k, n) == 1}
+
+
+def molien_counts(group: FiniteUnitaryGroup, top: int) -> tuple[int, ...]:
+    """Dimensions m_0..m_top of the invariant polynomials of each degree, by
+    Molien's formula, in one pass.
 
     The trace of g on degree-d polynomials is the complete homogeneous sum
     h_d of its eigenvalues.  Newton's identity h_d = sum_k (-1)^(k+1) e_k
     h_(d-k) builds it from the elementary sums e_k, the sums of the
-    principal k x k minors of g, so no eigenvalue is computed.  Averaged
-    over the group in its own arithmetic, the count is exact for exact
-    groups and checked to be near an integer for float groups.
+    principal k x k minors of g, so no eigenvalue is computed, and
+    elements with equal (e_1..e_n) share one series.  For an exact group
+    the average m_d is rational, so it equals the average of the
+    normalized traces of the h_d, and Galois-conjugate sums give equal
+    traces: one series runs per Galois orbit of sums, in the group's own
+    arithmetic, so the counts are exact.  For a float group each count is
+    checked to be near an integer.
     """
     n = group.dim
-    total = 0
+    keys: dict[tuple, int] = {}
     for g in group:
-        e = []
-        for k in range(1, n + 1):
-            minors = combinations(range(n), k)
-            e.append(sum(determinant([[g.entries[i][j] for j in m] for i in m]) for m in minors))
+        key = _elementary_sums(g.entries)
+        keys[key] = keys.get(key, 0) + 1
+    totals = [0] * (top + 1)
+    seen: set[tuple] = set()
+    for key in keys:
+        if key in seen:
+            continue
+        orbit = _galois_orbit(key) if group.exact else {key}
+        seen |= orbit
+        weight = sum(keys.get(k, 0) for k in orbit)
         h = [1]
-        for d in range(1, degree + 1):
-            h.append(sum((-1) ** (k + 1) * e[k - 1] * h[d - k] for k in range(1, min(d, n) + 1)))
-        total = total + h[degree]
+        for d in range(1, top + 1):
+            acc = None
+            for k in range(1, min(d, n) + 1):
+                term = key[k - 1] * h[d - k]
+                acc = term if acc is None else (acc + term if k % 2 else acc - term)
+            h.append(acc)
+        for d, value in enumerate(h):
+            if group.exact:
+                value = value.normalized_trace() if isinstance(value, Cyclotomic) else Fraction(value)
+            totals[d] += weight * value
     if group.exact:
-        avg = total * Fraction(1, group.order)
-        value = avg.as_rational() if isinstance(avg, Cyclotomic) else Fraction(avg)
-        if value.denominator != 1:
+        counts = [Fraction(t, group.order) for t in totals]
+        if any(c.denominator != 1 for c in counts):
             raise RuntimeError("trace average is not an integer")
-        return int(value)
-    avg = complex(total) / group.order
-    if abs(avg.imag) > 1e-8 or abs(avg.real - round(avg.real)) > 1e-8:
-        raise RuntimeError(f"trace average {avg} is not close to an integer")
-    return int(round(avg.real))
+        return tuple(int(c) for c in counts)
+    counts = []
+    for t in totals:
+        avg = complex(t) / group.order
+        if abs(avg.imag) > 1e-8 or abs(avg.real - round(avg.real)) > 1e-8:
+            raise RuntimeError(f"trace average {avg} is not close to an integer")
+        counts.append(int(round(avg.real)))
+    return tuple(counts)
+
+
+def trace_average_dimension(group: FiniteUnitaryGroup, degree: int) -> int:
+    """Independent count of degree-d invariants by Molien's formula: the
+    last of ``molien_counts(group, degree)``."""
+    return molien_counts(group, degree)[degree]
 
 
 # ---------------------------------------------------------------------------

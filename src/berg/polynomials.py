@@ -273,9 +273,17 @@ class SymmetricPowerTable:
     a linear form, (Az)^alpha = (Az)^(alpha - e_i) * (Az)_i, where i is the
     last variable alpha uses.  Per matrix only the images at the highest
     degree reached are kept; the averages are kept for every degree.
+
+    With ``fixed``, a predicate on exponent vectors, the list holds one
+    element r of each coset rH of a diagonal subgroup H of a group G, and
+    ``fixed(beta)`` tells whether H fixes z^beta.  A diagonal h multiplies
+    z^beta by a root of unity, so the average of (rhz)^alpha over H keeps
+    exactly the fixed terms of (rz)^alpha: the group average is the
+    average over the representatives with the other terms dropped, and it
+    vanishes in a degree with no fixed monomial.
     """
 
-    def __init__(self, dim: int, matrices: Sequence[Sequence[Sequence]]):
+    def __init__(self, dim: int, matrices: Sequence[Sequence[Sequence]], fixed=None):
         self.dim = dim
         self._forms = [
             [HoloPolynomial.coordinate(dim, i).compose_linear(m) for i in range(dim)]
@@ -284,11 +292,25 @@ class SymmetricPowerTable:
         one = HoloPolynomial.constant(dim, 1)
         self._images = [{zero_index(dim): one} for _ in matrices]
         self._weight = Fraction(1, len(matrices))
+        self._fixed = fixed
+        self._kept: dict[int, frozenset] = {}
         self._averages = {zero_index(dim): one}
         self.degree = 0
 
+    def _kept_terms(self, degree: int) -> frozenset | None:
+        """The fixed monomials of a degree, or None when all of them are."""
+        if self._fixed is None:
+            return None
+        if degree not in self._kept:
+            self._kept[degree] = frozenset(
+                b for b in monomials_of_degree(self.dim, degree) if self._fixed(b)
+            )
+        return self._kept[degree]
+
     def average(self, alpha: MultiIndex) -> HoloPolynomial:
-        """(1/N) sum of (Az)^alpha over the N matrices; do not modify it."""
+        """The group average of (Az)^alpha; do not modify it."""
+        if self._kept_terms(alpha.degree) == frozenset():
+            return HoloPolynomial(self.dim)
         while self.degree < alpha.degree:
             self._grow()
         return self._averages[alpha]
@@ -302,12 +324,17 @@ class SymmetricPowerTable:
             {alpha: images[prev] * forms[i] for alpha, prev, i in steps}
             for forms, images in zip(self._forms, self._images)
         ]
+        self.degree += 1
+        kept = self._kept_terms(self.degree)
+        if kept == frozenset():
+            return
         for alpha, _, _ in steps:
             total = HoloPolynomial(self.dim)
             for images in self._images:
                 total = total + images[alpha]
+            if kept is not None:
+                total = HoloPolynomial(self.dim, {b: c for b, c in total.terms.items() if b in kept})
             self._averages[alpha] = total.scale(self._weight)
-        self.degree += 1
 
 
 class HermitianPolynomial:

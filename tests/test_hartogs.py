@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from berg.cyclotomic import CyclotomicField
 from berg.hartogs import (
     OMEGA,
     BoundaryContactError,
@@ -154,6 +155,29 @@ def test_closed_kernel_exact_value():
         (Fraction(0), Fraction(0)), Fraction(1, 2), (Fraction(0), Fraction(0)), Fraction(1, 2)
     )
     assert value == ExactComplex(Fraction(8, 27), 0, -3)
+
+
+def test_closed_kernel_is_exact_at_a_point_written_in_q_zeta4():
+    # the same Gaussian-rational point as Cyclotomic and as ExactComplex
+    q4 = CyclotomicField(4)
+    i = q4.root(1)
+    as_cyclotomic = (
+        (i * Fraction(1, 4), q4.from_rational(Fraction(1, 5))),
+        i * Fraction(1, 3),
+        (q4.from_rational(Fraction(1, 3)), i * Fraction(1, 7)),
+        q4.from_rational(Fraction(1, 2)),
+    )
+    as_gaussian = (
+        (ExactComplex(0, Fraction(1, 4)), Fraction(1, 5)),
+        ExactComplex(0, Fraction(1, 3)),
+        (Fraction(1, 3), ExactComplex(0, Fraction(1, 7))),
+        Fraction(1, 2),
+    )
+    got, want = omega_closed_kernel(*as_cyclotomic), omega_closed_kernel(*as_gaussian)
+    assert isinstance(got, ExactComplex) and got == want and repr(got) == repr(want)
+    # a coordinate outside Q(i) keeps the float path
+    zeta5 = CyclotomicField(5).root(1) * Fraction(1, 3)
+    assert type(omega_closed_kernel((zeta5, Fraction(1, 5)), *as_gaussian[1:])) is complex
 
 
 def test_closed_kernel_zero_fiber():

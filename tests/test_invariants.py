@@ -2,13 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from berg.cyclotomic import root_of_unity
-from berg.groups import UnitaryMatrix, generate_group
+import berg.invariants as invariants
+from berg.cyclotomic import CyclotomicField, root_of_unity
+from berg.groups import UnitaryMatrix, determinant, generate_group
 from berg.invariants import (
+    _pivot_columns,
+    _products_of_degree,
     compute_basic_map,
     find_syzygies,
     invariant_dimension,
     is_invariant,
+    molien_counts,
     reynolds,
     trace_average_dimension,
 )
@@ -166,11 +170,14 @@ def test_molien_counts_of_the_binary_tetrahedral_group():
     u = np.array([[c, -s], [s, c]])
     floats = generate_group([UnitaryMatrix((u.T @ g.to_numpy() @ u).tolist()) for g in exact])
     assert floats.order == 24 and not floats.exact
-    want = _molien_series_t24(24)
+    want = _molien_series_t24(48)
     assert want[1:13] == [0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 2] and want[24] == 3
     for d in range(1, 25):
         assert trace_average_dimension(exact, d) == want[d]
         assert trace_average_dimension(floats, d) == want[d]
+    # one pass gives every count up to twice the order
+    assert molien_counts(exact, 48) == tuple(want)
+    assert molien_counts(floats, 48) == tuple(want)
 
 
 def test_brute_force_spanning_oracle(minus_identity):
@@ -353,7 +360,7 @@ def test_same_order_groups_keep_separate_tables():
     assert again.symmetric_powers.degree == 0
 
 
-def test_verified_basic_map_composes_once_per_element_and_coordinate(monkeypatch):
+def test_verified_basic_map_composes_once_per_coset_representative_and_coordinate(monkeypatch):
     calls = []
     compose = HoloPolynomial.compose_linear
 
@@ -365,5 +372,206 @@ def test_verified_basic_map_composes_once_per_element_and_coordinate(monkeypatch
     monkeypatch.setattr(HoloPolynomial, "compose_linear", counting)
     basic = compute_basic_map(group, verify=True)
     assert basic.degrees == (4, 4, 6)
-    assert len(calls) == group.dim * group.order
-    assert group.symmetric_powers.degree == 2 * group.order
+    # the table runs over one element of each coset of the diagonal
+    # subgroup {+-I, +-diag(i, -i)}, and it grows only to the last degree
+    # that yields a generator: spanning above it is decided by Molien counts
+    assert len(calls) == group.dim * group.order // 4
+    assert group.symmetric_powers.degree == max(basic.degrees)
+
+
+# ---------------------------------------------------------------------------
+# the Molien-guided engine against the Reynolds-image check it replaced
+# ---------------------------------------------------------------------------
+
+
+def reynolds_spanning_failures(basic, group):
+    """Degrees up to twice the group order in which some Reynolds image of a
+    monomial is independent of the products of the generators."""
+    gens, degs = list(basic.generators), list(basic.degrees)
+    failures = []
+    for d in range(1, 2 * group.order + 1):
+        products = _products_of_degree(gens, degs, d)
+        images = [reynolds(z_power(group.dim, a), group) for a in monomials_of_degree(group.dim, d)]
+        if any(k >= len(products) for k in _pivot_columns(products + images)):
+            failures.append(d)
+    return failures
+
+
+@pytest.mark.parametrize(
+    "group",
+    [lens(5, 2), lens(7, 3), binary_dihedral(2, SIGNED_SWAP), binary_dihedral(3, SIGNED_SWAP)],
+    ids=["1/5(1,2)", "1/7(1,3)", "BD8-conjugated", "BD12-conjugated"],
+)
+def test_generators_span_by_reynolds_images_up_to_twice_the_order(group):
+    basic = compute_basic_map(group, verify=False)
+    assert reynolds_spanning_failures(basic, group) == []
+    # the oracle catches a generator set that misses one
+    short = invariants.BasicMap(basic.generators[:-1], basic.degrees[:-1], basic.dim, basic.group_order)
+    assert basic.degrees[-1] in reynolds_spanning_failures(short, group)
+
+
+def molien_by_elements(group, degree):
+    """Molien's count as the plain average over every element of the
+    complete homogeneous sum h_d, by Newton's identity (n = 2)."""
+    total = 0
+    for g in group:
+        e1, e2 = g.entries[0][0] + g.entries[1][1], determinant(g.entries)
+        h = [1, e1]
+        for _ in range(2, degree + 1):
+            h.append(e1 * h[-1] - e2 * h[-2])
+        total = total + h[degree]
+    value = total * Fraction(1, group.order)
+    return int(value.as_rational() if hasattr(value, "as_rational") else value)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [lens(9, 2), lens(11, 3), binary_dihedral(3, SIGNED_SWAP), binary_tetrahedral()],
+    ids=["1/9(1,2)", "1/11(1,3)", "BD12-conjugated", "T24"],
+)
+def test_one_pass_molien_counts_equal_the_average_over_elements(group):
+    top = 2 * group.order if group.order <= 12 else 30
+    counts = molien_counts(group, top)
+    assert counts[0] == 1
+    assert counts == tuple(molien_by_elements(group, d) for d in range(top + 1))
+
+
+def _shifted_molien(monkeypatch, degree, shift):
+    counts = invariants.molien_counts
+
+    def shifted(group, top):
+        out = list(counts(group, top))
+        out[degree] += shift
+        return tuple(out)
+
+    monkeypatch.setattr(invariants, "molien_counts", shifted)
+
+
+@pytest.mark.parametrize(
+    "degree, shift, verify, message",
+    [
+        (4, -1, False, "not the Molien count"),  # a degree that yields generators
+        (8, -1, False, "above the Molien count"),  # products alone span
+        (8, 1, False, "not the Molien count"),
+        (14, -1, True, "above the Molien count"),  # past the group order
+        (14, 1, True, "fails to span"),
+    ],
+)
+def test_a_wrong_molien_count_raises(monkeypatch, degree, shift, verify, message):
+    group = binary_dihedral(2, SIGNED_SWAP)
+    _shifted_molien(monkeypatch, degree, shift)
+    with pytest.raises(RuntimeError, match=message):
+        compute_basic_map(group, verify=verify)
+
+
+def test_a_molien_count_of_zero_where_products_exist_raises(monkeypatch):
+    group = binary_dihedral(2, SIGNED_SWAP)
+    assert molien_counts(group, 8)[8] == 3
+    _shifted_molien(monkeypatch, 8, -3)
+    with pytest.raises(RuntimeError, match="above the Molien count 0"):
+        compute_basic_map(group, verify=False)
+
+
+def test_diagonal_subgroup_table_runs_over_coset_representatives():
+    # T24's diagonal subgroup is {+-I, +-diag(i, -i)}: six cosets, and no
+    # monomial of odd degree, nor z1^a z2^b with a - b = 2 mod 4, is fixed
+    t24 = binary_tetrahedral()
+    assert len(t24.symmetric_powers._forms) == 6
+    assert reynolds(z_power(2, (3, 2)), t24).is_zero() and t24.symmetric_powers.degree == 0
+    for alpha in [(2, 0), (1, 1), (3, 1), (2, 2), (4, 2)]:
+        f = z_power(2, alpha)
+        assert reynolds(f, t24) == reynolds_by_composition(f, t24)
+    # a diagonal group is its own diagonal subgroup: one coset, no product
+    for group in (lens(7, 3), generate_group([UnitaryMatrix.scalar(2, OMEGA)])):
+        assert len(group.symmetric_powers._forms) == 1
+        for d in range(1, 8):
+            for alpha in monomials_of_degree(2, d):
+                f = z_power(2, alpha)
+                assert reynolds(f, group) == reynolds_by_composition(f, group)
+    # Klein's four-group of sign changes: the characters are not read off the degree
+    klein = generate_group([UnitaryMatrix.diagonal([MINUS, ONE]), UnitaryMatrix.diagonal([ONE, MINUS])])
+    assert reynolds(z_power(2, (2, 1)), klein).is_zero()
+    assert reynolds(z_power(2, (2, 4)), klein) == z_power(2, (2, 4))
+
+
+# ---------------------------------------------------------------------------
+# binary polyhedral groups: Klein's invariants, byte for byte
+# ---------------------------------------------------------------------------
+
+
+def binary_octahedral():
+    """O48 in Q(zeta_8): T24 and diag(zeta_8, zeta_8^-1)."""
+    z8 = CyclotomicField(8).root(1)
+    t24 = binary_tetrahedral()
+    gens = [g for g in t24.elements[1:]] + [UnitaryMatrix.diagonal([z8, z8.conjugate()])]
+    return generate_group(gens)
+
+
+def binary_icosahedral():
+    """I120 in Q(zeta_5), from Klein's S = diag(e^3, e^2) and
+    T = ((-(e - e^4), e^2 - e^3), (e^2 - e^3, e - e^4)) / sqrt(5), e = zeta_5."""
+    field = CyclotomicField(5)
+    e = [field.root(k) for k in range(5)]
+    sqrt5 = 1 + 2 * (e[1] + e[4])
+    assert sqrt5 * sqrt5 == 5
+    a, b = (e[1] - e[4]) / sqrt5, (e[2] - e[3]) / sqrt5
+    return generate_group([UnitaryMatrix.diagonal([e[3], e[2]]), UnitaryMatrix([[-a, b], [b, a]])])
+
+
+# generator and relation reprs of the Reynolds-everywhere engine this one replaced
+GOLDEN = {
+    "T24": (
+        [
+            "(1)*z1^5*z2 + (-1)*z1*z2^5",
+            "(1)*z1^8 + (14)*z1^4*z2^4 + (1)*z2^8",
+            "(1)*z1^12 + (-33)*z1^8*z2^4 + (-33)*z1^4*z2^8 + (1)*z2^12",
+        ],
+        ["(1)*z3^2 + (-1)*z2^3 + (108)*z1^4"],
+    ),
+    "BD12": (
+        ["(1)*z1^2*z2^2", "(1)*z1^6 + (-1)*z2^6", "(1)*z1^7*z2 + (1)*z1*z2^7"],
+        ["(-1)*z3^2 + (1)*z1*z2^2 + (4)*z1^4"],
+    ),
+    "O48": (
+        [
+            "(1)*z1^8 + (14)*z1^4*z2^4 + (1)*z2^8",
+            "(1)*z1^10*z2^2 + (-2)*z1^6*z2^6 + (1)*z1^2*z2^10",
+            "(1)*z1^17*z2 + (-34)*z1^13*z2^5 + (34)*z1^5*z2^13 + (-1)*z1*z2^17",
+        ],
+        ["(-1)*z3^2 + (-108)*z2^3 + (1)*z1^3*z2"],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, build, degrees",
+    [
+        ("T24", binary_tetrahedral, (6, 8, 12)),
+        ("BD12", lambda: binary_dihedral(3), (4, 6, 8)),
+        ("O48", binary_octahedral, (8, 12, 18)),
+    ],
+)
+def test_binary_polyhedral_generators_and_relation_are_pinned(name, build, degrees):
+    group = build()
+    basic = compute_basic_map(group, verify=False)
+    assert basic.degrees == degrees
+    relations = find_syzygies(basic, 4)
+    assert len(relations) == 1
+    assert ([repr(g) for g in basic.generators], [repr(r.relation) for r in relations]) == GOLDEN[name]
+
+
+def test_verified_t24_agrees_with_the_unverified_map():
+    group = binary_tetrahedral()
+    assert compute_basic_map(group, verify=True).generators == compute_basic_map(group, verify=False).generators
+
+
+@pytest.mark.slow
+def test_binary_icosahedral_degrees_are_kleins():
+    group = binary_icosahedral()
+    assert group.order == 120
+    basic = compute_basic_map(group, verify=False)
+    assert basic.degrees == (12, 20, 30)
+    for g in group.elements[1:3]:
+        assert all(p.compose_linear(g.entries) == p for p in basic.generators)
+    # Klein's E8 relation, in degree 60
+    assert [repr(r.relation) for r in find_syzygies(basic, 5)] == ["(-1)*z3^2 + (1)*z2^3 + (1728)*z1^5"]
