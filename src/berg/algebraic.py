@@ -33,7 +33,7 @@ import numpy as np
 
 from .ball import ball_kernel
 from .hartogs import omega_closed_kernel
-from .polynomials import HermitianPolynomial, MultiIndex, monomials_up_to_degree
+from .polynomials import HermitianPolynomial, HoloPolynomial, MultiIndex, monomials_up_to_degree
 from .scalars import to_complex
 
 
@@ -390,16 +390,12 @@ class AlgebraicRelation:
         """Expand a_j back into a polynomial in (z, conj(z))."""
         if self.feature_polys is None:
             raise ValueError("relation carries no feature expansion data")
-        dim = self.feature_polys[0].dim
-        total = HermitianPolynomial(dim)
-        for beta, c in self.coefficient_terms(j).items():
-            term = HermitianPolynomial.constant(dim, complex(c))
-            for poly, e in zip(self.feature_polys, beta):
-                cpoly = poly.to_complex_coeffs()
-                for _ in range(e):
-                    term = term * cpoly
-            total = total + term
-        return total
+        coefficient = HoloPolynomial(
+            len(self.feature_polys),
+            {beta: complex(c) for beta, c in self.coefficient_terms(j).items()},
+        )
+        features = [p.to_complex_coeffs() for p in self.feature_polys]
+        return HermitianPolynomial(self.feature_polys[0].dim) + coefficient.eval(features)
 
 
 NULL_VECTOR_STEPS = 64  # inverse-iteration cap; exact relations settle in a few

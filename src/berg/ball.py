@@ -172,9 +172,10 @@ def levi_form(rho: DefiningFunction | HermitianPolynomial, point: Sequence[compl
     The point must satisfy rho = 0 within tolerance.  A vanishing complex
     gradient flags the point as non-smooth and no eigenvalues are
     returned.  Second derivatives come from the polynomial itself, so the
-    only floating step is the final small eigenvalue problem.
+    only floating step is the final small eigenvalue problem.  A bare
+    polynomial is checked as a DefiningFunction: it must be real-valued.
     """
-    poly = rho.rho if isinstance(rho, DefiningFunction) else rho
+    poly = (rho if isinstance(rho, DefiningFunction) else DefiningFunction(rho)).rho
     n = poly.dim
     p = tuple(complex(x) for x in _coords(point))
     if len(p) != n:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .groups import exact_rref
 from .polynomials import HermitianPolynomial, MultiIndex
-from .scalars import ExactComplex, conj_scalar, gaussian_points, is_exact_scalar, to_complex
+from .scalars import ExactComplex, conj_scalar, gaussian_points, to_complex
 
 TWO_PI_CUBED = (2.0 * math.pi) ** 3
 
@@ -438,13 +438,18 @@ class RationalKernel:
     denominator: HermitianPolynomial
 
     def eval(self, x: Sequence, y: Sequence):
+        """Exact at Gaussian-rational points, whatever field a coordinate
+        is written in; complex otherwise."""
         num_poly, den_poly = self.numerator, self.denominator
-        if not all(is_exact_scalar(v) for v in (*x, *y)):
+        gaussian = gaussian_points(x, y)
+        if gaussian is None:
             num_poly = num_poly.to_complex_coeffs()
             den_poly = den_poly.to_complex_coeffs()
-        num = num_poly.eval(list(x), list(y))
-        den = den_poly.eval(list(x), list(y))
-        return num / den
+            values = _numeric((*x, *y))
+            x, y = values[: len(x)], values[len(x):]
+        else:
+            x, y = gaussian
+        return num_poly.eval(list(x), list(y)) / den_poly.eval(list(x), list(y))
 
     def is_hermitian(self) -> bool:
         return (

@@ -298,15 +298,7 @@ class Syzygy:
 
     def substitute(self, generators) -> HoloPolynomial:
         gens = list(generators)
-        dim = gens[0].dim
-        total = HoloPolynomial(dim)
-        for beta, c in self.relation.terms.items():
-            prod = HoloPolynomial.constant(dim, c)
-            for g, e in zip(gens, beta):
-                for _ in range(e):
-                    prod = prod * g
-            total = total + prod
-        return total
+        return HoloPolynomial(gens[0].dim) + self.relation.eval(gens)
 
 
 def find_syzygies(basic, degree_bound: int = 2) -> list[Syzygy]:
@@ -323,13 +315,10 @@ def find_syzygies(basic, degree_bound: int = 2) -> list[Syzygy]:
         return []
     nvars = len(gens)
     betas = list(monomials_up_to_degree(nvars, degree_bound))
-    expansions = []
-    for beta in betas:
-        prod = HoloPolynomial.constant(gens[0].dim, Fraction(1))
-        for g, e in zip(gens, beta):
-            for _ in range(e):
-                prod = prod * g
-        expansions.append(prod)
+    expansions = [
+        HoloPolynomial(gens[0].dim) + HoloPolynomial.monomial(nvars, beta).eval(gens)
+        for beta in betas
+    ]
     basis_monomials = sorted(
         {a for p in expansions for a in p.terms}, key=lambda a: (a.degree, a)
     )

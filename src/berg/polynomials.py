@@ -1,12 +1,15 @@
 """Sparse multivariate polynomial algebra in z and conj(z).
 
-Two polynomial flavors cover everything in this package:
+One arithmetic, :class:`HoloPolynomial`, holomorphic polynomials in z,
+covers everything in this package: invariant theory, covering maps and
+their Jacobians.  Substituting polynomials into a polynomial (a linear
+change of variables, a relation among invariants) is its ``eval`` at
+polynomial arguments.
 
-* :class:`HoloPolynomial` - holomorphic polynomials in z, used for
-  invariant theory, covering maps and their Jacobians;
-* :class:`HermitianPolynomial` - polynomials in (z, conj(z)) evaluated in
-  polarized form p(z, conj(w)), used for defining functions and fitted
-  relation coefficients.
+:class:`HermitianPolynomial` - defining functions and fitted relation
+coefficients - is a polarized view of it: a HoloPolynomial in the 2n
+variables (z, conj(w)), shown keyed by (holomorphic, antiholomorphic)
+index pairs and evaluated as p(z, conj(w)).
 
 Coefficients are duck-typed: Python complex, Fraction, ExactComplex and
 Cyclotomic all work, and exact kinds stay exact through every operation.
@@ -17,9 +20,14 @@ degrees grow with the group order and dense storage would be wasteful.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .cyclotomic import Cyclotomic
 from .scalars import ExactComplex, conj_scalar, scalar_is_zero, to_complex
+
+# the scalar kinds a polynomial adds as a constant
+_SCALARS = (int, Fraction, float, complex, ExactComplex, Cyclotomic)
 
 
 class MultiIndex(tuple):
@@ -40,15 +48,6 @@ class MultiIndex(tuple):
             raise ValueError("multi-index length mismatch")
         # both are nonnegative, so their sum needs no scan
         return tuple.__new__(MultiIndex, [a + b for a, b in zip(self, other)])
-
-    def factorial(self) -> int:
-        out = 1
-        for e in self:
-            f = 1
-            for k in range(2, e + 1):
-                f *= k
-            out *= f
-        return out
 
 
 def zero_index(n: int) -> MultiIndex:
@@ -87,6 +86,10 @@ def _eval_power(base, exponent: int):
     for _ in range(exponent):
         out = base if out is None else out * base
     return out
+
+
+def _monomial_text(alpha: Sequence[int], name: str = "z{}") -> str:
+    return "*".join(name.format(i + 1) + (f"^{e}" if e > 1 else "") for i, e in enumerate(alpha) if e)
 
 
 def _eval_monomial(point: Sequence, alpha: MultiIndex):
@@ -140,7 +143,7 @@ class HoloPolynomial:
 
     # -- arithmetic -------------------------------------------------------
     def _binop(self, other, sign: int) -> "HoloPolynomial":
-        if isinstance(other, (int, Fraction, complex, ExactComplex)):
+        if isinstance(other, _SCALARS):
             other = HoloPolynomial.constant(self.dim, other)
         if not isinstance(other, HoloPolynomial):
             return NotImplemented
@@ -163,6 +166,9 @@ class HoloPolynomial:
 
     def __sub__(self, other):
         return self._binop(other, -1)
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __neg__(self):
         return HoloPolynomial(self.dim, {a: -c for a, c in self.terms.items()})
@@ -223,24 +229,17 @@ class HoloPolynomial:
             HoloPolynomial(n, {unit_index(n, j): matrix[i][j] for j in range(n)})
             for i in range(n)
         ]
-        out = HoloPolynomial(n)
-        for a, c in self.terms.items():
-            term = HoloPolynomial.constant(n, c)
-            for i, e in enumerate(a):
-                for _ in range(e):
-                    term = term * linear_forms[i]
-            out = out + term
-        return out
+        return HoloPolynomial(n) + self.eval(linear_forms)
 
     def eval(self, point: Sequence):
+        """The value at a point; its coordinates may be polynomials, and a
+        constant result then comes back as a scalar."""
         total = None
         for a, c in self.terms.items():
             mono = _eval_monomial(point, a)
             val = c if mono is None else c * mono
             total = val if total is None else total + val
-        if total is None:
-            return 0
-        return total
+        return 0 if total is None else total
 
     def __call__(self, point: Sequence):
         return self.eval(point)
@@ -255,14 +254,11 @@ class HoloPolynomial:
         return HoloPolynomial(self.dim, {a: to_complex(c) for a, c in self.terms.items()})
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for a in sorted(self.terms, key=lambda t: (t.degree, tuple(-e for e in t))):
-            mono = "*".join(f"z{i+1}^{e}" if e > 1 else f"z{i+1}" for i, e in enumerate(a) if e)
-            c = self.terms[a]
-            parts.append(f"({c})" + (f"*{mono}" if mono else ""))
-        return " + ".join(parts)
+            mono = _monomial_text(a)
+            parts.append(f"({self.terms[a]})" + (f"*{mono}" if mono else ""))
+        return " + ".join(parts) or "0"
 
 
 class SymmetricPowerTable:
@@ -340,36 +336,60 @@ class SymmetricPowerTable:
 class HermitianPolynomial:
     """Sparse polynomial in (z, conj(z)) with polarized evaluation p(z, conj(w)).
 
-    Terms map (holomorphic index, antiholomorphic index) pairs to
-    coefficients.  A real-valued polynomial satisfies
+    A polarized view of one :class:`HoloPolynomial` ``poly`` in the 2n
+    variables (z_1..z_n, conj(w)_1..conj(w)_n): every operation is that
+    polynomial's.  :attr:`terms` shows it keyed by (holomorphic index,
+    antiholomorphic index) pairs.  A real-valued polynomial satisfies
     coeff(a, b) == conj(coeff(b, a)); :meth:`is_real_valued` checks this
     exactly for exact coefficients.
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "poly")
 
     def __init__(self, dim: int, terms: Mapping[tuple, object] | None = None):
+        joined = {}
+        for (a, b), c in (terms or {}).items():
+            if len(a) != dim or len(b) != dim:
+                raise ValueError("exponent length does not match dimension")
+            joined[tuple(a) + tuple(b)] = c
         self.dim = dim
-        clean: dict[tuple[MultiIndex, MultiIndex], object] = {}
-        if terms:
-            for (a, b), c in terms.items():
-                if not isinstance(a, MultiIndex) or not isinstance(b, MultiIndex):
-                    a, b = MultiIndex(a), MultiIndex(b)
-                if len(a) != dim or len(b) != dim:
-                    raise ValueError("exponent length does not match dimension")
-                if not scalar_is_zero(c):
-                    clean[(a, b)] = c
-        self.terms = clean
+        self.poly = HoloPolynomial(2 * dim, joined)
+
+    @staticmethod
+    def _of(dim: int, poly) -> "HermitianPolynomial":
+        """Wrap a HoloPolynomial in the 2 dim variables (z, conj(w));
+        NotImplemented from its operators passes through."""
+        if poly is NotImplemented:
+            return poly
+        out = object.__new__(HermitianPolynomial)
+        out.dim, out.poly = dim, poly
+        return out
+
+    @staticmethod
+    def _operand(other):
+        """What an operand is to ``poly``: a Hermitian polynomial its own
+        ``poly``, a scalar itself; None for a holomorphic polynomial."""
+        if isinstance(other, HermitianPolynomial):
+            return other.poly
+        return None if isinstance(other, HoloPolynomial) else other
+
+    def _split(self, idx: MultiIndex) -> tuple[MultiIndex, MultiIndex]:
+        n = self.dim
+        return tuple.__new__(MultiIndex, idx[:n]), tuple.__new__(MultiIndex, idx[n:])
+
+    @property
+    def terms(self) -> Mapping[tuple[MultiIndex, MultiIndex], object]:
+        """Read-only view of the terms keyed by (holomorphic, antiholomorphic) index."""
+        return MappingProxyType({self._split(k): c for k, c in self.poly.terms.items()})
 
     # -- constructors ----------------------------------------------------
     @staticmethod
     def term(dim: int, holo: Iterable[int], anti: Iterable[int], coeff=1) -> "HermitianPolynomial":
-        return HermitianPolynomial(dim, {(MultiIndex(holo), MultiIndex(anti)): coeff})
+        return HermitianPolynomial(dim, {(tuple(holo), tuple(anti)): coeff})
 
     @staticmethod
     def constant(dim: int, c) -> "HermitianPolynomial":
-        z = zero_index(dim)
-        return HermitianPolynomial(dim, {(z, z): c})
+        return HermitianPolynomial._of(dim, HoloPolynomial.constant(2 * dim, c))
 
     @staticmethod
     def modulus_squared(dim: int, i: int) -> "HermitianPolynomial":
@@ -377,119 +397,72 @@ class HermitianPolynomial:
         u = unit_index(dim, i)
         return HermitianPolynomial(dim, {(u, u): 1})
 
-    # -- arithmetic --------------------------------------------------------
-    def _binop(self, other, sign: int):
-        if isinstance(other, (int, Fraction, complex, ExactComplex)):
-            other = HermitianPolynomial.constant(self.dim, other)
-        if not isinstance(other, HermitianPolynomial):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError("polynomial dimension mismatch")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            cur = out.get(key)
-            new = (c if sign > 0 else -c) if cur is None else (cur + c if sign > 0 else cur - c)
-            if scalar_is_zero(new):
-                out.pop(key, None)
-            else:
-                out[key] = new
-        return HermitianPolynomial(self.dim, out)
-
+    # -- arithmetic: the HoloPolynomial's ---------------------------------
     def __add__(self, other):
-        return self._binop(other, +1)
+        return self._of(self.dim, self.poly._binop(self._operand(other), +1))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binop(other, -1)
+        return self._of(self.dim, self.poly._binop(self._operand(other), -1))
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __neg__(self):
-        return HermitianPolynomial(self.dim, {k: -c for k, c in self.terms.items()})
+        return self._of(self.dim, -self.poly)
 
     def __mul__(self, other):
-        if isinstance(other, HermitianPolynomial):
-            if other.dim != self.dim:
-                raise ValueError("polynomial dimension mismatch")
-            out: dict[tuple, object] = {}
-            for (a1, b1), c1 in self.terms.items():
-                for (a2, b2), c2 in other.terms.items():
-                    key = (a1 + a2, b1 + b2)
-                    c = c1 * c2
-                    cur = out.get(key)
-                    new = c if cur is None else cur + c
-                    if scalar_is_zero(new):
-                        out.pop(key, None)
-                    else:
-                        out[key] = new
-            return HermitianPolynomial(self.dim, out)
-        return self.scale(other)
+        other = self._operand(other)
+        return NotImplemented if other is None else self._of(self.dim, self.poly * other)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "HermitianPolynomial":
-        if scalar_is_zero(c):
-            return HermitianPolynomial(self.dim)
-        return HermitianPolynomial(self.dim, {k: v * c for k, v in self.terms.items()})
+        return self._of(self.dim, self.poly.scale(c))
 
     def __pow__(self, n: int) -> "HermitianPolynomial":
-        out = HermitianPolynomial.constant(self.dim, 1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return self._of(self.dim, self.poly**n)
 
     def __eq__(self, other):
         if not isinstance(other, HermitianPolynomial):
             return NotImplemented
-        return self.dim == other.dim and (self - other).is_zero()
+        return self.poly == other.poly
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
+        return hash(self.poly)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.poly.is_zero()
 
     # -- structure ----------------------------------------------------------
     def conj_swap(self) -> "HermitianPolynomial":
         """Exchange holomorphic and antiholomorphic indices and conjugate."""
-        return HermitianPolynomial(
-            self.dim, {(b, a): conj_scalar(c) for (a, b), c in self.terms.items()}
-        )
+        n = self.dim
+        return self._of(n, HoloPolynomial(
+            2 * n, {k[n:] + k[:n]: conj_scalar(c) for k, c in self.poly.terms.items()}
+        ))
 
     def is_real_valued(self, tol: float = 0.0) -> bool:
-        diff = self - self.conj_swap()
-        if not diff.terms:
-            return True
-        if tol > 0:
-            return all(abs(to_complex(c)) <= tol for c in diff.terms.values())
-        return False
+        diff = (self - self.conj_swap()).poly.terms.values()
+        return not diff or (tol > 0 and all(abs(to_complex(c)) <= tol for c in diff))
 
     def bidegree(self) -> tuple[int, int]:
-        dh = max((a.degree for a, _ in self.terms), default=0)
-        da = max((b.degree for _, b in self.terms), default=0)
+        n = self.dim
+        dh = max((sum(k[:n]) for k in self.poly.terms), default=0)
+        da = max((sum(k[n:]) for k in self.poly.terms), default=0)
         return dh, da
 
     # -- calculus -------------------------------------------------------------
     def d_z(self, i: int) -> "HermitianPolynomial":
-        out: dict[tuple, object] = {}
-        for (a, b), c in self.terms.items():
-            if a[i] == 0:
-                continue
-            na = MultiIndex(tuple(e - 1 if j == i else e for j, e in enumerate(a)))
-            out[(na, b)] = c * a[i]
-        return HermitianPolynomial(self.dim, out)
+        return self._of(self.dim, self.poly.partial(i))
 
     def d_zbar(self, i: int) -> "HermitianPolynomial":
-        out: dict[tuple, object] = {}
-        for (a, b), c in self.terms.items():
-            if b[i] == 0:
-                continue
-            nb = MultiIndex(tuple(e - 1 if j == i else e for j, e in enumerate(b)))
-            out[(a, nb)] = c * b[i]
-        return HermitianPolynomial(self.dim, out)
+        return self._of(self.dim, self.poly.partial(self.dim + i))
 
     # -- evaluation -------------------------------------------------------------
     def eval(self, z: Sequence, w: Sequence | None = None):
-        """Polarized value sum of coeff * z^a * conj(w)^b; w defaults to z."""
+        """Polarized value sum of (coeff * z^a) * conj(w)^b; w defaults to z."""
         if w is None:
             w = z
         if len(z) != self.dim or len(w) != self.dim:
@@ -497,56 +470,43 @@ class HermitianPolynomial:
                 f"point dimension mismatch: polynomial has dim {self.dim}, "
                 f"got {len(z)} and {len(w)}"
             )
+        n = self.dim
         wbar = [conj_scalar(x) for x in w]
         total = None
-        for (a, b), c in self.terms.items():
-            mono_a = _eval_monomial(z, a)
-            mono_b = _eval_monomial(wbar, b)
-            val = c
-            if mono_a is not None:
-                val = val * mono_a
-            if mono_b is not None:
-                val = val * mono_b
+        for k, val in self.poly.terms.items():
+            for mono in (_eval_monomial(z, k[:n]), _eval_monomial(wbar, k[n:])):
+                if mono is not None:
+                    val = val * mono
             total = val if total is None else total + val
-        if total is None:
-            return 0
-        return total
+        return 0 if total is None else total
 
     def __call__(self, z, w=None):
         return self.eval(z, w)
 
     def to_complex_coeffs(self) -> "HermitianPolynomial":
-        return HermitianPolynomial(
-            self.dim, {k: to_complex(c) for k, c in self.terms.items()}
-        )
+        return self._of(self.dim, self.poly.to_complex_coeffs())
 
     # -- serialization ------------------------------------------------------------
+    def _sorted_terms(self) -> list[tuple[MultiIndex, MultiIndex, object]]:
+        """(a, b, coeff) by the joined index a + b: since len(a) == dim,
+        that is the order of the pair (a, b)."""
+        return [(*self._split(k), self.poly.terms[k]) for k in sorted(self.poly.terms)]
+
     def to_json_dict(self) -> dict:
-        rows = []
-        for (a, b) in sorted(self.terms, key=lambda k: (tuple(k[0]), tuple(k[1]))):
-            c = to_complex(self.terms[(a, b)])
-            rows.append([list(a), list(b), c.real, c.imag])
+        rows = [[list(a), list(b), to_complex(c).real, to_complex(c).imag] for a, b, c in self._sorted_terms()]
         return {"dim": self.dim, "terms": rows}
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "HermitianPolynomial":
-        dim = int(data["dim"])
-        terms = {}
-        for a, b, re, im in data["terms"]:
-            terms[(MultiIndex(a), MultiIndex(b))] = complex(re, im)
-        return HermitianPolynomial(dim, terms)
+        terms = {(MultiIndex(a), MultiIndex(b)): complex(re, im) for a, b, re, im in data["terms"]}
+        return HermitianPolynomial(int(data["dim"]), terms)
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
         parts = []
-        for (a, b) in sorted(self.terms, key=lambda k: (tuple(k[0]), tuple(k[1]))):
-            holo = "*".join(f"z{i+1}^{e}" if e > 1 else f"z{i+1}" for i, e in enumerate(a) if e)
-            anti = "*".join(f"w{i+1}b^{e}" if e > 1 else f"w{i+1}b" for i, e in enumerate(b) if e)
-            mono = "*".join(x for x in (holo, anti) if x)
-            c = self.terms[(a, b)]
+        for a, b, c in self._sorted_terms():
+            mono = "*".join(x for x in (_monomial_text(a), _monomial_text(b, "w{}b")) if x)
             parts.append(f"({c})" + (f"*{mono}" if mono else ""))
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
 
 def minimal_poly_check(samples: Sequence[tuple], candidate) -> float:

@@ -266,11 +266,6 @@ def exact(re: RationalLike = 0, im: RationalLike = 0, pi_pow: int = 0) -> ExactC
     return ExactComplex(re, im, pi_pow)
 
 
-def is_exact_scalar(x) -> bool:
-    """True for Gaussian-rational scalars: int, Fraction and ExactComplex."""
-    return isinstance(x, (int, Fraction, ExactComplex))
-
-
 def gaussian_points(*points) -> list[tuple] | None:
     """The points with every coordinate a Gaussian-rational scalar, or None
     when some coordinate is not one.  A ``Cyclotomic`` coordinate counts
@@ -280,7 +275,7 @@ def gaussian_points(*points) -> list[tuple] | None:
     for p in points:
         coords = []
         for x in p:
-            if not is_exact_scalar(x):
+            if not isinstance(x, (int, Fraction, ExactComplex)):
                 if not isinstance(x, Cyclotomic):
                     return None
                 try:

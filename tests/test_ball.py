@@ -14,6 +14,7 @@ from berg.ball import (
     sphere_defining_function,
     u_domain_defining_function,
 )
+from berg.polynomials import HermitianPolynomial
 from berg.scalars import ExactComplex, to_complex
 
 
@@ -149,6 +150,14 @@ def test_levi_sphere():
     assert report.smooth
     assert report.eigenvalues == (1.0,)
     assert report.strictly_pseudoconvex
+
+
+def test_levi_rejects_a_polynomial_that_is_not_real_valued():
+    # |z1|^2 + |z2|^2 + z1 conj(z2)/2 - 1 has no real values off the diagonal
+    rho = sphere_defining_function(2).rho + HermitianPolynomial.term(2, (1, 0), (0, 1), Fraction(1, 2))
+    with pytest.raises(ValueError, match="real-valued"):
+        levi_form(rho, (0.0, 1.0))
+    assert levi_form(sphere_defining_function(2).rho, (0.0, 1.0)).strictly_pseudoconvex
 
 
 def test_levi_model_negative():

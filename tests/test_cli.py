@@ -51,6 +51,15 @@ def test_levi_cmd_builtin_and_file(runner, tmp_path):
     assert json.loads(out)["eigenvalues"] == [1.0]
 
 
+def test_levi_rejects_a_rho_that_is_not_real_valued(runner, tmp_path):
+    terms = [[[1, 0], [1, 0], 1, 0], [[0, 1], [0, 1], 1, 0], [[1, 0], [0, 1], 0.5, 0], [[0, 0], [0, 0], -1, 0]]
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps({"dim": 2, "terms": terms}))
+    result = runner.invoke(main, ["levi", "--rho", str(path), "--point", "0,1"])
+    _one_line_usage_error(result)
+    assert "real-valued" in result.output
+
+
 def test_levi_off_surface_is_usage_error(runner):
     result = runner.invoke(main, ["levi", "--rho", "sphere-2", "--point", "0.5,0"])
     assert result.exit_code == 2

@@ -383,6 +383,25 @@ def test_rational_kernel_exact_eval():
     assert rk.eval(x, x) == ExactComplex(Fraction(8, 27), 0, -3)
 
 
+def test_rational_kernel_is_exact_at_a_point_written_in_q_zeta4():
+    # x = (i/4, 1/5, i/3), y = (1/3, i/7, 1/2) as Cyclotomic and as ExactComplex
+    rk = omega_rational_kernel()
+    q4 = CyclotomicField(4)
+    i = q4.root(1)
+    x = (i * Fraction(1, 4), q4.from_rational(Fraction(1, 5)), i * Fraction(1, 3))
+    y = (q4.from_rational(Fraction(1, 3)), i * Fraction(1, 7), q4.from_rational(Fraction(1, 2)))
+    gx = (ExactComplex(0, Fraction(1, 4)), Fraction(1, 5), ExactComplex(0, Fraction(1, 3)))
+    gy = (Fraction(1, 3), ExactComplex(0, Fraction(1, 7)), Fraction(1, 2))
+    got, want = rk.eval(x, y), rk.eval(gx, gy)
+    assert isinstance(got, ExactComplex) and got == want and repr(got) == repr(want)
+    assert want == omega_closed_kernel(gx[:2], gx[2], gy[:2], gy[2])
+    # a coordinate outside Q(i) takes the float path
+    zeta5 = CyclotomicField(5).root(1) * Fraction(1, 3)
+    value = rk.eval((zeta5,) + x[1:], y)
+    assert type(value) is complex
+    assert value == rk.eval((to_complex(zeta5),) + tuple(map(to_complex, x[1:])), tuple(map(to_complex, y)))
+
+
 def test_domain_spec_validation():
     with pytest.raises(ValueError):
         HartogsDomainSpec(base_dim=1, weight=standard_omega_weight())

@@ -6,6 +6,7 @@ import berg.invariants as invariants
 from berg.cyclotomic import CyclotomicField, root_of_unity
 from berg.groups import UnitaryMatrix, determinant, generate_group
 from berg.invariants import (
+    Syzygy,
     _pivot_columns,
     _products_of_degree,
     compute_basic_map,
@@ -558,6 +559,52 @@ def test_binary_polyhedral_generators_and_relation_are_pinned(name, build, degre
     relations = find_syzygies(basic, 4)
     assert len(relations) == 1
     assert ([repr(g) for g in basic.generators], [repr(r.relation) for r in relations]) == GOLDEN[name]
+
+
+def compose_linear_by_products(f, matrix):
+    """f(Az) as compose_linear built it before it became an eval at the
+    linear forms: each term a constant times one linear form at a time."""
+    n = f.dim
+    forms = [HoloPolynomial(n, {tuple(int(j == k) for k in range(n)): matrix[i][j] for j in range(n)}) for i in range(n)]
+    out = HoloPolynomial(n)
+    for a, c in f.terms.items():
+        term = HoloPolynomial.constant(n, c)
+        for i, e in enumerate(a):
+            for _ in range(e):
+                term = term * forms[i]
+        out = out + term
+    return out
+
+
+def substitute_by_products(relation, gens):
+    """q(p_1, ..., p_N) as Syzygy.substitute built it before it became an eval."""
+    total = HoloPolynomial(gens[0].dim)
+    for beta, c in relation.terms.items():
+        prod = HoloPolynomial.constant(gens[0].dim, c)
+        for g, e in zip(gens, beta):
+            for _ in range(e):
+                prod = prod * g
+        total = total + prod
+    return total
+
+
+@pytest.mark.parametrize("build", [binary_tetrahedral, lambda: binary_dihedral(3)], ids=["T24", "BD12"])
+def test_substitution_through_eval_agrees_with_the_product_loops(build):
+    group = build()
+    basic = compute_basic_map(group, verify=False)
+    gens = list(basic.generators)
+    others = [z_power(2, (3, 1)), z_power(2, (0, 2)) + z_power(2, (1, 0)).scale(I_UNIT) + 5, HoloPolynomial.constant(2, 7)]
+    for g in group.elements[:6]:
+        for f in gens + others:
+            got, want = f.compose_linear(g.entries), compose_linear_by_products(f, g.entries)
+            assert got == want and repr(got) == repr(want)
+    relations = [s.relation for s in find_syzygies(basic, 4)]
+    assert len(relations) == 1
+    not_relations = [z_power(3, (1, 1, 0)) + z_power(3, (0, 0, 2)).scale(3) + 1, HoloPolynomial.constant(3, 2), HoloPolynomial(3)]
+    for q in relations + not_relations:
+        got, want = Syzygy(relation=q).substitute(gens), substitute_by_products(q, gens)
+        assert got == want and repr(got) == repr(want)
+        assert got.is_zero() == (q in relations or q.is_zero())
 
 
 def test_verified_t24_agrees_with_the_unverified_map():

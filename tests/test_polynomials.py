@@ -15,7 +15,7 @@ from berg.polynomials import (
     minimal_poly_check,
     monomials_of_degree,
 )
-from berg.scalars import ExactComplex, to_complex
+from berg.scalars import ExactComplex, conj_scalar, scalar_is_zero, to_complex
 
 
 def test_multi_index_validation():
@@ -198,3 +198,160 @@ def test_minimal_poly_errors():
         minimal_poly_check([], p)
     with pytest.raises(ValueError):
         minimal_poly_check([((0.0,), 0.0)], HoloPolynomial(2))
+
+
+# -- constants of every scalar kind ------------------------------------------
+
+@pytest.mark.parametrize("c", [root_of_unity(4), 0.5], ids=["zeta4", "float"])
+def test_constants_add_and_subtract_in_both_orders(c):
+    for p, const in [
+        (HoloPolynomial.coordinate(2, 0), HoloPolynomial.constant(2, c)),
+        (HermitianPolynomial.modulus_squared(2, 0), HermitianPolynomial.constant(2, c)),
+    ]:
+        assert p + c == c + p == p + const
+        assert p - c == p - const and c - p == const - p
+        assert (p + c) - p == const and (c - p) + p == const
+
+
+# -- the pair-keyed Hermitian arithmetic, kept as an oracle --------------------
+
+class PairHermitian:
+    """Terms keyed by (holomorphic, antiholomorphic) index pairs, with the
+    arithmetic HermitianPolynomial had before it became a view of one
+    HoloPolynomial in (z, conj(w))."""
+
+    def __init__(self, dim, terms=()):
+        self.dim = dim
+        self.terms = {}
+        for (a, b), c in dict(terms).items():
+            if not scalar_is_zero(c):
+                self.terms[(MultiIndex(a), MultiIndex(b))] = c
+
+    def _combine(self, other, sign):
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            cur = out.get(key)
+            new = (c if sign > 0 else -c) if cur is None else (cur + c if sign > 0 else cur - c)
+            if scalar_is_zero(new):
+                out.pop(key, None)
+            else:
+                out[key] = new
+        return PairHermitian(self.dim, out)
+
+    def __add__(self, other):
+        return self._combine(other, +1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __mul__(self, other):
+        out = {}
+        for (a1, b1), c1 in self.terms.items():
+            for (a2, b2), c2 in other.terms.items():
+                key = (a1 + a2, b1 + b2)
+                cur = out.get(key)
+                new = c1 * c2 if cur is None else cur + c1 * c2
+                if scalar_is_zero(new):
+                    out.pop(key, None)
+                else:
+                    out[key] = new
+        return PairHermitian(self.dim, out)
+
+    def _derive(self, i, holo):
+        out = {}
+        for (a, b), c in self.terms.items():
+            e = (a if holo else b)[i]
+            if e:
+                lower = MultiIndex(x - (j == i) for j, x in enumerate(a if holo else b))
+                out[(lower, b) if holo else (a, lower)] = c * e
+        return PairHermitian(self.dim, out)
+
+    def conj_swap(self):
+        return PairHermitian(self.dim, {(b, a): conj_scalar(c) for (a, b), c in self.terms.items()})
+
+    def is_real_valued(self):
+        return not (self - self.conj_swap()).terms
+
+    def eval(self, z, w):
+        def monomial(point, alpha):  # x^e for each variable, then their product
+            out = None
+            for x, e in zip(point, alpha):
+                if e:
+                    power = x
+                    for _ in range(e - 1):
+                        power = power * x
+                    out = power if out is None else out * power
+            return out
+
+        wbar = [conj_scalar(x) for x in w]
+        total = None
+        for (a, b), c in self.terms.items():
+            val = c
+            for mono in (monomial(z, a), monomial(wbar, b)):
+                if mono is not None:
+                    val = val * mono
+            total = val if total is None else total + val
+        return 0 if total is None else total
+
+    def repr_and_json(self):
+        parts, rows = [], []
+        for a, b in sorted(self.terms, key=lambda k: (tuple(k[0]), tuple(k[1]))):
+            c = self.terms[(a, b)]
+            holo = "*".join(f"z{i+1}^{e}" if e > 1 else f"z{i+1}" for i, e in enumerate(a) if e)
+            anti = "*".join(f"w{i+1}b^{e}" if e > 1 else f"w{i+1}b" for i, e in enumerate(b) if e)
+            mono = "*".join(x for x in (holo, anti) if x)
+            parts.append(f"({c})" + (f"*{mono}" if mono else ""))
+            rows.append([list(a), list(b), to_complex(c).real, to_complex(c).imag])
+        return " + ".join(parts) or "0", {"dim": self.dim, "terms": rows}
+
+
+def _agree(new, old):
+    assert dict(new.terms) == old.terms
+    assert list(new.terms) == list(old.terms)  # same term order, so eval sums alike
+    assert (repr(new), new.to_json_dict()) == old.repr_and_json()
+
+
+_exponents = st.tuples(st.integers(0, 2), st.integers(0, 2))
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_float_coeffs = st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False)
+# coefficient kinds that mix with one another
+_coeff_kinds = [
+    st.one_of(_rationals, st.builds(ExactComplex, _rationals, _rationals)),
+    st.one_of(_rationals, st.builds(lambda k, r: root_of_unity(8, k) * r, st.integers(0, 7), _rationals)),
+    _float_coeffs,
+]
+
+
+def _pair_terms(coeffs):
+    return st.dictionaries(st.tuples(_exponents, _exponents), coeffs, max_size=5)
+
+
+@given(st.sampled_from(_coeff_kinds).flatmap(lambda c: st.tuples(_pair_terms(c), _pair_terms(c))))
+@settings(max_examples=60, deadline=None)
+def test_hermitian_arithmetic_agrees_with_the_pair_keyed_oracle(terms):
+    p_terms, q_terms = terms
+    p, q = HermitianPolynomial(2, p_terms), HermitianPolynomial(2, q_terms)
+    op, oq = PairHermitian(2, p_terms), PairHermitian(2, q_terms)
+    _agree(p, op)
+    for new, old in [(p + q, op + oq), (p - q, op - oq), (p * q, op * oq), (p.conj_swap(), op.conj_swap())]:
+        _agree(new, old)
+    for i in range(2):
+        _agree(p.d_z(i), op._derive(i, True))
+        _agree(p.d_zbar(i), op._derive(i, False))
+    assert p.is_real_valued() == op.is_real_valued()
+    assert (p + p.conj_swap()).is_real_valued() and (op + op.conj_swap()).is_real_valued()
+
+
+@given(
+    _pair_terms(_float_coeffs),
+    _pair_terms(_float_coeffs),
+    st.lists(_float_coeffs, min_size=4, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_float_hermitian_eval_is_bit_identical_to_the_oracle(p_terms, q_terms, coords):
+    z, w = coords[:2], coords[2:]
+    p, q = HermitianPolynomial(2, p_terms), HermitianPolynomial(2, q_terms)
+    op, oq = PairHermitian(2, p_terms), PairHermitian(2, q_terms)
+    for new, old in [(p, op), (p * q, op * oq), (p + q, op + oq), (p.d_z(0), op._derive(0, True))]:
+        got, want = new.eval(z, w), old.eval(z, w)
+        assert type(got) is type(want) and repr(got) == repr(want)
