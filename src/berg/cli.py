@@ -217,15 +217,7 @@ def basic_map_cmd(group_file, syzygy_degree, max_order, no_cache):
     payload = basic.to_json_dict()
     if syzygy_degree >= 2:
         relations = find_syzygies(basic, degree_bound=syzygy_degree)
-        payload["syzygies"] = [
-            {
-                "terms": [
-                    [list(beta), to_complex(c).real, to_complex(c).imag]
-                    for beta, c in sorted(s.relation.terms.items(), key=lambda kv: tuple(kv[0]))
-                ]
-            }
-            for s in relations
-        ]
+        payload["syzygies"] = [s.to_json_dict() for s in relations]
     text = json.dumps(payload, sort_keys=True)
     if not no_cache:
         # a reader never sees a partly written entry

@@ -441,15 +441,12 @@ class RationalKernel:
         """Exact at Gaussian-rational points, whatever field a coordinate
         is written in; complex otherwise."""
         num_poly, den_poly = self.numerator, self.denominator
-        gaussian = gaussian_points(x, y)
-        if gaussian is None:
+        points = gaussian_points(x, y)
+        if points is None:
             num_poly = num_poly.to_complex_coeffs()
             den_poly = den_poly.to_complex_coeffs()
-            values = _numeric((*x, *y))
-            x, y = values[: len(x)], values[len(x):]
-        else:
-            x, y = gaussian
-        return num_poly.eval(list(x), list(y)) / den_poly.eval(list(x), list(y))
+            points = [_numeric(x), _numeric(y)]
+        return num_poly.eval(*points) / den_poly.eval(*points)
 
     def is_hermitian(self) -> bool:
         return (

@@ -20,7 +20,7 @@ from .polynomials import (
     monomials_of_degree,
     monomials_up_to_degree,
 )
-from .scalars import inv_scalar
+from .scalars import inv_scalar, to_complex
 
 
 def reynolds(f: HoloPolynomial, group: FiniteUnitaryGroup) -> HoloPolynomial:
@@ -79,18 +79,17 @@ class BasicMap:
         return tuple(p.eval(point) for p in self.generators)
 
     def to_json_dict(self) -> dict:
-        gens = []
-        for p in self.generators:
-            from .scalars import to_complex
-            gens.append(
-                {
-                    "terms": [
-                        [list(a), to_complex(c).real, to_complex(c).imag]
-                        for a, c in sorted(p.terms.items(), key=lambda kv: tuple(kv[0]))
-                    ]
-                }
-            )
+        gens = [{"terms": _json_terms(p)} for p in self.generators]
         return {"dim": self.dim, "degrees": list(self.degrees), "generators": gens}
+
+
+def _json_terms(p: HoloPolynomial) -> list[list]:
+    """The terms as JSON rows [exponent, re, im], sorted by exponent."""
+    rows = []
+    for a, c in sorted(p.terms.items()):
+        c = to_complex(c)
+        rows.append([list(a), c.real, c.imag])
+    return rows
 
 
 def _products_of_degree(
@@ -299,6 +298,9 @@ class Syzygy:
     def substitute(self, generators) -> HoloPolynomial:
         gens = list(generators)
         return HoloPolynomial(gens[0].dim) + self.relation.eval(gens)
+
+    def to_json_dict(self) -> dict:
+        return {"terms": _json_terms(self.relation)}
 
 
 def find_syzygies(basic, degree_bound: int = 2) -> list[Syzygy]:

@@ -20,7 +20,6 @@ degrees grow with the group order and dense storage would be wasteful.
 from __future__ import annotations
 
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cyclotomic import Cyclotomic
@@ -89,7 +88,10 @@ def _eval_power(base, exponent: int):
 
 
 def _monomial_text(alpha: Sequence[int], name: str = "z{}") -> str:
-    return "*".join(name.format(i + 1) + (f"^{e}" if e > 1 else "") for i, e in enumerate(alpha) if e)
+    """The monomial as text, e.g. z1^2*z3 for (2, 0, 1)."""
+    return "*".join(
+        name.format(i + 1) + (f"^{e}" if e > 1 else "") for i, e in enumerate(alpha) if e
+    )
 
 
 def _eval_monomial(point: Sequence, alpha: MultiIndex):
@@ -239,7 +241,9 @@ class HoloPolynomial:
             mono = _eval_monomial(point, a)
             val = c if mono is None else c * mono
             total = val if total is None else total + val
-        return 0 if total is None else total
+        if total is None:
+            return 0
+        return total
 
     def __call__(self, point: Sequence):
         return self.eval(point)
@@ -254,11 +258,14 @@ class HoloPolynomial:
         return HoloPolynomial(self.dim, {a: to_complex(c) for a, c in self.terms.items()})
 
     def __repr__(self):
+        if not self.terms:
+            return "0"
         parts = []
         for a in sorted(self.terms, key=lambda t: (t.degree, tuple(-e for e in t))):
             mono = _monomial_text(a)
-            parts.append(f"({self.terms[a]})" + (f"*{mono}" if mono else ""))
-        return " + ".join(parts) or "0"
+            c = self.terms[a]
+            parts.append(f"({c})" + (f"*{mono}" if mono else ""))
+        return " + ".join(parts)
 
 
 class SymmetricPowerTable:
@@ -373,14 +380,12 @@ class HermitianPolynomial:
             return other.poly
         return None if isinstance(other, HoloPolynomial) else other
 
-    def _split(self, idx: MultiIndex) -> tuple[MultiIndex, MultiIndex]:
-        n = self.dim
-        return tuple.__new__(MultiIndex, idx[:n]), tuple.__new__(MultiIndex, idx[n:])
-
     @property
-    def terms(self) -> Mapping[tuple[MultiIndex, MultiIndex], object]:
-        """Read-only view of the terms keyed by (holomorphic, antiholomorphic) index."""
-        return MappingProxyType({self._split(k): c for k, c in self.poly.terms.items()})
+    def terms(self) -> dict[tuple[MultiIndex, MultiIndex], object]:
+        """The terms keyed by (holomorphic, antiholomorphic) index: a fresh
+        snapshot, so changing it does not change the polynomial."""
+        n = self.dim
+        return {(MultiIndex(k[:n]), MultiIndex(k[n:])): c for k, c in self.poly.terms.items()}
 
     # -- constructors ----------------------------------------------------
     @staticmethod
@@ -444,8 +449,12 @@ class HermitianPolynomial:
         ))
 
     def is_real_valued(self, tol: float = 0.0) -> bool:
-        diff = (self - self.conj_swap()).poly.terms.values()
-        return not diff or (tol > 0 and all(abs(to_complex(c)) <= tol for c in diff))
+        diff = (self - self.conj_swap()).poly.terms
+        if not diff:
+            return True
+        if tol > 0:
+            return all(abs(to_complex(c)) <= tol for c in diff.values())
+        return False
 
     def bidegree(self) -> tuple[int, int]:
         n = self.dim
@@ -478,7 +487,9 @@ class HermitianPolynomial:
                 if mono is not None:
                     val = val * mono
             total = val if total is None else total + val
-        return 0 if total is None else total
+        if total is None:
+            return 0
+        return total
 
     def __call__(self, z, w=None):
         return self.eval(z, w)
@@ -487,26 +498,30 @@ class HermitianPolynomial:
         return self._of(self.dim, self.poly.to_complex_coeffs())
 
     # -- serialization ------------------------------------------------------------
-    def _sorted_terms(self) -> list[tuple[MultiIndex, MultiIndex, object]]:
-        """(a, b, coeff) by the joined index a + b: since len(a) == dim,
-        that is the order of the pair (a, b)."""
-        return [(*self._split(k), self.poly.terms[k]) for k in sorted(self.poly.terms)]
-
     def to_json_dict(self) -> dict:
-        rows = [[list(a), list(b), to_complex(c).real, to_complex(c).imag] for a, b, c in self._sorted_terms()]
+        rows = []
+        for (a, b), c in sorted(self.terms.items()):
+            c = to_complex(c)
+            rows.append([list(a), list(b), c.real, c.imag])
         return {"dim": self.dim, "terms": rows}
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "HermitianPolynomial":
-        terms = {(MultiIndex(a), MultiIndex(b)): complex(re, im) for a, b, re, im in data["terms"]}
-        return HermitianPolynomial(int(data["dim"]), terms)
+        dim = int(data["dim"])
+        terms = {}
+        for a, b, re, im in data["terms"]:
+            terms[(MultiIndex(a), MultiIndex(b))] = complex(re, im)
+        return HermitianPolynomial(dim, terms)
 
     def __repr__(self):
+        if not self.poly.terms:
+            return "0"
         parts = []
-        for a, b, c in self._sorted_terms():
-            mono = "*".join(x for x in (_monomial_text(a), _monomial_text(b, "w{}b")) if x)
+        for (a, b), c in sorted(self.terms.items()):
+            holo, anti = _monomial_text(a), _monomial_text(b, "w{}b")
+            mono = "*".join(x for x in (holo, anti) if x)
             parts.append(f"({c})" + (f"*{mono}" if mono else ""))
-        return " + ".join(parts) or "0"
+        return " + ".join(parts)
 
 
 def minimal_poly_check(samples: Sequence[tuple], candidate) -> float:
