@@ -66,7 +66,6 @@ from .hartogs import (
     ChartSingularityError,
     DivergentIntegralError,
     HartogsDomainSpec,
-    MomentTable,
     NonConvergentError,
     RationalKernel,
     SeriesValue,

@@ -34,7 +34,6 @@ import numpy as np
 from .ball import ball_kernel
 from .hartogs import omega_closed_kernel
 from .polynomials import HermitianPolynomial, HoloPolynomial, MultiIndex, monomials_up_to_degree
-from .scalars import to_complex
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +155,6 @@ class KernelSurface:
     feature_polys: tuple[HermitianPolynomial, ...]
     sample: Callable[[np.random.Generator, int], list]
     boundary_sample: Callable[[np.random.Generator, int], list] | None = None
-    offdiag: Callable[[tuple, tuple], complex] | None = None
 
     def samples(self, count: int, seed: int = 0) -> list[tuple[tuple, float]]:
         rng = np.random.default_rng(seed)
@@ -205,7 +203,6 @@ def disk_surface(radius_max: float = 0.9) -> KernelSurface:
             (complex(math.cos(t), math.sin(t)),)
             for t in rng.uniform(0.0, 2.0 * math.pi, n)
         ],
-        offdiag=lambda z, w: to_complex(ball_kernel(1, z, w)),
     )
 
 
@@ -234,7 +231,6 @@ def ball2_surface(radius_max: float = 0.8) -> KernelSurface:
         feature_polys=_real_coordinate_polys(2),
         sample=sample,
         boundary_sample=boundary,
-        offdiag=lambda z, w: to_complex(ball_kernel(2, z, w)),
     )
 
 
@@ -280,9 +276,6 @@ def omega_diagonal_surface(
         ),
         sample=sample,
         boundary_sample=boundary,
-        offdiag=lambda x, y: to_complex(
-            omega_closed_kernel((x[0], x[1]), x[2], (y[0], y[1]), y[2])
-        ),
     )
 
 
@@ -320,7 +313,6 @@ def u_surface(radial_max: float = 1.5) -> KernelSurface:
         ),
         sample=sample,
         boundary_sample=None,
-        offdiag=lambda x, y: to_complex(u_kernel(x, y, check_domain=False)),
     )
 
 
@@ -337,7 +329,6 @@ def annulus_surface(
             rng, n, inner_radius + margin, 1.0 - margin
         ),
         boundary_sample=None,
-        offdiag=lambda z, w: annulus_kernel(inner_radius, z[0], w[0], truncation),
     )
 
 
@@ -365,7 +356,6 @@ class AlgebraicRelation:
     nfeatures: int
     coefficients: dict[tuple[MultiIndex, int], float]
     residual: float
-    normalization: str = "unit-l2"
     feature_polys: tuple[HermitianPolynomial, ...] | None = None
 
     def coefficient_terms(self, j: int) -> dict[MultiIndex, float]:

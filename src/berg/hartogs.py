@@ -13,13 +13,14 @@ the closed rational form
     rho = x - 1.
 
 Norms for other positive radial weights fall back to tensor Gauss
-quadrature on the radialized integrals.
+quadrature on the radialized integrals; which one applies is read from
+the weight.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -63,11 +64,12 @@ def standard_omega_weight() -> HermitianPolynomial:
 
 @dataclass(frozen=True)
 class HartogsDomainSpec:
-    """The domain {|lambda|^2 h(z) < 1} over C^base_dim."""
+    """The domain {|lambda|^2 h(z) < 1} over C^base_dim; ``omega_standard``
+    says whether h is the standard weight, where everything is exact."""
 
     base_dim: int
     weight: HermitianPolynomial
-    omega_standard: bool = False
+    omega_standard: bool = field(init=False)
 
     def __post_init__(self):
         if self.weight.dim != self.base_dim:
@@ -80,6 +82,7 @@ class HartogsDomainSpec:
             val = to_complex(self.weight.eval(list(z)))
             if val.real <= 0:
                 raise ValueError(f"weight is not positive at sample {z}")
+        object.__setattr__(self, "omega_standard", self.weight == standard_omega_weight())
 
     def weight_value(self, z: Sequence) -> float:
         return to_complex(self.weight.eval(list(z))).real
@@ -89,7 +92,7 @@ class HartogsDomainSpec:
 
 
 def omega_spec() -> HartogsDomainSpec:
-    return HartogsDomainSpec(base_dim=2, weight=standard_omega_weight(), omega_standard=True)
+    return HartogsDomainSpec(base_dim=2, weight=standard_omega_weight())
 
 
 OMEGA = omega_spec()
@@ -120,7 +123,8 @@ def monomial_norm(m: int, alpha: Sequence[int], spec: HartogsDomainSpec = OMEGA)
         (2pi)^3/(m+1) * (m-a1-1)! (m-a2-1)! a1! a2! / (m!)^2
     when both a_i <= m-1, and +inf otherwise (the monomial is not
     square-integrable).  Returned as an ExactComplex carrying pi^3, or
-    math.inf for the divergent branch.
+    math.inf for the divergent branch.  Any other radial weight gives a
+    float by Gauss-Legendre quadrature.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -128,7 +132,7 @@ def monomial_norm(m: int, alpha: Sequence[int], spec: HartogsDomainSpec = OMEGA)
     if len(alpha) != spec.base_dim:
         raise ValueError("alpha length must match the base dimension")
     if not spec.omega_standard:
-        raise ValueError("exact norms only exist for the standard weight; use MomentTable")
+        return _quadrature_norm(m, alpha, spec.weight)
     if any(a >= m for a in alpha):
         return math.inf
     value = Fraction(8, m + 1)  # (2 pi)^3 = 8 pi^3
@@ -141,63 +145,35 @@ def square_integrable(m: int, alpha: Sequence[int], spec: HartogsDomainSpec = OM
     return monomial_norm(m, alpha, spec) != math.inf
 
 
-@dataclass(frozen=True)
-class NormEntry:
-    exact: ExactComplex | float | None  # math.inf marks the divergent branch
-    numeric: float
+QUAD_NODES = 256  # Gauss-Legendre nodes per base axis
 
 
-class MomentTable:
-    """Cache of squared norms ||lambda^m z^alpha||^2 for one domain.
-
-    Standard-weight entries are exact; general radial weights use tensor
-    Gauss-Legendre quadrature on [0, inf) after r = t/(1-t).
-    """
-
-    def __init__(self, spec: HartogsDomainSpec = OMEGA, quad_nodes: int = 256):
-        self.spec = spec
-        self.quad_nodes = quad_nodes
-        self._cache: dict[tuple[int, MultiIndex], NormEntry] = {}
-        if not spec.omega_standard:
-            self._radial_weight = _radialize_weight(spec.weight)
-
-    def norm(self, m: int, alpha: Sequence[int]) -> NormEntry:
-        key = (m, MultiIndex(alpha))
-        if key in self._cache:
-            return self._cache[key]
-        if self.spec.omega_standard:
-            exact = monomial_norm(m, key[1], self.spec)
-            numeric = math.inf if exact == math.inf else to_complex(exact).real
-            entry = NormEntry(exact=exact, numeric=numeric)
-        else:
-            entry = NormEntry(exact=None, numeric=self._quadrature_norm(m, key[1]))
-        self._cache[key] = entry
-        return entry
-
-    def _quadrature_norm(self, m: int, alpha: MultiIndex) -> float:
-        radial, degs = self._radial_weight
-        # integrability: per-axis decay of r^a_i h^-(m+1) needs a_i <= deg_i (m+1) - 2
-        for a, d in zip(alpha, degs):
-            if a > d * (m + 1) - 2:
-                return math.inf
-        nodes, weights = np.polynomial.legendre.leggauss(self.quad_nodes)
-        t = 0.5 * (nodes + 1.0)
-        wt = 0.5 * weights
-        r = t / (1.0 - t)
-        jac = 1.0 / (1.0 - t) ** 2
-        k = self.spec.base_dim
-        grids = np.meshgrid(*([r] * k), indexing="ij")
-        wgrid = np.ones_like(grids[0])
-        for axis in range(k):
-            shape = [1] * k
-            shape[axis] = -1
-            wgrid = wgrid * (wt * jac).reshape(shape)
-        hvals = radial(grids)
-        integrand = wgrid * hvals ** (-(m + 1.0))
-        for axis, a in enumerate(alpha):
-            integrand = integrand * grids[axis] ** a
-        base = float(np.sum(integrand))
-        return 2.0 * math.pi / (m + 1) * (2.0 * math.pi) ** k * base
+def _quadrature_norm(m: int, alpha: MultiIndex, weight: HermitianPolynomial) -> float:
+    """||lambda^m z^alpha||^2 for a positive radial weight, by tensor
+    Gauss-Legendre quadrature on [0, inf) after r = t/(1-t)."""
+    radial, degs = _radialize_weight(weight)
+    # integrability: per-axis decay of r^a_i h^-(m+1) needs a_i <= deg_i (m+1) - 2
+    for a, d in zip(alpha, degs):
+        if a > d * (m + 1) - 2:
+            return math.inf
+    nodes, weights = np.polynomial.legendre.leggauss(QUAD_NODES)
+    t = 0.5 * (nodes + 1.0)
+    wt = 0.5 * weights
+    r = t / (1.0 - t)
+    jac = 1.0 / (1.0 - t) ** 2
+    k = weight.dim
+    grids = np.meshgrid(*([r] * k), indexing="ij")
+    wgrid = np.ones_like(grids[0])
+    for axis in range(k):
+        shape = [1] * k
+        shape[axis] = -1
+        wgrid = wgrid * (wt * jac).reshape(shape)
+    hvals = radial(grids)
+    integrand = wgrid * hvals ** (-(m + 1.0))
+    for axis, a in enumerate(alpha):
+        integrand = integrand * grids[axis] ** a
+    base = float(np.sum(integrand))
+    return 2.0 * math.pi / (m + 1) * (2.0 * math.pi) ** k * base
 
 
 def _radialize_weight(weight: HermitianPolynomial):
@@ -248,7 +224,6 @@ def kernel_series(
     w: Sequence,
     tau: complex,
     truncation: int = 300,
-    spec: HartogsDomainSpec = OMEGA,
 ) -> SeriesValue:
     """Partial sum of the fiber kernels:
 
@@ -258,8 +233,6 @@ def kernel_series(
     Requires |lam conj(tau)| prod |1 + z_i conj(w_i)| < 1 and reports a
     geometric bound on the discarded tail.
     """
-    if not spec.omega_standard:
-        raise ValueError("the series kernel is defined for the standard weight")
     lt = to_complex(lam) * to_complex(tau).conjugate()
     factor = _series_factor(z[0], w[0]) * _series_factor(z[1], w[1])
     x = lt * factor

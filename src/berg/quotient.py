@@ -26,7 +26,7 @@ from typing import Sequence
 from .ball import ball_kernel, check_points, float_point
 from .cyclotomic import CyclotomicField
 from .groups import FiniteUnitaryGroup, UnitaryMatrix, determinant, generate_group
-from .invariants import compute_basic_map
+from .invariants import compute_basic_map, is_invariant
 from .polynomials import HoloPolynomial
 from .scalars import ExactComplex, conj_scalar, gaussian_points, to_complex
 
@@ -146,10 +146,8 @@ class CoveringSpec:
             for c in p.terms.values()
         )
         if self.group.exact and exact_coeffs:
-            for g in self.group:
-                for p in self.cover_map:
-                    if not p.compose_linear(g.entries) == p:
-                        raise ValueError("cover map is not invariant under the group")
+            if not all(is_invariant(p, self.group) for p in self.cover_map):
+                raise ValueError("cover map is not invariant under the group")
             return
         import numpy as np
 

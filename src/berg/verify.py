@@ -18,6 +18,7 @@ the sampler needs no trigonometry.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -56,15 +57,12 @@ class IntegrationSpec:
     domain: str
     n_samples: int = 1_000_000
     seed: int = 0
-    method: str = "monte-carlo"
     inner_radius: float = 0.5  # annulus only
     hartogs: HartogsDomainSpec | None = None
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.method not in ("monte-carlo",):
-            raise ValueError(f"unknown method {self.method}")
 
 
 @dataclass(frozen=True)
@@ -423,8 +421,10 @@ _CLOSED_DECK_SUMS = {
 }
 
 
+@functools.cache
 def _named_cover(cover: str) -> CoveringSpec:
-    """The stock covers by name: disk-<k>, minus-identity, scalar-i."""
+    """The stock covers by name: disk-<k>, minus-identity, scalar-i; each
+    is built once per process."""
     if cover == "minus-identity":
         return minus_identity_cover()
     if cover == "scalar-i":
@@ -454,8 +454,6 @@ def check_transformation_law(
     seed: int = 0,
     tolerance: float = 1e-12,
     radius: float = 0.35,
-    *,
-    spec: CoveringSpec | None = None,
 ) -> VerificationReport:
     """Max residual between the deck-transformation sum and an independent
     evaluation of the base kernel pulled back through the covering map.
@@ -464,13 +462,12 @@ def check_transformation_law(
     (base kernel given by the disk kernel in base coordinates) and
     ``minus-identity`` / ``scalar-i`` for the two scalar ball quotients
     (independent hand-expanded deck sums, plus well-definedness of the
-    push-forward under group translates on either argument).  ``spec``
-    is the cover a name builds, when the caller has built it already.
+    push-forward under group translates on either argument).
     """
     t0 = time.time()
     rng = np.random.default_rng(seed)
     worst = 0.0
-    spec = cover if isinstance(cover, CoveringSpec) else spec or _named_cover(cover)
+    spec = cover if isinstance(cover, CoveringSpec) else _named_cover(cover)
 
     if isinstance(cover, str) and cover.startswith("disk-"):
         k = spec.sheets
@@ -517,14 +514,12 @@ def check_deck_symmetry(
     count: int = 20,
     seed: int = 0,
     tolerance: float = 1e-12,
-    *,
-    spec: CoveringSpec | None = None,
 ) -> VerificationReport:
     """Row-sum versus column-sum presentation of the deck sum; ``cover``
-    and ``spec`` as for ``check_transformation_law``."""
+    as for ``check_transformation_law``."""
     t0 = time.time()
     rng = np.random.default_rng(seed)
-    spec = cover if isinstance(cover, CoveringSpec) else spec or _named_cover(cover)
+    spec = cover if isinstance(cover, CoveringSpec) else _named_cover(cover)
     n = spec.group.dim
     worst = check_deck_sum_symmetry(spec.group, n, _random_ball_pairs(rng, count, n, 0.35))
     return VerificationReport(
@@ -562,14 +557,10 @@ def suite_orthogonality(seed: int = 0, n_samples: int = 1_000_000) -> list[Verif
 
 
 def suite_transform(seed: int = 0, count: int = 50) -> list[VerificationReport]:
-    """Every named cover is built once and shared by both checks."""
     names = [f"disk-{k}" for k in range(2, 6)] + ["minus-identity", "scalar-i"]
-    covers = {name: _named_cover(name) for name in names}
-    out = [
-        check_transformation_law(name, count=count, seed=seed, spec=covers[name]) for name in names
-    ]
+    out = [check_transformation_law(name, count=count, seed=seed) for name in names]
     for name in ("disk-2", "minus-identity", "scalar-i"):
-        out.append(check_deck_symmetry(name, seed=seed, spec=covers[name]))
+        out.append(check_deck_symmetry(name, seed=seed))
     return out
 
 

@@ -348,6 +348,16 @@ def test_verify_transform_small(runner):
     assert result.exit_code == 0
 
 
+def test_verify_tolerance_override(runner):
+    result = runner.invoke(main, ["verify", "transform", "--tol", "1e-30"])
+    assert result.exit_code == 1
+    reports = {r["name"]: r for r in map(json.loads, result.output.strip().splitlines())}
+    assert len(reports) == 9 and all(r["tolerance"] == 1e-30 for r in reports.values())
+    for name in ("deck-symmetry:disk-2", "deck-symmetry:minus-identity"):
+        assert reports[name]["residual"] == 0.0 and reports[name]["passed"]
+    assert runner.invoke(main, ["verify", "isometry", "--tol", "0"]).exit_code == 0
+
+
 def test_usage_error_exit_code(runner):
     result = runner.invoke(main, ["moments", "--m", "not-an-int", "--alpha", "0,0"])
     assert result.exit_code == 2

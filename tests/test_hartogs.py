@@ -11,7 +11,6 @@ from berg.hartogs import (
     ChartSingularityError,
     DivergentIntegralError,
     HartogsDomainSpec,
-    MomentTable,
     NonConvergentError,
     embed_F,
     factorial_moment,
@@ -68,39 +67,51 @@ def test_monomial_norms_exact():
     assert square_integrable(3, (2, 0)) and not square_integrable(3, (3, 0))
 
 
+def _doubled_weight_spec() -> HartogsDomainSpec:
+    return HartogsDomainSpec(base_dim=2, weight=standard_omega_weight().scale(Fraction(2)))
+
+
+def test_standard_weight_is_recognized_from_the_weight():
+    spec = HartogsDomainSpec(2, standard_omega_weight())
+    assert spec == OMEGA and spec.omega_standard
+    assert monomial_norm(2, (1, 1), spec) == ExactComplex(Fraction(8, 12), 0, 3)
+    assert monomial_norm(1, (1, 0), spec) == math.inf
+    assert not _doubled_weight_spec().omega_standard
+
+
 def test_monomial_norm_quadrature_oracle():
-    # same weight, routed through the numeric quadrature fallback
-    spec = HartogsDomainSpec(base_dim=2, weight=standard_omega_weight(), omega_standard=False)
-    table = MomentTable(spec, quad_nodes=256)
+    # the fiber disk of the weight 2h has radius^2 1/(2h), so every norm is
+    # 2^-(m+1) times the exact one of the standard weight
+    spec = _doubled_weight_spec()
     for m, alpha in [(1, (0, 0)), (2, (1, 1)), (3, (2, 0)), (2, (0, 1))]:
         exact = to_complex(monomial_norm(m, alpha)).real
-        assert table.norm(m, alpha).numeric == pytest.approx(exact, rel=1e-6)
-    assert table.norm(1, (1, 0)).numeric == math.inf
+        assert monomial_norm(m, alpha, spec) == pytest.approx(exact / 2 ** (m + 1), rel=1e-6)
+    assert monomial_norm(1, (1, 0), spec) == math.inf
 
 
-def test_moment_table_exact_path_and_cache():
-    table = MomentTable()
-    entry = table.norm(2, (1, 1))
-    assert entry.exact == ExactComplex(Fraction(8, 12), 0, 3)
-    assert entry.numeric == pytest.approx(TWO_PI3 / 12)
-    assert table.norm(2, (1, 1)) is entry
+def test_monomial_norm_exact_value_and_float():
+    exact = monomial_norm(2, (1, 1))
+    assert exact == ExactComplex(Fraction(8, 12), 0, 3)
+    assert to_complex(exact).real == pytest.approx(TWO_PI3 / 12)
 
 
 def test_moment_symmetry_in_exponents():
-    table = MomentTable()
+    spec = _doubled_weight_spec()
     for m in (2, 3, 4):
         for alpha in [(0, 1), (1, 2), (0, 2)]:
-            assert table.norm(m, alpha).numeric == table.norm(m, alpha[::-1]).numeric
             assert monomial_norm(m, alpha) == monomial_norm(m, alpha[::-1])
+            assert monomial_norm(m, alpha, spec) == pytest.approx(
+                monomial_norm(m, alpha[::-1], spec), rel=1e-12
+            )
 
 
 def test_non_radial_weight_rejected():
     bad = standard_omega_weight() + HermitianPolynomial.term(
         2, (1, 0), (0, 1), Fraction(1, 10)
     ) + HermitianPolynomial.term(2, (0, 1), (1, 0), Fraction(1, 10))
-    spec = HartogsDomainSpec(base_dim=2, weight=bad, omega_standard=False)
+    spec = HartogsDomainSpec(base_dim=2, weight=bad)
     with pytest.raises(ValueError):
-        MomentTable(spec).norm(1, (0, 0))
+        monomial_norm(1, (0, 0), spec)
 
 
 # -- series and closed form ------------------------------------------------------
