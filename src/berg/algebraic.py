@@ -482,8 +482,8 @@ def fit_relation(
     features^beta * K^j.
 
     Requires at least twice as many samples as unknown coefficients.
-    Columns are scaled to unit norm (raw monomial matrices are badly
-    conditioned at higher degree), the scaled matrix is reduced to the
+    Columns are scaled to unit norm in place (raw monomial matrices are
+    badly conditioned at higher degree), the scaled matrix is reduced to the
     square R of its QR decomposition, R is inverted by a blocked
     triangular solve, and inverse iteration with that inverse gives the
     minimal right singular direction.  That direction, unscaled and
@@ -503,11 +503,14 @@ def fit_relation(
     keys, matrix = _evaluation_matrix(samples, feature_degree, k_degree)
     scale = np.linalg.norm(matrix, axis=0)
     scale[scale == 0] = 1.0
+    matrix /= scale  # in place: no second copy of the evaluation matrix
     # the square R of a QR has the right singular vectors of the tall matrix
-    r = np.linalg.qr(matrix / scale, mode="r")
-    coeff = _smallest_right_singular_vector(r) / scale
-    coeff = coeff / np.linalg.norm(coeff)
-    residual = float(np.max(np.abs(matrix @ coeff)))
+    x = _smallest_right_singular_vector(np.linalg.qr(matrix, mode="r"))
+    coeff = x / scale
+    norm = np.linalg.norm(coeff)
+    coeff /= norm
+    # the unscaled matrix times coeff is the scaled one times x / norm
+    residual = float(np.max(np.abs(matrix @ x)) / norm)
     coefficients = {
         key: float(c) for key, c in zip(keys, coeff) if c != 0.0
     }

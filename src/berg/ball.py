@@ -82,11 +82,7 @@ def ball_kernel(n: int, z, w):
     batched = _is_batch(z) or _is_batch(w)
     exact = None if batched else gaussian_points(z, w)
     if exact is not None:
-        u = ExactComplex.coerce(hermitian_inner(*exact))
-        one_minus = ExactComplex(1) - u
-        if one_minus.is_zero:
-            raise SingularKernelError("kernel singular at <z, w> = 1")
-        return ExactComplex(math.factorial(n), 0, -n) * (one_minus ** (-(n + 1)))
+        return _exact_constant(n) * _exact_power(n, ExactComplex.coerce(hermitian_inner(*exact)))
     # a single point pair runs as a batch of one, so it matches a batched row bit for bit
     zf = np.atleast_2d(float_point(z))
     wf = np.atleast_2d(float_point(w))
@@ -107,14 +103,32 @@ def ball_kernel(n: int, z, w):
     return values if batched else complex(values[0])
 
 
+def _exact_constant(n: int) -> ExactComplex:
+    """n! / pi^n, the kernel's constant factor, as an exact scalar."""
+    return ExactComplex(math.factorial(n), 0, -n)
+
+
+def _exact_power(n: int, u: ExactComplex) -> ExactComplex:
+    """(1 - u)^-(n+1) for an exact inner product u = <z, w>; raises
+    SingularKernelError at boundary contact u = 1."""
+    one_minus = 1 - u
+    if one_minus.is_zero:
+        raise SingularKernelError("kernel singular at <z, w> = 1")
+    return one_minus ** (-(n + 1))
+
+
 def _is_batch(p) -> bool:
     return isinstance(p, np.ndarray) and p.ndim > 1
 
 
 def float_point(p) -> np.ndarray:
-    """A point, or an (..., n) array of points, as a complex numpy array."""
+    """A point, or an (..., n) array of points, as a complex numpy array;
+    a plain tuple of Python complex or float coordinates goes to numpy
+    directly."""
     if isinstance(p, np.ndarray):
         return p.astype(complex, copy=False)
+    if all(isinstance(x, (complex, float)) for x in p):
+        return np.array(p, dtype=complex)
     return np.array([to_complex(x) for x in p], dtype=complex)
 
 

@@ -284,16 +284,23 @@ class FiniteUnitaryGroup:
         return mats, dets
 
     @cached_property
-    def gaussian_stack(self) -> tuple[tuple[list, ExactComplex], ...] | None:
-        """(entries as Gaussian rationals, exact determinant) per element, or
-        None when the group does not embed in Q(i)."""
+    def gaussian_stack(self) -> tuple[tuple[tuple, ExactComplex], ...] | None:
+        """Per element, its non-zero entries as (row, column, Gaussian
+        rational) triples with its exact determinant, or None when the
+        group does not embed in Q(i)."""
         if not self.exact:
             return None
         try:
             elements = [g.to_exact_complex() for g in self.elements]
         except ValueError:
             return None
-        return tuple((m, determinant(m)) for m in elements)
+        return tuple(
+            (
+                tuple((j, l, x) for j, row in enumerate(m) for l, x in enumerate(row) if not x.is_zero),
+                determinant(m),
+            )
+            for m in elements
+        )
 
     @cached_property
     def symmetric_powers(self) -> SymmetricPowerTable:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .ball import ball_kernel, check_points, float_point
+from .ball import _exact_constant, _exact_power, ball_kernel, check_points, float_point
 from .cyclotomic import CyclotomicField
 from .groups import FiniteUnitaryGroup, UnitaryMatrix, determinant, generate_group
 from .invariants import compute_basic_map, is_invariant
@@ -62,17 +62,20 @@ def _deck_sum(group: FiniteUnitaryGroup, n: int, z: Sequence, w: Sequence, dual:
         else:
             terms = ball_kernel(n, mats @ z, w) * dets
         return complex(terms.sum())
+    # products[l][j] = z_l conj(w_j), formed once: <g z, w> is the sum of
+    # g_jl products[l][j] and <z, g w> the sum of conj(g_jl) products[j][l],
+    # over the non-zero entries g_jl only
     z, w = exact
-    moved = w if dual else z
+    w_bar = [ExactComplex.coerce(x).conjugate() for x in w]
+    products = [[ExactComplex.coerce(x) * y for y in w_bar] for x in z]
     total = ExactComplex(0)
-    for m, det in gaussian:
-        # zero entries are skipped: diagonal groups move each coordinate once
-        gv = [
-            sum((e * x for e, x in zip(row, moved) if not e.is_zero), start=ExactComplex(0))
-            for row in m
-        ]
-        total += ball_kernel(n, z, gv) * conj_scalar(det) if dual else ball_kernel(n, gv, w) * det
-    return total
+    for entries, det in gaussian:
+        u = None
+        for j, l, x in entries:
+            term = x.conjugate() * products[j][l] if dual else x * products[l][j]
+            u = term if u is None else u + term
+        total += _exact_power(n, u) * (det.conjugate() if dual else det)
+    return _exact_constant(n) * total
 
 
 def deck_sum_kernel(group: FiniteUnitaryGroup, n: int, z: Sequence, w: Sequence):
@@ -192,14 +195,18 @@ def pushforward_kernel(spec: CoveringSpec, z: Sequence, w: Sequence):
     deck_sum(z, w) / (J(z) conj(J(w))).  Well-defined on the base: the
     value is unchanged when z or w is replaced by a group translate."""
     n = spec.group.dim
-    z, w = gaussian_points(z, w) or (z, w)
+    exact = gaussian_points(z, w)
+    if exact is not None:
+        z, w = exact
     jz = spec.jacobian(z)
     jw = spec.jacobian(w)
     if abs(to_complex(jz)) <= BRANCH_TOL:
         raise BranchPointError(tuple(to_complex(x) for x in z))
     if abs(to_complex(jw)) <= BRANCH_TOL:
         raise BranchPointError(tuple(to_complex(x) for x in w))
-    deck = deck_sum_kernel(spec.group, n, z, w)
+    # float points are converted once, here, and reach the deck sum as arrays
+    points = (z, w) if exact is not None else (float_point(z), float_point(w))
+    deck = deck_sum_kernel(spec.group, n, *points)
     return deck / (jz * conj_scalar(jw))
 
 

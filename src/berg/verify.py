@@ -322,14 +322,18 @@ def check_orthogonality(
 def _orthogonality_reports(
     pairs: Sequence[tuple[Monomial, Monomial]], spec: IntegrationSpec
 ) -> list[VerificationReport]:
-    """``check_orthogonality`` for several pairs over one draw of ``spec``."""
+    """``check_orthogonality`` for several pairs over one draw of ``spec``,
+    with the norms of the spec's own Hartogs domain."""
     t0 = time.time()
+    if spec.domain not in ("omega", "hartogs"):
+        raise ValueError(f"no orthogonality check for domain {spec.domain}")
+    hartogs = spec.hartogs or OMEGA
     integrands, scales = [], []
     for (m1, a1), (m2, a2) in pairs:
         if m1 == m2:
             raise ValueError("orthogonality check needs distinct fiber degrees")
-        n1 = monomial_norm(m1, a1)
-        n2 = monomial_norm(m2, a2)
+        n1 = monomial_norm(m1, a1, hartogs)
+        n2 = monomial_norm(m2, a2, hartogs)
         if math.inf in (n1, n2):
             raise ValueError("orthogonality check needs square-integrable monomials")
         scales.append(math.sqrt(to_complex(n1).real * to_complex(n2).real))
@@ -348,7 +352,7 @@ def _orthogonality_reports(
             estimate=estimate,
             stderr=stderr,
             target=0j,
-            inputs={"domain": "omega", "seed": spec.seed, "n": spec.n_samples},
+            inputs={"domain": spec.domain, "seed": spec.seed, "n": spec.n_samples},
             runtime=runtime,
         )
         for ((m1, a1), (m2, a2)), scale, (estimate, stderr) in zip(pairs, scales, results)

@@ -1,12 +1,14 @@
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from berg.algebraic import punctured_disk_kernel
 from berg.ball import SingularKernelError, ball_kernel
-from berg.cyclotomic import CyclotomicField, root_of_unity
+from berg.cyclotomic import Cyclotomic, CyclotomicField, root_of_unity
 from berg.groups import UnitaryMatrix, generate_group
 from berg.polynomials import HoloPolynomial
 from berg.quotient import (
@@ -355,6 +357,95 @@ def test_a_point_written_in_q_zeta4_stays_exact():
     # a coordinate outside Q(i) keeps the float path
     zeta5 = CyclotomicField(5).root(1) * Fraction(1, 3)
     assert type(deck_sum_kernel(group, 2, (zeta5, fifth), as_gaussian[1])) is complex
+
+
+def _q8():
+    i = CyclotomicField(4).root(1)
+    return generate_group([UnitaryMatrix.diagonal([i, -i]), UnitaryMatrix([[0, i], [i, 0]])])
+
+
+def _t24():
+    """Over Q(zeta_4), with the dense entries (+-1 +- i)/2."""
+    i, half = CyclotomicField(4).root(1), Fraction(1, 2)
+    return generate_group(
+        [
+            UnitaryMatrix.diagonal([i, -i]),
+            UnitaryMatrix([[0, 1], [-1, 0]]),
+            UnitaryMatrix([[(1 + i) * half, (1 + i) * half], [(i - 1) * half, (1 - i) * half]]),
+        ]
+    )
+
+
+def _twisted_swap():
+    """Cyclic of order 8, generated by [[0, 1], [i, 0]] (det -i): unlike the
+    groups above it does not hold the transpose of each element, so a sum
+    that confused g with its transpose would differ."""
+    i = CyclotomicField(4).root(1)
+    return generate_group([UnitaryMatrix([[0, 1], [i, 0]])])
+
+
+EXACT_GROUPS = {
+    "scalar-i": lambda: scalar_rotation_cover().group,
+    "minus-identity": lambda: minus_identity_cover().group,
+    "BD8": _q8,
+    "T24": _t24,
+    "twisted-swap": _twisted_swap,
+}
+
+
+@functools.cache
+def _exact_group(name):
+    return EXACT_GROUPS[name]()
+
+
+def _as_gaussian(x) -> ExactComplex:
+    return x.to_exact_complex() if isinstance(x, Cyclotomic) else ExactComplex(Fraction(x))
+
+
+def _gaussian_point_over(q):
+    """Points (a + b i, c + d i) / q strictly inside the unit ball."""
+    part = st.integers(-q, q)
+    inside = st.tuples(part, part, part, part).filter(lambda p: sum(x * x for x in p) < q * q)
+    return inside.map(
+        lambda p: tuple(ExactComplex(Fraction(p[k], q), Fraction(p[k + 1], q)) for k in (0, 2))
+    )
+
+
+_gaussian_in_ball = st.integers(1, 64).flatmap(_gaussian_point_over)
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_GROUPS))
+@given(z=_gaussian_in_ball, w=_gaussian_in_ball)
+def test_exact_deck_sums_equal_the_sum_of_ball_kernels(name, z, w):
+    """Both deck sums equal sum_g K(g z, w) det g and sum_g K(z, g w)
+    conj(det g), taken one element at a time through ``ball_kernel``."""
+    group = _exact_group(name)
+    ref = ref_dual = ExactComplex(0)
+    for g in group:
+        m = [[_as_gaussian(x) for x in row] for row in g.entries]
+        det = _as_gaussian(g.det())
+        gz = [m[j][0] * z[0] + m[j][1] * z[1] for j in range(2)]
+        gw = [m[j][0] * w[0] + m[j][1] * w[1] for j in range(2)]
+        ref = ref + ball_kernel(2, gz, w) * det
+        ref_dual = ref_dual + ball_kernel(2, z, gw) * det.conjugate()
+    sums = ((deck_sum_kernel(group, 2, z, w), ref), (dual_deck_sum_kernel(group, 2, z, w), ref_dual))
+    for got, want in sums:
+        assert isinstance(got, ExactComplex) and got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_GROUPS))
+def test_exact_deck_sums_raise_at_boundary_contact_with_any_element(name):
+    # <g z, w> = 1 for some element g other than the identity
+    group = _exact_group(name)
+    z = (ExactComplex(Fraction(3, 5)), ExactComplex(0, Fraction(4, 5)))
+    for g in group.elements[1:]:
+        m = [[_as_gaussian(x) for x in row] for row in g.entries]
+        w = tuple(m[j][0] * z[0] + m[j][1] * z[1] for j in range(2))
+        for fn in (deck_sum_kernel, dual_deck_sum_kernel):
+            with pytest.raises(SingularKernelError):
+                fn(group, 2, z, w)
+            with pytest.raises(SingularKernelError):
+                fn(group, 2, w, z)
 
 
 def test_deck_sum_at_boundary_contact_raises():

@@ -1,13 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from berg import verify
-from berg.hartogs import HartogsDomainSpec, standard_omega_weight
+from berg.hartogs import HartogsDomainSpec, monomial_norm, standard_omega_weight
 from berg.scalars import ExactComplex
 from berg.verify import (
     BLOCK,
+    STDERR_REL_CAP,
     IntegrationSpec,
     _draw,
     check_deck_symmetry,
@@ -126,6 +128,32 @@ def test_orthogonality_distinct_fiber_degrees():
     assert abs(report.estimate) <= 3 * report.stderr
     with pytest.raises(ValueError):
         check_orthogonality((1, (0, 0)), (1, (0, 0)), spec)
+
+
+def test_orthogonality_rejects_a_domain_without_fibers():
+    for domain in ("disk", "ball-2", "annulus"):
+        with pytest.raises(ValueError, match="no orthogonality check"):
+            check_orthogonality((1, (0, 0)), (2, (0, 0)), IntegrationSpec(domain, 1000))
+
+
+def test_orthogonality_uses_the_norms_and_name_of_its_own_domain():
+    doubled = HartogsDomainSpec(base_dim=2, weight=standard_omega_weight().scale(Fraction(2)))
+    scale = math.sqrt(monomial_norm(1, (0, 0), doubled) * monomial_norm(2, (0, 0), doubled))
+    # the weight 2h divides ||lam^m||^2 by 2^(m+1), so Omega's cap is sqrt(32) times looser
+    omega_scale = math.sqrt(
+        (monomial_norm(1, (0, 0)) * monomial_norm(2, (0, 0))).to_complex().real
+    )
+    assert omega_scale / scale == pytest.approx(math.sqrt(32), rel=1e-9)
+    spec = IntegrationSpec("hartogs", 2000, seed=2, hartogs=doubled)
+    report = check_orthogonality((1, (0, 0)), (2, (0, 0)), spec)
+    assert report.inputs["domain"] == "hartogs"
+    # inside 3 standard errors, but the standard error is above this
+    # domain's cap (Omega's norms would have let it pass)
+    assert abs(report.estimate) <= 3 * report.stderr
+    assert STDERR_REL_CAP * scale < report.stderr <= STDERR_REL_CAP * omega_scale
+    assert not report.passed
+    more = IntegrationSpec("hartogs", 20_000, seed=2, hartogs=doubled)
+    assert check_orthogonality((1, (0, 0)), (2, (0, 0)), more).passed
 
 
 def test_deterministic_replay():
