@@ -43,7 +43,6 @@ from .invariants import (
     Syzygy,
     compute_basic_map,
     find_syzygies,
-    invariant_dimension,
     is_invariant,
     molien_counts,
     reynolds,

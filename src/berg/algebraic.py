@@ -191,14 +191,15 @@ def _reject_sample_disk(rng: np.random.Generator, count: int, rmin: float, rmax:
     return pts
 
 
-def disk_surface(radius_max: float = 0.9) -> KernelSurface:
+def disk_surface() -> KernelSurface:
+    """The disk kernel, sampled at |z| < 0.9."""
     return KernelSurface(
         name="disk",
         ambient_dim=1,
         diag=lambda pts: ball_kernel(1, pts, pts).real,
         features=lambda p: (p[0].real, p[0].imag),
         feature_polys=_real_coordinate_polys(1),
-        sample=lambda rng, n: _reject_sample_disk(rng, n, 0.0, radius_max),
+        sample=lambda rng, n: _reject_sample_disk(rng, n, 0.0, 0.9),
         boundary_sample=lambda rng, n: [
             (complex(math.cos(t), math.sin(t)),)
             for t in rng.uniform(0.0, 2.0 * math.pi, n)
@@ -206,12 +207,14 @@ def disk_surface(radius_max: float = 0.9) -> KernelSurface:
     )
 
 
-def ball2_surface(radius_max: float = 0.8) -> KernelSurface:
+def ball2_surface() -> KernelSurface:
+    """The kernel of the unit ball in C^2, sampled at |z| < 0.8."""
+
     def sample(rng, count):
         pts = []
         while len(pts) < count:
             v = rng.uniform(-1, 1, 4)
-            if v @ v < radius_max**2:
+            if v @ v < 0.8**2:
                 pts.append((complex(v[0], v[1]), complex(v[2], v[3])))
         return pts
 
@@ -234,11 +237,11 @@ def ball2_surface(radius_max: float = 0.8) -> KernelSurface:
     )
 
 
-def omega_diagonal_surface(
-    radial_max: float = 2.5, fiber_low: float = 0.05, fiber_high: float = 0.95
-) -> KernelSurface:
+def omega_diagonal_surface() -> KernelSurface:
     """Diagonal kernel of the standard Hartogs domain in radial features
-    (|lambda|^2, |z1|^2, |z2|^2); points are (z1, z2, lam) triples."""
+    (|lambda|^2, |z1|^2, |z2|^2); points are (z1, z2, lam) triples with
+    |z_i|^2 < 2.5, sampled with |lambda|^2 (1 + |z1|^2)(1 + |z2|^2) in
+    [0.05, 0.95)."""
 
     two_pi = 2.0 * math.pi
 
@@ -251,15 +254,15 @@ def omega_diagonal_surface(
     # (low + (high - low) * u), so the stream and the values are those of
     # drawing each point's coordinates in turn
     def sample(rng, count):
-        low = np.array([0.0, 0.0, fiber_low, 0.0, 0.0, 0.0])
-        high = np.array([radial_max, radial_max, fiber_high, two_pi, two_pi, two_pi])
+        low = np.array([0.0, 0.0, 0.05, 0.0, 0.0, 0.0])
+        high = np.array([2.5, 2.5, 0.95, two_pi, two_pi, two_pi])
         u = low + (high - low) * rng.random((count, 6))
         r1, r2 = u[:, 0], u[:, 1]
         t = u[:, 2] / ((1.0 + r1) * (1.0 + r2))
         return points(np.stack([r1, r2, t], axis=1), u[:, 3:])
 
     def boundary(rng, count):
-        u = np.array([radial_max, radial_max, two_pi, two_pi, two_pi]) * rng.random((count, 5))
+        u = np.array([2.5, 2.5, two_pi, two_pi, two_pi]) * rng.random((count, 5))
         r1, r2 = u[:, 0], u[:, 1]
         t = 1.0 / ((1.0 + r1) * (1.0 + r2))
         return points(np.stack([r1, r2, t], axis=1), u[:, 2:])
@@ -279,9 +282,10 @@ def omega_diagonal_surface(
     )
 
 
-def u_surface(radial_max: float = 1.5) -> KernelSurface:
+def u_surface() -> KernelSurface:
     """Diagonal kernel of the bounded projected domain in radial features
-    (|x1|^2, |x2|^2, |x3|^2); points are sampled through the fiber chart."""
+    (|x1|^2, |x2|^2, |x3|^2); points are sampled through the fiber chart,
+    at |z_i|^2 < 1.5."""
     from .hartogs import u_kernel
 
     def sample(rng, count):
@@ -290,7 +294,7 @@ def u_surface(radial_max: float = 1.5) -> KernelSurface:
             z1, z2 = (
                 math.sqrt(r) * np.exp(1j * t)
                 for r, t in zip(
-                    rng.uniform(0.0, radial_max, 2), rng.uniform(0, 2 * math.pi, 2)
+                    rng.uniform(0.0, 1.5, 2), rng.uniform(0, 2 * math.pi, 2)
                 )
             )
             h = (1 + abs(z1) ** 2) * (1 + abs(z2) ** 2)
@@ -316,18 +320,16 @@ def u_surface(radial_max: float = 1.5) -> KernelSurface:
     )
 
 
-def annulus_surface(
-    inner_radius: float = 0.5, margin: float = 0.01, truncation: int = 2000
-) -> KernelSurface:
+def annulus_surface(truncation: int = 2000) -> KernelSurface:
+    """The kernel of the annulus 0.5 < |z| < 1, sampled 0.01 away from both
+    circles."""
     return KernelSurface(
         name="annulus",
         ambient_dim=1,
-        diag=lambda pts: annulus_kernel(inner_radius, pts[:, 0], pts[:, 0], truncation).real,
+        diag=lambda pts: annulus_kernel(0.5, pts[:, 0], pts[:, 0], truncation).real,
         features=lambda p: (p[0].real, p[0].imag),
         feature_polys=_real_coordinate_polys(1),
-        sample=lambda rng, n: _reject_sample_disk(
-            rng, n, inner_radius + margin, 1.0 - margin
-        ),
+        sample=lambda rng, n: _reject_sample_disk(rng, n, 0.51, 0.99),
         boundary_sample=None,
     )
 
@@ -556,7 +558,6 @@ def best_relation_residual(
     surface: KernelSurface,
     max_feature_degree: int,
     max_k_degree: int,
-    count: int | None = None,
     seed: int = 0,
 ) -> float:
     """Smallest fit residual at feature degree ``max_feature_degree`` over
@@ -569,9 +570,7 @@ def best_relation_residual(
     """
     best = math.inf
     for q in range(1, max_k_degree + 1):
-        rel = fit_surface_relation(
-            surface, max_feature_degree, q, count=count, seed=seed
-        )
+        rel = fit_surface_relation(surface, max_feature_degree, q, seed=seed)
         best = min(best, rel.residual)
     return best
 
@@ -634,12 +633,11 @@ def linear_map_coefficients(
     g: Callable[[Sequence[complex]], Sequence[complex]],
     n: int,
     seed: int = 0,
-    count: int = 40,
-    radius: float = 0.3,
 ) -> np.ndarray:
-    """Least-squares linear coefficients A with g(z) ~ A z on a sample set."""
+    """Least-squares linear coefficients A with g(z) ~ A z on 40 points with
+    real and imaginary parts in [-0.3, 0.3]."""
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-radius, radius, (count, 2 * n))
+    pts = rng.uniform(-0.3, 0.3, (40, 2 * n))
     zs = pts[:, :n] + 1j * pts[:, n:]
     vals = np.array([list(g(tuple(row))) for row in zs])
     a, *_ = np.linalg.lstsq(zs, vals, rcond=None)

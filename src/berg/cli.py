@@ -10,9 +10,7 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 import click
@@ -52,11 +50,6 @@ from .quotient import BranchPointError, CoveringSpec, deck_sum_kernel, pushforwa
 from .scalars import to_complex
 
 
-# bump when the basic-map payload or the algorithm behind it changes, so
-# cached results of an older version are never served
-CACHE_SCHEMA = 3
-
-
 class InputError(click.ClickException):
     """Input the command cannot evaluate: one-line message, usage exit code."""
 
@@ -87,11 +80,6 @@ def _load_group(data, max_order: int, source: str):
         return generate_group(matrices_from_json(data), max_order=max_order)
     except (ClosureOverflowError, *BAD_INPUT) as exc:
         raise InputError(f"unusable group in {source}: {exc}")
-
-
-def _cache_dir() -> Path:
-    root = os.environ.get("BERG_CACHE_DIR")
-    return Path(root) if root else Path.home() / ".cache" / "berg"
 
 
 def _holo_from_json(data) -> HoloPolynomial:
@@ -203,31 +191,17 @@ def group_cmd(gens_file, check_kind, max_order):
 @click.option("--group", "group_file", required=True)
 @click.option("--syzygies", "syzygy_degree", type=int, default=0)
 @click.option("--max-order", type=int, default=4096)
-@click.option("--no-cache", is_flag=True, default=False)
-def basic_map_cmd(group_file, syzygy_degree, max_order, no_cache):
+def basic_map_cmd(group_file, syzygy_degree, max_order):
     """Minimal invariant generators (and optional relations) for a group."""
     group = _load_group(_load_json(group_file), max_order, group_file)
     if not group.exact:
         raise InputError("basic map needs exact matrices; encode entries as zeta terms")
-    cache_key = f"v{CACHE_SCHEMA}-{group.canonical_hash()}-syz{syzygy_degree}"
-    cache_file = _cache_dir() / f"basic-map-{cache_key}.json"
-    if not no_cache and cache_file.exists():
-        click.echo(cache_file.read_text().strip())
-        return
     basic = compute_basic_map(group)
     payload = basic.to_json_dict()
     if syzygy_degree >= 2:
         relations = find_syzygies(basic, degree_bound=syzygy_degree)
         payload["syzygies"] = [s.to_json_dict() for s in relations]
-    text = json.dumps(payload, sort_keys=True)
-    if not no_cache:
-        # a reader never sees a partly written entry
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_file.parent, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text + "\n")
-        os.replace(tmp, cache_file)
-    click.echo(text)
+    click.echo(json.dumps(payload, sort_keys=True))
 
 
 @main.command("quotient-sum")

@@ -19,6 +19,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+# the operand kinds exact arithmetic promotes to complex, as Fraction does
+INEXACT = (float, complex)
+
 
 def _mobius(m: int) -> int:
     """The Moebius function, by trial division."""
@@ -177,7 +180,7 @@ class Cyclotomic:
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
-            return NotImplemented
+            return self.to_complex() + other if isinstance(other, INEXACT) else NotImplemented
         a = self._in(o.field)
         den = math.lcm(a.den, o.den)
         sa, so = den // a.den, den // o.den
@@ -191,19 +194,19 @@ class Cyclotomic:
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
-            return NotImplemented
+            return self.to_complex() - other if isinstance(other, INEXACT) else NotImplemented
         return self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
-            return NotImplemented
+            return other - self.to_complex() if isinstance(other, INEXACT) else NotImplemented
         return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
-            return NotImplemented
+            return self.to_complex() * other if isinstance(other, INEXACT) else NotImplemented
         a = self._in(o.field)
         prod = [0] * (2 * a.field.degree - 1)
         for i, x in enumerate(a.nums):
@@ -230,14 +233,14 @@ class Cyclotomic:
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
-            return NotImplemented
+            return self.to_complex() / other if isinstance(other, INEXACT) else NotImplemented
         a = self._in(o.field)
         return a * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
-            return NotImplemented
+            return other / self.to_complex() if isinstance(other, INEXACT) else NotImplemented
         return o * self.inverse()
 
     def conjugate(self) -> "Cyclotomic":

@@ -9,8 +9,6 @@ exact in exact mode.
 from __future__ import annotations
 
 import cmath
-import hashlib
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -337,22 +335,6 @@ class FiniteUnitaryGroup:
                     return False
         return True
 
-    def canonical_hash(self) -> str:
-        """Stable hash of the element list, usable as a disk cache key."""
-        rows = sorted(
-            json.dumps(
-                [[_fmt_entry(x) for x in row] for row in g.entries], sort_keys=True
-            )
-            for g in self.elements
-        )
-        digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
-        return digest[:16]
-
-
-def _fmt_entry(x) -> list[float]:
-    c = to_complex(x)
-    return [round(c.real, DEDUP_DECIMALS) + 0.0, round(c.imag, DEDUP_DECIMALS) + 0.0]
-
 
 def _common_field(gens: list[UnitaryMatrix]) -> CyclotomicField:
     n = 1
@@ -549,10 +531,10 @@ def matrix_order(g: UnitaryMatrix, bound: int = 4096) -> int:
     raise ClosureOverflowError(f"element order exceeds bound {bound}")
 
 
-def is_reflection(g: UnitaryMatrix, order_bound: int = 4096) -> bool:
+def is_reflection(g: UnitaryMatrix) -> bool:
     """True iff g is a non-identity finite-order element fixing a complex
     hyperplane (eigenvalue 1 with multiplicity exactly n-1)."""
-    matrix_order(g, bound=order_bound)
+    matrix_order(g)
     if g.is_identity():
         return False
     if g.exact:

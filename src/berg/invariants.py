@@ -92,15 +92,9 @@ def _json_terms(p: HoloPolynomial) -> list[list]:
     return rows
 
 
-def _products_of_degree(
-    gens: list[HoloPolynomial], degrees: list[int], total: int, max_degree: int | None = None
-):
+def _products_of_degree(gens: list[HoloPolynomial], degrees: list[int], total: int):
     """All products of generators (multisets, size >= 1) of exact total degree."""
-    usable = [
-        (g, d)
-        for g, d in zip(gens, degrees)
-        if d <= total and (max_degree is None or d <= max_degree)
-    ]
+    usable = [(g, d) for g, d in zip(gens, degrees) if d <= total]
     out = []
     for size in range(1, total + 1):
         if usable and size * min(d for _, d in usable) > total:
@@ -198,11 +192,6 @@ def _verify_minimality(basic: BasicMap) -> None:
             raise RuntimeError(f"generator {i} of degree {d} is redundant")
 
 
-def invariant_dimension(group: FiniteUnitaryGroup, degree: int) -> int:
-    """Rank of the degree-d invariant subspace, by Reynolds images."""
-    return len(_pivot_columns(_reynolds_images(group, degree)))
-
-
 # ---------------------------------------------------------------------------
 # Molien series
 # ---------------------------------------------------------------------------
@@ -280,8 +269,8 @@ def molien_counts(group: FiniteUnitaryGroup, top: int) -> tuple[int, ...]:
 
 
 def trace_average_dimension(group: FiniteUnitaryGroup, degree: int) -> int:
-    """Independent count of degree-d invariants by Molien's formula: the
-    last of ``molien_counts(group, degree)``."""
+    """The number of degree-d invariants, ``molien_counts(group, degree)[degree]``:
+    not an independent count, but the benchmark oracle's entry point."""
     return molien_counts(group, degree)[degree]
 
 

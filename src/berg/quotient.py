@@ -183,7 +183,8 @@ class CoveringSpec:
 
 def _eval_holo(p: HoloPolynomial, z: Sequence):
     """Evaluate with whatever arithmetic the inputs support; fall back to
-    complex coefficients when the coefficient field cannot act on them."""
+    complex coefficients when the coefficient field cannot act on them
+    (Cyclotomic coefficients at ExactComplex points share no exact field)."""
     try:
         return p.eval(z)
     except TypeError:

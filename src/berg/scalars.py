@@ -12,7 +12,8 @@ evaluate to exact rationals times a pi power instead of floats.
 
 Mixed pi powers cannot be added (the results in scope never require it);
 attempting to do so raises :class:`PiGradeError` rather than silently
-degrading to floats.
+degrading to floats.  With a float or complex operand, the exact value is
+converted and the result is a complex, as with ``Fraction``.
 
 This module is also the one scalar protocol of the package: the zero test,
 inverse, conjugate and Gaussian-rational predicate below accept every
@@ -26,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .cyclotomic import Cyclotomic
+from .cyclotomic import INEXACT, Cyclotomic
 
 RationalLike = Union[int, Fraction]
 
@@ -119,7 +120,7 @@ class ExactComplex:
     def __add__(self, other):
         o = _coerce(other)
         if o is None:
-            return NotImplemented
+            return self.to_complex() + other if isinstance(other, INEXACT) else NotImplemented
         return _add(self, o._a, o._b, o._d, o._k)
 
     __radd__ = __add__
@@ -130,19 +131,19 @@ class ExactComplex:
     def __sub__(self, other):
         o = _coerce(other)
         if o is None:
-            return NotImplemented
+            return self.to_complex() - other if isinstance(other, INEXACT) else NotImplemented
         return _add(self, -o._a, -o._b, o._d, o._k)
 
     def __rsub__(self, other):
         o = _coerce(other)
         if o is None:
-            return NotImplemented
+            return other - self.to_complex() if isinstance(other, INEXACT) else NotImplemented
         return _add(o, -self._a, -self._b, self._d, self._k)
 
     def __mul__(self, other):
         o = _coerce(other)
         if o is None:
-            return NotImplemented
+            return self.to_complex() * other if isinstance(other, INEXACT) else NotImplemented
         a1, b1, a2, b2 = self._a, self._b, o._a, o._b
         return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * o._d, self._k + o._k)
 
@@ -151,7 +152,7 @@ class ExactComplex:
     def __truediv__(self, other):
         o = _coerce(other)
         if o is None:
-            return NotImplemented
+            return self.to_complex() / other if isinstance(other, INEXACT) else NotImplemented
         a1, b1, a2, b2 = self._a, self._b, o._a, o._b
         norm = a2 * a2 + b2 * b2
         if not norm:
@@ -164,7 +165,7 @@ class ExactComplex:
     def __rtruediv__(self, other):
         o = _coerce(other)
         if o is None:
-            return NotImplemented
+            return other / self.to_complex() if isinstance(other, INEXACT) else NotImplemented
         return o / self
 
     def __pow__(self, n: int):

@@ -48,6 +48,10 @@ from .scalars import ExactComplex, to_complex
 
 FORM_FACTOR_C3 = 8.0  # top-form inner product on C^3 vs Lebesgue measure
 STDERR_REL_CAP = 0.02
+# the deck-sum checks pass at this float residual; their sample points have
+# every real and imaginary part in [-r, r], inside the ball for n <= 2
+DECK_TOLERANCE = 1e-12
+DECK_SAMPLE_RADIUS = 0.35
 
 
 @dataclass(frozen=True)
@@ -438,11 +442,11 @@ def _named_cover(cover: str) -> CoveringSpec:
     raise ValueError(f"unknown cover {cover}")
 
 
-def _random_ball_pairs(rng, count: int, n: int, radius: float) -> list:
+def _random_ball_pairs(rng, count: int, n: int) -> list:
     pairs = []
     for _ in range(count):
-        z = rng.uniform(-radius, radius, 2 * n)
-        w = rng.uniform(-radius, radius, 2 * n)
+        z = rng.uniform(-DECK_SAMPLE_RADIUS, DECK_SAMPLE_RADIUS, 2 * n)
+        w = rng.uniform(-DECK_SAMPLE_RADIUS, DECK_SAMPLE_RADIUS, 2 * n)
         pairs.append(
             (
                 tuple(complex(z[i], z[n + i]) for i in range(n)),
@@ -456,8 +460,6 @@ def check_transformation_law(
     cover: str | CoveringSpec,
     count: int = 50,
     seed: int = 0,
-    tolerance: float = 1e-12,
-    radius: float = 0.35,
 ) -> VerificationReport:
     """Max residual between the deck-transformation sum and an independent
     evaluation of the base kernel pulled back through the covering map.
@@ -475,7 +477,7 @@ def check_transformation_law(
 
     if isinstance(cover, str) and cover.startswith("disk-"):
         k = spec.sheets
-        pairs = _random_ball_pairs(rng, count, 1, radius)
+        pairs = _random_ball_pairs(rng, count, 1)
         for z, w in pairs:
             deck = to_complex(deck_sum_kernel(spec.group, 1, z, w))
             zk, wk = z[0] ** k, w[0] ** k
@@ -488,7 +490,7 @@ def check_transformation_law(
     else:
         closed = _CLOSED_DECK_SUMS.get(cover) if isinstance(cover, str) else None
         n = spec.group.dim
-        pairs = _random_ball_pairs(rng, count, n, radius)
+        pairs = _random_ball_pairs(rng, count, n)
         for z, w in pairs:
             deck = to_complex(deck_sum_kernel(spec.group, n, z, w))
             if closed is not None:
@@ -505,10 +507,10 @@ def check_transformation_law(
 
     return VerificationReport(
         name=name,
-        passed=worst <= tolerance,
+        passed=worst <= DECK_TOLERANCE,
         residual=worst,
-        tolerance=tolerance,
-        inputs={"count": count, "seed": seed, "radius": radius},
+        tolerance=DECK_TOLERANCE,
+        inputs={"count": count, "seed": seed, "radius": DECK_SAMPLE_RADIUS},
         runtime=time.time() - t0,
     )
 
@@ -517,7 +519,6 @@ def check_deck_symmetry(
     cover: str | CoveringSpec,
     count: int = 20,
     seed: int = 0,
-    tolerance: float = 1e-12,
 ) -> VerificationReport:
     """Row-sum versus column-sum presentation of the deck sum; ``cover``
     as for ``check_transformation_law``."""
@@ -525,12 +526,12 @@ def check_deck_symmetry(
     rng = np.random.default_rng(seed)
     spec = cover if isinstance(cover, CoveringSpec) else _named_cover(cover)
     n = spec.group.dim
-    worst = check_deck_sum_symmetry(spec.group, n, _random_ball_pairs(rng, count, n, 0.35))
+    worst = check_deck_sum_symmetry(spec.group, n, _random_ball_pairs(rng, count, n))
     return VerificationReport(
         name=f"deck-symmetry:{cover if isinstance(cover, str) else 'custom'}",
-        passed=worst <= tolerance,
+        passed=worst <= DECK_TOLERANCE,
         residual=worst,
-        tolerance=tolerance,
+        tolerance=DECK_TOLERANCE,
         inputs={"count": count, "seed": seed},
         runtime=time.time() - t0,
     )

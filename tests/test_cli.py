@@ -8,8 +8,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
-from berg.cli import CACHE_SCHEMA, main
-from berg.groups import generate_group, matrices_from_json
+from berg.cli import main
 
 
 @pytest.fixture()
@@ -82,54 +81,27 @@ def test_group_cmd(runner, tmp_path):
     assert data["order"] == 2 and data["reflections"] == 1
 
 
-def test_basic_map_cmd_with_cache(runner, tmp_path, monkeypatch):
-    monkeypatch.setenv("BERG_CACHE_DIR", str(tmp_path / "cache"))
+def test_basic_map_cmd_replays_and_writes_nothing(runner, tmp_path, monkeypatch):
+    home = tmp_path / "home"
+    home.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
     path = tmp_path / "gens.json"
     path.write_text(json.dumps(GENS_MINUS))
     out1 = _invoke(runner, ["basic-map", "--group", str(path), "--syzygies", "2"])
     data = json.loads(out1)
     assert data["degrees"] == [2, 2, 2]
     assert len(data["syzygies"]) == 1
-    cached = list((tmp_path / "cache").glob("basic-map-*.json"))
-    assert len(cached) == 1
     out2 = _invoke(runner, ["basic-map", "--group", str(path), "--syzygies", "2"])
     assert out1 == out2
+    assert not list(home.iterdir())
 
 
-def test_basic_map_without_cache_leaves_no_cache_directory(runner, tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("BERG_CACHE_DIR", str(cache))
+def test_basic_map_has_no_cache_option(runner, tmp_path):
     path = tmp_path / "gens.json"
     path.write_text(json.dumps(GENS_MINUS))
-    data = json.loads(_invoke(runner, ["basic-map", "--group", str(path), "--no-cache"]))
-    assert data["degrees"] == [2, 2, 2]
-    assert not cache.exists()
-
-
-def test_basic_map_checks_exactness_before_the_cache(runner, tmp_path, monkeypatch):
-    monkeypatch.setenv("BERG_CACHE_DIR", str(tmp_path))
-    gens = [[[[0.0, 1.0], [0, 0]], [[0, 0], [0.0, 1.0]]]]
-    key = generate_group(matrices_from_json(gens)).canonical_hash()
-    (tmp_path / f"basic-map-v{CACHE_SCHEMA}-{key}-syz0.json").write_text("planted\n")
-    path = tmp_path / "gens.json"
-    path.write_text(json.dumps(gens))
-    result = runner.invoke(main, ["basic-map", "--group", str(path)])
-    assert result.exit_code == 2 and "planted" not in result.output
-
-
-def test_basic_map_cache_key_carries_the_schema(runner, tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    monkeypatch.setenv("BERG_CACHE_DIR", str(cache))
-    key = generate_group(matrices_from_json(GENS_MINUS)).canonical_hash()
-    (cache / f"basic-map-{key}-syz2.json").write_text("stale\n")  # unversioned key
-    path = tmp_path / "gens.json"
-    path.write_text(json.dumps(GENS_MINUS))
-    out = _invoke(runner, ["basic-map", "--group", str(path), "--syzygies", "2"])
-    assert json.loads(out)["degrees"] == [2, 2, 2]
-    written = cache / f"basic-map-v{CACHE_SCHEMA}-{key}-syz2.json"
-    assert written.read_text() == out
-    assert not list(cache.glob("*.tmp"))
+    result = runner.invoke(main, ["basic-map", "--group", str(path), "--no-cache"])
+    assert result.exit_code == 2 and "No such option" in result.output
 
 
 def _one_line_usage_error(result):

@@ -134,12 +134,6 @@ def test_determinants():
     assert UnitaryMatrix.scalar(2, I_UNIT).det() == root_of_unity(4, 2)
 
 
-def test_group_hash_stable_across_generator_order():
-    a = generate_group([diag(MINUS, ONE), diag(ONE, MINUS)])
-    b = generate_group([diag(ONE, MINUS), diag(MINUS, ONE)])
-    assert a.canonical_hash() == b.canonical_hash()
-
-
 def test_matrix_from_json_forms():
     exact = matrix_from_json(
         [

@@ -1,10 +1,12 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from berg.cyclotomic import CyclotomicField, root_of_unity
+from berg.polynomials import HermitianPolynomial
 from berg.scalars import ExactComplex, PiGradeError, exact, to_complex
 
 
@@ -265,3 +267,23 @@ def test_representations_of_one_value_are_equal(x, data):
     a = data.draw(st.sampled_from(representations(x)))
     b = data.draw(st.sampled_from(representations(x)))
     assert a == b and b == a and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("y", [0.5, 1 + 1j], ids=["float", "complex"])
+@pytest.mark.parametrize(
+    "x", [exact(1, 1), exact(1, 0, -2), root_of_unity(5)], ids=["1+i", "pi^-2", "zeta5"]
+)
+def test_float_operands_promote_to_complex(x, y):
+    """As with Fraction, the exact value meets a float as a complex, in
+    either order."""
+    c = x.to_complex()
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        assert op(x, y) == op(c, y) and type(op(x, y)) is complex
+        assert op(y, x) == op(y, c) and type(op(y, x)) is complex
+
+
+def test_exact_and_complex_coefficients_add():
+    p = HermitianPolynomial.term(1, (1,), (0,), ExactComplex(1, 1))
+    q = HermitianPolynomial.term(1, (1,), (0,), 1 + 1j)
+    assert p + q == HermitianPolynomial.term(1, (1,), (0,), 2 + 2j)
+    assert q + p == p + q
