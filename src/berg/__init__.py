@@ -60,11 +60,9 @@ from .quotient import (
     scalar_rotation_cover,
 )
 from .hartogs import (
-    OMEGA,
     BoundaryContactError,
     ChartSingularityError,
     DivergentIntegralError,
-    HartogsDomainSpec,
     NonConvergentError,
     RationalKernel,
     SeriesValue,

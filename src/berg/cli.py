@@ -68,6 +68,13 @@ def _parse_complex_list(text: str) -> list[complex]:
         raise InputError(f"cannot parse complex list {text!r}: {exc}")
 
 
+def _parse_one_complex(text: str, option: str) -> complex:
+    values = _parse_complex_list(text)
+    if len(values) != 1:
+        raise InputError(f"{option} takes one complex value, got {len(values)}")
+    return values[0]
+
+
 def _load_json(path: str):
     try:
         return json.loads(Path(path).read_text())
@@ -244,11 +251,13 @@ def quotient_push_cmd(cover_file, pairs_file):
 def omega_kernel_cmd(z_text, lam_text, w_text, tau_text, series_m):
     """Kernel of the standard Hartogs domain (closed form by default)."""
     z = _parse_complex_list(z_text)
-    lam = _parse_complex_list(lam_text)[0]
+    lam = _parse_one_complex(lam_text, "--lambda")
     w = _parse_complex_list(w_text) if w_text else z
-    tau = _parse_complex_list(tau_text)[0] if tau_text else lam
+    tau = _parse_one_complex(tau_text, "--tau") if tau_text else lam
     if len(z) != 2 or len(w) != 2:
         raise InputError("--z/--w need exactly two components")
+    if series_m < 0:
+        raise InputError(f"--series must be a nonnegative truncation, got {series_m}")
     try:
         if series_m > 0:
             result = kernel_series(z, lam, w, tau, truncation=series_m)
@@ -269,8 +278,11 @@ def omega_kernel_cmd(z_text, lam_text, w_text, tau_text, series_m):
 @click.option("--exact/--numeric", "want_exact", default=True)
 def moments_cmd(m_value, alpha_text, want_exact):
     """Squared norm of the fiber monomial lambda^m z^alpha."""
-    alpha = tuple(int(a) for a in alpha_text.split(","))
-    exact = monomial_norm(m_value, alpha)
+    try:
+        alpha = tuple(int(a) for a in alpha_text.split(","))
+        exact = monomial_norm(m_value, alpha)
+    except ValueError as exc:
+        raise InputError(f"unusable monomial --m {m_value} --alpha {alpha_text}: {exc}")
     numeric = math.inf if exact == math.inf else to_complex(exact).real
     if want_exact:
         if exact == math.inf:
@@ -367,6 +379,8 @@ def fit_cmd(kernel_name, dz, dk, boundary_check, count, seed):
 @click.option("--tol", type=float, default=None)
 def verify_cmd(which, seed, n_samples, tol):
     """Run a verification suite; one JSON line per check."""
+    if which in ("repro", "orthogonality") and n_samples < 1:
+        raise InputError(f"--n must be at least 1, got {n_samples}")
     if which == "repro":
         reports = verify_mod.suite_repro(seed=seed, n_samples=n_samples)
     elif which == "orthogonality":

@@ -1,8 +1,9 @@
-"""Weighted Bergman analysis on Hartogs-type domains {|lambda|^2 h(z) < 1}.
+"""Weighted Bergman analysis on the Hartogs domain
 
-For the standard weight h = (1+|z1|^2)(1+|z2|^2) everything is exact:
-monomial norms are rationals times (2pi)^3, the kernel is a geometric-type
-series in
+    Omega = {|lambda|^2 h(z) < 1},  h(z) = (1+|z1|^2)(1+|z2|^2).
+
+Everything here is exact: monomial norms are rationals times (2pi)^3, the
+kernel is a geometric-type series in
 
     x = lambda conj(tau) (1 + z1 conj(w1)) (1 + z2 conj(w2)),
 
@@ -11,16 +12,12 @@ the closed rational form
 
     K = ((2pi)^-3) * (4 lambda conj(tau) / rho^3 + 6 lambda conj(tau) / rho^4),
     rho = x - 1.
-
-Norms for other positive radial weights fall back to tensor Gauss
-quadrature on the radialized integrals; which one applies is read from
-the weight.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -51,7 +48,7 @@ class ChartSingularityError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# domain specification
+# the defining weight
 # ---------------------------------------------------------------------------
 
 def standard_omega_weight() -> HermitianPolynomial:
@@ -60,42 +57,6 @@ def standard_omega_weight() -> HermitianPolynomial:
     f1 = one + HermitianPolynomial.modulus_squared(2, 0)
     f2 = one + HermitianPolynomial.modulus_squared(2, 1)
     return f1 * f2
-
-
-@dataclass(frozen=True)
-class HartogsDomainSpec:
-    """The domain {|lambda|^2 h(z) < 1} over C^base_dim; ``omega_standard``
-    says whether h is the standard weight, where everything is exact."""
-
-    base_dim: int
-    weight: HermitianPolynomial
-    omega_standard: bool = field(init=False)
-
-    def __post_init__(self):
-        if self.weight.dim != self.base_dim:
-            raise ValueError("weight dimension must equal the base dimension")
-        if not self.weight.is_real_valued(tol=1e-12):
-            raise ValueError("weight must be real-valued")
-        rng = np.random.default_rng(0)
-        for _ in range(16):
-            z = rng.normal(size=self.base_dim) + 1j * rng.normal(size=self.base_dim)
-            val = to_complex(self.weight.eval(list(z)))
-            if val.real <= 0:
-                raise ValueError(f"weight is not positive at sample {z}")
-        object.__setattr__(self, "omega_standard", self.weight == standard_omega_weight())
-
-    def weight_value(self, z: Sequence) -> float:
-        return to_complex(self.weight.eval(list(z))).real
-
-    def contains(self, z: Sequence, lam: complex) -> bool:
-        return abs(lam) ** 2 * self.weight_value(z) < 1.0
-
-
-def omega_spec() -> HartogsDomainSpec:
-    return HartogsDomainSpec(base_dim=2, weight=standard_omega_weight())
-
-
-OMEGA = omega_spec()
 
 
 # ---------------------------------------------------------------------------
@@ -116,23 +77,18 @@ def factorial_moment(p: int, q: int) -> Fraction:
     )
 
 
-def monomial_norm(m: int, alpha: Sequence[int], spec: HartogsDomainSpec = OMEGA):
-    """Squared norm of lambda^m z^alpha.
-
-    For the standard weight this is exact:
+def monomial_norm(m: int, alpha: Sequence[int]):
+    """Squared norm of lambda^m z^alpha on Omega, exactly:
         (2pi)^3/(m+1) * (m-a1-1)! (m-a2-1)! a1! a2! / (m!)^2
     when both a_i <= m-1, and +inf otherwise (the monomial is not
     square-integrable).  Returned as an ExactComplex carrying pi^3, or
-    math.inf for the divergent branch.  Any other radial weight gives a
-    float by Gauss-Legendre quadrature.
+    math.inf for the divergent branch.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     alpha = MultiIndex(alpha)
-    if len(alpha) != spec.base_dim:
-        raise ValueError("alpha length must match the base dimension")
-    if not spec.omega_standard:
-        return _quadrature_norm(m, alpha, spec.weight)
+    if len(alpha) != 2:
+        raise ValueError("alpha length must match the base dimension 2")
     if any(a >= m for a in alpha):
         return math.inf
     value = Fraction(8, m + 1)  # (2 pi)^3 = 8 pi^3
@@ -141,66 +97,8 @@ def monomial_norm(m: int, alpha: Sequence[int], spec: HartogsDomainSpec = OMEGA)
     return ExactComplex(value, 0, 3)
 
 
-def square_integrable(m: int, alpha: Sequence[int], spec: HartogsDomainSpec = OMEGA) -> bool:
-    return monomial_norm(m, alpha, spec) != math.inf
-
-
-QUAD_NODES = 256  # Gauss-Legendre nodes per base axis
-
-
-def _quadrature_norm(m: int, alpha: MultiIndex, weight: HermitianPolynomial) -> float:
-    """||lambda^m z^alpha||^2 for a positive radial weight, by tensor
-    Gauss-Legendre quadrature on [0, inf) after r = t/(1-t)."""
-    radial, degs = _radialize_weight(weight)
-    # integrability: per-axis decay of r^a_i h^-(m+1) needs a_i <= deg_i (m+1) - 2
-    for a, d in zip(alpha, degs):
-        if a > d * (m + 1) - 2:
-            return math.inf
-    nodes, weights = np.polynomial.legendre.leggauss(QUAD_NODES)
-    t = 0.5 * (nodes + 1.0)
-    wt = 0.5 * weights
-    r = t / (1.0 - t)
-    jac = 1.0 / (1.0 - t) ** 2
-    k = weight.dim
-    grids = np.meshgrid(*([r] * k), indexing="ij")
-    wgrid = np.ones_like(grids[0])
-    for axis in range(k):
-        shape = [1] * k
-        shape[axis] = -1
-        wgrid = wgrid * (wt * jac).reshape(shape)
-    hvals = radial(grids)
-    integrand = wgrid * hvals ** (-(m + 1.0))
-    for axis, a in enumerate(alpha):
-        integrand = integrand * grids[axis] ** a
-    base = float(np.sum(integrand))
-    return 2.0 * math.pi / (m + 1) * (2.0 * math.pi) ** k * base
-
-
-def _radialize_weight(weight: HermitianPolynomial):
-    """Express a radial weight as a function of (|z_1|^2, ..., |z_k|^2)."""
-    terms = {}
-    degs = [0] * weight.dim
-    for (a, b), c in weight.terms.items():
-        if tuple(a) != tuple(b):
-            raise ValueError("weight is not radial (non-diagonal term present)")
-        val = to_complex(c)
-        if abs(val.imag) > 1e-14:
-            raise ValueError("radial weight has a non-real coefficient")
-        terms[tuple(a)] = val.real
-        for i, e in enumerate(a):
-            degs[i] = max(degs[i], e)
-
-    def radial(grids):
-        total = np.zeros_like(grids[0])
-        for expo, coeff in terms.items():
-            term = np.full_like(grids[0], coeff)
-            for axis, e in enumerate(expo):
-                if e:
-                    term = term * grids[axis] ** e
-            total = total + term
-        return total
-
-    return radial, degs
+def square_integrable(m: int, alpha: Sequence[int]) -> bool:
+    return monomial_norm(m, alpha) != math.inf
 
 
 # ---------------------------------------------------------------------------

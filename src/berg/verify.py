@@ -29,13 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ball import ball_kernel
-from .hartogs import (
-    OMEGA,
-    HartogsDomainSpec,
-    monomial_norm,
-    omega_closed_kernel,
-    square_integrable,
-)
+from .hartogs import monomial_norm, omega_closed_kernel, square_integrable
 from .quotient import (
     CoveringSpec,
     check_deck_sum_symmetry,
@@ -52,6 +46,7 @@ STDERR_REL_CAP = 0.02
 # every real and imaginary part in [-r, r], inside the ball for n <= 2
 DECK_TOLERANCE = 1e-12
 DECK_SAMPLE_RADIUS = 0.35
+ANNULUS_INNER_RADIUS = 0.5
 
 
 @dataclass(frozen=True)
@@ -61,8 +56,6 @@ class IntegrationSpec:
     domain: str
     n_samples: int = 1_000_000
     seed: int = 0
-    inner_radius: float = 0.5  # annulus only
-    hartogs: HartogsDomainSpec | None = None
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -148,19 +141,12 @@ def _unit_disk_points(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(points), np.concatenate(modsq)
 
 
-def _sample_omega(rng, count: int, spec: HartogsDomainSpec) -> tuple[np.ndarray, np.ndarray]:
+def _sample_omega(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
     """z_1, z_2 and lambda each come from a uniform point p of the unit
     disk: z_i = p_i / sqrt(1 - |p_i|^2), so r_i = |z_i|^2 has density
-    (1+r)^-2 and a uniform argument, and lambda = p_3 / sqrt(h) is
-    uniform on its fiber disk {|lambda|^2 < 1/h}."""
-    if spec.base_dim != 2:
-        raise ValueError("Hartogs sampler implemented for two base variables")
-    if spec.omega_standard:
-        radial = None
-    else:
-        from .hartogs import _radialize_weight
-
-        radial, _ = _radialize_weight(spec.weight)
+    (1+r)^-2 and a uniform argument, and lambda = p_3 / sqrt(h) with
+    h = (1+r_1)(1+r_2) is uniform on its fiber disk {|lambda|^2 < 1/h},
+    of area pi/h; the inverse density is pi^3 h."""
     points = np.empty((count, 3), dtype=complex)
     inv = np.empty(count)
     for b in _blocks(count):
@@ -171,10 +157,9 @@ def _sample_omega(rng, count: int, spec: HartogsDomainSpec) -> tuple[np.ndarray,
         grow1, grow2 = 1.0 / (1.0 - q1), 1.0 / (1.0 - q2)  # 1 + r_i
         np.multiply(p1, np.sqrt(grow1), out=points[b, 0])
         np.multiply(p2, np.sqrt(grow2), out=points[b, 1])
-        growth = grow1 * grow2
-        h = growth if radial is None else radial([q1 * grow1, q2 * grow2])
+        h = grow1 * grow2
         np.divide(p3, np.sqrt(h), out=points[b, 2])
-        inv[b] = math.pi**3 * growth * (growth / h)
+        inv[b] = math.pi**3 * h
     return points, inv
 
 
@@ -188,13 +173,12 @@ def _draw(spec: IntegrationSpec, rng, count: int) -> tuple[np.ndarray, np.ndarra
             rng, count, n, lambda z: np.sum(np.abs(z) ** 2, axis=1) < 1.0
         )
     if d == "annulus":
-        r0 = spec.inner_radius
+        r0 = ANNULUS_INNER_RADIUS
         return _sample_box_domain(
             rng, count, 1, lambda z: (np.abs(z[:, 0]) > r0) & (np.abs(z[:, 0]) < 1.0)
         )
-    if d in ("omega", "hartogs"):
-        hspec = spec.hartogs if spec.hartogs is not None else OMEGA
-        return _sample_omega(rng, count, hspec)
+    if d == "omega":
+        return _sample_omega(rng, count)
     raise ValueError(f"unknown domain {d}")
 
 
@@ -276,9 +260,7 @@ def check_reproducing(
 
         target = z0**d
         name = f"reproducing:disk:z^{d}"
-    elif domain in ("omega", "hartogs"):
-        if spec.hartogs is not None and not spec.hartogs.omega_standard:
-            raise ValueError("the reproducing check integrates the standard Hartogs kernel only")
+    elif domain == "omega":
         m, alpha = int(f[0]), tuple(f[1])
         if not square_integrable(m, alpha):
             raise ValueError(
@@ -326,18 +308,16 @@ def check_orthogonality(
 def _orthogonality_reports(
     pairs: Sequence[tuple[Monomial, Monomial]], spec: IntegrationSpec
 ) -> list[VerificationReport]:
-    """``check_orthogonality`` for several pairs over one draw of ``spec``,
-    with the norms of the spec's own Hartogs domain."""
+    """``check_orthogonality`` for several pairs over one draw of ``spec``."""
     t0 = time.time()
-    if spec.domain not in ("omega", "hartogs"):
+    if spec.domain != "omega":
         raise ValueError(f"no orthogonality check for domain {spec.domain}")
-    hartogs = spec.hartogs or OMEGA
     integrands, scales = [], []
     for (m1, a1), (m2, a2) in pairs:
         if m1 == m2:
             raise ValueError("orthogonality check needs distinct fiber degrees")
-        n1 = monomial_norm(m1, a1, hartogs)
-        n2 = monomial_norm(m2, a2, hartogs)
+        n1 = monomial_norm(m1, a1)
+        n2 = monomial_norm(m2, a2)
         if math.inf in (n1, n2):
             raise ValueError("orthogonality check needs square-integrable monomials")
         scales.append(math.sqrt(to_complex(n1).real * to_complex(n2).real))

@@ -179,6 +179,14 @@ def test_kernel_evaluation_errors_exit_2(runner, args):
         ["omega-grid", "--fiber", "-1"],
         ["omega-grid", "--rmax", "-1"],
         ["omega-grid", "--steps", "0"],
+        ["moments", "--m", "2", "--alpha", "x"],
+        ["moments", "--m", "2", "--alpha", "1,1,1"],
+        ["moments", "--m", "-1", "--alpha", "0,0"],
+        ["verify", "repro", "--n", "0"],
+        ["verify", "orthogonality", "--n", "-4"],
+        ["omega-kernel", "--z", "0,0", "--lambda", "0.2,0.3"],
+        ["omega-kernel", "--z", "0,0", "--lambda", "0.2", "--tau", "0.1,5"],
+        ["omega-kernel", "--z", "0,0", "--lambda", "0.2", "--series", "-3"],
     ],
     ids=[
         "levi-off-surface",
@@ -188,6 +196,14 @@ def test_kernel_evaluation_errors_exit_2(runner, args):
         "grid-fiber-negative",
         "grid-rmax-negative",
         "grid-no-steps",
+        "moments-alpha-unparsable",
+        "moments-alpha-wrong-dimension",
+        "moments-m-negative",
+        "repro-no-samples",
+        "orthogonality-negative-samples",
+        "omega-two-lambdas",
+        "omega-two-taus",
+        "omega-series-negative",
     ],
 )
 def test_unusable_evaluation_input_prints_one_error_line(runner, args):

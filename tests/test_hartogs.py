@@ -6,11 +6,9 @@ import pytest
 
 from berg.cyclotomic import CyclotomicField
 from berg.hartogs import (
-    OMEGA,
     BoundaryContactError,
     ChartSingularityError,
     DivergentIntegralError,
-    HartogsDomainSpec,
     NonConvergentError,
     embed_F,
     factorial_moment,
@@ -20,12 +18,11 @@ from berg.hartogs import (
     omega_rational_kernel,
     resum_polynomial_series,
     square_integrable,
-    standard_omega_weight,
     u_domain_contains,
     u_kernel,
 )
 from berg.invariants import find_syzygies
-from berg.polynomials import HermitianPolynomial, HoloPolynomial
+from berg.polynomials import HoloPolynomial
 from berg.scalars import ExactComplex, to_complex
 
 TWO_PI3 = (2 * math.pi) ** 3
@@ -67,26 +64,21 @@ def test_monomial_norms_exact():
     assert square_integrable(3, (2, 0)) and not square_integrable(3, (3, 0))
 
 
-def _doubled_weight_spec() -> HartogsDomainSpec:
-    return HartogsDomainSpec(base_dim=2, weight=standard_omega_weight().scale(Fraction(2)))
-
-
-def test_standard_weight_is_recognized_from_the_weight():
-    spec = HartogsDomainSpec(2, standard_omega_weight())
-    assert spec == OMEGA and spec.omega_standard
-    assert monomial_norm(2, (1, 1), spec) == ExactComplex(Fraction(8, 12), 0, 3)
-    assert monomial_norm(1, (1, 0), spec) == math.inf
-    assert not _doubled_weight_spec().omega_standard
-
-
 def test_monomial_norm_quadrature_oracle():
-    # the fiber disk of the weight 2h has radius^2 1/(2h), so every norm is
-    # 2^-(m+1) times the exact one of the standard weight
-    spec = _doubled_weight_spec()
+    # ||lam^m z^alpha||^2 = 8 pi^3/(m+1) * the integral of r1^a1 r2^a2 h^-(m+1)
+    # over [0, inf)^2: the fiber disk {|lam|^2 < 1/h} gives pi/(m+1) h^-(m+1),
+    # each base plane pi dr_i, and the top form 8.  After r = t/(1-t) the
+    # integrand is a polynomial in t, so tensor Gauss-Legendre is exact.
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    t = 0.5 * (nodes + 1)
+    r = t / (1 - t)
+    w = 0.5 * weights / (1 - t) ** 2
+    r1, r2 = np.meshgrid(r, r, indexing="ij")
+    h = (1 + r1) * (1 + r2)
     for m, alpha in [(1, (0, 0)), (2, (1, 1)), (3, (2, 0)), (2, (0, 1))]:
-        exact = to_complex(monomial_norm(m, alpha)).real
-        assert monomial_norm(m, alpha, spec) == pytest.approx(exact / 2 ** (m + 1), rel=1e-6)
-    assert monomial_norm(1, (1, 0), spec) == math.inf
+        integral = np.sum(np.outer(w, w) * r1 ** alpha[0] * r2 ** alpha[1] * h ** -(m + 1.0))
+        numeric = 8 * math.pi**3 / (m + 1) * integral
+        assert to_complex(monomial_norm(m, alpha)).real == pytest.approx(numeric, rel=1e-12)
 
 
 def test_monomial_norm_exact_value_and_float():
@@ -96,22 +88,9 @@ def test_monomial_norm_exact_value_and_float():
 
 
 def test_moment_symmetry_in_exponents():
-    spec = _doubled_weight_spec()
     for m in (2, 3, 4):
         for alpha in [(0, 1), (1, 2), (0, 2)]:
             assert monomial_norm(m, alpha) == monomial_norm(m, alpha[::-1])
-            assert monomial_norm(m, alpha, spec) == pytest.approx(
-                monomial_norm(m, alpha[::-1], spec), rel=1e-12
-            )
-
-
-def test_non_radial_weight_rejected():
-    bad = standard_omega_weight() + HermitianPolynomial.term(
-        2, (1, 0), (0, 1), Fraction(1, 10)
-    ) + HermitianPolynomial.term(2, (0, 1), (1, 0), Fraction(1, 10))
-    spec = HartogsDomainSpec(base_dim=2, weight=bad)
-    with pytest.raises(ValueError):
-        monomial_norm(1, (0, 0), spec)
 
 
 # -- series and closed form ------------------------------------------------------
@@ -411,13 +390,3 @@ def test_rational_kernel_is_exact_at_a_point_written_in_q_zeta4():
     value = rk.eval((zeta5,) + x[1:], y)
     assert type(value) is complex
     assert value == rk.eval((to_complex(zeta5),) + tuple(map(to_complex, x[1:])), tuple(map(to_complex, y)))
-
-
-def test_domain_spec_validation():
-    with pytest.raises(ValueError):
-        HartogsDomainSpec(base_dim=1, weight=standard_omega_weight())
-    indefinite = HermitianPolynomial.constant(1, Fraction(-1))
-    with pytest.raises(ValueError):
-        HartogsDomainSpec(base_dim=1, weight=indefinite)
-    assert OMEGA.contains((0.0, 0.0), 0.5)
-    assert not OMEGA.contains((1.0, 1.0), 0.9)

@@ -1,13 +1,13 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from berg import verify
-from berg.hartogs import HartogsDomainSpec, monomial_norm, standard_omega_weight
+from berg.hartogs import monomial_norm
 from berg.scalars import ExactComplex
 from berg.verify import (
+    ANNULUS_INNER_RADIUS,
     BLOCK,
     STDERR_REL_CAP,
     IntegrationSpec,
@@ -39,9 +39,9 @@ def test_ball2_volume():
 
 
 def test_annulus_area():
-    spec = IntegrationSpec("annulus", N_FAST, seed=2, inner_radius=0.5)
+    spec = IntegrationSpec("annulus", N_FAST, seed=2)
     est, se = integrate(spec, lambda p: np.ones(len(p)))
-    assert abs(est.real - math.pi * 0.75) <= 3 * se
+    assert abs(est.real - math.pi * (1 - ANNULUS_INNER_RADIUS**2)) <= 3 * se
 
 
 def test_omega_fiber_norm_mc():
@@ -58,6 +58,17 @@ def test_unknown_domain_and_bad_spec():
         integrate(IntegrationSpec("torus", 10), lambda p: p)
     with pytest.raises(ValueError):
         IntegrationSpec("disk", 0)
+
+
+def test_hartogs_is_not_a_domain_name():
+    # Omega is the one Hartogs domain, and "omega" its one name
+    spec = IntegrationSpec("hartogs", 1000)
+    with pytest.raises(ValueError, match="unknown domain"):
+        integrate(spec, lambda p: p[:, 0])
+    with pytest.raises(ValueError, match="no reproducing check"):
+        check_reproducing("hartogs", (1, (0, 0)), (0.0, 0.0, 0.4), spec)
+    with pytest.raises(ValueError, match="no orthogonality check"):
+        check_orthogonality((1, (0, 0)), (2, (0, 0)), spec)
 
 
 def test_stderr_scaling():
@@ -101,21 +112,6 @@ def test_reproducing_fails_for_a_doubled_kernel(monkeypatch, domain, kernel, f, 
     assert abs(report.estimate - 2 * report.target) <= 3 * report.stderr
 
 
-def test_reproducing_rejects_a_non_standard_hartogs_domain():
-    weight = standard_omega_weight()
-    other = HartogsDomainSpec(base_dim=2, weight=weight * weight)
-    spec = IntegrationSpec("hartogs", N_FAST, seed=5, hartogs=other)
-    with pytest.raises(ValueError):
-        check_reproducing("hartogs", (1, (0, 0)), (0.0, 0.0, 0.4), spec)
-
-
-def test_reproducing_accepts_the_standard_weight_built_without_a_flag():
-    built = HartogsDomainSpec(2, standard_omega_weight())
-    spec = IntegrationSpec("hartogs", N_FAST, seed=5, hartogs=built)
-    report = check_reproducing("hartogs", (1, (0, 0)), (0.0, 0.0, 0.4), spec)
-    assert report.passed
-
-
 def test_reproducing_rejects_divergent_monomial():
     with pytest.raises(ValueError):
         check_reproducing("omega", (1, (1, 0)), (0.0, 0.0, 0.4))
@@ -136,23 +132,17 @@ def test_orthogonality_rejects_a_domain_without_fibers():
             check_orthogonality((1, (0, 0)), (2, (0, 0)), IntegrationSpec(domain, 1000))
 
 
-def test_orthogonality_uses_the_norms_and_name_of_its_own_domain():
-    doubled = HartogsDomainSpec(base_dim=2, weight=standard_omega_weight().scale(Fraction(2)))
-    scale = math.sqrt(monomial_norm(1, (0, 0), doubled) * monomial_norm(2, (0, 0), doubled))
-    # the weight 2h divides ||lam^m||^2 by 2^(m+1), so Omega's cap is sqrt(32) times looser
-    omega_scale = math.sqrt(
-        (monomial_norm(1, (0, 0)) * monomial_norm(2, (0, 0))).to_complex().real
-    )
-    assert omega_scale / scale == pytest.approx(math.sqrt(32), rel=1e-9)
-    spec = IntegrationSpec("hartogs", 2000, seed=2, hartogs=doubled)
-    report = check_orthogonality((1, (0, 0)), (2, (0, 0)), spec)
-    assert report.inputs["domain"] == "hartogs"
-    # inside 3 standard errors, but the standard error is above this
-    # domain's cap (Omega's norms would have let it pass)
+def test_orthogonality_fails_when_the_stderr_is_above_the_cap():
+    # negative control for the cap: at N = 2000 the estimate sits inside 3
+    # standard errors, but the standard error is above STDERR_REL_CAP times
+    # the norms' scale, so the check must fail; ten times the samples pass
+    scale = math.sqrt((monomial_norm(1, (0, 0)) * monomial_norm(2, (0, 0))).to_complex().real)
+    report = check_orthogonality((1, (0, 0)), (2, (0, 0)), IntegrationSpec("omega", 2000, seed=2))
+    assert report.inputs["domain"] == "omega"
     assert abs(report.estimate) <= 3 * report.stderr
-    assert STDERR_REL_CAP * scale < report.stderr <= STDERR_REL_CAP * omega_scale
+    assert report.stderr > STDERR_REL_CAP * scale
     assert not report.passed
-    more = IntegrationSpec("hartogs", 20_000, seed=2, hartogs=doubled)
+    more = IntegrationSpec("omega", 20_000, seed=2)
     assert check_orthogonality((1, (0, 0)), (2, (0, 0)), more).passed
 
 
@@ -283,22 +273,18 @@ def _uniform_bins_close(values, low, high, bins=20, rel=0.06):
     return counts.sum() == len(values) and np.all(np.abs(counts - expected) <= rel * expected)
 
 
-@pytest.mark.parametrize("squared_weight", [False, True], ids=["standard", "radial"])
-def test_omega_sampler_law(squared_weight):
-    # u_i = r_i / (1 + r_i) and |lambda|^2 h are uniform on [0, 1], every
-    # argument is uniform, and the weight is pi^3 (1+r_1)^2 (1+r_2)^2 / h
-    weight = standard_omega_weight()
-    hspec = HartogsDomainSpec(base_dim=2, weight=weight * weight) if squared_weight else None
-    spec = IntegrationSpec("hartogs", 200_000, seed=21, hartogs=hspec)
+def test_omega_sampler_law():
+    # u_i = r_i / (1 + r_i) and |lambda|^2 h are uniform on [0, 1] for
+    # h = (1+r_1)(1+r_2), every argument is uniform, and the weight is pi^3 h
+    spec = IntegrationSpec("omega", 200_000, seed=21)
     points, inv = _draw(spec, np.random.default_rng(spec.seed), spec.n_samples)
     r = np.abs(points[:, :2]) ** 2
-    growth = (1.0 + r[:, 0]) * (1.0 + r[:, 1])
-    h = growth**2 if squared_weight else growth
+    h = (1.0 + r[:, 0]) * (1.0 + r[:, 1])
     for u in (r[:, 0] / (1.0 + r[:, 0]), r[:, 1] / (1.0 + r[:, 1]), np.abs(points[:, 2]) ** 2 * h):
         assert _uniform_bins_close(u, 0.0, 1.0)
     for column in range(3):
         assert _uniform_bins_close(np.angle(points[:, column]), -math.pi, math.pi)
-    np.testing.assert_allclose(inv, math.pi**3 * growth**2 / h, rtol=1e-12)
+    np.testing.assert_allclose(inv, math.pi**3 * h, rtol=1e-12)
 
 
 @pytest.mark.parametrize("domain", ["disk", "omega"])
