@@ -12,17 +12,14 @@ from .polynomials import (
     HermitianPolynomial,
     HoloPolynomial,
     MultiIndex,
-    minimal_poly_check,
     monomials_of_degree,
     monomials_up_to_degree,
 )
 from .ball import (
-    BallPoint,
     DefiningFunction,
     LeviReport,
     SingularKernelError,
     ball_kernel,
-    disk_kernel,
     levi_form,
     sphere_defining_function,
     u_domain_defining_function,

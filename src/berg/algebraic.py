@@ -474,6 +474,13 @@ def _evaluation_matrix(
     return keys, matrix
 
 
+def _check_degrees(feature_degree: int, k_degree: int) -> None:
+    if k_degree < 1:
+        raise ValueError("k_degree must be at least 1")
+    if feature_degree < 0:
+        raise ValueError(f"feature_degree must be at least 0, got {feature_degree}")
+
+
 def fit_relation(
     samples: Sequence[tuple[Sequence[float], float]],
     feature_degree: int,
@@ -498,8 +505,7 @@ def fit_relation(
     tolerances therefore refer to kernels in their canonical Bergman
     normalization.
     """
-    if k_degree < 1:
-        raise ValueError("k_degree must be at least 1")
+    _check_degrees(feature_degree, k_degree)
     if not samples:
         raise ValueError("no samples given")
     keys, matrix = _evaluation_matrix(samples, feature_degree, k_degree)
@@ -535,9 +541,12 @@ def fit_surface_relation(
 ) -> AlgebraicRelation:
     """Sample a named surface and fit; sample count defaults to twice the
     number of unknown coefficients."""
-    betas = sum(1 for _ in monomials_up_to_degree(len(surface.feature_polys), feature_degree))
+    _check_degrees(feature_degree, k_degree)
     if count is None:
+        betas = sum(1 for _ in monomials_up_to_degree(len(surface.feature_polys), feature_degree))
         count = 2 * betas * (k_degree + 1)
+    elif count < 1:
+        raise ValueError(f"sample count must be at least 1, got {count}")
     samples = surface.samples(count, seed=seed)
     return fit_relation(
         samples, feature_degree, k_degree, feature_polys=surface.feature_polys

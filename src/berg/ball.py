@@ -29,34 +29,6 @@ class SingularKernelError(ArithmeticError):
     """Kernel evaluated at boundary contact <z, w> = 1."""
 
 
-@dataclass(frozen=True)
-class BallPoint:
-    """A point of the closed unit ball; boundary samples carry a flag."""
-
-    coords: tuple[complex, ...]
-    boundary: bool = False
-
-    def __post_init__(self):
-        norm2 = sum(abs(c) ** 2 for c in self.coords)
-        if self.boundary:
-            if abs(norm2 - 1.0) > 1e-6:
-                raise ValueError(f"boundary point has |z|^2 = {norm2}")
-        elif norm2 >= 1.0:
-            raise ValueError(f"interior point has |z|^2 = {norm2} >= 1")
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __len__(self):
-        return len(self.coords)
-
-
-def _coords(p) -> Sequence:
-    if isinstance(p, BallPoint):
-        return p.coords
-    return p
-
-
 def hermitian_inner(z: Sequence, w: Sequence):
     """<z, w> = sum z_i * conj(w_i), exact when both inputs are exact."""
     total = None
@@ -76,13 +48,12 @@ def ball_kernel(n: int, z, w):
     array over them.  Raises SingularKernelError at boundary contact
     <z, w> = 1.
     """
-    z = _coords(z)
-    w = _coords(w)
     check_points(n, z, w)
     batched = _is_batch(z) or _is_batch(w)
     exact = None if batched else gaussian_points(z, w)
     if exact is not None:
-        return _exact_constant(n) * _exact_power(n, ExactComplex.coerce(hermitian_inner(*exact)))
+        u = ExactComplex.coerce(hermitian_inner(*exact))
+        return kernel_term(n, u, ExactComplex(math.factorial(n), 0, -n))
     # a single point pair runs as a batch of one, so it matches a batched row bit for bit
     zf = np.atleast_2d(float_point(z))
     wf = np.atleast_2d(float_point(w))
@@ -90,31 +61,31 @@ def ball_kernel(n: int, z, w):
         u = zf[..., 0] * wf[..., 0].conj()
     else:
         u = (zf * wf.conj()).sum(axis=-1)
-    one_minus = 1.0 - u
-    if (np.abs(one_minus) < 1e-14).any():
-        raise SingularKernelError("kernel singular at <z, w> = 1")
-    # (1 - u)^(n+1) by products, not an elementwise complex power; not in
-    # place, since numpy's in-place complex multiply can round differently
-    # and a batch of one would then miss its batched row
-    power = one_minus * one_minus
-    for _ in range(n - 1):
-        power = power * one_minus
-    values = math.factorial(n) / math.pi**n / power
+    values = kernel_term(n, u, math.factorial(n) / math.pi**n)
     return values if batched else complex(values[0])
 
 
-def _exact_constant(n: int) -> ExactComplex:
-    """n! / pi^n, the kernel's constant factor, as an exact scalar."""
-    return ExactComplex(math.factorial(n), 0, -n)
+def kernel_term(n: int, u, scale):
+    """scale / (1 - u)^(n+1), the ball kernel's one formula, for an exact
+    inner product u = <z, w> or an array of float ones; the kernel is the
+    term with scale n!/pi^n.  Raises SingularKernelError at boundary
+    contact u = 1 (|1 - u| < 1e-14 for floats).
 
-
-def _exact_power(n: int, u: ExactComplex) -> ExactComplex:
-    """(1 - u)^-(n+1) for an exact inner product u = <z, w>; raises
-    SingularKernelError at boundary contact u = 1."""
+    The power is formed by products, not an elementwise complex power; not
+    in place, since numpy's in-place complex multiply can round differently
+    and a batch of one would then miss its batched row.
+    """
     one_minus = 1 - u
-    if one_minus.is_zero:
+    if isinstance(one_minus, ExactComplex):
+        singular = one_minus.is_zero
+    else:
+        singular = (np.abs(one_minus) < 1e-14).any()
+    if singular:
         raise SingularKernelError("kernel singular at <z, w> = 1")
-    return one_minus ** (-(n + 1))
+    power = one_minus * one_minus
+    for _ in range(n - 1):
+        power = power * one_minus
+    return scale / power
 
 
 def _is_batch(p) -> bool:
@@ -138,11 +109,6 @@ def check_points(n: int, *points) -> None:
         size = p.shape[-1] if isinstance(p, np.ndarray) and p.ndim else len(p)
         if size != n:
             raise ValueError(f"expected points in C^{n}")
-
-
-def disk_kernel(z, w):
-    """One-variable convenience wrapper: K(z, w) = 1/(pi (1 - z conj(w))^2)."""
-    return ball_kernel(1, (z,), (w,))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +157,7 @@ def levi_form(rho: DefiningFunction | HermitianPolynomial, point: Sequence[compl
     """
     poly = (rho if isinstance(rho, DefiningFunction) else DefiningFunction(rho)).rho
     n = poly.dim
-    p = tuple(complex(x) for x in _coords(point))
+    p = tuple(complex(x) for x in point)
     if len(p) != n:
         raise ValueError(f"point dimension {len(p)} does not match rho dimension {n}")
 

@@ -374,12 +374,20 @@ def fit_cmd(kernel_name, dz, dk, boundary_check, count, seed):
 
 @main.command("verify")
 @click.argument("which", type=click.Choice(["repro", "transform", "isometry", "orthogonality"]))
-@click.option("--seed", type=int, default=0)
-@click.option("--n", "--N", "n_samples", type=int, default=1_000_000)
+@click.option("--seed", type=int, default=None, help="default 0; not for isometry")
+@click.option("--n", "--N", "n_samples", type=int, default=None,
+              help="Monte Carlo samples, default 1000000; repro and orthogonality only")
 @click.option("--tol", type=float, default=None)
 def verify_cmd(which, seed, n_samples, tol):
     """Run a verification suite; one JSON line per check."""
-    if which in ("repro", "orthogonality") and n_samples < 1:
+    monte_carlo = which in ("repro", "orthogonality")
+    if n_samples is not None and not monte_carlo:
+        raise InputError(f"--n does not apply to the {which} suite")
+    if seed is not None and which == "isometry":
+        raise InputError("--seed does not apply to the isometry suite")
+    seed = 0 if seed is None else seed
+    n_samples = 1_000_000 if n_samples is None else n_samples
+    if monte_carlo and n_samples < 1:
         raise InputError(f"--n must be at least 1, got {n_samples}")
     if which == "repro":
         reports = verify_mod.suite_repro(seed=seed, n_samples=n_samples)

@@ -303,12 +303,12 @@ class FiniteUnitaryGroup:
     @cached_property
     def symmetric_powers(self) -> SymmetricPowerTable:
         """Group averages of the images (gz)^alpha of every monomial, grown
-        on demand: the table behind ``invariants.reynolds``.  An exact
-        group's table runs over one element of each coset gH of its
-        diagonal subgroup H, which holds the scalar subgroup, and keeps the
-        terms H fixes; a float group's runs over every element."""
+        on demand: the table behind ``invariants.reynolds``.  It runs over
+        one element of each coset gH of the diagonal subgroup H, which
+        holds the scalar subgroup, and keeps the terms H fixes.  Raises
+        ValueError for a float group: invariant theory is exact only."""
         if not self.exact:
-            return SymmetricPowerTable(self.dim, [g.entries for g in self.elements])
+            raise ValueError("invariant theory requires an exact group")
         diagonal = [g for g in self.elements if _is_diagonal(g)]
         covered, reps = set(), []
         for g in self.elements:

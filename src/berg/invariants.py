@@ -2,8 +2,9 @@
 homogeneous generators of the invariant algebra, and the polynomial
 relations cutting out the image variety.
 
-All linear algebra here is exact (rational or cyclotomic): a relation
-among generators is only reported after an exact substitution check.
+Groups must be exact, and all linear algebra here is exact (rational or
+cyclotomic): a relation among generators is only reported after an exact
+substitution check.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ def reynolds(f: HoloPolynomial, group: FiniteUnitaryGroup) -> HoloPolynomial:
     """Group average (1/|G|) sum of f(gz); a projection onto invariants.
 
     Read off the group's symmetric-power table as sum c_alpha R(z^alpha),
-    so each monomial image is built once per group.
+    so each monomial image is built once per group.  Raises ValueError for
+    a float group.
     """
     if f.dim != group.dim:
         raise ValueError("polynomial dimension does not match the group")
@@ -143,10 +145,9 @@ def compute_basic_map(group: FiniteUnitaryGroup, verify: bool = True) -> BasicMa
     invariant of degree at most |G|, and by Noether's bound those
     generate the algebra.  ``verify`` re-checks spanning up to twice the
     group order by "product rank = m_d" in every degree, with no Reynolds
-    image, and checks minimality by deleting each generator.
+    image, and checks minimality by deleting each generator.  A float
+    group raises ValueError (from ``molien_counts``).
     """
-    if not group.exact:
-        raise ValueError("basic map computation requires an exact group")
     counts = molien_counts(group, 2 * group.order if verify else group.order)
     gens: list[HoloPolynomial] = []
     degrees: list[int] = []
@@ -223,13 +224,14 @@ def molien_counts(group: FiniteUnitaryGroup, top: int) -> tuple[int, ...]:
     h_d of its eigenvalues.  Newton's identity h_d = sum_k (-1)^(k+1) e_k
     h_(d-k) builds it from the elementary sums e_k, the sums of the
     principal k x k minors of g, so no eigenvalue is computed, and
-    elements with equal (e_1..e_n) share one series.  For an exact group
-    the average m_d is rational, so it equals the average of the
-    normalized traces of the h_d, and Galois-conjugate sums give equal
-    traces: one series runs per Galois orbit of sums, in the group's own
-    arithmetic, so the counts are exact.  For a float group each count is
-    checked to be near an integer.
+    elements with equal (e_1..e_n) share one series.  The average m_d is
+    rational, so it equals the average of the normalized traces of the
+    h_d, and Galois-conjugate sums give equal traces: one series runs per
+    Galois orbit of sums, in the group's own arithmetic, so the counts are
+    exact.  Raises ValueError for a float group.
     """
+    if not group.exact:
+        raise ValueError("invariant theory requires an exact group")
     n = group.dim
     keys: dict[tuple, int] = {}
     for g in group:
@@ -240,7 +242,7 @@ def molien_counts(group: FiniteUnitaryGroup, top: int) -> tuple[int, ...]:
     for key in keys:
         if key in seen:
             continue
-        orbit = _galois_orbit(key) if group.exact else {key}
+        orbit = _galois_orbit(key)
         seen |= orbit
         weight = sum(keys.get(k, 0) for k in orbit)
         h = [1]
@@ -251,26 +253,18 @@ def molien_counts(group: FiniteUnitaryGroup, top: int) -> tuple[int, ...]:
                 acc = term if acc is None else (acc + term if k % 2 else acc - term)
             h.append(acc)
         for d, value in enumerate(h):
-            if group.exact:
-                value = value.normalized_trace() if isinstance(value, Cyclotomic) else Fraction(value)
+            value = value.normalized_trace() if isinstance(value, Cyclotomic) else Fraction(value)
             totals[d] += weight * value
-    if group.exact:
-        counts = [Fraction(t, group.order) for t in totals]
-        if any(c.denominator != 1 for c in counts):
-            raise RuntimeError("trace average is not an integer")
-        return tuple(int(c) for c in counts)
-    counts = []
-    for t in totals:
-        avg = complex(t) / group.order
-        if abs(avg.imag) > 1e-8 or abs(avg.real - round(avg.real)) > 1e-8:
-            raise RuntimeError(f"trace average {avg} is not close to an integer")
-        counts.append(int(round(avg.real)))
-    return tuple(counts)
+    counts = [Fraction(t, group.order) for t in totals]
+    if any(c.denominator != 1 for c in counts):
+        raise RuntimeError("trace average is not an integer")
+    return tuple(int(c) for c in counts)
 
 
 def trace_average_dimension(group: FiniteUnitaryGroup, degree: int) -> int:
     """The number of degree-d invariants, ``molien_counts(group, degree)[degree]``:
-    not an independent count, but the benchmark oracle's entry point."""
+    not an independent count, but the benchmark oracle's entry point.
+    Raises ValueError for a float group."""
     return molien_counts(group, degree)[degree]
 
 

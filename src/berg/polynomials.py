@@ -269,24 +269,24 @@ class HoloPolynomial:
 
 
 class SymmetricPowerTable:
-    """Images (Az)^alpha of the monomials under a list of square matrices,
-    averaged over the list, grown one degree at a time.
+    """Group averages of the images (gz)^alpha of the monomials, grown one
+    degree at a time.
 
-    The degree-d images come from the degree-(d-1) ones by one product with
-    a linear form, (Az)^alpha = (Az)^(alpha - e_i) * (Az)_i, where i is the
-    last variable alpha uses.  Per matrix only the images at the highest
-    degree reached are kept; the averages are kept for every degree.
+    The matrices are one element r of each coset rH of a diagonal subgroup
+    H of a group G, and ``fixed``, a predicate on exponent vectors, tells
+    whether H fixes z^beta.  The degree-d images come from the degree-(d-1)
+    ones by one product with a linear form, (rz)^alpha = (rz)^(alpha - e_i)
+    * (rz)_i, where i is the last variable alpha uses.  Per matrix only the
+    images at the highest degree reached are kept; the averages are kept
+    for every degree.
 
-    With ``fixed``, a predicate on exponent vectors, the list holds one
-    element r of each coset rH of a diagonal subgroup H of a group G, and
-    ``fixed(beta)`` tells whether H fixes z^beta.  A diagonal h multiplies
-    z^beta by a root of unity, so the average of (rhz)^alpha over H keeps
-    exactly the fixed terms of (rz)^alpha: the group average is the
-    average over the representatives with the other terms dropped, and it
-    vanishes in a degree with no fixed monomial.
+    A diagonal h multiplies z^beta by a root of unity, so the average of
+    (rhz)^alpha over H keeps exactly the fixed terms of (rz)^alpha: the
+    group average is the average over the representatives with the other
+    terms dropped, and it vanishes in a degree with no fixed monomial.
     """
 
-    def __init__(self, dim: int, matrices: Sequence[Sequence[Sequence]], fixed=None):
+    def __init__(self, dim: int, matrices: Sequence[Sequence[Sequence]], fixed):
         self.dim = dim
         self._forms = [
             [HoloPolynomial.coordinate(dim, i).compose_linear(m) for i in range(dim)]
@@ -300,10 +300,8 @@ class SymmetricPowerTable:
         self._averages = {zero_index(dim): one}
         self.degree = 0
 
-    def _kept_terms(self, degree: int) -> frozenset | None:
-        """The fixed monomials of a degree, or None when all of them are."""
-        if self._fixed is None:
-            return None
+    def _kept_terms(self, degree: int) -> frozenset:
+        """The fixed monomials of a degree."""
         if degree not in self._kept:
             self._kept[degree] = frozenset(
                 b for b in monomials_of_degree(self.dim, degree) if self._fixed(b)
@@ -335,8 +333,7 @@ class SymmetricPowerTable:
             total = HoloPolynomial(self.dim)
             for images in self._images:
                 total = total + images[alpha]
-            if kept is not None:
-                total = HoloPolynomial(self.dim, {b: c for b, c in total.terms.items() if b in kept})
+            total = HoloPolynomial(self.dim, {b: c for b, c in total.terms.items() if b in kept})
             self._averages[alpha] = total.scale(self._weight)
 
 
@@ -523,22 +520,3 @@ class HermitianPolynomial:
             parts.append(f"({c})" + (f"*{mono}" if mono else ""))
         return " + ".join(parts)
 
-
-def minimal_poly_check(samples: Sequence[tuple], candidate) -> float:
-    """Max |P(x_i, y_i)| over samples for a candidate polynomial relation.
-
-    ``candidate`` is a polynomial in k+1 variables, evaluated at the point
-    (x_1, ..., x_k, y) for each sample (x, y).  A zero candidate or an
-    empty sample list is rejected.
-    """
-    if not samples:
-        raise ValueError("empty sample list")
-    if candidate.is_zero():
-        raise ValueError("candidate polynomial must be nonzero")
-    worst = 0.0
-    for x, y in samples:
-        xs = list(x) if isinstance(x, (tuple, list)) else [x]
-        point = xs + [y]
-        val = candidate.eval(point)
-        worst = max(worst, abs(to_complex(val)))
-    return worst

@@ -18,13 +18,14 @@ nonvanishing Jacobian.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .ball import _exact_constant, _exact_power, ball_kernel, check_points, float_point
-from .cyclotomic import CyclotomicField
+from .ball import ball_kernel, check_points, float_point, kernel_term
+from .cyclotomic import Cyclotomic, CyclotomicField
 from .groups import FiniteUnitaryGroup, UnitaryMatrix, determinant, generate_group
 from .invariants import compute_basic_map, is_invariant
 from .polynomials import HoloPolynomial
@@ -74,8 +75,8 @@ def _deck_sum(group: FiniteUnitaryGroup, n: int, z: Sequence, w: Sequence, dual:
         for j, l, x in entries:
             term = x.conjugate() * products[j][l] if dual else x * products[l][j]
             u = term if u is None else u + term
-        total += _exact_power(n, u) * (det.conjugate() if dual else det)
-    return _exact_constant(n) * total
+        total += kernel_term(n, u, det.conjugate() if dual else det)
+    return ExactComplex(math.factorial(n), 0, -n) * total  # n!/pi^n
 
 
 def deck_sum_kernel(group: FiniteUnitaryGroup, n: int, z: Sequence, w: Sequence):
@@ -141,8 +142,6 @@ class CoveringSpec:
         return self.group.order
 
     def _check_invariance(self):
-        from .cyclotomic import Cyclotomic
-
         exact_coeffs = all(
             isinstance(c, (int, Fraction, Cyclotomic))
             for p in self.cover_map
@@ -177,7 +176,29 @@ class CoveringSpec:
         partials = [[comps[i].partial(j) for j in range(n)] for i in range(n)]
         return determinant(partials)
 
+    @cached_property
+    def gaussian_jacobian(self) -> HoloPolynomial | None:
+        """The Jacobian with its ``Cyclotomic`` coefficients as Gaussian
+        rationals, converted by value once per spec, for exact points; None
+        when no coefficient is ``Cyclotomic`` or one lies outside Q(i)."""
+        terms = self.jacobian_polynomial.terms
+        if not any(isinstance(c, Cyclotomic) for c in terms.values()):
+            return None
+        try:
+            gaussian = {
+                a: c.to_exact_complex() if isinstance(c, Cyclotomic) else c for a, c in terms.items()
+            }
+        except ValueError:  # a coefficient outside Q(i)
+            return None
+        return HoloPolynomial(self.group.dim, gaussian)
+
     def jacobian(self, z: Sequence):
+        """J(z); an exact value at Gaussian-rational points (``Cyclotomic``
+        coordinates by value) when the coefficients lie in Q(i)."""
+        poly = self.gaussian_jacobian
+        exact = None if poly is None else gaussian_points(z)
+        if exact is not None:
+            return poly.eval(exact[0])
         return _eval_holo(self.jacobian_polynomial, z)
 
 

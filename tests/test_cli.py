@@ -170,44 +170,48 @@ def test_kernel_evaluation_errors_exit_2(runner, args):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, message",
     [
-        ["levi", "--rho", "sphere-2", "--point", "0.5,0"],
-        ["fit", "--kernel", "disk", "--dz", "1", "--dk", "1", "--samples", "1"],
-        ["omega-grid", "--fiber", "1"],
-        ["omega-grid", "--fiber", "1.5"],
-        ["omega-grid", "--fiber", "-1"],
-        ["omega-grid", "--rmax", "-1"],
-        ["omega-grid", "--steps", "0"],
-        ["moments", "--m", "2", "--alpha", "x"],
-        ["moments", "--m", "2", "--alpha", "1,1,1"],
-        ["moments", "--m", "-1", "--alpha", "0,0"],
-        ["verify", "repro", "--n", "0"],
-        ["verify", "orthogonality", "--n", "-4"],
-        ["omega-kernel", "--z", "0,0", "--lambda", "0.2,0.3"],
-        ["omega-kernel", "--z", "0,0", "--lambda", "0.2", "--tau", "0.1,5"],
-        ["omega-kernel", "--z", "0,0", "--lambda", "0.2", "--series", "-3"],
-    ],
-    ids=[
-        "levi-off-surface",
-        "fit-underdetermined",
-        "grid-fiber-on-boundary",
-        "grid-fiber-outside",
-        "grid-fiber-negative",
-        "grid-rmax-negative",
-        "grid-no-steps",
-        "moments-alpha-unparsable",
-        "moments-alpha-wrong-dimension",
-        "moments-m-negative",
-        "repro-no-samples",
-        "orthogonality-negative-samples",
-        "omega-two-lambdas",
-        "omega-two-taus",
-        "omega-series-negative",
+        pytest.param(["levi", "--rho", "sphere-2", "--point", "0.5,0"], "not on the zero set",
+                     id="levi-off-surface"),
+        pytest.param(["fit", "--kernel", "disk", "--dz", "1", "--dk", "1", "--samples", "1"],
+                     "underdetermined fit", id="fit-underdetermined"),
+        pytest.param(["fit", "--kernel", "disk", "--dz", "-1", "--dk", "1"],
+                     "feature_degree must be at least 0, got -1", id="fit-negative-feature-degree"),
+        pytest.param(["fit", "--kernel", "disk", "--dz", "1", "--dk", "1", "--samples", "-5"],
+                     "sample count must be at least 1, got -5", id="fit-negative-samples"),
+        pytest.param(["omega-grid", "--fiber", "1"], "--fiber must lie in (0, 1)", id="grid-fiber-on-boundary"),
+        pytest.param(["omega-grid", "--fiber", "1.5"], "--fiber must lie in (0, 1)", id="grid-fiber-outside"),
+        pytest.param(["omega-grid", "--fiber", "-1"], "--fiber must lie in (0, 1)", id="grid-fiber-negative"),
+        pytest.param(["omega-grid", "--rmax", "-1"], "--rmax must be positive", id="grid-rmax-negative"),
+        pytest.param(["omega-grid", "--steps", "0"], "--steps must be at least 1", id="grid-no-steps"),
+        pytest.param(["moments", "--m", "2", "--alpha", "x"], "unusable monomial",
+                     id="moments-alpha-unparsable"),
+        pytest.param(["moments", "--m", "2", "--alpha", "1,1,1"], "alpha length must match",
+                     id="moments-alpha-wrong-dimension"),
+        pytest.param(["moments", "--m", "-1", "--alpha", "0,0"], "m must be nonnegative",
+                     id="moments-m-negative"),
+        pytest.param(["verify", "repro", "--n", "0"], "--n must be at least 1", id="repro-no-samples"),
+        pytest.param(["verify", "orthogonality", "--n", "-4"], "--n must be at least 1",
+                     id="orthogonality-negative-samples"),
+        pytest.param(["verify", "transform", "--n", "5"], "--n does not apply to the transform suite",
+                     id="transform-samples"),
+        pytest.param(["verify", "isometry", "--N", "5"], "--n does not apply to the isometry suite",
+                     id="isometry-samples"),
+        pytest.param(["verify", "isometry", "--seed", "5"], "--seed does not apply to the isometry suite",
+                     id="isometry-seed"),
+        pytest.param(["omega-kernel", "--z", "0,0", "--lambda", "0.2,0.3"], "--lambda takes one complex value",
+                     id="omega-two-lambdas"),
+        pytest.param(["omega-kernel", "--z", "0,0", "--lambda", "0.2", "--tau", "0.1,5"],
+                     "--tau takes one complex value", id="omega-two-taus"),
+        pytest.param(["omega-kernel", "--z", "0,0", "--lambda", "0.2", "--series", "-3"],
+                     "--series must be a nonnegative truncation", id="omega-series-negative"),
     ],
 )
-def test_unusable_evaluation_input_prints_one_error_line(runner, args):
-    _one_line_usage_error(runner.invoke(main, args))
+def test_unusable_evaluation_input_prints_one_error_line(runner, args, message):
+    result = runner.invoke(main, args)
+    _one_line_usage_error(result)
+    assert message in result.output
 
 
 def test_fit_samples_file_too_short_prints_one_error_line(runner, tmp_path):

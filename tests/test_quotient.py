@@ -359,6 +359,34 @@ def test_a_point_written_in_q_zeta4_stays_exact():
     assert type(deck_sum_kernel(group, 2, (zeta5, fifth), as_gaussian[1])) is complex
 
 
+def _gaussian_coefficient_cover():
+    """The i*I quotient through (z1^4 + i z2^4, z1^3 z2): a Jacobian
+    4 z1^6 - 12 i z1^2 z2^4 with a coefficient in Q(i) that is not rational."""
+    i = CyclotomicField(4).root(1)
+    group = generate_group([UnitaryMatrix.scalar(2, i)])
+    cover_map = (HoloPolynomial(2, {(4, 0): 1, (0, 4): i}), HoloPolynomial.monomial(2, (3, 1)))
+    return CoveringSpec(group=group, cover_map=cover_map)
+
+
+def test_pushforward_stays_exact_with_gaussian_jacobian_coefficients():
+    spec = _gaussian_coefficient_cover()
+    q4, q8 = CyclotomicField(4), CyclotomicField(8)
+    third, fifth, w = Fraction(1, 3), Fraction(1, 5), (Fraction(1, 4), Fraction(1, 7))
+    ways = [
+        ((third, fifth), w),
+        ((ExactComplex(third), fifth), w),
+        ((q4.from_rational(third), q8.from_rational(fifth)), (w[0], q4.from_rational(w[1]))),
+    ]
+    values = [pushforward_kernel(spec, z, w) for z, w in ways]
+    assert all(isinstance(v, ExactComplex) for v in values)
+    assert all(v == values[0] and repr(v) == repr(values[0]) for v in values)
+    floats = pushforward_kernel(spec, (1 / 3 + 0j, 0.2 + 0j), (0.25 + 0j, 1 / 7 + 0j))
+    assert abs(to_complex(values[0]) - floats) <= 1e-12 * abs(floats)
+    # converted once per spec; the scalar-i cover's rational Jacobian needs no copy
+    assert spec.gaussian_jacobian is spec.gaussian_jacobian
+    assert scalar_rotation_cover().gaussian_jacobian is None
+
+
 def _q8():
     i = CyclotomicField(4).root(1)
     return generate_group([UnitaryMatrix.diagonal([i, -i]), UnitaryMatrix([[0, i], [i, 0]])])

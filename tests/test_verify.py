@@ -60,6 +60,20 @@ def test_unknown_domain_and_bad_spec():
         IntegrationSpec("disk", 0)
 
 
+@pytest.mark.parametrize(
+    "domain", ["ball", "ballistic", "ball-0", "ball3", "ball-", "ball-x", "ball--2", "ball-01", "hartogs"]
+)
+def test_draw_accepts_only_the_documented_domain_names(domain):
+    with pytest.raises(ValueError, match="unknown domain"):
+        _draw(IntegrationSpec(domain, 10), np.random.default_rng(0), 10)
+
+
+@pytest.mark.parametrize("n", [1, 3, 12])
+def test_draw_accepts_every_ball_dimension(n):
+    points, inv = _draw(IntegrationSpec(f"ball-{n}", 10), np.random.default_rng(0), 10)
+    assert points.shape == (10, n) and inv.shape == (10,)
+
+
 def test_hartogs_is_not_a_domain_name():
     # Omega is the one Hartogs domain, and "omega" its one name
     spec = IntegrationSpec("hartogs", 1000)
@@ -198,15 +212,6 @@ def test_deck_symmetry_reports():
         report = check_deck_symmetry(cover, seed=10)
         assert report.passed
         assert report.residual <= 1e-12
-
-
-def test_deck_symmetry_accepts_a_built_cover():
-    from berg.quotient import scalar_rotation_cover
-
-    spec = scalar_rotation_cover()
-    named = check_deck_symmetry("scalar-i", seed=10)
-    built = check_deck_symmetry(spec, seed=10)
-    assert built.name == "deck-symmetry:custom" and built.residual == named.residual
 
 
 def test_suite_transform_builds_each_cover_once():
