@@ -34,6 +34,7 @@ import numpy as np
 from .ball import ball_kernel
 from .hartogs import omega_closed_kernel
 from .polynomials import HermitianPolynomial, HoloPolynomial, MultiIndex, monomials_up_to_degree
+from .verify import _unit_disk_points
 
 
 # ---------------------------------------------------------------------------
@@ -61,15 +62,16 @@ def laurent_norm(k: int, inner_radius: float) -> float:
 
 @lru_cache(maxsize=16)
 def _laurent_coefficients(r0: float, truncation: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Horner tables of the truncated Laurent series sum_k u^k / ||z^k||^2.
+    """Coefficient tables of the truncated Laurent series sum_k u^k / ||z^k||^2,
+    highest power first as ``np.polyval`` takes them.
 
     The k >= 0 half is sum_k c_k u^k with c_k = (k+1) / (pi (1 - r0^(2k+2))).
     The k <= -2 half is rewritten to keep the r0 powers bounded,
         (k+1) u^k / (pi (1 - r0^(2k+2))) = d_j v^j,  v = r0^2/u,  j = -k,
         d_j = (j-1) / (r0^2 pi (1 - r0^(2j-2))),
-    and |v| < 1 on the annulus.  Both tables run from the top coefficient
-    down: (c_M, ..., c_0) and (d_M, ..., d_2).  With r0 = 0 the negative
-    powers have infinite norm and the second table is empty.
+    and |v| < 1 on the annulus.  The tables are (c_M, ..., c_0) and
+    (d_M, ..., d_2).  With r0 = 0 the negative powers have infinite norm
+    and the second table is empty.
     """
     pos = tuple(
         (k + 1) / (math.pi * (1.0 - r0 ** (2 * k + 2))) for k in range(truncation, -1, -1)
@@ -82,31 +84,22 @@ def _laurent_coefficients(r0: float, truncation: int) -> tuple[tuple[float, ...]
     return pos, neg
 
 
-def _horner(coeffs: Sequence[float], x):
-    """sum_i coeffs[i] x^(n-1-i), shaped like x (0 * x starts the sum)."""
-    acc = 0 * x
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
 def _laurent_series(r0: float, z, w, truncation: int):
     """sum over |k| <= truncation of z^k conj(w)^k / ||z^k||^2 on the
     annulus {r0 < |z| < 1} (r0 = 0: the punctured disk), for scalars or
-    broadcasting arrays of points."""
-    scalar = np.ndim(z) == 0 and np.ndim(w) == 0
-    if scalar:
-        u = complex(z) * complex(w).conjugate()
-    else:
-        u = np.asarray(z, dtype=complex) * np.conj(np.asarray(w, dtype=complex))
+    broadcasting arrays of points.
+
+    A scalar pair runs as an array of one, so it equals its batched row
+    bit for bit (numpy's scalar arithmetic rounds differently)."""
+    u = np.array(z, dtype=complex, ndmin=1) * np.conj(np.array(w, dtype=complex, ndmin=1))
     pos, neg = _laurent_coefficients(r0, truncation)
-    total = _horner(pos, u)
+    total = np.polyval(pos, u)
     if r0 > 0.0 and truncation >= 1:
         total = total + 1.0 / (u * 2.0 * math.pi * math.log(1.0 / r0))
     if neg:
         v = r0**2 / u
-        total = total + v * v * _horner(neg, v)
-    return total
+        total = total + v * v * np.polyval(neg, v)
+    return complex(total[0]) if np.ndim(z) == 0 and np.ndim(w) == 0 else total
 
 
 def annulus_kernel(inner_radius: float, z, w, truncation: int = 200):
@@ -181,14 +174,11 @@ def _real_coordinate_polys(n: int) -> tuple[HermitianPolynomial, ...]:
     return tuple(out)
 
 
-def _reject_sample_disk(rng: np.random.Generator, count: int, rmin: float, rmax: float) -> list:
-    pts = []
-    while len(pts) < count:
-        x, y = rng.uniform(-1, 1, 2)
-        r = math.hypot(x, y)
-        if rmin < r < rmax:
-            pts.append((complex(x, y),))
-    return pts
+def _shell_points(rng: np.random.Generator, count: int, dim: int, r_min: float, r_max: float) -> list:
+    """``count`` uniform points of the shell r_min < |p| < r_max in C^dim,
+    as tuples of Python complex coordinates."""
+    pts = _unit_disk_points(rng, count, dim, r_min, r_max)[0]
+    return list(map(tuple, pts.reshape(count, dim).tolist()))
 
 
 def disk_surface() -> KernelSurface:
@@ -199,7 +189,7 @@ def disk_surface() -> KernelSurface:
         diag=lambda pts: ball_kernel(1, pts, pts).real,
         features=lambda p: (p[0].real, p[0].imag),
         feature_polys=_real_coordinate_polys(1),
-        sample=lambda rng, n: _reject_sample_disk(rng, n, 0.0, 0.9),
+        sample=lambda rng, n: _shell_points(rng, n, 1, 0.0, 0.9),
         boundary_sample=lambda rng, n: [
             (complex(math.cos(t), math.sin(t)),)
             for t in rng.uniform(0.0, 2.0 * math.pi, n)
@@ -209,14 +199,6 @@ def disk_surface() -> KernelSurface:
 
 def ball2_surface() -> KernelSurface:
     """The kernel of the unit ball in C^2, sampled at |z| < 0.8."""
-
-    def sample(rng, count):
-        pts = []
-        while len(pts) < count:
-            v = rng.uniform(-1, 1, 4)
-            if v @ v < 0.8**2:
-                pts.append((complex(v[0], v[1]), complex(v[2], v[3])))
-        return pts
 
     def boundary(rng, count):
         pts = []
@@ -232,7 +214,7 @@ def ball2_surface() -> KernelSurface:
         diag=lambda pts: ball_kernel(2, pts, pts).real,
         features=lambda p: (p[0].real, p[0].imag, p[1].real, p[1].imag),
         feature_polys=_real_coordinate_polys(2),
-        sample=sample,
+        sample=lambda rng, n: _shell_points(rng, n, 2, 0.0, 0.8),
         boundary_sample=boundary,
     )
 
@@ -329,7 +311,7 @@ def annulus_surface(truncation: int = 2000) -> KernelSurface:
         diag=lambda pts: annulus_kernel(0.5, pts[:, 0], pts[:, 0], truncation).real,
         features=lambda p: (p[0].real, p[0].imag),
         feature_polys=_real_coordinate_polys(1),
-        sample=lambda rng, n: _reject_sample_disk(rng, n, 0.51, 0.99),
+        sample=lambda rng, n: _shell_points(rng, n, 1, 0.51, 0.99),
         boundary_sample=None,
     )
 

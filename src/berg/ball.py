@@ -152,7 +152,8 @@ def levi_form(rho: DefiningFunction | HermitianPolynomial, point: Sequence[compl
     The point must satisfy rho = 0 within tolerance.  A vanishing complex
     gradient flags the point as non-smooth and no eigenvalues are
     returned.  Second derivatives come from the polynomial itself, so the
-    only floating step is the final small eigenvalue problem.  A bare
+    only floating steps are the small SVD that spans the tangent space
+    and the eigenvalue problem.  A bare
     polynomial is checked as a DefiningFunction: it must be real-valued.
     """
     poly = (rho if isinstance(rho, DefiningFunction) else DefiningFunction(rho)).rho
@@ -170,44 +171,17 @@ def levi_form(rho: DefiningFunction | HermitianPolynomial, point: Sequence[compl
     if gnorm <= GRADIENT_TOL:
         return LeviReport(point=p, smooth=False, eigenvalues=None, gradient_norm=gnorm)
 
-    hess = [[to_complex(poly.d_z(i).d_zbar(j).eval(p)) for j in range(n)] for i in range(n)]
-
-    basis = _tangent_basis(grad)
-    m = len(basis)
+    hess = np.array(
+        [[to_complex(poly.d_z(i).d_zbar(j).eval(p)) for j in range(n)] for i in range(n)]
+    )
+    # the rows of Vh after the first are orthonormal and orthogonal to
+    # grad, so their conjugates span the complex tangent space
+    # {v : sum grad_i v_i = 0}
+    r = np.linalg.svd(np.array([grad]))[2][1:]
     # normalized by the gradient norm so rho and c*rho (c > 0) agree
-    restricted = [
-        [
-            sum(
-                basis[a][i].conjugate() * hess[i][j] * basis[b][j]
-                for i in range(n)
-                for j in range(n)
-            )
-            / gnorm
-            for b in range(m)
-        ]
-        for a in range(m)
-    ]
-    eigs = np.linalg.eigvalsh(np.array(restricted, dtype=complex).reshape(m, m))
+    restricted = r.conj() @ hess @ r.T / gnorm
+    eigs = np.linalg.eigvalsh(restricted)
     return LeviReport(point=p, smooth=True, eigenvalues=tuple(eigs.tolist()), gradient_norm=gnorm)
-
-
-def _tangent_basis(grad: Sequence[complex]) -> list[list[complex]]:
-    """Orthonormal basis of the orthogonal complement of the gradient."""
-    n = len(grad)
-    g = [x / math.sqrt(sum(abs(y) ** 2 for y in grad)) for x in grad]
-    basis: list[list[complex]] = [g]
-    for i in range(n):
-        v = [0j] * n
-        v[i] = 1.0 + 0j
-        for b in basis:
-            overlap = sum(b[k].conjugate() * v[k] for k in range(n))
-            v = [v[k] - overlap * b[k] for k in range(n)]
-        norm = math.sqrt(sum(abs(x) ** 2 for x in v))
-        if norm > 1e-10:
-            basis.append([x / norm for x in v])
-        if len(basis) == n:
-            break
-    return basis[1:]
 
 
 # ---------------------------------------------------------------------------

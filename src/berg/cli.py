@@ -328,12 +328,13 @@ def omega_grid_cmd(rmax, steps, fiber):
 @click.option("--dz", type=int, required=True)
 @click.option("--dk", type=int, required=True)
 @click.option("--boundary-check", is_flag=True, default=False)
-@click.option("--samples", "count", type=int, default=None)
-@click.option("--seed", type=int, default=0)
+@click.option("--samples", "count", type=int, default=None, help="named kernels only")
+@click.option("--seed", type=int, default=None, help="default 0; named kernels only")
 def fit_cmd(kernel_name, dz, dk, boundary_check, count, seed):
     """Fit a polynomial relation to diagonal kernel samples."""
     if kernel_name in SURFACES:
         surface = SURFACES[kernel_name]()
+        seed = 0 if seed is None else seed
         try:
             relation = fit_surface_relation(surface, dz, dk, count=count, seed=seed)
         except ValueError as exc:
@@ -343,6 +344,9 @@ def fit_cmd(kernel_name, dz, dk, boundary_check, count, seed):
             feats = surface.boundary_features(50, seed=seed)
             boundary_max = boundary_leading_coefficient(relation, feats)
     else:
+        for option, value in (("--samples", count), ("--seed", seed)):
+            if value is not None:
+                raise InputError(f"{option} does not apply to a samples file")
         data = _load_json(kernel_name)
         try:
             samples = [(tuple(map(float, f)), float(k)) for f, k in zip(data["features"], data["values"])]
@@ -377,12 +381,16 @@ def fit_cmd(kernel_name, dz, dk, boundary_check, count, seed):
 @click.option("--seed", type=int, default=None, help="default 0; not for isometry")
 @click.option("--n", "--N", "n_samples", type=int, default=None,
               help="Monte Carlo samples, default 1000000; repro and orthogonality only")
-@click.option("--tol", type=float, default=None)
+@click.option("--tol", type=float, default=None,
+              help="residual tolerance; transform and isometry only")
 def verify_cmd(which, seed, n_samples, tol):
     """Run a verification suite; one JSON line per check."""
     monte_carlo = which in ("repro", "orthogonality")
     if n_samples is not None and not monte_carlo:
         raise InputError(f"--n does not apply to the {which} suite")
+    # Monte Carlo reports carry no residual and keep their own verdict
+    if tol is not None and monte_carlo:
+        raise InputError(f"--tol does not apply to the {which} suite")
     if seed is not None and which == "isometry":
         raise InputError("--seed does not apply to the isometry suite")
     seed = 0 if seed is None else seed
@@ -398,12 +406,7 @@ def verify_cmd(which, seed, n_samples, tol):
     else:
         reports = verify_mod.suite_isometry()
     if tol is not None:
-        # a Monte Carlo report has no residual and keeps its own verdict
-        reports = [
-            r if r.residual is None
-            else dataclasses.replace(r, passed=r.residual <= tol, tolerance=tol)
-            for r in reports
-        ]
+        reports = [dataclasses.replace(r, passed=r.residual <= tol, tolerance=tol) for r in reports]
     all_pass = True
     for r in reports:
         click.echo(r.to_json())

@@ -41,7 +41,15 @@ class ClosureOverflowError(RuntimeError):
 
 
 def _is_exact_entry(x) -> bool:
-    return isinstance(x, (int, Fraction, Cyclotomic))
+    return isinstance(x, (int, Fraction, Cyclotomic, ExactComplex))
+
+
+def _gaussian_entry(x: ExactComplex) -> Cyclotomic:
+    """A Gaussian-rational entry read by value into Q(zeta_4); a pi-graded
+    one is a ValueError."""
+    if x.pi_pow:
+        raise ValueError(f"matrix entry {x!r} carries pi^{x.pi_pow}")
+    return CyclotomicField(4).element((x.re, x.im))
 
 
 class UnitaryMatrix:
@@ -50,7 +58,10 @@ class UnitaryMatrix:
     __slots__ = ("entries", "n", "exact")
 
     def __init__(self, entries: Sequence[Sequence], check: bool = True):
-        rows = tuple(tuple(row) for row in entries)
+        rows = tuple(
+            tuple(_gaussian_entry(x) if isinstance(x, ExactComplex) else x for x in row)
+            for row in entries
+        )
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")

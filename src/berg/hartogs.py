@@ -131,6 +131,7 @@ def kernel_series(
     Requires |lam conj(tau)| prod |1 + z_i conj(w_i)| < 1 and reports a
     geometric bound on the discarded tail.
     """
+    _check_dim(2, z, w)
     lt = to_complex(lam) * to_complex(tau).conjugate()
     factor = _series_factor(z[0], w[0]) * _series_factor(z[1], w[1])
     x = lt * factor
@@ -157,6 +158,13 @@ def complexified_rho(z: Sequence, lam, w: Sequence, tau):
     return lam * conj_scalar(tau) * f1 * f2 - 1
 
 
+def _check_dim(n: int, *points) -> None:
+    """Raise ValueError unless every point has n coordinates, each a
+    scalar or an array of them."""
+    if any(len(p) != n for p in points):
+        raise ValueError(f"expected points in C^{n}")
+
+
 def _is_batch(values) -> bool:
     return any(np.ndim(v) for v in values)
 
@@ -181,9 +189,11 @@ def omega_closed_kernel(z: Sequence, lam, w: Sequence, tau):
     complex: Python's complex arithmetic keeps the diagonal
     K(z, lam; z, lam) exactly real, which numpy's complex multiply does
     not.  Coordinates given as arrays that broadcast give an array of
-    values over them.  Raises BoundaryContactError where rho vanishes at
-    any of the points.
+    values over them.  Raises ValueError unless z and w have two
+    coordinates, and BoundaryContactError where rho vanishes at any of the
+    points.
     """
+    _check_dim(2, z, w)
     values = (z[0], z[1], lam, w[0], w[1], tau)
     gaussian = None if _is_batch(values) else gaussian_points(values)
     exact = gaussian is not None
@@ -267,8 +277,9 @@ def embed_F(lam, z1, z2) -> tuple:
 def u_domain_contains(x: Sequence):
     """Membership in {|w1|^4 + |w1|^2(|w2|^2+|w3|^2) + |w2 w3|^2 < |w1|^2}:
     a bool for a point, a bool array for coordinates given as arrays that
-    broadcast."""
-    a1, a2, a3 = (abs(v) ** 2 for v in _numeric((x[0], x[1], x[2])))
+    broadcast.  Raises ValueError unless x has three coordinates."""
+    _check_dim(3, x)
+    a1, a2, a3 = (abs(v) ** 2 for v in _numeric(x))
     return a1 * a1 + a1 * (a2 + a3) + a2 * a3 < a1
 
 
@@ -282,8 +293,7 @@ def u_kernel(x: Sequence, y: Sequence, check_domain: bool = True):
     point pair gives an exact value or a Python complex, coordinates given
     as arrays that broadcast give an array, and every point is checked.
     """
-    if len(x) != 3 or len(y) != 3:
-        raise ValueError("points must lie in C^3")
+    _check_dim(3, x, y)
     if _is_batch((*x, *y)):
         x, y = _numeric(x), _numeric(y)
     if np.any(x[0] == 0) or np.any(y[0] == 0):

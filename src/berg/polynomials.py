@@ -19,6 +19,7 @@ degrees grow with the group order and dense storage would be wasteful.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -61,18 +62,15 @@ def monomials_of_degree(nvars: int, degree: int) -> Iterator[MultiIndex]:
     """All exponent vectors of the given total degree, graded-lex order.
 
     Graded-lex with z_1 > z_2 > ...: within a degree, larger exponent on
-    earlier variables comes first, e.g. (2,0), (1,1), (0,2).
+    earlier variables comes first, e.g. (2,0), (1,1), (0,2).  That is the
+    order of the sorted variable multisets, so each one is counted into
+    its exponent vector.
     """
-    if nvars == 0:
-        if degree == 0:
-            yield MultiIndex(())
-        return
-    if nvars == 1:
-        yield MultiIndex((degree,))
-        return
-    for first in range(degree, -1, -1):
-        for rest in monomials_of_degree(nvars - 1, degree - first):
-            yield MultiIndex((first,) + tuple(rest))
+    for variables in itertools.combinations_with_replacement(range(nvars), degree):
+        alpha = [0] * nvars
+        for i in variables:
+            alpha[i] += 1
+        yield tuple.__new__(MultiIndex, alpha)
 
 
 def monomials_up_to_degree(nvars: int, degree: int) -> Iterator[MultiIndex]:

@@ -13,7 +13,9 @@ point) and each base radius r_i = |z_i|^2 is drawn from the heavy-tailed
 density (1+r)^-2, giving an unbiased estimator with no domain truncation
 and bounded weights for every square-integrable fiber monomial.  All
 three coordinates are maps of uniform disk points drawn by rejection, so
-the sampler needs no trigonometry.
+the sampler needs no trigonometry.  The relation fits in ``algebraic``
+draw their disk, annulus and ball interiors through the same rejection
+sampler.
 """
 
 from __future__ import annotations
@@ -118,20 +120,30 @@ def _sample_box_domain(rng, count: int, n: int, keep) -> tuple[np.ndarray, np.nd
     return z, np.where(keep(z), float(4**n), 0.0)
 
 
-def _unit_disk_points(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` uniform points p of the open unit disk and their |p|^2,
-    by rejection from the square [-1, 1]^2; accepted candidates keep
-    their draw order."""
+def _unit_disk_points(
+    rng, count: int, dim: int = 1, r_min: float = 0.0, r_max: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` uniform points p of the shell r_min < |p| < r_max in
+    C^dim, shape (count,) for dim = 1 and (count, dim) otherwise, and their
+    |p|^2, by rejection from the cube [-1, 1]^(2 dim); accepted candidates
+    keep their draw order."""
     points, modsq, filled = [], [], 0
     while filled < count:
         need = count - filled
-        # pi/4 of the candidates land in the disk; the margin makes a
-        # second round rare
-        cand = rng.uniform(-1.0, 1.0, 2 * (need + need // 3 + 64))
+        # pi/4 of the unit-disk candidates land in the disk; the margin
+        # makes a second round rare there
+        cand = rng.uniform(-1.0, 1.0, 2 * dim * (need + need // 3 + 64))
         square = cand * cand
         sq = square[0::2] + square[1::2]
-        keep = np.flatnonzero(sq < 1.0)[:need]
-        points.append(cand.view(complex).take(keep))
+        found = cand.view(complex)
+        if dim > 1:
+            sq = sq.reshape(-1, dim).sum(axis=1)
+            found = found.reshape(-1, dim)
+        inside = sq < r_max * r_max
+        if r_min > 0.0:
+            inside &= sq > r_min * r_min
+        keep = np.flatnonzero(inside)[:need]
+        points.append(found.take(keep, axis=0))
         modsq.append(sq.take(keep))
         filled += len(keep)
     if len(points) == 1:
@@ -418,17 +430,12 @@ def _named_cover(cover: str) -> CoveringSpec:
 
 
 def _random_ball_pairs(rng, count: int, n: int) -> list:
-    pairs = []
-    for _ in range(count):
-        z = rng.uniform(-DECK_SAMPLE_RADIUS, DECK_SAMPLE_RADIUS, 2 * n)
-        w = rng.uniform(-DECK_SAMPLE_RADIUS, DECK_SAMPLE_RADIUS, 2 * n)
-        pairs.append(
-            (
-                tuple(complex(z[i], z[n + i]) for i in range(n)),
-                tuple(complex(w[i], w[n + i]) for i in range(n)),
-            )
-        )
-    return pairs
+    """``count`` pairs (z, w) of points of C^n, each drawn as 2n uniforms
+    in [-r, r] (real parts, then imaginary parts), z before w."""
+    r = DECK_SAMPLE_RADIUS
+    parts = rng.uniform(-r, r, (count, 2, 2 * n))
+    points = parts[..., :n] + 1j * parts[..., n:]
+    return [(tuple(z), tuple(w)) for z, w in points.tolist()]
 
 
 def check_transformation_law(

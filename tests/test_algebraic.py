@@ -329,6 +329,54 @@ def test_omega_samplers_equal_the_per_point_loop_bit_for_bit(seed):
     assert _bits(got) == _bits(_omega_boundary_loop(np.random.default_rng(seed), 50))
 
 
+def _shell_sample_loop(rng, count, r_min, r_max):
+    # the per-point disk and annulus sampler the shared rejection sampler
+    # replaced, kept as its oracle
+    pts = []
+    while len(pts) < count:
+        x, y = rng.uniform(-1, 1, 2)
+        if r_min < math.hypot(x, y) < r_max:
+            pts.append((complex(x, y),))
+    return pts
+
+
+def _ball2_sample_loop(rng, count):
+    pts = []
+    while len(pts) < count:
+        v = rng.uniform(-1, 1, 4)
+        if v @ v < 0.8**2:
+            pts.append((complex(v[0], v[1]), complex(v[2], v[3])))
+    return pts
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5, 106, BENCH_FIT_SEED, BENCH_CONTROL_SEED])
+def test_shell_samplers_equal_the_per_point_loops_bit_for_bit(seed):
+    # counts above a first round's yield, so later rounds are covered too
+    for surface, count, want in [
+        (disk_surface(), 600, lambda rng: _shell_sample_loop(rng, 600, 0.0, 0.9)),
+        (annulus_surface(), 1000, lambda rng: _shell_sample_loop(rng, 1000, 0.51, 0.99)),
+        (ball2_surface(), 840, lambda rng: _ball2_sample_loop(rng, 840)),
+    ]:
+        got = surface.sample(np.random.default_rng(seed), count)
+        assert all(type(z) is complex for p in got for z in p)
+        assert _bits(got) == _bits(want(np.random.default_rng(seed)))
+
+
+def test_annulus_scalar_equals_its_batched_row_bit_for_bit():
+    rng = np.random.default_rng(2)
+    z, w = rng.uniform(0.51, 0.99, (2, 30)) * np.exp(2j * math.pi * rng.uniform(size=(2, 30)))
+    z = np.append(z, 0.6 + 0.2j)
+    w = np.append(w, 0.7 - 0.1j)
+    for truncation in (0, 1, 2, 200, 2000):
+        batched = annulus_kernel(0.5, z, w, truncation)
+        punctured = punctured_disk_kernel(z, w, truncation)
+        for a, b, row, punctured_row in zip(z.tolist(), w.tolist(), batched, punctured):
+            value = annulus_kernel(0.5, a, b, truncation)
+            assert type(value) is complex and _bits([(value,)]) == _bits([(row,)])
+            value = punctured_disk_kernel(a, b, truncation)
+            assert type(value) is complex and _bits([(value,)]) == _bits([(punctured_row,)])
+
+
 def _with_degenerate_feature(kind):
     # annulus samples have no relation at degree (3, 1) (residual ~0.7);
     # the extra feature makes some columns vanish or repeat

@@ -206,6 +206,62 @@ def test_levi_projected_domain_boundary():
     assert np.allclose(sorted(report.eigenvalues), oracle, atol=1e-6)
 
 
+def _levi_loop(rho, p):
+    """The Gram-Schmidt tangent basis and triple sum the numpy Levi form
+    replaced, kept as its oracle."""
+    n = rho.dim
+    grad = [to_complex(rho.d_z(i).eval(p)) for i in range(n)]
+    gnorm = math.sqrt(sum(abs(g) ** 2 for g in grad))
+    hess = [[to_complex(rho.d_z(i).d_zbar(j).eval(p)) for j in range(n)] for i in range(n)]
+    basis = [[g / gnorm for g in grad]]
+    for i in range(n):
+        v = [1.0 + 0j if k == i else 0j for k in range(n)]
+        for b in basis:
+            overlap = sum(b[k].conjugate() * v[k] for k in range(n))
+            v = [v[k] - overlap * b[k] for k in range(n)]
+        norm = math.sqrt(sum(abs(x) ** 2 for x in v))
+        if norm > 1e-10:
+            basis.append([x / norm for x in v])
+        if len(basis) == n:
+            break
+    basis = basis[1:]
+    restricted = [
+        [
+            sum(a[i].conjugate() * hess[i][j] * b[j] for i in range(n) for j in range(n)) / gnorm
+            for b in basis
+        ]
+        for a in basis
+    ]
+    return np.linalg.eigvalsh(np.array(restricted, dtype=complex).reshape(len(basis), len(basis)))
+
+
+def _u_domain_boundary_point(rng):
+    # (lam, lam z1, lam z2) with |lam|^2 (1 + |z1|^2)(1 + |z2|^2) = 1
+    z1, z2 = rng.normal(size=2) + 1j * rng.normal(size=2)
+    lam = np.exp(2j * math.pi * rng.uniform()) / math.sqrt((1 + abs(z1) ** 2) * (1 + abs(z2) ** 2))
+    return (complex(lam), complex(lam * z1), complex(lam * z2))
+
+
+def test_levi_eigenvalues_match_the_tangent_basis_loop():
+    rng = np.random.default_rng(11)
+    cases = []
+    for n in (2, 3, 4):
+        for _ in range(20):
+            v = rng.normal(size=2 * n)
+            v /= np.linalg.norm(v)
+            cases.append((sphere_defining_function(n), tuple(v[:n] + 1j * v[n:])))
+    cases += [(u_domain_defining_function(), _u_domain_boundary_point(rng)) for _ in range(50)]
+    for rho, p in cases:
+        report = levi_form(rho, p)
+        want = _levi_loop(rho.rho, p)
+        assert report.smooth and len(report.eigenvalues) == len(want) == rho.dim - 1
+        assert np.abs(np.array(report.eigenvalues) - want).max() <= 1e-14
+    # the stock points give their exact values
+    assert levi_form(sphere_defining_function(2), (0.6, 0.8)).eigenvalues == (1.0,)
+    assert levi_form(siegel_model_defining_function(), (0.0, 0.0)).eigenvalues == (-1.0,)
+    assert levi_form(u_domain_defining_function(), (1.0, 0.0, 0.0)).eigenvalues == (1.0, 1.0)
+
+
 def test_levi_non_smooth_slice():
     report = levi_form(u_domain_defining_function(), (0.0, 0.5, 0.0))
     assert not report.smooth

@@ -169,6 +169,9 @@ def test_kernel_evaluation_errors_exit_2(runner, args):
     _one_line_usage_error(runner.invoke(main, args))
 
 
+SAMPLES_FILE = "<samples file>"  # the test writes it and puts its path here
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -200,6 +203,14 @@ def test_kernel_evaluation_errors_exit_2(runner, args):
                      id="isometry-samples"),
         pytest.param(["verify", "isometry", "--seed", "5"], "--seed does not apply to the isometry suite",
                      id="isometry-seed"),
+        pytest.param(["verify", "repro", "--n", "1000", "--tol", "1e-3"], "--tol does not apply to the repro suite",
+                     id="repro-tol"),
+        pytest.param(["verify", "orthogonality", "--n", "1000", "--tol", "1e-30"],
+                     "--tol does not apply to the orthogonality suite", id="orthogonality-tol"),
+        pytest.param(["fit", "--kernel", SAMPLES_FILE, "--dz", "0", "--dk", "1", "--samples", "-5"],
+                     "--samples does not apply to a samples file", id="fit-samples-file-count"),
+        pytest.param(["fit", "--kernel", SAMPLES_FILE, "--dz", "0", "--dk", "1", "--seed", "7"],
+                     "--seed does not apply to a samples file", id="fit-samples-file-seed"),
         pytest.param(["omega-kernel", "--z", "0,0", "--lambda", "0.2,0.3"], "--lambda takes one complex value",
                      id="omega-two-lambdas"),
         pytest.param(["omega-kernel", "--z", "0,0", "--lambda", "0.2", "--tau", "0.1,5"],
@@ -208,8 +219,11 @@ def test_kernel_evaluation_errors_exit_2(runner, args):
                      "--series must be a nonnegative truncation", id="omega-series-negative"),
     ],
 )
-def test_unusable_evaluation_input_prints_one_error_line(runner, args, message):
-    result = runner.invoke(main, args)
+def test_unusable_evaluation_input_prints_one_error_line(runner, tmp_path, args, message):
+    # a samples file the fit accepts without the options under test
+    path = tmp_path / "samples.json"
+    path.write_text(json.dumps({"features": [[x / 8.0] for x in range(8)], "values": [1.0] * 8}))
+    result = runner.invoke(main, [str(path) if a == SAMPLES_FILE else a for a in args])
     _one_line_usage_error(result)
     assert message in result.output
 

@@ -17,6 +17,8 @@ from berg.groups import (
     matrix_from_json,
     matrix_order,
 )
+from berg.quotient import deck_sum_kernel
+from berg.scalars import ExactComplex, exact
 
 
 def diag(*values):
@@ -161,3 +163,17 @@ def test_exact_nullspace_is_the_rref_basis_on_mixed_entries():
     for v in basis:
         for row in rows:
             assert sum((a * x for a, x in zip(row, v)), Fraction(0)) == 0
+
+
+def test_exact_complex_entries_are_read_by_value():
+    g = UnitaryMatrix.diagonal([exact(0, 1), exact(0, -1)])
+    written = diag(I_UNIT, I_UNIT.conjugate())
+    assert g.exact and g == written
+    z, w = (Fraction(1, 3), Fraction(1, 5)), (Fraction(1, 4), Fraction(1, 7))
+    got = deck_sum_kernel(generate_group([g]), 2, z, w)
+    want = deck_sum_kernel(generate_group([written]), 2, z, w)
+    assert isinstance(got, ExactComplex) and got == want and repr(got) == repr(want)
+    # a rational ExactComplex entry is exact too, beside a Cyclotomic one
+    assert UnitaryMatrix([[exact(1), 0], [0, I_UNIT]]).exact
+    with pytest.raises(ValueError, match="carries pi"):
+        UnitaryMatrix.diagonal([exact(0, 1, 1), exact(1)])

@@ -302,6 +302,27 @@ def test_u_membership():
     assert inside.tolist() == [[True, False, False]] * 2
 
 
+def test_hartogs_points_of_the_wrong_dimension_are_rejected():
+    third, fifth = Fraction(1, 3), Fraction(1, 5)
+    for z, w in [((0.1, 0.2, 0.3), (0.1, 0.2)), ((0.1,), (0.1, 0.2)), ((0.1, 0.2), (0.1,)),
+                 ((third, fifth, third), (third, fifth))]:
+        with pytest.raises(ValueError, match=r"expected points in C\^2"):
+            omega_closed_kernel(z, 0.5, w, 0.5)
+        with pytest.raises(ValueError, match=r"expected points in C\^2"):
+            kernel_series(z, 0.5, w, 0.5)
+    for x in [(0.5, 0.0), (0.5, 0.0, 0.0, 0.0)]:
+        with pytest.raises(ValueError, match=r"expected points in C\^3"):
+            u_domain_contains(x)
+        with pytest.raises(ValueError, match=r"expected points in C\^3"):
+            u_kernel(x, (0.5, 0.0, 0.0))
+    # coordinate arrays, one row per coordinate, keep working
+    pts = np.array([[0.3, 0.1j, 0.4], [0.2j, -0.5, 0.3], [0.1, 0.2, 0.3j]])
+    values = omega_closed_kernel(pts.T[:2], pts[:, 2], pts.T[:2], pts[:, 2])
+    assert values.shape == (3,)
+    assert values[1] == omega_closed_kernel(tuple(pts[1, :2]), pts[1, 2], tuple(pts[1, :2]), pts[1, 2])
+    assert u_domain_contains(pts.T).shape == (3,)
+
+
 def test_u_kernel_reference_point():
     got = to_complex(u_kernel((0.5, 0.0, 0.0), (0.5, 0.0, 0.0)))
     omega_value = to_complex(omega_closed_kernel((0, 0), 0.5, (0, 0), 0.5))

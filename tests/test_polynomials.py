@@ -29,6 +29,28 @@ def test_graded_lex_order():
     assert degree2 == [MultiIndex((2, 0)), MultiIndex((1, 1)), MultiIndex((0, 2))]
 
 
+def _monomials_of_degree_recursive(nvars, degree):
+    # the recursive generator itertools replaced, kept as its oracle
+    if nvars == 0:
+        if degree == 0:
+            yield MultiIndex(())
+        return
+    if nvars == 1:
+        yield MultiIndex((degree,))
+        return
+    for first in range(degree, -1, -1):
+        for rest in _monomials_of_degree_recursive(nvars - 1, degree - first):
+            yield MultiIndex((first,) + tuple(rest))
+
+
+def test_monomial_order_matches_the_recursive_generator():
+    for nvars in range(7):
+        for degree in range(13):
+            got = list(monomials_of_degree(nvars, degree))
+            assert got == list(_monomials_of_degree_recursive(nvars, degree))
+            assert all(type(alpha) is MultiIndex for alpha in got)
+
+
 def test_eval_modulus_squared():
     p = HermitianPolynomial.term(1, (1,), (1,))
     assert p.eval((2 + 0j,), (2 + 0j,)) == 4 + 0j

@@ -323,6 +323,32 @@ def test_disk_points_keep_draw_order_across_rounds():
     np.testing.assert_allclose(modsq, np.abs(points) ** 2, rtol=1e-15)
 
 
+def _random_ball_pairs_loop(rng, count, n):
+    # the per-pair draw the single uniform draw replaced, kept as its oracle
+    r = verify.DECK_SAMPLE_RADIUS
+    pairs = []
+    for _ in range(count):
+        z = rng.uniform(-r, r, 2 * n)
+        w = rng.uniform(-r, r, 2 * n)
+        pairs.append(
+            (
+                tuple(complex(z[i], z[n + i]) for i in range(n)),
+                tuple(complex(w[i], w[n + i]) for i in range(n)),
+            )
+        )
+    return pairs
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_random_ball_pairs_equal_the_per_pair_loop(n):
+    for seed in range(20):
+        got = verify._random_ball_pairs(np.random.default_rng(seed), 50, n)
+        want = _random_ball_pairs_loop(np.random.default_rng(seed), 50, n)
+        assert all(type(x) is complex for z, w in got for x in z + w)
+        bits = [[(x.real.hex(), x.imag.hex()) for z, w in pairs for x in z + w] for pairs in (got, want)]
+        assert bits[0] == bits[1]
+
+
 @pytest.mark.parametrize("m, alpha", [(0, (0, 0)), (1, (0, 0)), (2, (1, 0)), (0, (2, 3)), (3, (1, 2))])
 def test_fiber_monomial(m, alpha):
     pts = np.random.default_rng(9).normal(size=(50, 6)).view(complex)
