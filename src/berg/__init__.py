@@ -63,13 +63,11 @@ from .hartogs import (
     NonConvergentError,
     RationalKernel,
     SeriesValue,
-    embed_F,
     factorial_moment,
     kernel_series,
     monomial_norm,
     omega_closed_kernel,
     omega_rational_kernel,
-    resum_polynomial_series,
     square_integrable,
     u_domain_contains,
     u_kernel,
@@ -82,8 +80,6 @@ from .algebraic import (
     boundary_leading_coefficient,
     fit_relation,
     fit_surface_relation,
-    laurent_norm,
-    punctured_disk_kernel,
     recover_map_from_kernel,
 )
 from .verify import (

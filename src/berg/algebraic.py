@@ -38,27 +38,8 @@ from .verify import _unit_disk_points
 
 
 # ---------------------------------------------------------------------------
-# Laurent norms and the annulus kernel (the non-algebraic control)
+# the annulus kernel (the non-algebraic control)
 # ---------------------------------------------------------------------------
-
-def laurent_norm(k: int, inner_radius: float) -> float:
-    """Squared Lebesgue norm of z^k on the annulus {r0 < |z| < 1}.
-
-    With r0 = 0 (punctured disk) the negative powers are not integrable
-    and get norm +inf, so they drop out of any kernel sum; removing the
-    puncture does not change the kernel.
-    """
-    r0 = float(inner_radius)
-    if not 0.0 <= r0 < 1.0:
-        raise ValueError("inner radius must lie in [0, 1)")
-    if r0 == 0.0:
-        if k < 0:
-            return math.inf
-        return math.pi / (k + 1)
-    if k == -1:
-        return 2.0 * math.pi * math.log(1.0 / r0)
-    return math.pi * (1.0 - r0 ** (2 * k + 2)) / (k + 1)
-
 
 @lru_cache(maxsize=16)
 def _laurent_coefficients(r0: float, truncation: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -118,12 +99,6 @@ def annulus_kernel(inner_radius: float, z, w, truncation: int = 200):
         if outside.any():
             raise ValueError(f"point with |z| = {m[outside].flat[0]} outside the open annulus")
     return _laurent_series(r0, z, w, truncation)
-
-
-def punctured_disk_kernel(z, w, truncation: int = 200):
-    """Kernel of the punctured disk: the annulus series with r0 = 0, whose
-    negative powers have infinite norm and drop out."""
-    return _laurent_series(0.0, z, w, truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +352,10 @@ NULL_VECTOR_STEPS = 64  # inverse-iteration cap; exact relations settle in a few
 
 TRIANGULAR_BLOCK = 64  # rows per block row of the triangular solve
 
+# the largest evaluation matrix a fit allocates: 2^26 float64 cells, 512 MiB,
+# about 40 times the Omega 12/1 fit's 1.7M
+MAX_FIT_CELLS = 2**26
+
 
 def _triangular_inverse(r: np.ndarray) -> np.ndarray:
     """R^-1 for a square upper-triangular R with non-zero pivots, by
@@ -435,6 +414,7 @@ def _evaluation_matrix(
     per sample and one column per key."""
     feats = np.array([list(s[0]) for s in samples], dtype=float)
     kvals = np.array([s[1] for s in samples], dtype=float)
+    _check_fit_size(len(samples), _fit_unknowns(feats.shape[1], feature_degree, k_degree))
     if np.allclose(kvals, 0.0):
         raise ValueError("all kernel samples vanish")
     betas = list(monomials_up_to_degree(feats.shape[1], feature_degree))
@@ -454,6 +434,22 @@ def _evaluation_matrix(
                 col = col * powers[e]
         matrix[:, column] = col
     return keys, matrix
+
+
+def _fit_unknowns(nfeatures: int, feature_degree: int, k_degree: int) -> int:
+    """The coefficients of a relation: one per feature monomial of degree
+    at most feature_degree and power K^0 .. K^k_degree."""
+    return math.comb(nfeatures + feature_degree, feature_degree) * (k_degree + 1)
+
+
+def _check_fit_size(rows: int, unknowns: int) -> None:
+    """ValueError, before anything is allocated, for an evaluation matrix
+    above MAX_FIT_CELLS."""
+    if rows * unknowns > MAX_FIT_CELLS:
+        raise ValueError(
+            f"fit too large: {rows} samples x {unknowns} unknowns is {rows * unknowns} cells, "
+            f"above the limit of {MAX_FIT_CELLS}"
+        )
 
 
 def _check_degrees(feature_degree: int, k_degree: int) -> None:
@@ -522,13 +518,15 @@ def fit_surface_relation(
     seed: int = 0,
 ) -> AlgebraicRelation:
     """Sample a named surface and fit; sample count defaults to twice the
-    number of unknown coefficients."""
+    number of unknown coefficients.  A fit above MAX_FIT_CELLS is a
+    ValueError before anything is sampled."""
     _check_degrees(feature_degree, k_degree)
+    unknowns = _fit_unknowns(len(surface.feature_polys), feature_degree, k_degree)
     if count is None:
-        betas = sum(1 for _ in monomials_up_to_degree(len(surface.feature_polys), feature_degree))
-        count = 2 * betas * (k_degree + 1)
+        count = 2 * unknowns
     elif count < 1:
         raise ValueError(f"sample count must be at least 1, got {count}")
+    _check_fit_size(count, unknowns)
     samples = surface.samples(count, seed=seed)
     return fit_relation(
         samples, feature_degree, k_degree, feature_polys=surface.feature_polys

@@ -141,7 +141,9 @@ class LeviReport:
     strictly_pseudoconvex: bool = field(init=False)
 
     def __post_init__(self):
-        spc = bool(self.smooth and self.eigenvalues and all(e > 0 for e in self.eigenvalues))
+        # in C^1 the complex tangent space is {0}: no eigenvalues, and the
+        # condition holds vacuously
+        spc = self.smooth and self.eigenvalues is not None and all(e > 0 for e in self.eigenvalues)
         object.__setattr__(self, "strictly_pseudoconvex", spc)
 
 
@@ -163,7 +165,7 @@ def levi_form(rho: DefiningFunction | HermitianPolynomial, point: Sequence[compl
         raise ValueError(f"point dimension {len(p)} does not match rho dimension {n}")
 
     value = to_complex(poly.eval(p))
-    if abs(value) > BOUNDARY_TOL:
+    if not abs(value) <= BOUNDARY_TOL:  # a NaN rho is not on the zero set either
         raise ValueError(f"point is not on the zero set: rho = {value}")
 
     grad = [to_complex(poly.d_z(i).eval(p)) for i in range(n)]
@@ -193,16 +195,6 @@ def sphere_defining_function(n: int) -> DefiningFunction:
     rho = HermitianPolynomial.constant(n, Fraction(-1))
     for i in range(n):
         rho = rho + HermitianPolynomial.modulus_squared(n, i)
-    return DefiningFunction(rho)
-
-
-def siegel_model_defining_function() -> DefiningFunction:
-    """rho = 2 Re(z_2) - |z_1|^2, a sign-flipped unbounded model in C^2."""
-    rho = HermitianPolynomial(2, {
-        ((0, 1), (0, 0)): Fraction(1),
-        ((0, 0), (0, 1)): Fraction(1),
-        ((1, 0), (1, 0)): Fraction(-1),
-    })
     return DefiningFunction(rho)
 
 

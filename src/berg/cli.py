@@ -1,35 +1,27 @@
 """Command-line interface.
 
 Exit codes: 0 all requested checks pass, 1 a verification failed,
-2 usage error (malformed arguments or input files).
+2 usage error (malformed arguments or input files, and the library errors
+``main`` catches).  Any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
 import dataclasses
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import verify as verify_mod
-from .algebraic import (
-    SURFACES,
-    boundary_leading_coefficient,
-    fit_relation,
-    fit_surface_relation,
-)
-from .ball import (
-    SingularKernelError,
-    ball_kernel,
-    levi_form,
-    sphere_defining_function,
-    u_domain_defining_function,
-)
+from .algebraic import SURFACES, boundary_leading_coefficient, fit_relation, fit_surface_relation
+from .ball import ball_kernel, levi_form, sphere_defining_function, u_domain_defining_function
 from .groups import (
     ClosureOverflowError,
     generate_group,
@@ -37,16 +29,10 @@ from .groups import (
     is_reflection,
     matrices_from_json,
 )
-from .hartogs import (
-    BoundaryContactError,
-    NonConvergentError,
-    kernel_series,
-    monomial_norm,
-    omega_closed_kernel,
-)
+from .hartogs import kernel_series, monomial_norm, omega_closed_kernel
 from .invariants import compute_basic_map, find_syzygies
 from .polynomials import HermitianPolynomial, HoloPolynomial, MultiIndex
-from .quotient import BranchPointError, CoveringSpec, deck_sum_kernel, pushforward_kernel
+from .quotient import CoveringSpec, deck_sum_kernel, pushforward_kernel
 from .scalars import to_complex
 
 
@@ -56,16 +42,47 @@ class InputError(click.ClickException):
     exit_code = 2
 
 
-# what a JSON input of the wrong shape or value raises while it is decoded;
-# each becomes an InputError
-BAD_INPUT = (ArithmeticError, LookupError, TypeError, ValueError)
+# what the library raises on input it cannot use; ``main`` turns each
+# into an InputError
+LIBRARY_ERRORS = (ArithmeticError, ValueError, ClosureOverflowError)
+# what a value of the wrong shape also raises while it is decoded; only a
+# decode catches these, since anywhere else they are a bug
+BAD_INPUT = (*LIBRARY_ERRORS, LookupError, TypeError)
+
+
+class _Main(click.Group):
+    """The one error boundary: a library error becomes one usage-error line."""
+
+    def invoke(self, ctx):
+        try:
+            # numpy stays quiet: a kernel value that is not finite is refused as it is printed
+            with np.errstate(all="ignore"):
+                return super().invoke(ctx)
+        except LIBRARY_ERRORS as exc:
+            raise InputError(str(exc)) from exc
+
+
+@contextmanager
+def _decoding(what: str):
+    """Turn an unusable value met while decoding ``what`` (an option or a
+    file's contents) into one InputError that names it."""
+    try:
+        yield
+    except BAD_INPUT as exc:
+        raise InputError(f"unusable {what}: {exc}") from exc
+
+
+def _finite(value, what: str = "value"):
+    """``value``, or ValueError unless it is finite: the check on every number
+    read from an option or file and on every printed kernel value."""
+    if not cmath.isfinite(value):
+        raise ValueError(f"{what} {value} is not finite")
+    return value
 
 
 def _parse_complex_list(text: str) -> list[complex]:
-    try:
-        return [complex(part.strip().replace(" ", "")) for part in text.split(",")]
-    except ValueError as exc:
-        raise InputError(f"cannot parse complex list {text!r}: {exc}")
+    with _decoding(f"complex list {text!r}"):
+        return [_finite(complex(part.strip().replace(" ", ""))) for part in text.split(",")]
 
 
 def _parse_one_complex(text: str, option: str) -> complex:
@@ -73,6 +90,10 @@ def _parse_one_complex(text: str, option: str) -> complex:
     if len(values) != 1:
         raise InputError(f"{option} takes one complex value, got {len(values)}")
     return values[0]
+
+
+def _reals(values) -> tuple[float, ...]:
+    return tuple(_finite(float(x)) for x in values)
 
 
 def _load_json(path: str):
@@ -83,46 +104,34 @@ def _load_json(path: str):
 
 
 def _load_group(data, max_order: int, source: str):
-    try:
+    with _decoding(f"group in {source}"):
         return generate_group(matrices_from_json(data), max_order=max_order)
-    except (ClosureOverflowError, *BAD_INPUT) as exc:
-        raise InputError(f"unusable group in {source}: {exc}")
 
 
 def _holo_from_json(data) -> HoloPolynomial:
-    return HoloPolynomial(
-        int(data["dim"]),
-        {
-            MultiIndex(alpha): complex(re, im)
-            for alpha, re, im in data["terms"]
-        },
-    )
+    terms = {MultiIndex(alpha): _finite(complex(re, im)) for alpha, re, im in data["terms"]}
+    return HoloPolynomial(int(data["dim"]), terms)
 
 
 def _pairs_from_json(data, source: str) -> list[tuple[tuple, tuple]]:
-    try:
+    with _decoding(f"pairs in {source}"):
         return [
-            (tuple(complex(a, b) for a, b in z), tuple(complex(a, b) for a, b in w))
+            (tuple(_finite(complex(a, b)) for a, b in z), tuple(_finite(complex(a, b)) for a, b in w))
             for z, w in data
         ]
-    except BAD_INPUT as exc:
-        raise InputError(f"unusable pairs in {source}: {exc}")
 
 
 def _evaluate_pairs(kernel, pairs) -> None:
     """Write the kernel at every pair as CSV once all of them evaluated, so
     a pair that cannot be evaluated leaves only its error line."""
-    try:
-        rows = [(z, w, to_complex(kernel(z, w))) for z, w in pairs]
-    except (SingularKernelError, BranchPointError, ValueError) as exc:
-        raise InputError(str(exc))
+    rows = [(z, w, _finite(to_complex(kernel(z, w)), "kernel value")) for z, w in pairs]
     writer = csv.writer(sys.stdout)
     writer.writerow(["z", "w", "re", "im"])
     for z, w, value in rows:
         writer.writerow([repr(list(z)), repr(list(w)), value.real, value.imag])
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Bergman kernels of balls, ball quotients and Hartogs domains."""
 
@@ -137,10 +146,7 @@ def ball_kernel_cmd(dim, z_text, w_text):
     w = _parse_complex_list(w_text)
     if len(z) != dim or len(w) != dim:
         raise InputError("coordinate count must match --dim")
-    try:
-        value = to_complex(ball_kernel(dim, z, w))
-    except SingularKernelError as exc:
-        raise InputError(str(exc))
+    value = _finite(to_complex(ball_kernel(dim, z, w)), "kernel value")
     click.echo(json.dumps({"re": value.real, "im": value.imag}, sort_keys=True))
 
 
@@ -150,20 +156,14 @@ def ball_kernel_cmd(dim, z_text, w_text):
 @click.option("--point", "point_text", required=True)
 def levi_cmd(rho_src, point_text):
     """Levi-form eigenvalues of a defining function at a boundary point."""
-    try:
+    with _decoding(f"defining function {rho_src}"):
         if rho_src.startswith("sphere-"):
             rho = sphere_defining_function(int(rho_src.split("-", 1)[1]))
         elif rho_src == "u-domain":
             rho = u_domain_defining_function()
         else:
             rho = HermitianPolynomial.from_json_dict(_load_json(rho_src))
-    except BAD_INPUT as exc:
-        raise InputError(f"unusable defining function {rho_src}: {exc}")
-    point = _parse_complex_list(point_text)
-    try:
-        report = levi_form(rho, point)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    report = levi_form(rho, _parse_complex_list(point_text))
     payload = {
         "smooth": report.smooth,
         "eigenvalues": None if report.eigenvalues is None else list(report.eigenvalues),
@@ -203,6 +203,8 @@ def basic_map_cmd(group_file, syzygy_degree, max_order):
     group = _load_group(_load_json(group_file), max_order, group_file)
     if not group.exact:
         raise InputError("basic map needs exact matrices; encode entries as zeta terms")
+    if syzygy_degree < 0:
+        raise InputError(f"--syzygies must be a nonnegative degree bound, got {syzygy_degree}")
     basic = compute_basic_map(group)
     payload = basic.to_json_dict()
     if syzygy_degree >= 2:
@@ -230,13 +232,11 @@ def quotient_sum_cmd(group_file, dim, pairs_file, max_order):
 def quotient_push_cmd(cover_file, pairs_file):
     """Push the ball kernel to the quotient in chart coordinates, as CSV."""
     data = _load_json(cover_file)
-    try:
+    with _decoding(f"cover in {cover_file}"):
         group = _load_group(data["generators"], int(data.get("max_order", 4096)), cover_file)
         cover_map = tuple(_holo_from_json(p) for p in data["map"])
         chart = tuple(data.get("chart", range(group.dim)))
         spec = CoveringSpec(group=group, cover_map=cover_map, chart=chart)
-    except BAD_INPUT as exc:
-        raise InputError(f"unusable cover in {cover_file}: {exc}")
     pairs = _pairs_from_json(_load_json(pairs_file), pairs_file)
     _evaluate_pairs(lambda z, w: pushforward_kernel(spec, z, w), pairs)
 
@@ -258,18 +258,14 @@ def omega_kernel_cmd(z_text, lam_text, w_text, tau_text, series_m):
         raise InputError("--z/--w need exactly two components")
     if series_m < 0:
         raise InputError(f"--series must be a nonnegative truncation, got {series_m}")
-    try:
-        if series_m > 0:
-            result = kernel_series(z, lam, w, tau, truncation=series_m)
-            value = result.value
-            payload = {"re": value.real, "im": value.imag, "tail_bound": result.tail_bound,
-                       "terms": result.terms}
-        else:
-            value = to_complex(omega_closed_kernel(z, lam, w, tau))
-            payload = {"re": value.real, "im": value.imag}
-    except (BoundaryContactError, NonConvergentError) as exc:
-        raise InputError(str(exc))
-    click.echo(json.dumps(payload, sort_keys=True))
+    series = {}
+    if series_m > 0:
+        result = kernel_series(z, lam, w, tau, truncation=series_m)
+        value, series = result.value, {"tail_bound": result.tail_bound, "terms": result.terms}
+    else:
+        value = to_complex(omega_closed_kernel(z, lam, w, tau))
+    value = _finite(value, "kernel value")
+    click.echo(json.dumps({"re": value.real, "im": value.imag, **series}, sort_keys=True))
 
 
 @main.command("moments")
@@ -278,11 +274,9 @@ def omega_kernel_cmd(z_text, lam_text, w_text, tau_text, series_m):
 @click.option("--exact/--numeric", "want_exact", default=True)
 def moments_cmd(m_value, alpha_text, want_exact):
     """Squared norm of the fiber monomial lambda^m z^alpha."""
-    try:
+    with _decoding(f"monomial --m {m_value} --alpha {alpha_text}"):
         alpha = tuple(int(a) for a in alpha_text.split(","))
         exact = monomial_norm(m_value, alpha)
-    except ValueError as exc:
-        raise InputError(f"unusable monomial --m {m_value} --alpha {alpha_text}: {exc}")
     numeric = math.inf if exact == math.inf else to_complex(exact).real
     if want_exact:
         if exact == math.inf:
@@ -335,32 +329,17 @@ def fit_cmd(kernel_name, dz, dk, boundary_check, count, seed):
     if kernel_name in SURFACES:
         surface = SURFACES[kernel_name]()
         seed = 0 if seed is None else seed
-        try:
-            relation = fit_surface_relation(surface, dz, dk, count=count, seed=seed)
-        except ValueError as exc:
-            raise InputError(str(exc))
-        boundary_max = None
-        if boundary_check:
-            feats = surface.boundary_features(50, seed=seed)
-            boundary_max = boundary_leading_coefficient(relation, feats)
+        relation = fit_surface_relation(surface, dz, dk, count=count, seed=seed)
+        boundary = surface.boundary_features(50, seed=seed) if boundary_check else None
     else:
         for option, value in (("--samples", count), ("--seed", seed)):
             if value is not None:
                 raise InputError(f"{option} does not apply to a samples file")
         data = _load_json(kernel_name)
-        try:
-            samples = [(tuple(map(float, f)), float(k)) for f, k in zip(data["features"], data["values"])]
-        except BAD_INPUT as exc:
-            raise InputError(f"unusable samples in {kernel_name}: {exc}")
-        try:
-            relation = fit_relation(samples, dz, dk)
-        except ValueError as exc:
-            raise InputError(str(exc))
-        boundary_max = None
-        if boundary_check and "boundary_features" in data:
-            boundary_max = boundary_leading_coefficient(
-                relation, [tuple(f) for f in data["boundary_features"]]
-            )
+        with _decoding(f"samples in {kernel_name}"):
+            samples = [(_reals(f), _finite(float(k))) for f, k in zip(data["features"], data["values"])]
+            boundary = [_reals(f) for f in data["boundary_features"]] if boundary_check else None
+        relation = fit_relation(samples, dz, dk)
     payload = {
         "residual": relation.residual,
         "k_degree": relation.k_degree,
@@ -371,8 +350,8 @@ def fit_cmd(kernel_name, dz, dk, boundary_check, count, seed):
             )
         ],
     }
-    if boundary_max is not None:
-        payload["boundary_max"] = boundary_max
+    if boundary is not None:
+        payload["boundary_max"] = boundary_leading_coefficient(relation, boundary)
     click.echo(json.dumps(payload, sort_keys=True))
 
 
@@ -393,6 +372,8 @@ def verify_cmd(which, seed, n_samples, tol):
         raise InputError(f"--tol does not apply to the {which} suite")
     if seed is not None and which == "isometry":
         raise InputError("--seed does not apply to the isometry suite")
+    if tol is not None and not math.isfinite(tol):
+        raise InputError(f"--tol must be finite, got {tol}")
     seed = 0 if seed is None else seed
     n_samples = 1_000_000 if n_samples is None else n_samples
     if monte_carlo and n_samples < 1:

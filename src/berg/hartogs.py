@@ -23,7 +23,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import exact_rref
 from .polynomials import HermitianPolynomial, MultiIndex
 from .scalars import ExactComplex, conj_scalar, gaussian_points, to_complex
 
@@ -45,18 +44,6 @@ class NonConvergentError(ValueError):
 
 class ChartSingularityError(ValueError):
     """Kernel requested on the chart-singular slice (first coordinate zero)."""
-
-
-# ---------------------------------------------------------------------------
-# the defining weight
-# ---------------------------------------------------------------------------
-
-def standard_omega_weight() -> HermitianPolynomial:
-    """h(z) = (1 + |z1|^2)(1 + |z2|^2)."""
-    one = HermitianPolynomial.constant(2, Fraction(1))
-    f1 = one + HermitianPolynomial.modulus_squared(2, 0)
-    f2 = one + HermitianPolynomial.modulus_squared(2, 1)
-    return f1 * f2
 
 
 # ---------------------------------------------------------------------------
@@ -214,65 +201,8 @@ def omega_closed_kernel(z: Sequence, lam, w: Sequence, tau):
 
 
 # ---------------------------------------------------------------------------
-# binomial-basis resummation
+# the bounded projected domain
 # ---------------------------------------------------------------------------
-
-def _binomial_poly(j: int) -> list[Fraction]:
-    """Coefficients (ascending in m) of C(m+j, j) as a polynomial in m."""
-    coeffs = [Fraction(1)]
-    for i in range(1, j + 1):
-        # multiply by (m + i)
-        new = [Fraction(0)] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            new[k] += c * i
-            new[k + 1] += c
-        coeffs = new
-    return [c / math.factorial(j) for c in coeffs]
-
-
-def resum_polynomial_series(poly_coeffs: Sequence) -> tuple[Fraction, ...]:
-    """Write a polynomial p(m) in the basis {C(m+j, j)}: returns (a_0..a_d)
-    with sum_m p(m) x^m = sum_j a_j (1-x)^(-(j+1)).
-
-    The expansion is solved and then re-verified exactly as a polynomial
-    identity; a nonzero remainder is a hard error.
-    """
-    coeffs = [Fraction(c) for c in poly_coeffs]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        return (Fraction(0),)
-    d = len(coeffs) - 1
-
-    def p_at(m: int) -> Fraction:
-        return sum(c * m**k for k, c in enumerate(coeffs))
-
-    # evaluate at m = 0..d and solve the exact linear system; the binomial
-    # matrix is invertible, so the reduced augmented matrix is [I | a]
-    rows = [
-        [Fraction(math.comb(m + j, j)) for j in range(d + 1)] + [p_at(m)] for m in range(d + 1)
-    ]
-    a = [row[-1] for row in exact_rref(rows)[0]]
-
-    # exact polynomial identity check: p(m) - sum a_j C(m+j, j) == 0
-    remainder = list(coeffs) + [Fraction(0)] * (d + 1)
-    for j, aj in enumerate(a):
-        for k, c in enumerate(_binomial_poly(j)):
-            remainder[k] -= aj * c
-    if any(c != 0 for c in remainder):
-        raise RuntimeError("binomial-basis resummation failed the exact identity check")
-    return tuple(a)
-
-
-# ---------------------------------------------------------------------------
-# the variety embedding and the bounded projected domain
-# ---------------------------------------------------------------------------
-
-def embed_F(lam, z1, z2) -> tuple:
-    """(lam, lam z1, lam z2, lam z1 z2); the image satisfies
-    w1 w4 = w2 w3 identically."""
-    return (lam, lam * z1, lam * z2, lam * z1 * z2)
-
 
 def u_domain_contains(x: Sequence):
     """Membership in {|w1|^4 + |w1|^2(|w2|^2+|w3|^2) + |w2 w3|^2 < |w1|^2}:

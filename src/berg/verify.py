@@ -221,7 +221,8 @@ def integrate(
             row[b] = np.where(inv > 0, values, 0.0) * inv
     out = []
     for row in weighted:
-        var = np.var(row.real, ddof=1) + np.var(row.imag, ddof=1)
+        # one sample has no spread to estimate: its standard error is unbounded
+        var = np.var(row.real, ddof=1) + np.var(row.imag, ddof=1) if n > 1 else math.inf
         out.append((complex(np.mean(row)), math.sqrt(var / n)))
     return out if several else out[0]
 

@@ -31,12 +31,10 @@ from berg.ball import (
 from berg.cyclotomic import root_of_unity
 from berg.groups import UnitaryMatrix, generate_group, is_fixed_point_free
 from berg.hartogs import (
-    embed_F,
     factorial_moment,
     kernel_series,
     monomial_norm,
     omega_closed_kernel,
-    resum_polynomial_series,
 )
 from berg.invariants import compute_basic_map, find_syzygies
 from berg.polynomials import HoloPolynomial
@@ -50,6 +48,7 @@ from berg.verify import (
     check_transformation_law,
     integrate,
 )
+from test_hartogs import embed_F, resum_polynomial_series
 
 N_MC = 1_000_000
 

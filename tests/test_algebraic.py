@@ -1,12 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from berg import algebraic
 from berg.algebraic import (
     TRIANGULAR_BLOCK,
     AlgebraicRelation,
     _evaluation_matrix,
+    _laurent_series,
     _smallest_right_singular_vector,
     _triangular_inverse,
     annulus_surface,
@@ -18,10 +21,8 @@ from berg.algebraic import (
     disk_surface,
     fit_relation,
     fit_surface_relation,
-    laurent_norm,
     linear_map_coefficients,
     omega_diagonal_surface,
-    punctured_disk_kernel,
     recover_map_from_kernel,
     u_surface,
 )
@@ -32,6 +33,31 @@ from berg.scalars import to_complex
 
 
 # -- Laurent norms and annulus kernel --------------------------------------------
+
+def laurent_norm(k: int, inner_radius: float) -> float:
+    """Squared Lebesgue norm of z^k on the annulus {r0 < |z| < 1}.
+
+    With r0 = 0 (punctured disk) the negative powers are not integrable
+    and get norm +inf, so they drop out of any kernel sum; removing the
+    puncture does not change the kernel.
+    """
+    r0 = float(inner_radius)
+    if not 0.0 <= r0 < 1.0:
+        raise ValueError("inner radius must lie in [0, 1)")
+    if r0 == 0.0:
+        if k < 0:
+            return math.inf
+        return math.pi / (k + 1)
+    if k == -1:
+        return 2.0 * math.pi * math.log(1.0 / r0)
+    return math.pi * (1.0 - r0 ** (2 * k + 2)) / (k + 1)
+
+
+def punctured_disk_kernel(z, w, truncation: int = 200):
+    """Kernel of the punctured disk: the annulus series with r0 = 0, whose
+    negative powers have infinite norm and drop out."""
+    return _laurent_series(0.0, z, w, truncation)
+
 
 def test_laurent_norms():
     assert laurent_norm(0, 0.5) == pytest.approx(math.pi * (1 - 0.25))
@@ -397,6 +423,28 @@ def test_fit_rescaling_invariance():
     base = fit_relation(samples, 4, 1)
     scaled = fit_relation([(f, 3.7 * k) for f, k in samples], 4, 1)
     assert scaled.residual == pytest.approx(base.residual, abs=1e-12)
+
+
+def test_fits_above_the_cell_limit_are_refused_before_allocating(monkeypatch):
+    monkeypatch.setattr(algebraic, "MAX_FIT_CELLS", 71)
+    monkeypatch.setattr(algebraic.np, "empty", None)  # an allocation would raise TypeError
+    unsampled = dataclasses.replace(disk_surface(), sample=None)  # so would a draw
+    # disk 1/1: 3 monomials times K^0, K^1 is 6 unknowns, and 12 samples by default
+    with pytest.raises(ValueError, match="12 samples x 6 unknowns is 72 cells, above the limit of 71"):
+        fit_surface_relation(unsampled, 1, 1)
+    with pytest.raises(ValueError, match="17 samples x 6 unknowns is 102 cells"):
+        fit_relation([((0.1, 0.2), 1.0)] * 17, 1, 1)
+    monkeypatch.undo()
+    # an Omega 40/3 fit would ask for 36.3 GiB; its size is counted, not listed
+    unsampled = dataclasses.replace(omega_diagonal_surface(), sample=None)
+    with pytest.raises(ValueError, match="98728 samples x 49364 unknowns"):
+        fit_surface_relation(unsampled, 40, 3)
+
+
+def test_default_sample_count_is_twice_the_unknowns():
+    for surface, dz, dk in ((disk_surface(), 4, 1), (omega_diagonal_surface(), 12, 1), (annulus_surface(), 8, 2)):
+        betas = sum(1 for _ in monomials_up_to_degree(len(surface.feature_polys), dz))
+        assert algebraic._fit_unknowns(len(surface.feature_polys), dz, dk) == betas * (dk + 1)
 
 
 def test_fit_errors():

@@ -5,15 +5,25 @@ import numpy as np
 import pytest
 
 from berg.ball import (
+    DefiningFunction,
     SingularKernelError,
     ball_kernel,
     levi_form,
-    siegel_model_defining_function,
     sphere_defining_function,
     u_domain_defining_function,
 )
 from berg.polynomials import HermitianPolynomial
 from berg.scalars import ExactComplex, to_complex
+
+
+def siegel_model_defining_function() -> DefiningFunction:
+    """rho = 2 Re(z_2) - |z_1|^2, a sign-flipped unbounded model in C^2."""
+    rho = HermitianPolynomial(2, {
+        ((0, 1), (0, 0)): Fraction(1),
+        ((0, 0), (0, 1)): Fraction(1),
+        ((1, 0), (1, 0)): Fraction(-1),
+    })
+    return DefiningFunction(rho)
 
 
 def _series_oracle(n: int, z, w, terms: int = 100) -> complex:
@@ -279,3 +289,14 @@ def test_levi_scaling_invariance():
 def test_levi_preconditions():
     with pytest.raises(ValueError):
         levi_form(sphere_defining_function(2), (0.5, 0.0))  # not on the zero set
+    # a NaN rho compares false against any tolerance: it is off the zero set too
+    for point in ((math.nan, 0.0), (complex(0, math.nan), 1.0), (math.inf, 0.0)):
+        with pytest.raises(ValueError, match="not on the zero set"):
+            levi_form(sphere_defining_function(2), point)
+
+
+def test_levi_on_the_circle_is_vacuously_strictly_pseudoconvex():
+    # in C^1 the complex tangent space is {0}: no eigenvalues, nothing to fail
+    for point in ((1.0,), (-0.6 + 0.8j,)):
+        report = levi_form(sphere_defining_function(1), point)
+        assert report.smooth and report.eigenvalues == () and report.strictly_pseudoconvex

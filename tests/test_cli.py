@@ -2,11 +2,12 @@ import json
 import math
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from berg.cli import main
 
@@ -41,6 +42,10 @@ def test_levi_cmd_builtin_and_file(runner, tmp_path):
 
     out = _invoke(runner, ["levi", "--rho", "u-domain", "--point", "0,0.5,0"])
     assert json.loads(out)["smooth"] is False
+
+    # in C^1 the complex tangent space is {0}: vacuously strictly pseudoconvex
+    out = _invoke(runner, ["levi", "--rho", "sphere-1", "--point", "1"])
+    assert json.loads(out) == {"eigenvalues": [], "gradient_norm": 1.0, "smooth": True, "strictly_pseudoconvex": True}
 
     from berg.ball import sphere_defining_function
 
@@ -169,7 +174,8 @@ def test_kernel_evaluation_errors_exit_2(runner, args):
     _one_line_usage_error(runner.invoke(main, args))
 
 
-SAMPLES_FILE = "<samples file>"  # the test writes it and puts its path here
+SAMPLES_FILE = "<samples file>"  # the test writes these and puts their paths here
+GROUP_FILE = "<group file>"
 
 
 @pytest.mark.parametrize(
@@ -217,15 +223,65 @@ SAMPLES_FILE = "<samples file>"  # the test writes it and puts its path here
                      "--tau takes one complex value", id="omega-two-taus"),
         pytest.param(["omega-kernel", "--z", "0,0", "--lambda", "0.2", "--series", "-3"],
                      "--series must be a nonnegative truncation", id="omega-series-negative"),
+        pytest.param(["fit", "--kernel", SAMPLES_FILE, "--dz", "0", "--dk", "1", "--boundary-check"],
+                     "'boundary_features'", id="fit-samples-file-boundary-check"),
+        pytest.param(["fit", "--kernel", "annulus", "--dz", "2", "--dk", "1", "--boundary-check"],
+                     "surface annulus has no boundary sampler", id="fit-annulus-boundary-check"),
+        pytest.param(["fit", "--kernel", "u", "--dz", "2", "--dk", "1", "--boundary-check"],
+                     "surface u has no boundary sampler", id="fit-u-boundary-check"),
+        pytest.param(["basic-map", "--group", GROUP_FILE, "--syzygies", "-1"],
+                     "--syzygies must be a nonnegative degree bound, got -1", id="basic-map-negative-syzygies"),
+        pytest.param(["verify", "transform", "--seed", "-1"], "expected non-negative integer",
+                     id="transform-negative-seed"),
+        pytest.param(["verify", "repro", "--seed", "-1", "--n", "10"], "expected non-negative integer",
+                     id="repro-negative-seed"),
+        pytest.param(["verify", "transform", "--tol", "nan"], "--tol must be finite, got nan", id="transform-tol-nan"),
+        pytest.param(["ball-kernel", "--dim", "2", "--z", "nan,0", "--w", "0,0"], "(nan+0j) is not finite",
+                     id="ball-nan"),
+        pytest.param(["ball-kernel", "--dim", "1", "--z", "inf", "--w", "0"], "(inf+0j) is not finite", id="ball-inf"),
+        pytest.param(["ball-kernel", "--dim", "2", "--z", "0,0", "--w", "0,-inf"], "is not finite",
+                     id="ball-negative-inf"),
+        pytest.param(["omega-kernel", "--z", "nan,0", "--lambda", "0.1"], "(nan+0j) is not finite", id="omega-nan"),
+        pytest.param(["omega-kernel", "--z", "0,0", "--lambda", "nan"], "(nan+0j) is not finite",
+                     id="omega-lambda-nan"),
+        pytest.param(["omega-kernel", "--z", "0,0", "--lambda", "0.1", "--tau", "1e400"], "(inf+0j) is not finite",
+                     id="omega-tau-overflows"),
+        pytest.param(["levi", "--rho", "sphere-2", "--point", "nan,0"], "(nan+0j) is not finite", id="levi-nan"),
+        # finite inputs whose kernel value overflows
+        pytest.param(["ball-kernel", "--dim", "2", "--z", "1e308,0", "--w", "1e308,0"], "kernel value",
+                     id="ball-value-overflows"),
+        pytest.param(["omega-kernel", "--z", "0,0", "--lambda", "1e308"], "kernel value", id="omega-value-overflows"),
+        pytest.param(["omega-kernel", "--z", "1e308,1e308", "--lambda", "0.1", "--series", "2"], "kernel value",
+                     id="series-value-overflows"),
     ],
 )
 def test_unusable_evaluation_input_prints_one_error_line(runner, tmp_path, args, message):
     # a samples file the fit accepts without the options under test
-    path = tmp_path / "samples.json"
-    path.write_text(json.dumps({"features": [[x / 8.0] for x in range(8)], "values": [1.0] * 8}))
-    result = runner.invoke(main, [str(path) if a == SAMPLES_FILE else a for a in args])
+    files = {SAMPLES_FILE: _write(tmp_path, "samples.json", {"features": [[x / 8.0] for x in range(8)],
+                                                             "values": [1.0] * 8}),
+             GROUP_FILE: _write(tmp_path, "gens.json", GENS_MINUS)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # a numpy warning would add lines
+        result = runner.invoke(main, [files.get(a, a) for a in args])
     _one_line_usage_error(result)
     assert message in result.output
+
+
+def test_oversized_fit_is_refused_before_it_allocates(runner, monkeypatch):
+    import berg.algebraic
+
+    # the disk 4/1 fit needs 60 samples x 30 unknowns = 1800 cells
+    monkeypatch.setattr(berg.algebraic, "MAX_FIT_CELLS", 1799)
+    result = runner.invoke(main, ["fit", "--kernel", "disk", "--dz", "4", "--dk", "1"])
+    _one_line_usage_error(result)
+    assert "60 samples x 30 unknowns is 1800 cells, above the limit of 1799" in result.output
+    monkeypatch.undo()
+    # 36.3 GiB of float64: refused before the samples are drawn
+    start = time.perf_counter()
+    result = runner.invoke(main, ["fit", "--kernel", "omega", "--dz", "40", "--dk", "3"])
+    assert time.perf_counter() - start < 1.0
+    _one_line_usage_error(result)
+    assert "98728 samples x 49364 unknowns" in result.output
 
 
 def test_fit_samples_file_too_short_prints_one_error_line(runner, tmp_path):
@@ -423,11 +479,23 @@ PAIR = [[0.2, 0.1], [0.05, -0.3]]
         ("quotient-push", {"cover": [1]}),
         ("fit", {"samples": {"dim": 2}}),
         ("fit", {"samples": {"features": [["x"]], "values": [1]}}),
+        ("fit", {"samples": {"features": [[0.1]] * 8, "values": [1.0] * 7 + [math.nan]}}),
+        ("fit", {"samples": {"features": [[0.1]] * 7 + [[math.inf]], "values": [1.0] * 8}}),
+        ("fit", {"samples": {"features": [[0.1]] * 8, "values": [1.0] * 8, "boundary_features": [[math.nan]]}}),
+        ("quotient-sum", {"pairs": [[[[0.2, 0.1], [0.05, math.nan]], PAIR]]}),
+        ("quotient-sum", {"pairs": [[PAIR, [[math.inf, 0], [0.1, 0]]]]}),
+        ("quotient-sum", {"pairs": [[[[1e308, 0], [0, 0]], [[1e308, 0], [0, 0]]]]}),
+        ("quotient-push", {"pairs": [[[[0.2, 0.1], [-math.inf, 0]], PAIR]]}),
+        ("quotient-push", {"pairs": [[[[1e308, 0], [0, 0]], [[1e308, 0], [0, 0]]]]}),
+        ("quotient-push", {"cover": dict(COVER_MINUS, map=[{"dim": 2, "terms": [[[2, 0], math.nan, 0]]},
+                                                          *COVER_MINUS["map"][1:]])}),
     ],
     ids=[
         "levi-no-terms", "levi-list", "sum-one-number-coordinate", "sum-unpack", "sum-boundary-contact",
         "sum-object", "push-branch-point", "push-boundary-contact", "push-chart-range", "push-map-terms",
-        "push-list", "fit-no-features", "fit-string-feature",
+        "push-list", "fit-no-features", "fit-string-feature", "fit-nan-value", "fit-inf-feature",
+        "fit-nan-boundary-feature", "sum-nan", "sum-inf", "sum-value-overflows", "push-negative-inf",
+        "push-value-overflows", "push-nan-map-coefficient",
     ],
 )
 def test_json_input_errors_exit_2(runner, tmp_path, command, inputs):
@@ -435,6 +503,7 @@ def test_json_input_errors_exit_2(runner, tmp_path, command, inputs):
         args = ["levi", "--rho", _write(tmp_path, "rho.json", inputs["rho"]), "--point", "1,0"]
     elif command == "fit":
         args = ["fit", "--kernel", _write(tmp_path, "s.json", inputs["samples"]), "--dz", "1", "--dk", "1"]
+        args += ["--boundary-check"] if "boundary_features" in inputs["samples"] else []
     else:
         pairs = _write(tmp_path, "pairs.json", inputs.get("pairs", [[PAIR, PAIR]]))
         if command == "quotient-sum":
@@ -464,3 +533,80 @@ def test_pairs_json_fuzz_exits_0_or_2(data):
         assert lines[0] == "z,w,re,im" and len(lines) == 1 + len(data)
     else:
         _one_line_usage_error(result)
+
+
+# -- a fuzz over every command ---------------------------------------------------
+
+EDGE = ["nan", "inf", "-inf", "0", "-1", "1e308", ""]  # float and complex option values
+SIZES = st.sampled_from(["-1", "0", "1", "2"])  # every integer option: work stays small
+edge_values = st.sampled_from(EDGE)
+
+
+def _coordinates(count, values):
+    """``count`` values, or now and then one too few or one too many."""
+    sizes = st.sampled_from([count, count, count, max(count - 1, 1), count + 1])
+    return sizes.flatmap(lambda k: st.lists(values, min_size=k, max_size=k))
+
+
+def _complex_lists(count):
+    return _coordinates(count, st.sampled_from(EDGE + ["0.3", "0.2j"])).map(",".join)
+
+
+@st.composite
+def _command(draw, name, required, optional=(), flags=()):
+    """argv for ``name``: every required option, a drawn subset of the
+    optional ones and of the flags."""
+    args = list(name)
+    for option, values in required:
+        args += [option, draw(values)]
+    for option, values in optional:
+        if draw(st.booleans()):
+            args += [option, draw(values)]
+    return args + [flag for flag in flags if draw(st.booleans())]
+
+
+FILES = {"GROUP": GENS_MINUS, "COVER": COVER_MINUS,
+         "SAMPLES": {"features": [[x / 8.0] for x in range(8)], "values": [1.0] * 8},
+         "BOUNDED": {"features": [[x / 8.0] for x in range(8)], "values": [1.0] * 8,
+                     "boundary_features": [[1.0]]}}
+edge_numbers = st.sampled_from([math.nan, math.inf, -math.inf, 0, -1, 1e308, "", 0.3])
+pair_points = _coordinates(2, st.lists(edge_numbers, min_size=2, max_size=2))
+MONTE_CARLO = ("repro", "orthogonality")
+commands = st.one_of(
+    st.sampled_from([1, 2]).flatmap(lambda n: _command(
+        ["ball-kernel", "--dim", str(n)], [("--z", _complex_lists(n)), ("--w", _complex_lists(n))])),
+    st.sampled_from([("sphere-1", 1), ("sphere-2", 2), ("u-domain", 3)]).flatmap(lambda rho: _command(
+        ["levi", "--rho", rho[0]], [("--point", _complex_lists(rho[1]))])),
+    _command(["group", "--gens", "GROUP"], [], [("--check", st.sampled_from(["fpf", "reflections"])),
+                                                 ("--max-order", SIZES)]),
+    _command(["basic-map", "--group", "GROUP"], [], [("--syzygies", SIZES), ("--max-order", SIZES)]),
+    _command(["quotient-sum", "--group", "GROUP", "--pairs", "PAIRS"], [("--dim", st.sampled_from(["2", "2", "1"]))],
+             [("--max-order", SIZES)]),
+    _command(["quotient-push", "--cover", "COVER", "--pairs", "PAIRS"], []),
+    _command(["omega-kernel"], [("--z", _complex_lists(2)), ("--lambda", _complex_lists(1))],
+             [("--w", _complex_lists(2)), ("--tau", _complex_lists(1)), ("--series", SIZES)]),
+    _command(["moments"], [("--m", SIZES), ("--alpha", _coordinates(2, SIZES).map(",".join))], flags=["--numeric"]),
+    _command(["omega-grid"], [], [("--rmax", edge_values), ("--steps", SIZES), ("--fiber", edge_values)]),
+    _command(["fit"], [("--kernel", st.sampled_from(["disk", "ball2", "omega", "annulus", "u", "SAMPLES", "BOUNDED"])),
+                       ("--dz", SIZES), ("--dk", SIZES)],
+             [("--samples", SIZES), ("--seed", SIZES)], flags=["--boundary-check"]),
+    st.sampled_from(["repro", "orthogonality", "transform", "isometry"]).flatmap(lambda which: _command(
+        ["verify", which],
+        [("--n", SIZES)] if which in MONTE_CARLO else [],  # a default-sized Monte Carlo run takes 0.5 s
+        [("--seed", SIZES), ("--tol", edge_values)] + ([] if which in MONTE_CARLO else [("--n", SIZES)]))),
+)
+
+
+@settings(deadline=2000, max_examples=200)
+@given(commands, st.lists(st.tuples(pair_points, pair_points), min_size=1, max_size=2))
+def test_every_command_exits_0_or_2_on_edge_values(args, pairs):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: _write(Path(tmp), f"{name}.json", data) for name, data in FILES.items()}
+        paths["PAIRS"] = _write(Path(tmp), "pairs.json", pairs)
+        result = CliRunner().invoke(main, [paths.get(a, a) for a in args])
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+    assert "nan" not in result.stdout.lower(), result.output
+    if result.exit_code == 2:
+        assert sum(line.startswith("Error: ") for line in result.output.splitlines()) == 1, result.output
+    else:
+        assert result.exit_code == 0 or (result.exit_code == 1 and args[0] == "verify"), result.output

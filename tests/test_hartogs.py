@@ -5,18 +5,17 @@ import numpy as np
 import pytest
 
 from berg.cyclotomic import CyclotomicField
+from berg.groups import exact_rref
 from berg.hartogs import (
     BoundaryContactError,
     ChartSingularityError,
     DivergentIntegralError,
     NonConvergentError,
-    embed_F,
     factorial_moment,
     kernel_series,
     monomial_norm,
     omega_closed_kernel,
     omega_rational_kernel,
-    resum_polynomial_series,
     square_integrable,
     u_domain_contains,
     u_kernel,
@@ -26,6 +25,61 @@ from berg.polynomials import HoloPolynomial
 from berg.scalars import ExactComplex, to_complex
 
 TWO_PI3 = (2 * math.pi) ** 3
+
+
+def _binomial_poly(j: int) -> list[Fraction]:
+    """Coefficients (ascending in m) of C(m+j, j) as a polynomial in m."""
+    coeffs = [Fraction(1)]
+    for i in range(1, j + 1):
+        # multiply by (m + i)
+        new = [Fraction(0)] * (len(coeffs) + 1)
+        for k, c in enumerate(coeffs):
+            new[k] += c * i
+            new[k + 1] += c
+        coeffs = new
+    return [c / math.factorial(j) for c in coeffs]
+
+
+def resum_polynomial_series(poly_coeffs) -> tuple[Fraction, ...]:
+    """Write a polynomial p(m) in the basis {C(m+j, j)}: returns (a_0..a_d)
+    with sum_m p(m) x^m = sum_j a_j (1-x)^(-(j+1)).  This derives the
+    closed form of Omega's kernel from its series, so it is the oracle for
+    ``omega_closed_kernel``.
+
+    The expansion is solved and then re-verified exactly as a polynomial
+    identity; a nonzero remainder is a hard error.
+    """
+    coeffs = [Fraction(c) for c in poly_coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        return (Fraction(0),)
+    d = len(coeffs) - 1
+
+    def p_at(m: int) -> Fraction:
+        return sum(c * m**k for k, c in enumerate(coeffs))
+
+    # evaluate at m = 0..d and solve the exact linear system; the binomial
+    # matrix is invertible, so the reduced augmented matrix is [I | a]
+    rows = [
+        [Fraction(math.comb(m + j, j)) for j in range(d + 1)] + [p_at(m)] for m in range(d + 1)
+    ]
+    a = [row[-1] for row in exact_rref(rows)[0]]
+
+    # exact polynomial identity check: p(m) - sum a_j C(m+j, j) == 0
+    remainder = list(coeffs) + [Fraction(0)] * (d + 1)
+    for j, aj in enumerate(a):
+        for k, c in enumerate(_binomial_poly(j)):
+            remainder[k] -= aj * c
+    if any(c != 0 for c in remainder):
+        raise RuntimeError("binomial-basis resummation failed the exact identity check")
+    return tuple(a)
+
+
+def embed_F(lam, z1, z2) -> tuple:
+    """(lam, lam z1, lam z2, lam z1 z2), Omega's embedding in C^4; the image
+    satisfies w1 w4 = w2 w3 identically."""
+    return (lam, lam * z1, lam * z2, lam * z1 * z2)
 
 
 # -- moments -------------------------------------------------------------------

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from berg.ball import u_domain_defining_function
 from berg.cyclotomic import CyclotomicField, root_of_unity
-from berg.hartogs import standard_omega_weight
 from berg.polynomials import (
     HermitianPolynomial,
     HoloPolynomial,
@@ -71,6 +70,11 @@ def test_poly_mul_simple():
     z = HermitianPolynomial.term(1, (1,), (0,))
     zbar = HermitianPolynomial.term(1, (0,), (1,))
     assert z * zbar == HermitianPolynomial.term(1, (1,), (1,))
+
+
+def standard_omega_weight() -> HermitianPolynomial:
+    """h(z) = (1 + |z1|^2)(1 + |z2|^2), Omega's defining weight, by its four terms."""
+    return HermitianPolynomial(2, {(u, u): Fraction(1) for u in ((0, 0), (1, 0), (0, 1), (1, 1))})
 
 
 def test_poly_mul_builds_standard_weight():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from berg.algebraic import punctured_disk_kernel
 from berg.ball import SingularKernelError, ball_kernel
 from berg.cyclotomic import Cyclotomic, CyclotomicField, root_of_unity
 from berg.groups import UnitaryMatrix, generate_group
@@ -23,6 +22,7 @@ from berg.quotient import (
     scalar_rotation_cover,
 )
 from berg.scalars import ExactComplex, to_complex
+from test_algebraic import punctured_disk_kernel
 
 
 def _pairs(rng, count, n, radius=0.4):

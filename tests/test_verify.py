@@ -242,6 +242,14 @@ def test_blockwise_integrate_equals_one_shot(domain):
     assert integrate(spec, f) == want
 
 
+def test_one_sample_has_an_unbounded_standard_error():
+    # ddof=1 has nothing to divide by; the check then fails on its stderr cap
+    estimate, stderr = integrate(IntegrationSpec("disk", 1, seed=3), lambda p: p[:, 0])
+    assert math.isfinite(abs(estimate)) and stderr == math.inf
+    report = check_reproducing("disk", 1, 0.3, IntegrationSpec("disk", 1, seed=3))
+    assert report.stderr == math.inf and not report.passed
+
+
 @pytest.mark.parametrize("domain", ["disk", "omega"])
 def test_integrate_draws_one_block_at_a_time(domain, monkeypatch):
     counts = []
