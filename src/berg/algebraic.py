@@ -109,11 +109,11 @@ def annulus_kernel(inner_radius: float, z, w, truncation: int = 200):
 class KernelSurface:
     """A named diagonal kernel with sampling and feature structure.
 
-    ``diag`` maps an (m, ambient_dim) array of points to the m values
-    K(z, conj(z)); ``features`` maps a point to the real coordinates used
-    for relation fitting; ``feature_polys`` expresses each feature as a
-    Hermitian polynomial so fitted coefficients can be expanded back into
-    (z, conj(z)).
+    ``diag`` maps the coordinates of m points, an (ambient_dim, m) array,
+    to the m values K(z, conj(z)); ``features`` maps a point to the real
+    coordinates used for relation fitting; ``feature_polys`` expresses each
+    feature as a Hermitian polynomial so fitted coefficients can be
+    expanded back into (z, conj(z)).
     """
 
     name: str
@@ -127,7 +127,7 @@ class KernelSurface:
     def samples(self, count: int, seed: int = 0) -> list[tuple[tuple, float]]:
         rng = np.random.default_rng(seed)
         pts = self.sample(rng, count)
-        values = self.diag(np.array(pts, dtype=complex).reshape(len(pts), self.ambient_dim))
+        values = self.diag(np.array(pts, dtype=complex).reshape(len(pts), self.ambient_dim).T)
         return [(self.features(p), float(v)) for p, v in zip(pts, values)]
 
     def boundary_features(self, count: int, seed: int = 0) -> list[tuple]:
@@ -161,7 +161,7 @@ def disk_surface() -> KernelSurface:
     return KernelSurface(
         name="disk",
         ambient_dim=1,
-        diag=lambda pts: ball_kernel(1, pts, pts).real,
+        diag=lambda x: ball_kernel(1, x, x).real,
         features=lambda p: (p[0].real, p[0].imag),
         feature_polys=_real_coordinate_polys(1),
         sample=lambda rng, n: _shell_points(rng, n, 1, 0.0, 0.9),
@@ -186,7 +186,7 @@ def ball2_surface() -> KernelSurface:
     return KernelSurface(
         name="ball2",
         ambient_dim=2,
-        diag=lambda pts: ball_kernel(2, pts, pts).real,
+        diag=lambda x: ball_kernel(2, x, x).real,
         features=lambda p: (p[0].real, p[0].imag, p[1].real, p[1].imag),
         feature_polys=_real_coordinate_polys(2),
         sample=lambda rng, n: _shell_points(rng, n, 2, 0.0, 0.8),
@@ -227,7 +227,7 @@ def omega_diagonal_surface() -> KernelSurface:
     return KernelSurface(
         name="omega",
         ambient_dim=3,
-        diag=lambda pts: omega_closed_kernel(pts.T[:2], pts[:, 2], pts.T[:2], pts[:, 2]).real,
+        diag=lambda x: omega_closed_kernel(x[:2], x[2], x[:2], x[2]).real,
         features=lambda p: (abs(p[2]) ** 2, abs(p[0]) ** 2, abs(p[1]) ** 2),
         feature_polys=(
             HermitianPolynomial.modulus_squared(3, 2),
@@ -265,7 +265,7 @@ def u_surface() -> KernelSurface:
     return KernelSurface(
         name="u",
         ambient_dim=3,
-        diag=lambda pts: u_kernel(pts.T, pts.T, check_domain=False).real,
+        diag=lambda x: u_kernel(x, x, check_domain=False).real,
         features=lambda p: (abs(p[0]) ** 2, abs(p[1]) ** 2, abs(p[2]) ** 2),
         feature_polys=(
             HermitianPolynomial.modulus_squared(3, 0),
@@ -283,7 +283,7 @@ def annulus_surface(truncation: int = 2000) -> KernelSurface:
     return KernelSurface(
         name="annulus",
         ambient_dim=1,
-        diag=lambda pts: annulus_kernel(0.5, pts[:, 0], pts[:, 0], truncation).real,
+        diag=lambda x: annulus_kernel(0.5, x[0], x[0], truncation).real,
         features=lambda p: (p[0].real, p[0].imag),
         feature_polys=_real_coordinate_polys(1),
         sample=lambda rng, n: _shell_points(rng, n, 1, 0.51, 0.99),
@@ -475,7 +475,8 @@ def fit_relation(
     triangular solve, and inverse iteration with that inverse gives the
     minimal right singular direction.  That direction, unscaled and
     renormalized to a unit coefficient vector, is returned with its
-    max-abs residual over the samples.
+    max-abs residual over the samples.  A column norm, residual or
+    coefficient that is not finite is a ValueError.
 
     The residual is in the kernel's own units: unit-norm coefficients on
     unscaled monomials make it change under K -> cK (the annulus 8/2 fit
@@ -488,6 +489,8 @@ def fit_relation(
         raise ValueError("no samples given")
     keys, matrix = _evaluation_matrix(samples, feature_degree, k_degree)
     scale = np.linalg.norm(matrix, axis=0)
+    if not np.isfinite(scale).all():
+        raise ValueError("fit is not finite: a column norm overflows")
     scale[scale == 0] = 1.0
     matrix /= scale  # in place: no second copy of the evaluation matrix
     # the square R of a QR has the right singular vectors of the tall matrix
@@ -497,6 +500,8 @@ def fit_relation(
     coeff /= norm
     # the unscaled matrix times coeff is the scaled one times x / norm
     residual = float(np.max(np.abs(matrix @ x)) / norm)
+    if not (math.isfinite(residual) and np.isfinite(coeff).all()):
+        raise ValueError(f"fit is not finite: residual {residual}")
     coefficients = {
         key: float(c) for key, c in zip(keys, coeff) if c != 0.0
     }

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .polynomials import HermitianPolynomial
-from .scalars import ExactComplex, conj_scalar, gaussian_points, to_complex
+from .scalars import ExactComplex, read_points, to_complex
 
 BOUNDARY_TOL = 1e-9
 GRADIENT_TOL = 1e-9
@@ -30,10 +30,11 @@ class SingularKernelError(ArithmeticError):
 
 
 def hermitian_inner(z: Sequence, w: Sequence):
-    """<z, w> = sum z_i * conj(w_i), exact when both inputs are exact."""
+    """<z, w> = sum z_i * conj(w_i) over the coordinates: exact when both
+    points are exact, an array when coordinates are arrays."""
     total = None
     for a, b in zip(z, w):
-        term = a * conj_scalar(b)
+        term = a * b.conjugate()
         total = term if total is None else total + term
     return 0 if total is None else total
 
@@ -41,27 +42,24 @@ def hermitian_inner(z: Sequence, w: Sequence):
 def ball_kernel(n: int, z, w):
     """Bergman kernel of the unit ball in C^n at (z, w).
 
-    Returns an ExactComplex (rational times pi^-n) for Gaussian-rational
-    inputs, ``Cyclotomic`` coordinates that lie in Q(i) included, and a
-    Python complex otherwise.  Float points may also be arrays of shape
-    (..., n); their leading axes broadcast and the values come back as an
-    array over them.  Raises SingularKernelError at boundary contact
-    <z, w> = 1.
+    Points are read by ``read_points``.  Returns an ExactComplex (rational
+    times pi^-n) for Gaussian-rational points, ``Cyclotomic`` coordinates
+    that lie in Q(i) included, and a Python complex for other scalar
+    coordinates.  Coordinates given as arrays broadcast, and the values
+    come back as an array over them.  Raises SingularKernelError at
+    boundary contact <z, w> = 1.
     """
-    check_points(n, z, w)
-    batched = _is_batch(z) or _is_batch(w)
-    exact = None if batched else gaussian_points(z, w)
+    exact = read_points(n, z, w)
     if exact is not None:
-        u = ExactComplex.coerce(hermitian_inner(*exact))
-        return kernel_term(n, u, ExactComplex(math.factorial(n), 0, -n))
-    # a single point pair runs as a batch of one, so it matches a batched row bit for bit
-    zf = np.atleast_2d(float_point(z))
-    wf = np.atleast_2d(float_point(w))
-    if n == 1:  # no reduction over a length-1 axis
-        u = zf[..., 0] * wf[..., 0].conj()
-    else:
-        u = (zf * wf.conj()).sum(axis=-1)
-    values = kernel_term(n, u, math.factorial(n) / math.pi**n)
+        return kernel_term(n, hermitian_inner(*exact), ExactComplex(math.factorial(n), 0, -n))
+    z, w = complex_coordinates(z), complex_coordinates(w)
+    batched = z.ndim > 1 or w.ndim > 1
+    # a single point runs as a batch of one, so a pair matches its batched row bit for bit
+    if z.ndim == 1:
+        z = z[:, None]
+    if w.ndim == 1:
+        w = w[:, None]
+    values = kernel_term(n, hermitian_inner(z, w), math.factorial(n) / math.pi**n)
     return values if batched else complex(values[0])
 
 
@@ -88,27 +86,18 @@ def kernel_term(n: int, u, scale):
     return scale / power
 
 
-def _is_batch(p) -> bool:
-    return isinstance(p, np.ndarray) and p.ndim > 1
-
-
-def float_point(p) -> np.ndarray:
-    """A point, or an (..., n) array of points, as a complex numpy array;
-    a plain tuple of Python complex or float coordinates goes to numpy
-    directly."""
-    if isinstance(p, np.ndarray):
-        return p.astype(complex, copy=False)
-    if all(isinstance(x, (complex, float)) for x in p):
-        return np.array(p, dtype=complex)
-    return np.array([to_complex(x) for x in p], dtype=complex)
-
-
-def check_points(n: int, *points) -> None:
-    """Raise ValueError unless every point (or array of points) lies in C^n."""
-    for p in points:
-        size = p.shape[-1] if isinstance(p, np.ndarray) and p.ndim else len(p)
-        if size != n:
-            raise ValueError(f"expected points in C^{n}")
+def complex_coordinates(p) -> np.ndarray:
+    """A point that is not exact as one complex array with its coordinates
+    along the first axis: shape (n,) for scalar coordinates, (n, ...) when
+    they are arrays, broadcast against each other.  numpy reads float and
+    array coordinates as given; other kinds go through ``to_complex``."""
+    try:
+        return np.asarray(p, dtype=complex)
+    except TypeError:  # a kind numpy cannot read, such as a Cyclotomic
+        p = [x if isinstance(x, np.ndarray) else to_complex(x) for x in p]
+    except ValueError:  # arrays of different shapes
+        pass
+    return np.array(np.broadcast_arrays(*p), dtype=complex)
 
 
 # ---------------------------------------------------------------------------

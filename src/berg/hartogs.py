@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .polynomials import HermitianPolynomial, MultiIndex
-from .scalars import ExactComplex, conj_scalar, gaussian_points, to_complex
+from .scalars import ExactComplex, conj_scalar, read_points, to_complex
 
 TWO_PI_CUBED = (2.0 * math.pi) ** 3
 
@@ -116,15 +116,18 @@ def kernel_series(
                       * prod_i (1 + z_i conj(w_i))^(m-1)
 
     Requires |lam conj(tau)| prod |1 + z_i conj(w_i)| < 1 and reports a
-    geometric bound on the discarded tail.
+    geometric bound on the discarded tail.  Exact coordinates are read
+    by value and computed as Python complex.
     """
-    _check_dim(2, z, w)
+    exact = read_points(2, z, w)
+    if exact is not None:
+        z, w = exact
     lt = to_complex(lam) * to_complex(tau).conjugate()
     factor = _series_factor(z[0], w[0]) * _series_factor(z[1], w[1])
     x = lt * factor
     q = abs(x)
-    if q >= 1.0:
-        raise NonConvergentError(f"|x| = {q} >= 1: series does not converge")
+    if not q < 1.0:  # a NaN from overflow does not converge either
+        raise NonConvergentError(f"|x| = {q} is not below 1: series does not converge")
     total = 0j
     xpow = 1.0 + 0j  # x^(m-1)
     for m in range(1, truncation + 1):
@@ -145,21 +148,10 @@ def complexified_rho(z: Sequence, lam, w: Sequence, tau):
     return lam * conj_scalar(tau) * f1 * f2 - 1
 
 
-def _check_dim(n: int, *points) -> None:
-    """Raise ValueError unless every point has n coordinates, each a
-    scalar or an array of them."""
-    if any(len(p) != n for p in points):
-        raise ValueError(f"expected points in C^{n}")
-
-
-def _is_batch(values) -> bool:
-    return any(np.ndim(v) for v in values)
-
-
 def _numeric(values) -> list:
     """Complex arrays when any value is an array, else Python complex
     scalars (numpy scalars included)."""
-    if _is_batch(values):
+    if any(np.ndim(v) for v in values):
         return [np.asarray(v, dtype=complex) for v in values]
     return [complex(to_complex(v)) for v in values]
 
@@ -180,15 +172,15 @@ def omega_closed_kernel(z: Sequence, lam, w: Sequence, tau):
     coordinates, and BoundaryContactError where rho vanishes at any of the
     points.
     """
-    _check_dim(2, z, w)
-    values = (z[0], z[1], lam, w[0], w[1], tau)
-    gaussian = None if _is_batch(values) else gaussian_points(values)
-    exact = gaussian is not None
+    points = read_points(2, z, w)
+    fibers = None if points is None else read_points(2, (lam, tau))
+    exact = fibers is not None
     if exact:
-        z1, z2, lam, w1, w2, tau = (ExactComplex.coerce(v) for v in gaussian[0])
+        (z1, z2), (w1, w2) = points
+        lam, tau = fibers[0]
         two_pi_cubed = ExactComplex(8, 0, 3)
     else:
-        z1, z2, lam, w1, w2, tau = _numeric(values)
+        z1, z2, lam, w1, w2, tau = _numeric((*z, lam, *w, tau))
         two_pi_cubed = TWO_PI_CUBED
     rho = complexified_rho((z1, z2), lam, (w1, w2), tau)
     if exact and rho.is_zero:
@@ -208,8 +200,8 @@ def u_domain_contains(x: Sequence):
     """Membership in {|w1|^4 + |w1|^2(|w2|^2+|w3|^2) + |w2 w3|^2 < |w1|^2}:
     a bool for a point, a bool array for coordinates given as arrays that
     broadcast.  Raises ValueError unless x has three coordinates."""
-    _check_dim(3, x)
-    a1, a2, a3 = (abs(v) ** 2 for v in _numeric(x))
+    exact = read_points(3, x)
+    a1, a2, a3 = (abs(v) ** 2 for v in _numeric(x if exact is None else exact[0]))
     return a1 * a1 + a1 * (a2 + a3) + a2 * a3 < a1
 
 
@@ -223,9 +215,8 @@ def u_kernel(x: Sequence, y: Sequence, check_domain: bool = True):
     point pair gives an exact value or a Python complex, coordinates given
     as arrays that broadcast give an array, and every point is checked.
     """
-    _check_dim(3, x, y)
-    if _is_batch((*x, *y)):
-        x, y = _numeric(x), _numeric(y)
+    exact = read_points(3, x, y)
+    x, y = exact if exact is not None else (_numeric(x), _numeric(y))
     if np.any(x[0] == 0) or np.any(y[0] == 0):
         raise ChartSingularityError("first coordinate vanishes: chart singular slice")
     if check_domain and not (np.all(u_domain_contains(x)) and np.all(u_domain_contains(y))):
@@ -252,7 +243,7 @@ class RationalKernel:
         """Exact at Gaussian-rational points, whatever field a coordinate
         is written in; complex otherwise."""
         num_poly, den_poly = self.numerator, self.denominator
-        points = gaussian_points(x, y)
+        points = read_points(num_poly.dim, x, y)
         if points is None:
             num_poly = num_poly.to_complex_coeffs()
             den_poly = den_poly.to_complex_coeffs()

@@ -234,6 +234,10 @@ class HoloPolynomial:
     def eval(self, point: Sequence):
         """The value at a point; its coordinates may be polynomials, and a
         constant result then comes back as a scalar."""
+        if len(point) != self.dim:
+            raise ValueError(
+                f"point dimension mismatch: polynomial has dim {self.dim}, got {len(point)}"
+            )
         total = None
         for a, c in self.terms.items():
             mono = _eval_monomial(point, a)

@@ -24,12 +24,14 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .ball import ball_kernel, check_points, float_point, kernel_term
+import numpy as np
+
+from .ball import ball_kernel, complex_coordinates, kernel_term
 from .cyclotomic import Cyclotomic, CyclotomicField
 from .groups import FiniteUnitaryGroup, UnitaryMatrix, determinant, generate_group
 from .invariants import compute_basic_map, is_invariant
 from .polynomials import HoloPolynomial
-from .scalars import ExactComplex, conj_scalar, gaussian_points, to_complex
+from .scalars import ExactComplex, conj_scalar, read_points, to_complex
 
 BRANCH_TOL = 1e-12
 
@@ -38,7 +40,8 @@ class BranchPointError(ArithmeticError):
     """Evaluation at (or too close to) a branch point of the covering map."""
 
     def __init__(self, point):
-        self.point = tuple(point)
+        # scalar coordinates as Python complex, array ones as given
+        self.point = tuple(x if np.ndim(x) else to_complex(x) for x in point)
         super().__init__(f"Jacobian vanishes at {self.point} (|J| <= {BRANCH_TOL})")
 
 
@@ -47,28 +50,28 @@ def _deck_sum(group: FiniteUnitaryGroup, n: int, z: Sequence, w: Sequence, dual:
 
     Exact over the group's cached Gaussian-rational elements when the
     points are Gaussian rationals (``Cyclotomic`` coordinates by value)
-    and the group embeds in Q(i); otherwise one batched
-    kernel evaluation over the group's cached float stack.
+    and the group embeds in Q(i); otherwise one batched kernel evaluation
+    over the group's cached float stack, with the group on the last axis.
     """
     if group.dim != n:
         raise ValueError("group dimension does not match n")
-    check_points(n, z, w)
-    exact = gaussian_points(z, w)
+    exact = read_points(n, z, w)
     gaussian = group.gaussian_stack if exact is not None else None
     if gaussian is None:
         mats, dets = group.float_stack
-        z, w = float_point(z), float_point(w)
+        z, w = complex_coordinates(z), complex_coordinates(w)
         if dual:
-            terms = ball_kernel(n, z, mats @ w) * dets.conj()
+            terms = ball_kernel(n, z[..., None], _moved(mats, w)) * dets.conj()
         else:
-            terms = ball_kernel(n, mats @ z, w) * dets
-        return complex(terms.sum())
+            terms = ball_kernel(n, _moved(mats, z), w[..., None]) * dets
+        total = terms.sum(axis=-1)
+        return complex(total) if total.ndim == 0 else total
     # products[l][j] = z_l conj(w_j), formed once: <g z, w> is the sum of
     # g_jl products[l][j] and <z, g w> the sum of conj(g_jl) products[j][l],
     # over the non-zero entries g_jl only
     z, w = exact
-    w_bar = [ExactComplex.coerce(x).conjugate() for x in w]
-    products = [[ExactComplex.coerce(x) * y for y in w_bar] for x in z]
+    w_bar = [x.conjugate() for x in w]
+    products = [[x * y for y in w_bar] for x in z]
     total = ExactComplex(0)
     for entries, det in gaussian:
         u = None
@@ -77,6 +80,16 @@ def _deck_sum(group: FiniteUnitaryGroup, n: int, z: Sequence, w: Sequence, dual:
             u = term if u is None else u + term
         total += kernel_term(n, u, det.conjugate() if dual else det)
     return ExactComplex(math.factorial(n), 0, -n) * total  # n!/pi^n
+
+
+def _moved(mats, p):
+    """g p for every matrix g of the stack, as (n, ..., |G|) coordinates.
+    Each is one matrix-vector product, as for a single point, so a batch
+    row equals its single point bit for bit."""
+    if p.ndim == 1:
+        return (mats @ p).T
+    # the stack acts on axis 0 of (n, ..., 1, 1) arrays, and each moved coordinate lands on axis 0
+    return np.matmul(mats, p[..., None, None], axes=[(-2, -1), (0, -1), (0, -1)])[..., 0]
 
 
 def deck_sum_kernel(group: FiniteUnitaryGroup, n: int, z: Sequence, w: Sequence):
@@ -151,19 +164,14 @@ class CoveringSpec:
             if not all(is_invariant(p, self.group) for p in self.cover_map):
                 raise ValueError("cover map is not invariant under the group")
             return
-        import numpy as np
-
-        rng = np.random.default_rng(0)
         n = self.group.dim
-        pts = rng.uniform(-0.5, 0.5, (8, 2 * n))
-        samples = [tuple(complex(r[i], r[n + i]) for i in range(n)) for r in pts]
-        floats = [p.to_complex_coeffs() for p in self.cover_map]
-        for gm in self.group.float_stack[0]:
-            for z in samples:
-                gz = tuple(gm @ np.array(z))
-                for p in floats:
-                    if abs(p.eval(gz) - p.eval(z)) > 1e-10:
-                        raise ValueError("cover map is not invariant under the group")
+        pts = np.random.default_rng(0).uniform(-0.5, 0.5, (8, 2 * n))
+        z = (pts[:, :n] + 1j * pts[:, n:]).T  # eight points, as coordinates
+        moved = np.moveaxis(self.group.float_stack[0] @ z, 1, 0)  # each moved by every element
+        for p in self.cover_map:
+            p = p.to_complex_coeffs()
+            if np.any(np.abs(p.eval(moved) - p.eval(z)) > 1e-10):
+                raise ValueError("cover map is not invariant under the group")
 
     def chart_components(self) -> list[HoloPolynomial]:
         return [self.cover_map[i] for i in self.chart]
@@ -178,57 +186,47 @@ class CoveringSpec:
 
     @cached_property
     def gaussian_jacobian(self) -> HoloPolynomial | None:
-        """The Jacobian with its ``Cyclotomic`` coefficients as Gaussian
-        rationals, converted by value once per spec, for exact points; None
-        when no coefficient is ``Cyclotomic`` or one lies outside Q(i)."""
+        """The Jacobian over Q(i), built once per spec for exact points: its
+        coefficients read as one exact point (``Cyclotomic`` ones by value);
+        None when a coefficient is not a Gaussian rational."""
         terms = self.jacobian_polynomial.terms
-        if not any(isinstance(c, Cyclotomic) for c in terms.values()):
+        coefficients = read_points(len(terms), tuple(terms.values()))
+        if coefficients is None:
             return None
-        try:
-            gaussian = {
-                a: c.to_exact_complex() if isinstance(c, Cyclotomic) else c for a, c in terms.items()
-            }
-        except ValueError:  # a coefficient outside Q(i)
-            return None
-        return HoloPolynomial(self.group.dim, gaussian)
+        return HoloPolynomial(self.group.dim, dict(zip(terms, coefficients[0])))
+
+    @cached_property
+    def complex_jacobian(self) -> HoloPolynomial:
+        """The Jacobian with Python complex coefficients, built once per spec."""
+        return self.jacobian_polynomial.to_complex_coeffs()
 
     def jacobian(self, z: Sequence):
         """J(z); an exact value at Gaussian-rational points (``Cyclotomic``
-        coordinates by value) when the coefficients lie in Q(i)."""
-        poly = self.gaussian_jacobian
-        exact = None if poly is None else gaussian_points(z)
-        if exact is not None:
-            return poly.eval(exact[0])
-        return _eval_holo(self.jacobian_polynomial, z)
-
-
-def _eval_holo(p: HoloPolynomial, z: Sequence):
-    """Evaluate with whatever arithmetic the inputs support; fall back to
-    complex coefficients when the coefficient field cannot act on them
-    (Cyclotomic coefficients at ExactComplex points share no exact field)."""
-    try:
-        return p.eval(z)
-    except TypeError:
-        return p.to_complex_coeffs().eval([to_complex(x) for x in z])
+        coordinates by value) when the coefficients lie in Q(i), else a
+        complex one, or an array of them for coordinates given as arrays."""
+        exact = read_points(self.group.dim, z)
+        if exact is not None and self.gaussian_jacobian is not None:
+            return self.gaussian_jacobian.eval(exact[0])
+        if exact is not None:  # exact points outside the Jacobian's field
+            z = [x.to_complex() for x in exact[0]]
+        return self.complex_jacobian.eval(z)
 
 
 def pushforward_kernel(spec: CoveringSpec, z: Sequence, w: Sequence):
     """Quotient kernel in pulled-back chart coordinates:
     deck_sum(z, w) / (J(z) conj(J(w))).  Well-defined on the base: the
-    value is unchanged when z or w is replaced by a group translate."""
+    value is unchanged when z or w is replaced by a group translate.
+    Coordinates given as arrays broadcast, as for ``deck_sum_kernel``."""
     n = spec.group.dim
-    exact = gaussian_points(z, w)
+    exact = read_points(n, z, w)
     if exact is not None:
         z, w = exact
     jz = spec.jacobian(z)
     jw = spec.jacobian(w)
-    if abs(to_complex(jz)) <= BRANCH_TOL:
-        raise BranchPointError(tuple(to_complex(x) for x in z))
-    if abs(to_complex(jw)) <= BRANCH_TOL:
-        raise BranchPointError(tuple(to_complex(x) for x in w))
-    # float points are converted once, here, and reach the deck sum as arrays
-    points = (z, w) if exact is not None else (float_point(z), float_point(w))
-    deck = deck_sum_kernel(spec.group, n, *points)
+    for point, jac in ((z, jz), (w, jw)):
+        if np.any(np.abs(np.asarray(jac, dtype=complex)) <= BRANCH_TOL):
+            raise BranchPointError(point)
+    deck = deck_sum_kernel(spec.group, n, z, w)
     return deck / (jz * conj_scalar(jw))
 
 

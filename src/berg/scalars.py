@@ -267,23 +267,28 @@ def exact(re: RationalLike = 0, im: RationalLike = 0, pi_pow: int = 0) -> ExactC
     return ExactComplex(re, im, pi_pow)
 
 
-def gaussian_points(*points) -> list[tuple] | None:
-    """The points with every coordinate a Gaussian-rational scalar, or None
-    when some coordinate is not one.  A ``Cyclotomic`` coordinate counts
-    by value: it is converted when it lies in Q(i), whatever field it is
-    written in.  Float coordinates return None at the first test."""
+def read_points(n: int, *points) -> list[tuple] | None:
+    """The one reader of points in C^n, each a sequence of its n coordinates
+    (scalars, or arrays that broadcast).  ValueError unless every point has
+    n coordinates; the points with ``ExactComplex`` coordinates when every
+    coordinate is a Gaussian-rational scalar (a ``Cyclotomic`` by value),
+    else None.  Float and array coordinates are never converted."""
+    for p in points:
+        if len(p) != n:
+            raise ValueError(f"expected points in C^{n}")
     out = []
     for p in points:
         coords = []
         for x in p:
-            if not isinstance(x, (int, Fraction, ExactComplex)):
+            o = _coerce(x)
+            if o is None:
                 if not isinstance(x, Cyclotomic):
                     return None
                 try:
-                    x = x.to_exact_complex()
-                except ValueError:
+                    o = x.to_exact_complex()
+                except ValueError:  # not a Gaussian rational
                     return None
-            coords.append(x)
+            coords.append(o)
         out.append(tuple(coords))
     return out
 

@@ -268,7 +268,7 @@ def check_reproducing(
         z0 = complex(z0)
 
         def integrand(pts):
-            return pts[:, 0] ** d * ball_kernel(1, (z0,), pts)
+            return pts[:, 0] ** d * ball_kernel(1, (z0,), pts.T)
 
         target = z0**d
         name = f"reproducing:disk:z^{d}"
@@ -473,17 +473,15 @@ def check_transformation_law(
         closed = _CLOSED_DECK_SUMS[cover]
         n = spec.group.dim
         pairs = _random_ball_pairs(rng, count, n)
+        mats, dets = spec.group.float_stack
         for z, w in pairs:
-            deck = to_complex(deck_sum_kernel(spec.group, n, z, w))
+            deck = deck_sum_kernel(spec.group, n, z, w)
             worst = max(worst, abs(deck - closed(z, w)))
-            # pullback invariance of the deck sum on either argument
-            mats, dets = spec.group.float_stack
-            for gm, det in zip(mats, dets.tolist()):
-                gz = tuple(gm @ np.array(z))
-                gw = tuple(gm @ np.array(w))
-                left = to_complex(deck_sum_kernel(spec.group, n, gz, w)) * det
-                right = to_complex(deck_sum_kernel(spec.group, n, z, gw)) * det.conjugate()
-                worst = max(worst, abs(left - deck), abs(right - deck))
+            # pullback invariance of the deck sum on either argument, every
+            # element's translates as one coordinate batch
+            left = deck_sum_kernel(spec.group, n, (mats @ z).T, w) * dets
+            right = deck_sum_kernel(spec.group, n, z, (mats @ w).T) * dets.conj()
+            worst = max(worst, *(abs(v - deck) for v in left.tolist() + right.tolist()))
         name = f"transformation:{cover}"
 
     return VerificationReport(

@@ -456,6 +456,12 @@ def test_fit_errors():
         fit_relation([((0.1,), 1.0)] * 100, 1, 0)  # k-degree must be >= 1
 
 
+def test_fit_refuses_samples_that_overflow_the_evaluation_matrix():
+    samples = [((x / 10,), k) for x, k in zip(range(1, 9), [1.0, 1.0, 1e308, 1.0, 1.0, 1.0, 1.0, 1.0])]
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="fit is not finite: a column norm overflows"):
+        fit_relation(samples, 1, 1)
+
+
 def test_fit_omega_diagonal_small_degree_sanity():
     # at feature degree 3 and q = 1 there is no relation; residual stays large
     surface = omega_diagonal_surface()

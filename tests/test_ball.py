@@ -105,7 +105,9 @@ def test_boundary_contact_error():
 
 
 def _random_points(rng, shape, n, radius=0.45):
-    return (rng.uniform(-radius, radius, (*shape, n)) + 1j * rng.uniform(-radius, radius, (*shape, n))) / n
+    """Points of C^n drawn one after another, as an (n, *shape) coordinate batch."""
+    rows = (rng.uniform(-radius, radius, (*shape, n)) + 1j * rng.uniform(-radius, radius, (*shape, n))) / n
+    return np.moveaxis(rows, -1, 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -114,12 +116,12 @@ def test_batched_kernel_equals_scalar_rows_bit_for_bit(n):
     z, w = _random_points(rng, (40,), n), _random_points(rng, (40,), n)
     batch = ball_kernel(n, z, w)
     assert batch.shape == (40,)
-    one_w = ball_kernel(n, z, w[0])
+    one_w = ball_kernel(n, z, w[:, 0])
     for i in range(40):
-        row = ball_kernel(n, tuple(z[i]), tuple(w[i]))
+        row = ball_kernel(n, tuple(z[:, i]), tuple(w[:, i]))
         assert type(row) is complex
         assert (row.real, row.imag) == (batch[i].real, batch[i].imag)
-        assert ball_kernel(n, list(z[i]), w[0]) == one_w[i]
+        assert ball_kernel(n, list(z[:, i]), w[:, 0]) == one_w[i]
 
 
 def test_batched_kernel_broadcasts_leading_axes():
@@ -127,19 +129,20 @@ def test_batched_kernel_broadcasts_leading_axes():
     z, w = _random_points(rng, (3, 1), 2), _random_points(rng, (5,), 2)
     grid = ball_kernel(2, z, w)
     assert grid.shape == (3, 5)
-    assert grid[2, 4] == ball_kernel(2, z[2, 0], w[4])
-    assert abs(grid[1, 3] - _series_oracle(2, z[1, 0], w[3], terms=200)) < 1e-12
+    assert grid[2, 4] == ball_kernel(2, z[:, 2, 0], w[:, 4])
+    assert abs(grid[1, 3] - _series_oracle(2, z[:, 1, 0], w[:, 3], terms=200)) < 1e-12
 
 
 def test_batched_kernel_errors_match_scalar():
-    z = np.array([[0.1, 0.2j], [0.6, 0.8]])
+    # the points (0.1, 0.2j) and (0.6, 0.8), given as coordinates
+    z = np.array([[0.1, 0.6], [0.2j, 0.8]])
     with pytest.raises(SingularKernelError, match="singular"):
         ball_kernel(2, z, np.array([0.6, 0.8]))
-    for bad in (np.zeros((4, 3)), (0.1,), (0.1, 0.2, 0.3)):
+    for bad in (np.zeros((3, 4)), (0.1,), (0.1, 0.2, 0.3)):
         with pytest.raises(ValueError, match=r"expected points in C\^2"):
             ball_kernel(2, bad, (0.0, 0.0))
         with pytest.raises(ValueError, match=r"expected points in C\^2"):
-            ball_kernel(2, np.zeros((4, 2)), bad)
+            ball_kernel(2, np.zeros((2, 4)), bad)
 
 
 # -- Levi form ----------------------------------------------------------------

@@ -251,8 +251,8 @@ GROUP_FILE = "<group file>"
         pytest.param(["ball-kernel", "--dim", "2", "--z", "1e308,0", "--w", "1e308,0"], "kernel value",
                      id="ball-value-overflows"),
         pytest.param(["omega-kernel", "--z", "0,0", "--lambda", "1e308"], "kernel value", id="omega-value-overflows"),
-        pytest.param(["omega-kernel", "--z", "1e308,1e308", "--lambda", "0.1", "--series", "2"], "kernel value",
-                     id="series-value-overflows"),
+        pytest.param(["omega-kernel", "--z", "1e308,1e308", "--lambda", "0.1", "--series", "2"],
+                     "series does not converge", id="series-value-overflows"),
     ],
 )
 def test_unusable_evaluation_input_prints_one_error_line(runner, tmp_path, args, message):
@@ -288,6 +288,15 @@ def test_fit_samples_file_too_short_prints_one_error_line(runner, tmp_path):
     path = tmp_path / "samples.json"
     path.write_text(json.dumps({"features": [[0.1]], "values": [1.0]}))
     _one_line_usage_error(runner.invoke(main, ["fit", "--kernel", str(path), "--dz", "1", "--dk", "1"]))
+
+
+def test_fit_samples_that_overflow_print_one_error_line(runner, tmp_path):
+    # every value is finite, but the K column's norm is not
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"features": [[x / 10] for x in range(1, 9)], "values": [1, 1, 1e308, 1, 1, 1, 1, 1]}))
+    result = runner.invoke(main, ["fit", "--kernel", str(path), "--dz", "1", "--dk", "1"])
+    _one_line_usage_error(result)
+    assert "fit is not finite" in result.output
 
 
 json_values = st.recursive(

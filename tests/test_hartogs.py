@@ -176,6 +176,12 @@ def test_series_divergence_guard():
         kernel_series((1.0, 1.0), 0.9, (1.0, 1.0), 0.9)
 
 
+def test_series_at_an_overflowing_point_does_not_converge():
+    # x overflows to NaN, which compares False against 1 either way
+    with pytest.raises(NonConvergentError, match="series does not converge"):
+        kernel_series((1e308, 1e308), 0.1, (1e308, 1e308), 0.1, truncation=2)
+
+
 def test_series_tail_shrinks_geometrically():
     z = (0.0, 0.0)
     lam = tau = 0.9  # x = 0.81

@@ -382,9 +382,10 @@ def test_pushforward_stays_exact_with_gaussian_jacobian_coefficients():
     assert all(v == values[0] and repr(v) == repr(values[0]) for v in values)
     floats = pushforward_kernel(spec, (1 / 3 + 0j, 0.2 + 0j), (0.25 + 0j, 1 / 7 + 0j))
     assert abs(to_complex(values[0]) - floats) <= 1e-12 * abs(floats)
-    # converted once per spec; the scalar-i cover's rational Jacobian needs no copy
+    # converted once per spec; the scalar-i cover's rational Jacobian reads as itself
     assert spec.gaussian_jacobian is spec.gaussian_jacobian
-    assert scalar_rotation_cover().gaussian_jacobian is None
+    rational = scalar_rotation_cover()
+    assert rational.gaussian_jacobian == rational.jacobian_polynomial
 
 
 def _q8():
@@ -483,6 +484,50 @@ def test_deck_sum_at_boundary_contact_raises():
             fn(minus_identity_cover().group, 2, contact, contact)
         with pytest.raises(SingularKernelError):
             fn(disk_power_cover(2).group, 1, (ExactComplex(1),), (ExactComplex(1),))
+
+
+def test_points_of_the_wrong_length_are_refused_by_the_jacobian_and_eval():
+    # zipping a point against each exponent once dropped what did not match
+    cover = minus_identity_cover()
+    for z in [(0.3,), (0.3, 0.1, 0.7)]:
+        with pytest.raises(ValueError, match=rf"point dimension mismatch: polynomial has dim 2, got {len(z)}"):
+            cover.jacobian_polynomial.eval(z)
+        with pytest.raises(ValueError, match=r"expected points in C\^2"):
+            cover.jacobian(z)
+
+
+def _coordinate_batch(rng, shape, n=2, radius=0.3):
+    return rng.uniform(-radius, radius, (n, *shape)) + 1j * rng.uniform(-radius, radius, (n, *shape))
+
+
+def test_float_deck_sums_take_coordinate_batches():
+    group = _binary_dihedral_12()
+    rng = np.random.default_rng(17)
+    z, w = _coordinate_batch(rng, (3, 4)), _coordinate_batch(rng, (4,))
+    for fn in (deck_sum_kernel, dual_deck_sum_kernel):
+        batch = fn(group, 2, z, w)
+        assert batch.shape == (3, 4)
+        for i in range(3):
+            for k in range(4):
+                one = fn(group, 2, tuple(z[:, i, k]), tuple(w[:, k]))
+                assert type(one) is complex and (one.real, one.imag) == (batch[i, k].real, batch[i, k].imag)
+    # coordinates of different shapes broadcast against each other
+    mixed = deck_sum_kernel(group, 2, (z[0, 0], 0.1j), w)
+    assert mixed.shape == (4,) and mixed[2] == deck_sum_kernel(group, 2, (z[0, 0, 2], 0.1j), tuple(w[:, 2]))
+
+
+def test_pushforward_takes_coordinate_batches():
+    cover = scalar_rotation_cover()
+    rng = np.random.default_rng(18)
+    z, w = _coordinate_batch(rng, (5,)), _coordinate_batch(rng, (5,))
+    batch = pushforward_kernel(cover, z, w)
+    assert batch.shape == (5,)
+    for k in range(5):
+        one = pushforward_kernel(cover, tuple(z[:, k]), tuple(w[:, k]))
+        assert abs(batch[k] - one) <= 1e-13 * abs(one)
+    z[0, 3] = 0.0  # on the branch locus z1 = 0
+    with pytest.raises(BranchPointError):
+        pushforward_kernel(cover, z, w)
 
 
 @pytest.mark.parametrize("z", [(0.1,), (0.1, 0.2, 0.3), (ExactComplex(0),)], ids=["short", "long", "exact"])

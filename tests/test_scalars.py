@@ -1,13 +1,18 @@
+import functools
 import math
 import operator
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from berg.ball import ball_kernel
 from berg.cyclotomic import CyclotomicField, root_of_unity
+from berg.hartogs import kernel_series, omega_closed_kernel, omega_rational_kernel, u_domain_contains, u_kernel
 from berg.polynomials import HermitianPolynomial
-from berg.scalars import ExactComplex, PiGradeError, exact, to_complex
+from berg.quotient import deck_sum_kernel, dual_deck_sum_kernel, pushforward_kernel, scalar_rotation_cover
+from berg.scalars import ExactComplex, PiGradeError, exact, read_points, to_complex
 
 
 # -- reference arithmetic: a Gaussian rational as two Fractions ---------------
@@ -287,3 +292,65 @@ def test_exact_and_complex_coefficients_add():
     q = HermitianPolynomial.term(1, (1,), (0,), 1 + 1j)
     assert p + q == HermitianPolynomial.term(1, (1,), (0,), 2 + 2j)
     assert q + p == p + q
+
+
+# -- the one point reader -------------------------------------------------------
+
+
+def test_read_points_returns_exact_coordinates_or_none():
+    third, i = Fraction(1, 3), CyclotomicField(4).root(1)
+    read = read_points(2, (third, 2), (exact(0, 1), i * Fraction(1, 5)))
+    assert read == [(exact(third), exact(2)), (exact(0, 1), exact(0, Fraction(1, 5)))]
+    assert all(type(x) is ExactComplex for p in read for x in p)
+    # a float, an array or a field element outside Q(i) is not converted
+    assert read_points(2, (third, 0.5), (1, 2)) is None
+    assert read_points(2, (third, np.zeros(3))) is None
+    assert read_points(2, (third, root_of_unity(5))) is None
+    with pytest.raises(ValueError, match=r"expected points in C\^2"):
+        read_points(2, (third, 2), (0.5,))
+
+
+@functools.cache
+def _rotation_cover():
+    return scalar_rotation_cover()
+
+
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
+# every entry point that reads points: (n, call), where call takes a point
+# pair and a single-point entry point ignores the second point
+ENTRY_POINTS = {
+    "ball_kernel": (2, lambda p, q: ball_kernel(2, p, q)),
+    "deck_sum_kernel": (2, lambda p, q: deck_sum_kernel(_rotation_cover().group, 2, p, q)),
+    "dual_deck_sum_kernel": (2, lambda p, q: dual_deck_sum_kernel(_rotation_cover().group, 2, p, q)),
+    "pushforward_kernel": (2, lambda p, q: pushforward_kernel(_rotation_cover(), p, q)),
+    "CoveringSpec.jacobian": (2, lambda p, q: _rotation_cover().jacobian(p)),
+    "kernel_series": (2, lambda p, q: kernel_series(p, _HALF, q, _THIRD).value),
+    "omega_closed_kernel": (2, lambda p, q: omega_closed_kernel(p, _HALF, q, _THIRD)),
+    "u_domain_contains": (3, lambda p, q: u_domain_contains(p)),
+    "u_kernel": (3, lambda p, q: u_kernel(p, q)),
+    "RationalKernel.eval": (3, lambda p, q: omega_rational_kernel().eval(p, q)),
+}
+# points of the bounded domain U in C^3, and of the ball in their first two coordinates
+P = (exact(Fraction(1, 2)), exact(0, Fraction(1, 8)), exact(Fraction(1, 8)))
+Q = (exact(Fraction(1, 3)), exact(0, Fraction(1, 10)), exact(Fraction(1, 9)))
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_every_entry_point_refuses_points_of_the_wrong_length(name):
+    n, call = ENTRY_POINTS[name]
+    good = (0.1,) * n
+    for bad in ((0.1,) * (n - 1), (0.1,) * (n + 1), P[: n - 1]):
+        for p, q in ((bad, good), (good, bad)):
+            if p is good and name in ("CoveringSpec.jacobian", "u_domain_contains"):
+                continue  # a single-point entry point reads only p
+            with pytest.raises(ValueError, match=rf"expected points in C\^{n}"):
+                call(p, q)
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_a_cyclotomic_coordinate_reads_as_its_gaussian_value(name):
+    n, call = ENTRY_POINTS[name]
+    # P's second coordinate i/8, written in Q(zeta_4)
+    written = (P[0], CyclotomicField(4).root(1) * Fraction(1, 8), P[2])
+    got, want = call(written[:n], Q[:n]), call(P[:n], Q[:n])
+    assert type(got) is type(want) and got == want and repr(got) == repr(want)
