@@ -31,10 +31,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ball import ball_kernel
-from .hartogs import omega_closed_kernel
+from .ball import ball_kernel, complex_coordinates
+from .hartogs import omega_closed_kernel, u_kernel
 from .polynomials import HermitianPolynomial, HoloPolynomial, MultiIndex, monomials_up_to_degree
+from .scalars import read_points
 from .verify import _unit_disk_points
+
+TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -87,14 +90,16 @@ def annulus_kernel(inner_radius: float, z, w, truncation: int = 200):
     """Truncated Laurent-series kernel of the annulus {r0 < |z| < 1}:
     sum over |k| <= M of z^k conj(w)^k / ||z^k||^2.
 
-    ``z`` and ``w`` are complex numbers or arrays that broadcast; arrays
-    give an array of values, two scalars a Python complex.
+    Points are read as for ``ball_kernel(1, ...)``: two scalar coordinates
+    give a Python complex, arrays that broadcast an array of values.
     """
     r0 = float(inner_radius)
     if not 0.0 < r0 < 1.0:
         raise ValueError("inner radius must lie in (0, 1)")
+    read_points(1, z, w)
+    (z,), (w,) = complex_coordinates(z), complex_coordinates(w)
     for p in (z, w):
-        m = np.abs(np.asarray(p, dtype=complex))
+        m = np.abs(p)
         outside = ~((r0 < m) & (m < 1.0))
         if outside.any():
             raise ValueError(f"point with |z| = {m[outside].flat[0]} outside the open annulus")
@@ -109,32 +114,29 @@ def annulus_kernel(inner_radius: float, z, w, truncation: int = 200):
 class KernelSurface:
     """A named diagonal kernel with sampling and feature structure.
 
-    ``diag`` maps the coordinates of m points, an (ambient_dim, m) array,
-    to the m values K(z, conj(z)); ``features`` maps a point to the real
-    coordinates used for relation fitting; ``feature_polys`` expresses each
-    feature as a Hermitian polynomial so fitted coefficients can be
-    expanded back into (z, conj(z)).
+    ``sample`` and ``boundary_sample`` draw the (n, m) coordinates of m
+    points; ``diag`` maps them to the m values K(z, conj(z)) and
+    ``features`` to the real coordinates used for relation fitting, one
+    array per feature; ``feature_polys`` expresses each feature as a
+    Hermitian polynomial so fitted coefficients expand back into (z, conj(z)).
     """
 
     name: str
-    ambient_dim: int
     diag: Callable[[np.ndarray], np.ndarray]
-    features: Callable[[tuple], tuple]
+    features: Callable[[np.ndarray], Sequence[np.ndarray]]
     feature_polys: tuple[HermitianPolynomial, ...]
-    sample: Callable[[np.random.Generator, int], list]
-    boundary_sample: Callable[[np.random.Generator, int], list] | None = None
+    sample: Callable[[np.random.Generator, int], np.ndarray]
+    boundary_sample: Callable[[np.random.Generator, int], np.ndarray] | None = None
 
     def samples(self, count: int, seed: int = 0) -> list[tuple[tuple, float]]:
-        rng = np.random.default_rng(seed)
-        pts = self.sample(rng, count)
-        values = self.diag(np.array(pts, dtype=complex).reshape(len(pts), self.ambient_dim).T)
-        return [(self.features(p), float(v)) for p, v in zip(pts, values)]
+        x = self.sample(np.random.default_rng(seed), count)
+        features = zip(*(f.tolist() for f in self.features(x)))
+        return list(zip(features, self.diag(x).tolist()))
 
-    def boundary_features(self, count: int, seed: int = 0) -> list[tuple]:
+    def boundary_features(self, count: int, seed: int = 0) -> Sequence[np.ndarray]:
         if self.boundary_sample is None:
             raise ValueError(f"surface {self.name} has no boundary sampler")
-        rng = np.random.default_rng(seed)
-        return [self.features(p) for p in self.boundary_sample(rng, count)]
+        return self.features(self.boundary_sample(np.random.default_rng(seed), count))
 
 
 def _real_coordinate_polys(n: int) -> tuple[HermitianPolynomial, ...]:
@@ -149,26 +151,27 @@ def _real_coordinate_polys(n: int) -> tuple[HermitianPolynomial, ...]:
     return tuple(out)
 
 
-def _shell_points(rng: np.random.Generator, count: int, dim: int, r_min: float, r_max: float) -> list:
-    """``count`` uniform points of the shell r_min < |p| < r_max in C^dim,
-    as tuples of Python complex coordinates."""
-    pts = _unit_disk_points(rng, count, dim, r_min, r_max)[0]
-    return list(map(tuple, pts.reshape(count, dim).tolist()))
+def _real_coordinates(x: np.ndarray) -> list[np.ndarray]:
+    """x_1, y_1, x_2, y_2, ... as ``_real_coordinate_polys`` orders them."""
+    return [part for coordinate in x for part in (coordinate.real, coordinate.imag)]
+
+
+def _moduli_squared(x: np.ndarray) -> np.ndarray:
+    """|x|^2 per coordinate, rounded as Python's abs(x) ** 2 (hypot, then
+    pow): the Omega 12/1 fit's null space has more than one direction, and
+    numpy's complex abs would move its coefficient vector to another."""
+    return np.float_power(np.hypot(x.real, x.imag), 2)
 
 
 def disk_surface() -> KernelSurface:
     """The disk kernel, sampled at |z| < 0.9."""
     return KernelSurface(
         name="disk",
-        ambient_dim=1,
         diag=lambda x: ball_kernel(1, x, x).real,
-        features=lambda p: (p[0].real, p[0].imag),
+        features=_real_coordinates,
         feature_polys=_real_coordinate_polys(1),
-        sample=lambda rng, n: _shell_points(rng, n, 1, 0.0, 0.9),
-        boundary_sample=lambda rng, n: [
-            (complex(math.cos(t), math.sin(t)),)
-            for t in rng.uniform(0.0, 2.0 * math.pi, n)
-        ],
+        sample=lambda rng, n: _unit_disk_points(rng, n, 1, 0.0, 0.9)[0],
+        boundary_sample=lambda rng, n: np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (1, n))),
     )
 
 
@@ -176,22 +179,27 @@ def ball2_surface() -> KernelSurface:
     """The kernel of the unit ball in C^2, sampled at |z| < 0.8."""
 
     def boundary(rng, count):
-        pts = []
-        for _ in range(count):
-            v = rng.normal(size=4)
-            v = v / math.sqrt(v @ v)
-            pts.append((complex(v[0], v[1]), complex(v[2], v[3])))
-        return pts
+        # one row of four normals per point, scaled by its own dot product
+        v = rng.normal(size=(count, 4))
+        v /= np.sqrt(v[:, None] @ v[..., None])[..., 0]
+        return v.view(complex).T
 
     return KernelSurface(
         name="ball2",
-        ambient_dim=2,
         diag=lambda x: ball_kernel(2, x, x).real,
-        features=lambda p: (p[0].real, p[0].imag, p[1].real, p[1].imag),
+        features=_real_coordinates,
         feature_polys=_real_coordinate_polys(2),
-        sample=lambda rng, n: _shell_points(rng, n, 2, 0.0, 0.8),
+        sample=lambda rng, n: _unit_disk_points(rng, n, 2, 0.0, 0.8)[0],
         boundary_sample=boundary,
     )
+
+
+def _uniform_rows(rng, count: int, low, high) -> np.ndarray:
+    """One row of uniforms per point, mapped as rng.uniform maps them, so
+    each point draws what drawing its coordinates in turn would; one array
+    per column."""
+    low, high = np.asarray(low), np.asarray(high)
+    return (low + (high - low) * rng.random((count, len(low)))).T
 
 
 def omega_diagonal_surface() -> KernelSurface:
@@ -200,35 +208,23 @@ def omega_diagonal_surface() -> KernelSurface:
     |z_i|^2 < 2.5, sampled with |lambda|^2 (1 + |z1|^2)(1 + |z2|^2) in
     [0.05, 0.95)."""
 
-    two_pi = 2.0 * math.pi
+    def points(r1, r2, t, angles):
+        """(z1, z2, lam) from |z1|^2, |z2|^2, |lam|^2 and three angles."""
+        return np.sqrt([r1, r2, t]) * (np.cos(angles) + 1j * np.sin(angles))
 
-    def points(moduli_sq, angles):
-        """(z1, z2, lam) rows from |z1|^2, |z2|^2, |lam|^2 and three angles."""
-        mod = np.sqrt(moduli_sq)
-        return list(map(tuple, (mod * (np.cos(angles) + 1j * np.sin(angles))).tolist()))
-
-    # one row of uniforms per point, mapped as rng.uniform maps them
-    # (low + (high - low) * u), so the stream and the values are those of
-    # drawing each point's coordinates in turn
     def sample(rng, count):
-        low = np.array([0.0, 0.0, 0.05, 0.0, 0.0, 0.0])
-        high = np.array([2.5, 2.5, 0.95, two_pi, two_pi, two_pi])
-        u = low + (high - low) * rng.random((count, 6))
-        r1, r2 = u[:, 0], u[:, 1]
-        t = u[:, 2] / ((1.0 + r1) * (1.0 + r2))
-        return points(np.stack([r1, r2, t], axis=1), u[:, 3:])
+        low, high = [0, 0, 0.05, 0, 0, 0], [2.5, 2.5, 0.95, TWO_PI, TWO_PI, TWO_PI]
+        r1, r2, s, *angles = _uniform_rows(rng, count, low, high)
+        return points(r1, r2, s / ((1.0 + r1) * (1.0 + r2)), angles)
 
     def boundary(rng, count):
-        u = np.array([2.5, 2.5, two_pi, two_pi, two_pi]) * rng.random((count, 5))
-        r1, r2 = u[:, 0], u[:, 1]
-        t = 1.0 / ((1.0 + r1) * (1.0 + r2))
-        return points(np.stack([r1, r2, t], axis=1), u[:, 2:])
+        r1, r2, *angles = _uniform_rows(rng, count, [0] * 5, [2.5, 2.5, TWO_PI, TWO_PI, TWO_PI])
+        return points(r1, r2, 1.0 / ((1.0 + r1) * (1.0 + r2)), angles)
 
     return KernelSurface(
         name="omega",
-        ambient_dim=3,
         diag=lambda x: omega_closed_kernel(x[:2], x[2], x[:2], x[2]).real,
-        features=lambda p: (abs(p[2]) ** 2, abs(p[0]) ** 2, abs(p[1]) ** 2),
+        features=lambda x: _moduli_squared(x[[2, 0, 1]]),
         feature_polys=(
             HermitianPolynomial.modulus_squared(3, 2),
             HermitianPolynomial.modulus_squared(3, 0),
@@ -242,31 +238,20 @@ def omega_diagonal_surface() -> KernelSurface:
 def u_surface() -> KernelSurface:
     """Diagonal kernel of the bounded projected domain in radial features
     (|x1|^2, |x2|^2, |x3|^2); points are sampled through the fiber chart,
-    at |z_i|^2 < 1.5."""
-    from .hartogs import u_kernel
+    at |z_i|^2 < 1.5 and |lambda|^2 (1 + |z1|^2)(1 + |z2|^2) < 0.95."""
 
     def sample(rng, count):
-        pts = []
-        while len(pts) < count:
-            z1, z2 = (
-                math.sqrt(r) * np.exp(1j * t)
-                for r, t in zip(
-                    rng.uniform(0.0, 1.5, 2), rng.uniform(0, 2 * math.pi, 2)
-                )
-            )
-            h = (1 + abs(z1) ** 2) * (1 + abs(z2) ** 2)
-            lam = math.sqrt(rng.uniform(0.05, 0.95) / h) * np.exp(
-                1j * rng.uniform(0, 2 * math.pi)
-            )
-            x = (lam, lam * z1, lam * z2)
-            pts.append(x)
-        return pts
+        low, high = [0, 0, 0, 0, 0.05, 0], [1.5, 1.5, TWO_PI, TWO_PI, 0.95, TWO_PI]
+        r1, r2, t1, t2, s, t3 = _uniform_rows(rng, count, low, high)
+        z1, z2 = np.sqrt([r1, r2]) * np.exp(1j * np.array([t1, t2]))
+        h = (1 + _moduli_squared(z1)) * (1 + _moduli_squared(z2))
+        lam = np.sqrt(s / h) * np.exp(1j * t3)
+        return np.array([lam, lam * z1, lam * z2])
 
     return KernelSurface(
         name="u",
-        ambient_dim=3,
-        diag=lambda x: u_kernel(x, x, check_domain=False).real,
-        features=lambda p: (abs(p[0]) ** 2, abs(p[1]) ** 2, abs(p[2]) ** 2),
+        diag=lambda x: u_kernel(x, x).real,
+        features=_moduli_squared,
         feature_polys=(
             HermitianPolynomial.modulus_squared(3, 0),
             HermitianPolynomial.modulus_squared(3, 1),
@@ -282,11 +267,10 @@ def annulus_surface(truncation: int = 2000) -> KernelSurface:
     circles."""
     return KernelSurface(
         name="annulus",
-        ambient_dim=1,
-        diag=lambda x: annulus_kernel(0.5, x[0], x[0], truncation).real,
-        features=lambda p: (p[0].real, p[0].imag),
+        diag=lambda x: annulus_kernel(0.5, x, x, truncation).real,
+        features=_real_coordinates,
         feature_polys=_real_coordinate_polys(1),
-        sample=lambda rng, n: _shell_points(rng, n, 1, 0.51, 0.99),
+        sample=lambda rng, n: _unit_disk_points(rng, n, 1, 0.51, 0.99)[0],
         boundary_sample=None,
     )
 
@@ -539,13 +523,14 @@ def fit_surface_relation(
 
 
 def boundary_leading_coefficient(
-    relation: AlgebraicRelation, boundary_features: Sequence[Sequence[float]]
+    relation: AlgebraicRelation, boundary_features: Sequence[np.ndarray]
 ) -> float:
-    """Max |a_q| over boundary samples; an honest algebraic kernel relation
-    has a leading coefficient vanishing on the boundary."""
-    return max(
-        abs(relation.eval_coefficient(relation.k_degree, f)) for f in boundary_features
-    )
+    """Max |a_q| over boundary samples, one array per feature; an honest
+    algebraic kernel relation has a leading coefficient vanishing on the boundary."""
+    features = np.asarray(boundary_features, dtype=float)
+    if features.ndim != 2 or len(features) != relation.nfeatures or not features.size:
+        raise ValueError(f"expected {relation.nfeatures} boundary feature arrays, one value per point")
+    return float(np.max(np.abs(relation.eval_coefficient(relation.k_degree, features))))
 
 
 def best_relation_residual(

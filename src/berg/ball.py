@@ -47,7 +47,8 @@ def ball_kernel(n: int, z, w):
     that lie in Q(i) included, and a Python complex for other scalar
     coordinates.  Coordinates given as arrays broadcast, and the values
     come back as an array over them.  Raises SingularKernelError at
-    boundary contact <z, w> = 1.
+    boundary contact <z, w> = 1, and ValueError where a float value is not
+    finite (a NaN coordinate, or one whose products overflow).
     """
     exact = read_points(n, z, w)
     if exact is not None:
@@ -63,27 +64,43 @@ def ball_kernel(n: int, z, w):
     return values if batched else complex(values[0])
 
 
+def finite_kernel_values(values):
+    """Float kernel values, a complex or an array of them, or ValueError
+    naming the first that is not finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"kernel value {complex(np.asarray(values)[~finite][0])} is not finite")
+    return values
+
+
 def kernel_term(n: int, u, scale):
     """scale / (1 - u)^(n+1), the ball kernel's one formula, for an exact
     inner product u = <z, w> or an array of float ones; the kernel is the
     term with scale n!/pi^n.  Raises SingularKernelError at boundary
-    contact u = 1 (|1 - u| < 1e-14 for floats).
+    contact u = 1 (|1 - u| < 1e-14 for floats), and ValueError where a
+    float value is not finite.
 
     The power is formed by products, not an elementwise complex power; not
     in place, since numpy's in-place complex multiply can round differently
-    and a batch of one would then miss its batched row.
+    and a batch of one would then miss its batched row.  One test after the
+    division costs what a contact test before it would: NaN, infinity and
+    values near contact all fail it, and only then is |1 - u| tested (exact
+    float contact divides by zero first, with numpy's RuntimeWarning).
     """
     one_minus = 1 - u
-    if isinstance(one_minus, ExactComplex):
-        singular = one_minus.is_zero
-    else:
-        singular = (np.abs(one_minus) < 1e-14).any()
-    if singular:
+    exact = isinstance(one_minus, ExactComplex)
+    if exact and one_minus.is_zero:
         raise SingularKernelError("kernel singular at <z, w> = 1")
     power = one_minus * one_minus
     for _ in range(n - 1):
         power = power * one_minus
-    return scale / power
+    values = scale / power
+    # scale 1e14^2 is at most a value's size at |1 - u| = 1e-14, for every n >= 1
+    if not exact and not (np.abs(values) <= scale * 1e28).all():
+        if (np.abs(one_minus) < 1e-14).any():
+            raise SingularKernelError("kernel singular at <z, w> = 1")
+        finite_kernel_values(values)
+    return values
 
 
 def complex_coordinates(p) -> np.ndarray:

@@ -338,7 +338,7 @@ def fit_cmd(kernel_name, dz, dk, boundary_check, count, seed):
         data = _load_json(kernel_name)
         with _decoding(f"samples in {kernel_name}"):
             samples = [(_reals(f), _finite(float(k))) for f, k in zip(data["features"], data["values"])]
-            boundary = [_reals(f) for f in data["boundary_features"]] if boundary_check else None
+            boundary = np.array([_reals(f) for f in data["boundary_features"]]).T if boundary_check else None
         relation = fit_relation(samples, dz, dk)
     payload = {
         "residual": relation.residual,

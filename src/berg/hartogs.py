@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .ball import finite_kernel_values
 from .polynomials import HermitianPolynomial, MultiIndex
 from .scalars import ExactComplex, conj_scalar, read_points, to_complex
 
@@ -169,8 +170,8 @@ def omega_closed_kernel(z: Sequence, lam, w: Sequence, tau):
     K(z, lam; z, lam) exactly real, which numpy's complex multiply does
     not.  Coordinates given as arrays that broadcast give an array of
     values over them.  Raises ValueError unless z and w have two
-    coordinates, and BoundaryContactError where rho vanishes at any of the
-    points.
+    coordinates or where a float value is not finite, and
+    BoundaryContactError where rho vanishes at any of the points.
     """
     points = read_points(2, z, w)
     fibers = None if points is None else read_points(2, (lam, tau))
@@ -189,7 +190,8 @@ def omega_closed_kernel(z: Sequence, lam, w: Sequence, tau):
         raise BoundaryContactError(f"|rho| = {np.min(np.abs(rho))}: boundary contact")
     lt = lam * conj_scalar(tau)
     rho2 = rho * rho
-    return lt * (4 * rho + 6) / (rho2 * rho2 * two_pi_cubed)
+    value = lt * (4 * rho + 6) / (rho2 * rho2 * two_pi_cubed)
+    return value if exact else finite_kernel_values(value)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +207,7 @@ def u_domain_contains(x: Sequence):
     return a1 * a1 + a1 * (a2 + a3) + a2 * a3 < a1
 
 
-def u_kernel(x: Sequence, y: Sequence, check_domain: bool = True):
+def u_kernel(x: Sequence, y: Sequence):
     """Kernel of the bounded projected domain in chart coordinates.
 
     The chart (lam, z1, z2) -> (lam, lam z1, lam z2) has Jacobian lam^2,
@@ -219,7 +221,7 @@ def u_kernel(x: Sequence, y: Sequence, check_domain: bool = True):
     x, y = exact if exact is not None else (_numeric(x), _numeric(y))
     if np.any(x[0] == 0) or np.any(y[0] == 0):
         raise ChartSingularityError("first coordinate vanishes: chart singular slice")
-    if check_domain and not (np.all(u_domain_contains(x)) and np.all(u_domain_contains(y))):
+    if not (np.all(u_domain_contains(x)) and np.all(u_domain_contains(y))):
         raise ValueError("points must lie inside the bounded domain")
     lam_x, zx = x[0], (x[1] / x[0], x[2] / x[0])
     lam_y, zy = y[0], (y[1] / y[0], y[2] / y[0])

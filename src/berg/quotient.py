@@ -58,12 +58,12 @@ def _deck_sum(group: FiniteUnitaryGroup, n: int, z: Sequence, w: Sequence, dual:
     exact = read_points(n, z, w)
     gaussian = group.gaussian_stack if exact is not None else None
     if gaussian is None:
-        mats, dets = group.float_stack
+        dets = group.float_stack[1]
         z, w = complex_coordinates(z), complex_coordinates(w)
         if dual:
-            terms = ball_kernel(n, z[..., None], _moved(mats, w)) * dets.conj()
+            terms = ball_kernel(n, z[..., None], translates(group, w)) * dets.conj()
         else:
-            terms = ball_kernel(n, _moved(mats, z), w[..., None]) * dets
+            terms = ball_kernel(n, translates(group, z), w[..., None]) * dets
         total = terms.sum(axis=-1)
         return complex(total) if total.ndim == 0 else total
     # products[l][j] = z_l conj(w_j), formed once: <g z, w> is the sum of
@@ -82,10 +82,12 @@ def _deck_sum(group: FiniteUnitaryGroup, n: int, z: Sequence, w: Sequence, dual:
     return ExactComplex(math.factorial(n), 0, -n) * total  # n!/pi^n
 
 
-def _moved(mats, p):
-    """g p for every matrix g of the stack, as (n, ..., |G|) coordinates.
-    Each is one matrix-vector product, as for a single point, so a batch
-    row equals its single point bit for bit."""
+def translates(group: FiniteUnitaryGroup, p: np.ndarray) -> np.ndarray:
+    """g p for every element g, by the group's float stack: the (n, ...)
+    complex coordinates p become (n, ..., |G|) ones.  Each is one
+    matrix-vector product, as for a single point, so a batch row equals its
+    single point bit for bit."""
+    mats = group.float_stack[0]
     if p.ndim == 1:
         return (mats @ p).T
     # the stack acts on axis 0 of (n, ..., 1, 1) arrays, and each moved coordinate lands on axis 0
@@ -107,17 +109,13 @@ def dual_deck_sum_kernel(group: FiniteUnitaryGroup, n: int, z: Sequence, w: Sequ
     return _deck_sum(group, n, z, w, dual=True)
 
 
-def check_deck_sum_symmetry(
-    group: FiniteUnitaryGroup, n: int, pairs: Sequence[tuple]
-) -> float:
-    """Max over sample pairs of |row-sum minus column-sum| for the two
-    equivalent deck-sum presentations."""
-    worst = 0.0
-    for z, w in pairs:
-        a = to_complex(deck_sum_kernel(group, n, z, w))
-        b = to_complex(dual_deck_sum_kernel(group, n, z, w))
-        worst = max(worst, abs(a - b))
-    return worst
+def check_deck_sum_symmetry(group: FiniteUnitaryGroup, n: int, z: Sequence, w: Sequence) -> float:
+    """Max of |row-sum minus column-sum| for the two equivalent deck-sum
+    presentations, over the pairs (z, w) of two coordinate batches, or at
+    one pair of points."""
+    difference = np.asarray(deck_sum_kernel(group, n, z, w) - dual_deck_sum_kernel(group, n, z, w), dtype=complex)
+    # hypot, as Python's abs of one complex: numpy's complex abs can round the last bit otherwise
+    return float(np.max(np.hypot(difference.real, difference.imag), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +163,12 @@ class CoveringSpec:
                 raise ValueError("cover map is not invariant under the group")
             return
         n = self.group.dim
-        pts = np.random.default_rng(0).uniform(-0.5, 0.5, (8, 2 * n))
-        z = (pts[:, :n] + 1j * pts[:, n:]).T  # eight points, as coordinates
-        moved = np.moveaxis(self.group.float_stack[0] @ z, 1, 0)  # each moved by every element
+        parts = np.random.default_rng(0).uniform(-0.5, 0.5, (8, 2 * n)).T
+        z = parts[:n] + 1j * parts[n:]  # eight points, as coordinates
+        moved = translates(self.group, z)  # each moved by every element
         for p in self.cover_map:
             p = p.to_complex_coeffs()
-            if np.any(np.abs(p.eval(moved) - p.eval(z)) > 1e-10):
+            if np.any(np.abs(p.eval(moved) - p.eval(z)[:, None]) > 1e-10):
                 raise ValueError("cover map is not invariant under the group")
 
     def chart_components(self) -> list[HoloPolynomial]:

@@ -273,9 +273,12 @@ def read_points(n: int, *points) -> list[tuple] | None:
     n coordinates; the points with ``ExactComplex`` coordinates when every
     coordinate is a Gaussian-rational scalar (a ``Cyclotomic`` by value),
     else None.  Float and array coordinates are never converted."""
-    for p in points:
-        if len(p) != n:
-            raise ValueError(f"expected points in C^{n}")
+    try:
+        for p in points:
+            if len(p) != n:
+                raise ValueError(f"expected points in C^{n}")
+    except TypeError:  # a bare scalar has no length: it is no point
+        raise ValueError(f"expected points in C^{n}") from None
     out = []
     for p in points:
         coords = []

@@ -39,6 +39,7 @@ from .quotient import (
     disk_power_cover,
     minus_identity_cover,
     scalar_rotation_cover,
+    translates,
 )
 from .scalars import ExactComplex, to_complex
 
@@ -96,7 +97,7 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# samplers: (points array of shape (N, k), inverse density weights)
+# samplers: (k coordinates of N points, a (k, N) array; inverse density weights)
 #
 # ``integrate`` draws one block of at most BLOCK points at a time, so no
 # whole draw is ever held.  Both samplers consume their RNG streams in
@@ -115,18 +116,19 @@ def _blocks(count: int):
 
 
 def _sample_box_domain(rng, count: int, n: int, keep) -> tuple[np.ndarray, np.ndarray]:
-    pts = rng.uniform(-1.0, 1.0, (count, 2 * n))
-    z = pts[:, :n] + 1j * pts[:, n:]
+    # one row of 2n uniforms per point: real parts, then imaginary parts
+    parts = rng.uniform(-1.0, 1.0, (count, 2 * n)).T
+    z = parts[:n] + 1j * parts[n:]
     return z, np.where(keep(z), float(4**n), 0.0)
 
 
 def _unit_disk_points(
     rng, count: int, dim: int = 1, r_min: float = 0.0, r_max: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` uniform points p of the shell r_min < |p| < r_max in
-    C^dim, shape (count,) for dim = 1 and (count, dim) otherwise, and their
-    |p|^2, by rejection from the cube [-1, 1]^(2 dim); accepted candidates
-    keep their draw order."""
+    """The coordinates of ``count`` uniform points p of the shell
+    r_min < |p| < r_max in C^dim, a (dim, count) array, and their |p|^2,
+    by rejection from the cube [-1, 1]^(2 dim); accepted candidates keep
+    their draw order."""
     points, modsq, filled = [], [], 0
     while filled < count:
         need = count - filled
@@ -135,20 +137,17 @@ def _unit_disk_points(
         cand = rng.uniform(-1.0, 1.0, 2 * dim * (need + need // 3 + 64))
         square = cand * cand
         sq = square[0::2] + square[1::2]
-        found = cand.view(complex)
-        if dim > 1:
-            sq = sq.reshape(-1, dim).sum(axis=1)
-            found = found.reshape(-1, dim)
+        sq = sq.reshape(-1, dim).sum(axis=1)  # over each point's coordinates
         inside = sq < r_max * r_max
         if r_min > 0.0:
             inside &= sq > r_min * r_min
         keep = np.flatnonzero(inside)[:need]
-        points.append(found.take(keep, axis=0))
+        points.append(cand.view(complex).reshape(-1, dim).T.take(keep, axis=1))
         modsq.append(sq.take(keep))
         filled += len(keep)
     if len(points) == 1:
         return points[0], modsq[0]
-    return np.concatenate(points), np.concatenate(modsq)
+    return np.concatenate(points, axis=1), np.concatenate(modsq)
 
 
 def _sample_omega(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -157,18 +156,18 @@ def _sample_omega(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
     (1+r)^-2 and a uniform argument, and lambda = p_3 / sqrt(h) with
     h = (1+r_1)(1+r_2) is uniform on its fiber disk {|lambda|^2 < 1/h},
     of area pi/h; the inverse density is pi^3 h."""
-    points = np.empty((count, 3), dtype=complex)
+    points = np.empty((3, count), dtype=complex)
     inv = np.empty(count)
     for b in _blocks(count):
         m = b.stop - b.start
         # one disk draw per coordinate keeps the temporaries small
-        (p1, q1), (p2, q2), (p3, _) = (_unit_disk_points(rng, m) for _ in range(3))
+        ((p1,), q1), ((p2,), q2), ((p3,), _) = (_unit_disk_points(rng, m) for _ in range(3))
         q1, q2 = np.minimum(q1, RADIUS_SQ_CAP), np.minimum(q2, RADIUS_SQ_CAP)
         grow1, grow2 = 1.0 / (1.0 - q1), 1.0 / (1.0 - q2)  # 1 + r_i
-        np.multiply(p1, np.sqrt(grow1), out=points[b, 0])
-        np.multiply(p2, np.sqrt(grow2), out=points[b, 1])
+        np.multiply(p1, np.sqrt(grow1), out=points[0, b])
+        np.multiply(p2, np.sqrt(grow2), out=points[1, b])
         h = grow1 * grow2
-        np.divide(p3, np.sqrt(h), out=points[b, 2])
+        np.divide(p3, np.sqrt(h), out=points[2, b])
         inv[b] = math.pi**3 * h
     return points, inv
 
@@ -178,16 +177,16 @@ def _draw(spec: IntegrationSpec, rng, count: int) -> tuple[np.ndarray, np.ndarra
     with their inverse densities."""
     d = spec.domain
     if d == "disk":
-        return _sample_box_domain(rng, count, 1, lambda z: np.abs(z[:, 0]) < 1.0)
+        return _sample_box_domain(rng, count, 1, lambda z: np.abs(z[0]) < 1.0)
     ball = re.fullmatch(r"ball-([1-9][0-9]*)", d)
     if ball:
         return _sample_box_domain(
-            rng, count, int(ball[1]), lambda z: np.sum(np.abs(z) ** 2, axis=1) < 1.0
+            rng, count, int(ball[1]), lambda z: np.sum(np.abs(z) ** 2, axis=0) < 1.0
         )
     if d == "annulus":
         r0 = ANNULUS_INNER_RADIUS
         return _sample_box_domain(
-            rng, count, 1, lambda z: (np.abs(z[:, 0]) > r0) & (np.abs(z[:, 0]) < 1.0)
+            rng, count, 1, lambda z: (np.abs(z[0]) > r0) & (np.abs(z[0]) < 1.0)
         )
     if d == "omega":
         return _sample_omega(rng, count)
@@ -204,10 +203,10 @@ def integrate(
     vectorized integrand over the domain, with its standard error.
 
     Points are drawn, and the integrand evaluated, per block of at most
-    ``BLOCK`` points (an ``(m, k)`` array in, ``m`` values out), so each
-    output entry must depend only on its own point.  Given a sequence of
-    integrands, one draw serves them all and one (estimate, stderr) pair
-    is returned for each, in order.
+    ``BLOCK`` points (the ``(k, m)`` coordinates of m points in, ``m``
+    values out), so each output entry must depend only on its own point.
+    Given a sequence of integrands, one draw serves them all and one
+    (estimate, stderr) pair is returned for each, in order.
     """
     several = not callable(integrand)
     integrands = list(integrand) if several else [integrand]
@@ -228,14 +227,14 @@ def integrate(
 
 
 def _fiber_monomial(pts: np.ndarray, m: int, alpha: Sequence[int]) -> np.ndarray:
-    """lambda^m z_1^a z_2^b at each (z_1, z_2, lambda) row of ``pts``,
-    with no power taken for a zero exponent."""
+    """lambda^m z_1^a z_2^b at each point of the (z_1, z_2, lambda)
+    coordinates ``pts``, with no power taken for a zero exponent."""
     value = None
-    for column, e in ((2, m), (0, alpha[0]), (1, alpha[1])):
+    for coordinate, e in ((2, m), (0, alpha[0]), (1, alpha[1])):
         if e:
-            power = pts[:, column] ** e
+            power = pts[coordinate] ** e
             value = power if value is None else value * power
-    return np.ones(len(pts), dtype=complex) if value is None else value
+    return np.ones(pts.shape[1], dtype=complex) if value is None else value
 
 
 def _stochastic_pass(estimate: complex, stderr: float, target: complex, scale: float) -> bool:
@@ -268,7 +267,7 @@ def check_reproducing(
         z0 = complex(z0)
 
         def integrand(pts):
-            return pts[:, 0] ** d * ball_kernel(1, (z0,), pts.T)
+            return pts[0] ** d * ball_kernel(1, (z0,), pts)
 
         target = z0**d
         name = f"reproducing:disk:z^{d}"
@@ -282,7 +281,7 @@ def check_reproducing(
         lam_y = complex(z0[2])
 
         def integrand(pts):
-            kernel = omega_closed_kernel(zy, lam_y, (pts[:, 0], pts[:, 1]), pts[:, 2])
+            kernel = omega_closed_kernel(zy, lam_y, pts[:2], pts[2])
             return FORM_FACTOR_C3 * kernel * _fiber_monomial(pts, m, alpha)
 
         target = lam_y**m * zy[0] ** alpha[0] * zy[1] ** alpha[1]
@@ -430,13 +429,12 @@ def _named_cover(cover: str) -> CoveringSpec:
     raise ValueError(f"unknown cover {cover}")
 
 
-def _random_ball_pairs(rng, count: int, n: int) -> list:
-    """``count`` pairs (z, w) of points of C^n, each drawn as 2n uniforms
-    in [-r, r] (real parts, then imaginary parts), z before w."""
+def _random_ball_pairs(rng, count: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` pairs of points of C^n as two (n, count) coordinate batches z, w;
+    each point is 2n uniforms in [-r, r] (real parts, then imaginary parts), z first."""
     r = DECK_SAMPLE_RADIUS
-    parts = rng.uniform(-r, r, (count, 2, 2 * n))
-    points = parts[..., :n] + 1j * parts[..., n:]
-    return [(tuple(z), tuple(w)) for z, w in points.tolist()]
+    parts = rng.uniform(-r, r, (count, 2, 2 * n))  # one row of 4n uniforms per pair
+    return tuple((parts[..., :n] + 1j * parts[..., n:]).transpose(1, 2, 0))
 
 
 def check_transformation_law(
@@ -454,35 +452,31 @@ def check_transformation_law(
     push-forward under group translates on either argument).
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
     spec = _named_cover(cover)
+    group = spec.group
+    n = group.dim
+    z, w = _random_ball_pairs(rng, count, n)
+    deck = deck_sum_kernel(group, n, z, w)
 
     if cover.startswith("disk-"):
         k = spec.sheets
-        pairs = _random_ball_pairs(rng, count, 1)
-        for z, w in pairs:
-            deck = to_complex(deck_sum_kernel(spec.group, 1, z, w))
-            zk, wk = z[0] ** k, w[0] ** k
-            base = 1.0 / (math.pi * (1.0 - zk * np.conj(wk)) ** 2)
-            jac = k * z[0] ** (k - 1)
-            jac_w = k * w[0] ** (k - 1)
-            rhs = base * jac * np.conj(jac_w)
-            worst = max(worst, abs(deck - rhs))
+        zk, wk = z[0] ** k, w[0] ** k
+        base = 1.0 / (math.pi * (1.0 - zk * np.conj(wk)) ** 2)
+        jac = k * z[0] ** (k - 1)
+        jac_w = k * w[0] ** (k - 1)
+        errors = [deck - base * jac * np.conj(jac_w)]
         name = f"transformation:disk-z^{k}"
     else:
-        closed = _CLOSED_DECK_SUMS[cover]
-        n = spec.group.dim
-        pairs = _random_ball_pairs(rng, count, n)
-        mats, dets = spec.group.float_stack
-        for z, w in pairs:
-            deck = deck_sum_kernel(spec.group, n, z, w)
-            worst = max(worst, abs(deck - closed(z, w)))
-            # pullback invariance of the deck sum on either argument, every
-            # element's translates as one coordinate batch
-            left = deck_sum_kernel(spec.group, n, (mats @ z).T, w) * dets
-            right = deck_sum_kernel(spec.group, n, z, (mats @ w).T) * dets.conj()
-            worst = max(worst, *(abs(v - deck) for v in left.tolist() + right.tolist()))
+        dets = group.float_stack[1]
+        errors = [
+            deck - _CLOSED_DECK_SUMS[cover](z, w),
+            # pullback invariance of the deck sum on either argument, at
+            # every element's translate of every pair
+            deck_sum_kernel(group, n, translates(group, z), w[..., None]) * dets - deck[:, None],
+            deck_sum_kernel(group, n, z[..., None], translates(group, w)) * dets.conj() - deck[:, None],
+        ]
         name = f"transformation:{cover}"
+    worst = max(float(np.max(np.abs(e), initial=0.0)) for e in errors)
 
     return VerificationReport(
         name=name,
@@ -503,7 +497,7 @@ def check_deck_symmetry(
     rng = np.random.default_rng(seed)
     spec = _named_cover(cover)
     n = spec.group.dim
-    worst = check_deck_sum_symmetry(spec.group, n, _random_ball_pairs(rng, count, n))
+    worst = check_deck_sum_symmetry(spec.group, n, *_random_ball_pairs(rng, count, n))
     return VerificationReport(
         name=f"deck-symmetry:{cover}",
         passed=worst <= DECK_TOLERANCE,

@@ -283,9 +283,9 @@ def test_criterion_08_moments():
         def integrand(pts, m=m, alpha=alpha):
             return (
                 8.0
-                * np.abs(pts[:, 2]) ** (2 * m)
-                * np.abs(pts[:, 0]) ** (2 * alpha[0])
-                * np.abs(pts[:, 1]) ** (2 * alpha[1])
+                * np.abs(pts[2]) ** (2 * m)
+                * np.abs(pts[0]) ** (2 * alpha[0])
+                * np.abs(pts[1]) ** (2 * alpha[1])
             )
 
         est, se = integrate(spec, integrand)

@@ -74,8 +74,8 @@ def test_annulus_negative_term_formula():
     # difference of the |k| <= 1 and |k| = 0 partial sums minus the k = 1 term
     z, w = 0.7 + 0.1j, 0.6 - 0.2j
     u = z * w.conjugate()
-    upto1 = annulus_kernel(0.5, z, w, truncation=1)
-    upto0 = annulus_kernel(0.5, z, w, truncation=0)
+    upto1 = annulus_kernel(0.5, (z,), (w,), truncation=1)
+    upto0 = annulus_kernel(0.5, (z,), (w,), truncation=0)
     k1 = 2 * u / (math.pi * (1 - 0.5**4))
     km1 = 1 / (u * 2 * math.pi * math.log(2))
     assert abs((upto1 - upto0 - k1) - km1) < 1e-15
@@ -88,22 +88,22 @@ def test_annulus_hermitian_symmetry():
         t1, t2 = rng.uniform(0, 2 * math.pi, 2)
         z = r1 * complex(math.cos(t1), math.sin(t1))
         w = r2 * complex(math.cos(t2), math.sin(t2))
-        a = annulus_kernel(0.5, z, w, truncation=300)
-        b = annulus_kernel(0.5, w, z, truncation=300)
+        a = annulus_kernel(0.5, (z,), (w,), truncation=300)
+        b = annulus_kernel(0.5, (w,), (z,), truncation=300)
         assert abs(a - b.conjugate()) < 1e-12
 
 
 def test_annulus_truncation_stability():
-    value_a = annulus_kernel(0.5, 0.75, 0.75, truncation=200)
-    value_b = annulus_kernel(0.5, 0.75, 0.75, truncation=400)
+    value_a = annulus_kernel(0.5, (0.75,), (0.75,), truncation=200)
+    value_b = annulus_kernel(0.5, (0.75,), (0.75,), truncation=400)
     assert abs(value_a - value_b) <= 1e-10 * abs(value_a)
 
 
 def test_annulus_domain_check():
-    with pytest.raises(ValueError):
-        annulus_kernel(0.5, 0.4, 0.7)
-    with pytest.raises(ValueError):
-        annulus_kernel(0.5, 0.7, 1.1)
+    with pytest.raises(ValueError, match="outside the open annulus"):
+        annulus_kernel(0.5, (0.4,), (0.7,))
+    with pytest.raises(ValueError, match="outside the open annulus"):
+        annulus_kernel(0.5, (0.7,), (1.1,))
 
 
 def _annulus_loop(r0, z, w, truncation):
@@ -131,25 +131,25 @@ def test_annulus_arrays_match_the_term_loop(truncation):
     w[:10] = z[:10]  # diagonal values, where the scale is the value itself
     want = np.array([_annulus_loop(0.5, a, b, truncation) for a, b in zip(z, w)])
     scale = np.array([_annulus_loop(0.5, abs(a), abs(b), truncation).real for a, b in zip(z, w)])
-    batched = annulus_kernel(0.5, z, w, truncation)
+    batched = annulus_kernel(0.5, (z,), (w,), truncation)
     assert batched.shape == (40,)
     assert np.all(np.abs(batched - want) <= 1e-13 * scale)
     for a, b, ref, sc in zip(z[:8], w[:8], want, scale):
-        value = annulus_kernel(0.5, complex(a), complex(b), truncation)
+        value = annulus_kernel(0.5, (complex(a),), (complex(b),), truncation)
         assert isinstance(value, complex) and abs(value - ref) <= 1e-13 * sc
     # broadcasting one point against an array
-    row = annulus_kernel(0.5, z[0], w, truncation)
+    row = annulus_kernel(0.5, (z[0],), (w,), truncation)
     ref = np.array([_annulus_loop(0.5, z[0], b, truncation) for b in w])
     ref_scale = np.array([_annulus_loop(0.5, abs(z[0]), abs(b), truncation).real for b in w])
     assert np.all(np.abs(row - ref) <= 1e-13 * ref_scale)
 
 
 def test_annulus_array_domain_check():
-    inside = np.array([0.6, 0.7j, -0.8])
-    with pytest.raises(ValueError):
-        annulus_kernel(0.5, np.array([0.6, 0.45j, -0.8]), inside)
-    with pytest.raises(ValueError):
-        annulus_kernel(0.5, inside, np.array([0.6, 0.7j, 1.0]))
+    inside = (np.array([0.6, 0.7j, -0.8]),)
+    with pytest.raises(ValueError, match="outside the open annulus"):
+        annulus_kernel(0.5, (np.array([0.6, 0.45j, -0.8]),), inside)
+    with pytest.raises(ValueError, match="outside the open annulus"):
+        annulus_kernel(0.5, inside, (np.array([0.6, 0.7j, 1.0]),))
     assert annulus_kernel(0.5, inside, inside).shape == (3,)
 
 
@@ -160,7 +160,7 @@ def test_ball_surfaces_sample_the_single_pair_kernel():
         rng = np.random.default_rng(4)
         points = surface.sample(rng, 25)
         samples = surface.samples(25, seed=4)
-        assert [k for _, k in samples] == [to_complex(ball_kernel(n, p, p)).real for p in points]
+        assert [k for _, k in samples] == [to_complex(ball_kernel(n, p, p)).real for p in points.T]
 
 
 @pytest.mark.parametrize(
@@ -175,10 +175,10 @@ def test_hartogs_batches_match_single_pair_calls(surface, kernel):
     # a batch runs numpy's complex arithmetic and a single pair Python's, so
     # rows agree to rounding, amplified by cancellation in rho near the
     # boundary; 1,820 points is the size of the Omega 12/1 fit
-    points = np.array(surface().sample(np.random.default_rng(6), 1820))
-    for x, y in ((points, points), (points, np.roll(points, 1, axis=0))):
-        rows = kernel(x.T, y.T)
-        single = np.array([kernel(p, q) for p, q in zip(x.tolist(), y.tolist())])
+    points = surface().sample(np.random.default_rng(6), 1820)
+    for x, y in ((points, points), (points, np.roll(points, 1, axis=1))):
+        rows = kernel(x, y)
+        single = np.array([kernel(p, q) for p, q in zip(x.T.tolist(), y.T.tolist())])
         assert rows.shape == (1820,)
         assert np.all(np.abs(rows - single) <= 1e-13 * np.abs(single))
 
@@ -345,13 +345,18 @@ def _bits(points):
     return [(z.real.hex(), z.imag.hex()) for p in points for z in p]
 
 
+def _point_list(coordinates, dim):
+    """A coordinate batch as a list of points, each a list of Python complex."""
+    assert coordinates.dtype == complex and coordinates.shape[0] == dim
+    return coordinates.T.tolist()
+
+
 @pytest.mark.parametrize("seed", [0, 106, BENCH_FIT_SEED])
 def test_omega_samplers_equal_the_per_point_loop_bit_for_bit(seed):
     surface = omega_diagonal_surface()
-    got = surface.sample(np.random.default_rng(seed), 1820)
-    assert all(type(z) is complex for p in got for z in p)
+    got = _point_list(surface.sample(np.random.default_rng(seed), 1820), 3)
     assert _bits(got) == _bits(_omega_sample_loop(np.random.default_rng(seed), 1820))
-    got = surface.boundary_sample(np.random.default_rng(seed), 50)
+    got = _point_list(surface.boundary_sample(np.random.default_rng(seed), 50), 3)
     assert _bits(got) == _bits(_omega_boundary_loop(np.random.default_rng(seed), 50))
 
 
@@ -383,9 +388,76 @@ def test_shell_samplers_equal_the_per_point_loops_bit_for_bit(seed):
         (annulus_surface(), 1000, lambda rng: _shell_sample_loop(rng, 1000, 0.51, 0.99)),
         (ball2_surface(), 840, lambda rng: _ball2_sample_loop(rng, 840)),
     ]:
-        got = surface.sample(np.random.default_rng(seed), count)
-        assert all(type(z) is complex for p in got for z in p)
+        got = _point_list(surface.sample(np.random.default_rng(seed), count), len(surface.feature_polys) // 2)
         assert _bits(got) == _bits(want(np.random.default_rng(seed)))
+
+
+def _ball2_boundary_loop(rng, count):
+    # the per-point sphere sampler the vectorized one replaced, kept as its oracle
+    pts = []
+    for _ in range(count):
+        v = rng.normal(size=4)
+        v = v / math.sqrt(v @ v)
+        pts.append((complex(v[0], v[1]), complex(v[2], v[3])))
+    return pts
+
+
+def _disk_boundary_loop(rng, count):
+    return [(complex(math.cos(t), math.sin(t)),) for t in rng.uniform(0.0, 2.0 * math.pi, count)]
+
+
+def _u_sample_loop(rng, count):
+    # the per-point chart sampler the vectorized one replaced, kept as its oracle
+    pts = []
+    while len(pts) < count:
+        z1, z2 = (
+            math.sqrt(r) * np.exp(1j * t)
+            for r, t in zip(rng.uniform(0.0, 1.5, 2), rng.uniform(0, 2 * math.pi, 2))
+        )
+        h = (1 + abs(z1) ** 2) * (1 + abs(z2) ** 2)
+        lam = math.sqrt(rng.uniform(0.05, 0.95) / h) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        pts.append((lam, lam * z1, lam * z2))
+    return pts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 106])
+def test_boundary_samplers_equal_the_per_point_loops_bit_for_bit(seed):
+    for surface, dim, loop in ((disk_surface(), 1, _disk_boundary_loop), (ball2_surface(), 2, _ball2_boundary_loop)):
+        got = _point_list(surface.boundary_sample(np.random.default_rng(seed), 50), dim)
+        assert _bits(got) == _bits(loop(np.random.default_rng(seed), 50))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 106])
+def test_u_sampler_draws_the_per_point_stream(seed):
+    # the same uniforms, mapped as the loop maps them; numpy's array abs and
+    # complex product may round the last bit otherwise than the scalar path
+    got = u_surface().sample(np.random.default_rng(seed), 1000)
+    want = np.array(_u_sample_loop(np.random.default_rng(seed), 1000)).T
+    assert got.shape == (3, 1000) and got.dtype == complex
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
+@pytest.mark.parametrize("make", [omega_diagonal_surface, u_surface], ids=["omega", "u"])
+def test_radial_features_follow_the_scalar_path(make):
+    surface = make()
+    x = surface.sample(np.random.default_rng(3), 1000)
+    order = [2, 0, 1] if surface.name == "omega" else [0, 1, 2]
+    want = np.array([[abs(p[i]) ** 2 for i in order] for p in x.T.tolist()]).T
+    got = np.array(surface.features(x))
+    assert got.shape == (3, 1000)
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
+    # the samples pair each point's features with its diagonal value
+    samples = surface.samples(1000, seed=3)
+    assert [f for f, _ in samples] == [tuple(f) for f in got.T.tolist()]
+    assert [k for _, k in samples] == surface.diag(x).tolist()
+
+
+def test_boundary_leading_coefficient_takes_the_feature_batch():
+    relation = fit_surface_relation(disk_surface(), 4, 1, seed=3)
+    features = disk_surface().boundary_features(50, seed=1)
+    assert len(features) == 2 and all(f.shape == (50,) for f in features)
+    per_point = max(abs(relation.eval_coefficient(1, f)) for f in zip(*(f.tolist() for f in features)))
+    assert boundary_leading_coefficient(relation, features) == pytest.approx(per_point, rel=1e-12, abs=1e-15)
 
 
 def test_annulus_scalar_equals_its_batched_row_bit_for_bit():
@@ -394,10 +466,10 @@ def test_annulus_scalar_equals_its_batched_row_bit_for_bit():
     z = np.append(z, 0.6 + 0.2j)
     w = np.append(w, 0.7 - 0.1j)
     for truncation in (0, 1, 2, 200, 2000):
-        batched = annulus_kernel(0.5, z, w, truncation)
+        batched = annulus_kernel(0.5, (z,), (w,), truncation)
         punctured = punctured_disk_kernel(z, w, truncation)
         for a, b, row, punctured_row in zip(z.tolist(), w.tolist(), batched, punctured):
-            value = annulus_kernel(0.5, a, b, truncation)
+            value = annulus_kernel(0.5, (a,), (b,), truncation)
             assert type(value) is complex and _bits([(value,)]) == _bits([(row,)])
             value = punctured_disk_kernel(a, b, truncation)
             assert type(value) is complex and _bits([(value,)]) == _bits([(punctured_row,)])

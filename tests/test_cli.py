@@ -491,6 +491,9 @@ PAIR = [[0.2, 0.1], [0.05, -0.3]]
         ("fit", {"samples": {"features": [[0.1]] * 8, "values": [1.0] * 7 + [math.nan]}}),
         ("fit", {"samples": {"features": [[0.1]] * 7 + [[math.inf]], "values": [1.0] * 8}}),
         ("fit", {"samples": {"features": [[0.1]] * 8, "values": [1.0] * 8, "boundary_features": [[math.nan]]}}),
+        ("fit", {"samples": {"features": [[x / 8] for x in range(8)], "values": [1.0] * 8, "boundary_features": []}}),
+        ("fit", {"samples": {"features": [[x / 8] for x in range(8)], "values": [1.0] * 8,
+                             "boundary_features": [[0.5, 0.2]]}}),
         ("quotient-sum", {"pairs": [[[[0.2, 0.1], [0.05, math.nan]], PAIR]]}),
         ("quotient-sum", {"pairs": [[PAIR, [[math.inf, 0], [0.1, 0]]]]}),
         ("quotient-sum", {"pairs": [[[[1e308, 0], [0, 0]], [[1e308, 0], [0, 0]]]]}),
@@ -503,7 +506,7 @@ PAIR = [[0.2, 0.1], [0.05, -0.3]]
         "levi-no-terms", "levi-list", "sum-one-number-coordinate", "sum-unpack", "sum-boundary-contact",
         "sum-object", "push-branch-point", "push-boundary-contact", "push-chart-range", "push-map-terms",
         "push-list", "fit-no-features", "fit-string-feature", "fit-nan-value", "fit-inf-feature",
-        "fit-nan-boundary-feature", "sum-nan", "sum-inf", "sum-value-overflows", "push-negative-inf",
+        "fit-nan-boundary-feature", "fit-no-boundary-features", "fit-boundary-feature-count", "sum-nan", "sum-inf", "sum-value-overflows", "push-negative-inf",
         "push-value-overflows", "push-nan-map-coefficient",
     ],
 )

@@ -422,13 +422,13 @@ def test_u_kernel_hermitian_and_positive():
 
 def test_u_kernel_chart_singularity():
     with pytest.raises(ChartSingularityError):
-        u_kernel((0.0, 0.0, 0.0), (0.5, 0.0, 0.0), check_domain=False)
+        u_kernel((0.0, 0.0, 0.0), (0.5, 0.0, 0.0))
     with pytest.raises(ValueError):
         u_kernel((0.9, 0.5, 0.5), (0.5, 0.0, 0.0))  # outside the domain
     # a batch is checked at every point
     x = (np.array([0.5, 0.0]), np.zeros(2), np.zeros(2))
     with pytest.raises(ChartSingularityError):
-        u_kernel(x, (0.5, 0.0, 0.0), check_domain=False)
+        u_kernel(x, (0.5, 0.0, 0.0))
     with pytest.raises(ValueError):
         u_kernel((np.array([0.5, 0.9]), 0.5, 0.5), (0.5, 0.0, 0.0))
 

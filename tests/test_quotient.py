@@ -154,14 +154,35 @@ def test_deck_sum_hermitian_pairing():
         assert abs(a - b.conjugate()) < 1e-13
 
 
+def _coordinates(pairs):
+    """Point pairs as the two (n, count) coordinate batches z and w."""
+    return tuple(np.array([pair[i] for pair in pairs]).T for i in (0, 1))
+
+
+def _symmetry_loop(group, n, pairs):
+    # the pair-by-pair check the coordinate batch replaced, kept as its oracle
+    return max(
+        abs(to_complex(deck_sum_kernel(group, n, z, w)) - to_complex(dual_deck_sum_kernel(group, n, z, w)))
+        for z, w in pairs
+    )
+
+
 def test_deck_sum_symmetry_residuals():
     rng = np.random.default_rng(7)
     scalar_i = generate_group([UnitaryMatrix.scalar(2, root_of_unity(4))])
-    assert check_deck_sum_symmetry(scalar_i, 2, _pairs(rng, 20, 2)) <= 1e-12
     pm1 = disk_power_cover(2).group
-    assert check_deck_sum_symmetry(pm1, 1, _pairs(rng, 20, 1)) <= 1e-14
     trivial = generate_group([UnitaryMatrix.identity(1)])
-    assert check_deck_sum_symmetry(trivial, 1, _pairs(rng, 5, 1)) == 0.0
+    for group, n, count, bound in ((scalar_i, 2, 20, 1e-12), (pm1, 1, 20, 1e-14), (trivial, 1, 5, 0.0)):
+        pairs = _pairs(rng, count, n)
+        residual = check_deck_sum_symmetry(group, n, *_coordinates(pairs))
+        assert residual <= bound
+        # one batch rounds as the pairs one at a time do
+        assert residual == _symmetry_loop(group, n, pairs)
+    # one pair of points, exact or float, is a batch of one
+    z, w = (ExactComplex(1, 0) / 3, ExactComplex(0, 1) / 4), (ExactComplex(1, 0) / 5, ExactComplex(1, 0) / 7)
+    assert check_deck_sum_symmetry(scalar_i, 2, z, w) == 0.0
+    pair = _pairs(rng, 1, 2)
+    assert check_deck_sum_symmetry(scalar_i, 2, *pair[0]) == _symmetry_loop(scalar_i, 2, pair)
 
 
 def test_dual_deck_sum_matches():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from berg.algebraic import annulus_kernel
 from berg.ball import ball_kernel
 from berg.cyclotomic import CyclotomicField, root_of_unity
 from berg.hartogs import kernel_series, omega_closed_kernel, omega_rational_kernel, u_domain_contains, u_kernel
@@ -329,6 +330,8 @@ ENTRY_POINTS = {
     "u_domain_contains": (3, lambda p, q: u_domain_contains(p)),
     "u_kernel": (3, lambda p, q: u_kernel(p, q)),
     "RationalKernel.eval": (3, lambda p, q: omega_rational_kernel().eval(p, q)),
+    # P and Q lie in the annulus 1/4 < |z| < 1 in their first coordinate
+    "annulus_kernel": (1, lambda p, q: annulus_kernel(0.25, p, q)),
 }
 # points of the bounded domain U in C^3, and of the ball in their first two coordinates
 P = (exact(Fraction(1, 2)), exact(0, Fraction(1, 8)), exact(Fraction(1, 8)))
@@ -339,7 +342,8 @@ Q = (exact(Fraction(1, 3)), exact(0, Fraction(1, 10)), exact(Fraction(1, 9)))
 def test_every_entry_point_refuses_points_of_the_wrong_length(name):
     n, call = ENTRY_POINTS[name]
     good = (0.1,) * n
-    for bad in ((0.1,) * (n - 1), (0.1,) * (n + 1), P[: n - 1]):
+    # a bare scalar is no point, not even in C^1
+    for bad in ((0.1,) * (n - 1), (0.1,) * (n + 1), P[: n - 1], 0.1, P[0], np.float64(0.1)):
         for p, q in ((bad, good), (good, bad)):
             if p is good and name in ("CoveringSpec.jacobian", "u_domain_contains"):
                 continue  # a single-point entry point reads only p
@@ -354,3 +358,20 @@ def test_a_cyclotomic_coordinate_reads_as_its_gaussian_value(name):
     written = (P[0], CyclotomicField(4).root(1) * Fraction(1, 8), P[2])
     got, want = call(written[:n], Q[:n]), call(P[:n], Q[:n])
     assert type(got) is type(want) and got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ball_kernel(2, (1e200, 0.0), (1e200, 0.0)),
+        lambda: ball_kernel(2, (math.nan, 0.0), (0.0, 0.0)),
+        lambda: omega_closed_kernel((math.nan, 0.0), 0.5, (0.0, 0.0), 0.5),
+        lambda: pushforward_kernel(_rotation_cover(), (math.nan, 0.1), (0.2, 0.1)),
+        lambda: ball_kernel(2, (np.array([0.1, math.nan]), 0.0), (0.0, 0.0)),
+        lambda: omega_closed_kernel((np.array([0.1, math.nan]), 0.0), 0.5, (0.0, 0.0), 0.5),
+    ],
+    ids=["ball-overflow", "ball-nan", "omega-nan", "pushforward-nan", "ball-batch-nan", "omega-batch-nan"],
+)
+def test_float_kernels_refuse_values_that_are_not_finite(call):
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"kernel value \(nan\+nanj\) is not finite"):
+        call()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -28,26 +29,26 @@ N_FAST = 200_000
 
 
 def test_disk_area():
-    est, se = integrate(IntegrationSpec("disk", N_FAST, seed=1), lambda p: np.ones(len(p)))
+    est, se = integrate(IntegrationSpec("disk", N_FAST, seed=1), lambda p: np.ones(p.shape[1]))
     assert abs(est.real - math.pi) <= 3 * se
     assert se < 0.02 * math.pi
 
 
 def test_ball2_volume():
-    est, se = integrate(IntegrationSpec("ball-2", N_FAST, seed=1), lambda p: np.ones(len(p)))
+    est, se = integrate(IntegrationSpec("ball-2", N_FAST, seed=1), lambda p: np.ones(p.shape[1]))
     assert abs(est.real - math.pi**2 / 2) <= 3 * se
 
 
 def test_annulus_area():
     spec = IntegrationSpec("annulus", N_FAST, seed=2)
-    est, se = integrate(spec, lambda p: np.ones(len(p)))
+    est, se = integrate(spec, lambda p: np.ones(p.shape[1]))
     assert abs(est.real - math.pi * (1 - ANNULUS_INNER_RADIUS**2)) <= 3 * se
 
 
 def test_omega_fiber_norm_mc():
     # || lambda ||^2 in the top-form inner product (factor 8 wrt Lebesgue)
     spec = IntegrationSpec("omega", N_FAST, seed=3)
-    est, se = integrate(spec, lambda p: 8.0 * np.abs(p[:, 2]) ** 2)
+    est, se = integrate(spec, lambda p: 8.0 * np.abs(p[2]) ** 2)
     target = (2 * math.pi) ** 3 / 2
     assert abs(est.real - target) <= 3 * se
     assert se <= 0.02 * target
@@ -71,14 +72,14 @@ def test_draw_accepts_only_the_documented_domain_names(domain):
 @pytest.mark.parametrize("n", [1, 3, 12])
 def test_draw_accepts_every_ball_dimension(n):
     points, inv = _draw(IntegrationSpec(f"ball-{n}", 10), np.random.default_rng(0), 10)
-    assert points.shape == (10, n) and inv.shape == (10,)
+    assert points.shape == (n, 10) and inv.shape == (10,)
 
 
 def test_hartogs_is_not_a_domain_name():
     # Omega is the one Hartogs domain, and "omega" its one name
     spec = IntegrationSpec("hartogs", 1000)
     with pytest.raises(ValueError, match="unknown domain"):
-        integrate(spec, lambda p: p[:, 0])
+        integrate(spec, lambda p: p[0])
     with pytest.raises(ValueError, match="no reproducing check"):
         check_reproducing("hartogs", (1, (0, 0)), (0.0, 0.0, 0.4), spec)
     with pytest.raises(ValueError, match="no orthogonality check"):
@@ -88,7 +89,7 @@ def test_hartogs_is_not_a_domain_name():
 def test_stderr_scaling():
     ses = []
     for n in (10_000, 100_000, 1_000_000):
-        _, se = integrate(IntegrationSpec("disk", n, seed=4), lambda p: np.ones(len(p)))
+        _, se = integrate(IntegrationSpec("disk", n, seed=4), lambda p: np.ones(p.shape[1]))
         ses.append(se)
     for a, b in ((0, 1), (1, 2)):
         ratio = ses[a] / ses[b]
@@ -222,11 +223,11 @@ def test_suite_transform_builds_each_cover_once():
 
 
 def _fiber_weight(p):
-    return 8.0 * np.abs(p[:, 2]) ** 2
+    return 8.0 * np.abs(p[2]) ** 2
 
 
 def _fiber_product(p):
-    return 8.0 * p[:, 2] * np.conj(p[:, 2] ** 2) * p[:, 0]
+    return 8.0 * p[2] * np.conj(p[2] ** 2) * p[0]
 
 
 @pytest.mark.parametrize("domain", ["disk", "ball-2", "annulus", "omega"])
@@ -234,7 +235,7 @@ def test_blockwise_integrate_equals_one_shot(domain):
     # blocks change only where integrands are evaluated, not the values or
     # the reductions: estimate and stderr equal a whole-array evaluation
     spec = IntegrationSpec(domain, 3 * BLOCK + 17, seed=12)
-    f = _fiber_weight if domain == "omega" else (lambda p: p[:, 0] * np.conj(p[:, 0]) ** 2)
+    f = _fiber_weight if domain == "omega" else (lambda p: p[0] * np.conj(p[0]) ** 2)
     points, inv = _draw(spec, np.random.default_rng(spec.seed), spec.n_samples)
     weighted = np.where(inv > 0, np.asarray(f(points), dtype=complex), 0.0) * inv
     var = np.var(weighted.real, ddof=1) + np.var(weighted.imag, ddof=1)
@@ -244,7 +245,7 @@ def test_blockwise_integrate_equals_one_shot(domain):
 
 def test_one_sample_has_an_unbounded_standard_error():
     # ddof=1 has nothing to divide by; the check then fails on its stderr cap
-    estimate, stderr = integrate(IntegrationSpec("disk", 1, seed=3), lambda p: p[:, 0])
+    estimate, stderr = integrate(IntegrationSpec("disk", 1, seed=3), lambda p: p[0])
     assert math.isfinite(abs(estimate)) and stderr == math.inf
     report = check_reproducing("disk", 1, 0.3, IntegrationSpec("disk", 1, seed=3))
     assert report.stderr == math.inf and not report.passed
@@ -260,7 +261,7 @@ def test_integrate_draws_one_block_at_a_time(domain, monkeypatch):
 
     monkeypatch.setattr(verify, "_draw", recording)
     spec = IntegrationSpec(domain, 2 * BLOCK + 5, seed=15)
-    integrate(spec, [_fiber_weight, _fiber_product] if domain == "omega" else lambda p: p[:, 0])
+    integrate(spec, [_fiber_weight, _fiber_product] if domain == "omega" else lambda p: p[0])
     assert max(counts) <= BLOCK and sum(counts) == spec.n_samples
 
 
@@ -291,12 +292,12 @@ def test_omega_sampler_law():
     # h = (1+r_1)(1+r_2), every argument is uniform, and the weight is pi^3 h
     spec = IntegrationSpec("omega", 200_000, seed=21)
     points, inv = _draw(spec, np.random.default_rng(spec.seed), spec.n_samples)
-    r = np.abs(points[:, :2]) ** 2
-    h = (1.0 + r[:, 0]) * (1.0 + r[:, 1])
-    for u in (r[:, 0] / (1.0 + r[:, 0]), r[:, 1] / (1.0 + r[:, 1]), np.abs(points[:, 2]) ** 2 * h):
+    r = np.abs(points[:2]) ** 2
+    h = (1.0 + r[0]) * (1.0 + r[1])
+    for u in (r[0] / (1.0 + r[0]), r[1] / (1.0 + r[1]), np.abs(points[2]) ** 2 * h):
         assert _uniform_bins_close(u, 0.0, 1.0)
-    for column in range(3):
-        assert _uniform_bins_close(np.angle(points[:, column]), -math.pi, math.pi)
+    for coordinate in points:
+        assert _uniform_bins_close(np.angle(coordinate), -math.pi, math.pi)
     np.testing.assert_allclose(inv, math.pi**3 * h, rtol=1e-12)
 
 
@@ -307,9 +308,30 @@ def test_draw_count_and_byte_replay(domain, count):
     for seed in (0, 1, 2):
         first = _draw(spec, np.random.default_rng(seed), count)
         again = _draw(spec, np.random.default_rng(seed), count)
-        assert first[0].shape == (count, 3 if domain == "omega" else 1)
+        assert first[0].shape == (3 if domain == "omega" else 1, count)
         assert first[1].shape == (count,)
         assert [a.tobytes() for a in first] == [a.tobytes() for a in again]
+
+
+# sha256 prefixes of the draws (points, then weights) at seed 7, taken from
+# the (count, k) rows the draws came in before they became coordinates and
+# transposed: the layout changed, the points did not
+DRAW_DIGESTS = {
+    ("disk", 70000): "c9fc99b7836a1d12",
+    ("annulus", 70000): "4632f96ab5a60d8f",
+    ("ball-2", 70000): "e3af85ea23faa57e",
+    ("ball-3", 1000): "4259edff1f9b597d",
+    ("omega", 70000): "8bf6cc79d413edd0",
+    ("omega", 1): "c365c864a9e7c4db",
+}
+
+
+@pytest.mark.parametrize("domain, count", sorted(DRAW_DIGESTS))
+def test_draws_are_the_row_layout_draws_as_coordinates(domain, count):
+    points, inv = _draw(IntegrationSpec(domain, count), np.random.default_rng(7), count)
+    assert points.shape[1] == count
+    digest = hashlib.sha256(np.ascontiguousarray(points).tobytes() + inv.tobytes()).hexdigest()
+    assert digest[:16] == DRAW_DIGESTS[domain, count]
 
 
 def test_disk_points_keep_draw_order_across_rounds():
@@ -327,8 +349,8 @@ def test_disk_points_keep_draw_order_across_rounds():
     points, modsq = verify._unit_disk_points(stub, 1000)
     assert len(stub.drawn) == 2
     cand = stub.drawn[1].view(complex)
-    assert np.array_equal(points, cand[np.abs(cand) < 1.0][:1000])
-    np.testing.assert_allclose(modsq, np.abs(points) ** 2, rtol=1e-15)
+    assert np.array_equal(points, [cand[np.abs(cand) < 1.0][:1000]])
+    np.testing.assert_allclose(modsq, np.abs(points[0]) ** 2, rtol=1e-15)
 
 
 def _random_ball_pairs_loop(rng, count, n):
@@ -350,15 +372,16 @@ def _random_ball_pairs_loop(rng, count, n):
 @pytest.mark.parametrize("n", [1, 2])
 def test_random_ball_pairs_equal_the_per_pair_loop(n):
     for seed in range(20):
-        got = verify._random_ball_pairs(np.random.default_rng(seed), 50, n)
+        z, w = verify._random_ball_pairs(np.random.default_rng(seed), 50, n)
         want = _random_ball_pairs_loop(np.random.default_rng(seed), 50, n)
-        assert all(type(x) is complex for z, w in got for x in z + w)
-        bits = [[(x.real.hex(), x.imag.hex()) for z, w in pairs for x in z + w] for pairs in (got, want)]
+        assert z.shape == w.shape == (n, 50) and z.dtype == w.dtype == complex
+        got = list(zip(z.T.tolist(), w.T.tolist()))
+        bits = [[(x.real.hex(), x.imag.hex()) for z, w in pairs for x in (*z, *w)] for pairs in (got, want)]
         assert bits[0] == bits[1]
 
 
 @pytest.mark.parametrize("m, alpha", [(0, (0, 0)), (1, (0, 0)), (2, (1, 0)), (0, (2, 3)), (3, (1, 2))])
 def test_fiber_monomial(m, alpha):
-    pts = np.random.default_rng(9).normal(size=(50, 6)).view(complex)
-    want = pts[:, 2] ** m * pts[:, 0] ** alpha[0] * pts[:, 1] ** alpha[1]
+    pts = np.random.default_rng(9).normal(size=(50, 6)).view(complex).T
+    want = pts[2] ** m * pts[0] ** alpha[0] * pts[1] ** alpha[1]
     np.testing.assert_allclose(verify._fiber_monomial(pts, m, alpha), want, rtol=1e-14)
