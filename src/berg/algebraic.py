@@ -34,7 +34,6 @@ import numpy as np
 from .ball import ball_kernel, complex_coordinates
 from .hartogs import omega_closed_kernel, u_kernel
 from .polynomials import HermitianPolynomial, HoloPolynomial, MultiIndex, monomials_up_to_degree
-from .scalars import read_points
 from .verify import _unit_disk_points
 
 TWO_PI = 2.0 * math.pi
@@ -68,14 +67,11 @@ def _laurent_coefficients(r0: float, truncation: int) -> tuple[tuple[float, ...]
     return pos, neg
 
 
-def _laurent_series(r0: float, z, w, truncation: int):
+def _laurent_series(r0: float, z: np.ndarray, w: np.ndarray, truncation: int) -> np.ndarray:
     """sum over |k| <= truncation of z^k conj(w)^k / ||z^k||^2 on the
-    annulus {r0 < |z| < 1} (r0 = 0: the punctured disk), for scalars or
-    broadcasting arrays of points.
-
-    A scalar pair runs as an array of one, so it equals its batched row
-    bit for bit (numpy's scalar arithmetic rounds differently)."""
-    u = np.array(z, dtype=complex, ndmin=1) * np.conj(np.array(w, dtype=complex, ndmin=1))
+    annulus {r0 < |z| < 1} (r0 = 0: the punctured disk), for complex arrays
+    of points that broadcast."""
+    u = z * np.conj(w)
     pos, neg = _laurent_coefficients(r0, truncation)
     total = np.polyval(pos, u)
     if r0 > 0.0 and truncation >= 1:
@@ -83,27 +79,28 @@ def _laurent_series(r0: float, z, w, truncation: int):
     if neg:
         v = r0**2 / u
         total = total + v * v * np.polyval(neg, v)
-    return complex(total[0]) if np.ndim(z) == 0 and np.ndim(w) == 0 else total
+    return total
 
 
 def annulus_kernel(inner_radius: float, z, w, truncation: int = 200):
     """Truncated Laurent-series kernel of the annulus {r0 < |z| < 1}:
     sum over |k| <= M of z^k conj(w)^k / ||z^k||^2.
 
-    Points are read as for ``ball_kernel(1, ...)``: two scalar coordinates
-    give a Python complex, arrays that broadcast an array of values.
+    Points of C^1 are read by ``complex_coordinates``, as for
+    ``ball_kernel(1, ...)``: a pair of points gives a Python complex,
+    coordinates given as arrays that broadcast an array of values.
     """
     r0 = float(inner_radius)
     if not 0.0 < r0 < 1.0:
         raise ValueError("inner radius must lie in (0, 1)")
-    read_points(1, z, w)
-    (z,), (w,) = complex_coordinates(z), complex_coordinates(w)
+    ((z,), (w,)), single = complex_coordinates(1, z, w)
     for p in (z, w):
         m = np.abs(p)
         outside = ~((r0 < m) & (m < 1.0))
         if outside.any():
             raise ValueError(f"point with |z| = {m[outside].flat[0]} outside the open annulus")
-    return _laurent_series(r0, z, w, truncation)
+    values = _laurent_series(r0, z, w, truncation)
+    return complex(values[0]) if single else values
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .polynomials import HermitianPolynomial
-from .scalars import ExactComplex, read_points, to_complex
+from .scalars import ExactComplex, check_lengths, read_points, to_complex
 
 BOUNDARY_TOL = 1e-9
 GRADIENT_TOL = 1e-9
@@ -44,33 +44,24 @@ def ball_kernel(n: int, z, w):
 
     Points are read by ``read_points``.  Returns an ExactComplex (rational
     times pi^-n) for Gaussian-rational points, ``Cyclotomic`` coordinates
-    that lie in Q(i) included, and a Python complex for other scalar
-    coordinates.  Coordinates given as arrays broadcast, and the values
-    come back as an array over them.  Raises SingularKernelError at
-    boundary contact <z, w> = 1, and ValueError where a float value is not
-    finite (a NaN coordinate, or one whose products overflow).
+    that lie in Q(i) included; other points are read by
+    ``complex_coordinates``.  Raises SingularKernelError at boundary
+    contact <z, w> = 1, and ValueError where a float value is not finite
+    (a NaN coordinate, or one whose products overflow).
     """
     exact = read_points(n, z, w)
     if exact is not None:
         return kernel_term(n, hermitian_inner(*exact), ExactComplex(math.factorial(n), 0, -n))
-    z, w = complex_coordinates(z), complex_coordinates(w)
-    batched = z.ndim > 1 or w.ndim > 1
-    # a single point runs as a batch of one, so a pair matches its batched row bit for bit
-    if z.ndim == 1:
-        z = z[:, None]
-    if w.ndim == 1:
-        w = w[:, None]
+    (z, w), single = complex_coordinates(n, z, w)
     values = kernel_term(n, hermitian_inner(z, w), math.factorial(n) / math.pi**n)
-    return values if batched else complex(values[0])
+    return complex(values[0]) if single else values
 
 
-def finite_kernel_values(values):
-    """Float kernel values, a complex or an array of them, or ValueError
-    naming the first that is not finite."""
+def check_finite_values(values) -> None:
+    """ValueError naming the first of an array of kernel values that is not finite."""
     finite = np.isfinite(values)
     if not finite.all():
-        raise ValueError(f"kernel value {complex(np.asarray(values)[~finite][0])} is not finite")
-    return values
+        raise ValueError(f"kernel value {complex(values[~finite][0])} is not finite")
 
 
 def kernel_term(n: int, u, scale):
@@ -85,7 +76,7 @@ def kernel_term(n: int, u, scale):
     and a batch of one would then miss its batched row.  One test after the
     division costs what a contact test before it would: NaN, infinity and
     values near contact all fail it, and only then is |1 - u| tested (exact
-    float contact divides by zero first, with numpy's RuntimeWarning).
+    float contact divides by zero first, quietly).
     """
     one_minus = 1 - u
     exact = isinstance(one_minus, ExactComplex)
@@ -94,27 +85,36 @@ def kernel_term(n: int, u, scale):
     power = one_minus * one_minus
     for _ in range(n - 1):
         power = power * one_minus
-    values = scale / power
+    values = scale / power if exact else _quiet_divide(scale, power)
     # scale 1e14^2 is at most a value's size at |1 - u| = 1e-14, for every n >= 1
-    if not exact and not (np.abs(values) <= scale * 1e28).all():
+    if not exact and not np.abs(values).max(initial=0.0) <= scale * 1e28:  # NaN fails it too
         if (np.abs(one_minus) < 1e-14).any():
             raise SingularKernelError("kernel singular at <z, w> = 1")
-        finite_kernel_values(values)
+        check_finite_values(values)
     return values
 
 
-def complex_coordinates(p) -> np.ndarray:
-    """A point that is not exact as one complex array with its coordinates
-    along the first axis: shape (n,) for scalar coordinates, (n, ...) when
-    they are arrays, broadcast against each other.  numpy reads float and
-    array coordinates as given; other kinds go through ``to_complex``."""
-    try:
-        return np.asarray(p, dtype=complex)
-    except TypeError:  # a kind numpy cannot read, such as a Cyclotomic
-        p = [x if isinstance(x, np.ndarray) else to_complex(x) for x in p]
-    except ValueError:  # arrays of different shapes
-        pass
-    return np.array(np.broadcast_arrays(*p), dtype=complex)
+# division without numpy's warnings, for kernel_term (errstate costs less as a decorator)
+_quiet_divide = np.errstate(divide="ignore", invalid="ignore")(np.divide)
+
+
+def complex_coordinates(n: int, *points) -> tuple[list[np.ndarray], bool]:
+    """The one reader of points that are not exact: each point in C^n as a
+    complex array of its coordinates, broadcast to (n, ...), and whether
+    every point is single.  A single point becomes an (n, 1) batch of one:
+    a kernel runs one formula and unwraps a pair's one value, equal to its
+    batched row bit for bit.  ValueError as for ``read_points``.
+    """
+    check_lengths(n, points)
+    arrays, single = [], True
+    for p in points:
+        try:
+            p = np.asarray(p, dtype=complex)
+        except (TypeError, ValueError):  # a Cyclotomic, which numpy cannot read, or ragged arrays
+            p = np.array(np.broadcast_arrays(*(x if np.ndim(x) else to_complex(x) for x in p)), dtype=complex)
+        single = single and p.ndim == 1
+        arrays.append(p[:, None] if p.ndim == 1 else p)
+    return arrays, single
 
 
 # ---------------------------------------------------------------------------

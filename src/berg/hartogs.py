@@ -23,9 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .ball import finite_kernel_values
+from .ball import check_finite_values, complex_coordinates
 from .polynomials import HermitianPolynomial, MultiIndex
-from .scalars import ExactComplex, conj_scalar, read_points, to_complex
+from .scalars import ExactComplex, check_lengths, read_points, to_complex
 
 TWO_PI_CUBED = (2.0 * math.pi) ** 3
 
@@ -142,19 +142,15 @@ def kernel_series(
     return SeriesValue(value=total, tail_bound=tail, terms=truncation)
 
 
-def complexified_rho(z: Sequence, lam, w: Sequence, tau):
-    """rho = lam conj(tau) (1 + z1 conj(w1)) (1 + z2 conj(w2)) - 1."""
-    f1 = 1 + z[0] * conj_scalar(w[0])
-    f2 = 1 + z[1] * conj_scalar(w[1])
-    return lam * conj_scalar(tau) * f1 * f2 - 1
-
-
-def _numeric(values) -> list:
-    """Complex arrays when any value is an array, else Python complex
-    scalars (numpy scalars included)."""
-    if any(np.ndim(v) for v in values):
-        return [np.asarray(v, dtype=complex) for v in values]
-    return [complex(to_complex(v)) for v in values]
+def _times_conj(a, b):
+    """a conj(b); for float arrays each part from two separately rounded real
+    products, so swapping a and b conjugates it exactly and a conj(a) is
+    exactly real (numpy's complex multiply may fuse a product into a sum)."""
+    if not isinstance(a, np.ndarray):
+        return a * b.conjugate()
+    out = a.real * b.real + a.imag * b.imag + 0j
+    out.imag = a.imag * b.real - a.real * b.imag
+    return out
 
 
 def omega_closed_kernel(z: Sequence, lam, w: Sequence, tau):
@@ -165,33 +161,29 @@ def omega_closed_kernel(z: Sequence, lam, w: Sequence, tau):
 
     Gaussian-rational inputs give an ExactComplex (rational times pi^-3),
     whether a coordinate is written as a rational, an ExactComplex or a
-    ``Cyclotomic`` whose value lies in Q(i).  Float scalars give a Python
-    complex: Python's complex arithmetic keeps the diagonal
-    K(z, lam; z, lam) exactly real, which numpy's complex multiply does
-    not.  Coordinates given as arrays that broadcast give an array of
-    values over them.  Raises ValueError unless z and w have two
-    coordinates or where a float value is not finite, and
+    ``Cyclotomic`` whose value lies in Q(i).  Other points (z, lam) and
+    (w, tau) are read by ``complex_coordinates``; each a conj(b) is formed
+    by ``_times_conj``, so the float diagonal is exactly real and swapping
+    the points conjugates the value exactly.  Raises ValueError unless z
+    and w have two coordinates or where a float value is not finite, and
     BoundaryContactError where rho vanishes at any of the points.
     """
-    points = read_points(2, z, w)
-    fibers = None if points is None else read_points(2, (lam, tau))
-    exact = fibers is not None
-    if exact:
-        (z1, z2), (w1, w2) = points
-        lam, tau = fibers[0]
-        two_pi_cubed = ExactComplex(8, 0, 3)
-    else:
-        z1, z2, lam, w1, w2, tau = _numeric((*z, lam, *w, tau))
-        two_pi_cubed = TWO_PI_CUBED
-    rho = complexified_rho((z1, z2), lam, (w1, w2), tau)
+    check_lengths(2, (z, w))
+    x, y = (*z, lam), (*w, tau)
+    exact = read_points(3, x, y)
+    ((z1, z2, lam), (w1, w2, tau)), single = (exact, False) if exact else complex_coordinates(3, x, y)
+    two_pi_cubed = ExactComplex(8, 0, 3) if exact else TWO_PI_CUBED
+    lt = _times_conj(lam, tau)
+    rho = lt * (1 + _times_conj(z1, w1)) * (1 + _times_conj(z2, w2)) - 1
     if exact and rho.is_zero:
         raise BoundaryContactError("rho = 0: boundary contact")
     if not exact and np.any(np.abs(rho) < 1e-13):
         raise BoundaryContactError(f"|rho| = {np.min(np.abs(rho))}: boundary contact")
-    lt = lam * conj_scalar(tau)
     rho2 = rho * rho
     value = lt * (4 * rho + 6) / (rho2 * rho2 * two_pi_cubed)
-    return value if exact else finite_kernel_values(value)
+    if not exact:
+        check_finite_values(value)
+    return complex(value[0]) if single else value
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +193,11 @@ def omega_closed_kernel(z: Sequence, lam, w: Sequence, tau):
 def u_domain_contains(x: Sequence):
     """Membership in {|w1|^4 + |w1|^2(|w2|^2+|w3|^2) + |w2 w3|^2 < |w1|^2}:
     a bool for a point, a bool array for coordinates given as arrays that
-    broadcast.  Raises ValueError unless x has three coordinates."""
-    exact = read_points(3, x)
-    a1, a2, a3 = (abs(v) ** 2 for v in _numeric(x if exact is None else exact[0]))
-    return a1 * a1 + a1 * (a2 + a3) + a2 * a3 < a1
+    broadcast, exact ones read by value.  ValueError unless x is in C^3."""
+    (x,), single = complex_coordinates(3, x)
+    a1, a2, a3 = np.abs(x) ** 2
+    inside = a1 * a1 + a1 * (a2 + a3) + a2 * a3 < a1
+    return bool(inside[0]) if single else inside
 
 
 def u_kernel(x: Sequence, y: Sequence):
@@ -212,21 +205,19 @@ def u_kernel(x: Sequence, y: Sequence):
 
     The chart (lam, z1, z2) -> (lam, lam z1, lam z2) has Jacobian lam^2,
     so the kernel is the closed-form Hartogs kernel composed with the
-    inverse chart divided by x1^2 conj(y1)^2.  The first coordinates must
-    be nonzero.  Scalars and arrays follow ``omega_closed_kernel``: a
-    point pair gives an exact value or a Python complex, coordinates given
-    as arrays that broadcast give an array, and every point is checked.
+    inverse chart divided by x1^2 conj(y1^2), formed by ``_times_conj``.
+    The first coordinates must be nonzero.  Points are read as for
+    ``omega_closed_kernel``, and every point is checked.
     """
     exact = read_points(3, x, y)
-    x, y = exact if exact is not None else (_numeric(x), _numeric(y))
+    (x, y), single = (exact, False) if exact else complex_coordinates(3, x, y)
     if np.any(x[0] == 0) or np.any(y[0] == 0):
         raise ChartSingularityError("first coordinate vanishes: chart singular slice")
     if not (np.all(u_domain_contains(x)) and np.all(u_domain_contains(y))):
         raise ValueError("points must lie inside the bounded domain")
-    lam_x, zx = x[0], (x[1] / x[0], x[2] / x[0])
-    lam_y, zy = y[0], (y[1] / y[0], y[2] / y[0])
-    value = omega_closed_kernel(zx, lam_x, zy, lam_y)
-    return value / (x[0] ** 2 * conj_scalar(y[0] ** 2))
+    zx, zy = (x[1] / x[0], x[2] / x[0]), (y[1] / y[0], y[2] / y[0])
+    value = omega_closed_kernel(zx, x[0], zy, y[0]) / _times_conj(x[0] * x[0], y[0] * y[0])
+    return complex(value[0]) if single else value
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +237,11 @@ class RationalKernel:
         is written in; complex otherwise."""
         num_poly, den_poly = self.numerator, self.denominator
         points = read_points(num_poly.dim, x, y)
-        if points is None:
-            num_poly = num_poly.to_complex_coeffs()
-            den_poly = den_poly.to_complex_coeffs()
-            points = [_numeric(x), _numeric(y)]
-        return num_poly.eval(*points) / den_poly.eval(*points)
+        if points is not None:
+            return num_poly.eval(*points) / den_poly.eval(*points)
+        points, single = complex_coordinates(num_poly.dim, x, y)
+        value = num_poly.to_complex_coeffs().eval(*points) / den_poly.to_complex_coeffs().eval(*points)
+        return complex(value[0]) if single else value
 
     def is_hermitian(self) -> bool:
         return (

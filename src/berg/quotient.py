@@ -40,8 +40,7 @@ class BranchPointError(ArithmeticError):
     """Evaluation at (or too close to) a branch point of the covering map."""
 
     def __init__(self, point):
-        # scalar coordinates as Python complex, array ones as given
-        self.point = tuple(x if np.ndim(x) else to_complex(x) for x in point)
+        self.point = tuple(complex(to_complex(x)) for x in point)
         super().__init__(f"Jacobian vanishes at {self.point} (|J| <= {BRANCH_TOL})")
 
 
@@ -59,13 +58,13 @@ def _deck_sum(group: FiniteUnitaryGroup, n: int, z: Sequence, w: Sequence, dual:
     gaussian = group.gaussian_stack if exact is not None else None
     if gaussian is None:
         dets = group.float_stack[1]
-        z, w = complex_coordinates(z), complex_coordinates(w)
+        (z, w), single = complex_coordinates(n, z, w)
         if dual:
             terms = ball_kernel(n, z[..., None], translates(group, w)) * dets.conj()
         else:
             terms = ball_kernel(n, translates(group, z), w[..., None]) * dets
         total = terms.sum(axis=-1)
-        return complex(total) if total.ndim == 0 else total
+        return complex(total[0]) if single else total
     # products[l][j] = z_l conj(w_j), formed once: <g z, w> is the sum of
     # g_jl products[l][j] and <z, g w> the sum of conj(g_jl) products[j][l],
     # over the non-zero entries g_jl only
@@ -84,14 +83,10 @@ def _deck_sum(group: FiniteUnitaryGroup, n: int, z: Sequence, w: Sequence, dual:
 
 def translates(group: FiniteUnitaryGroup, p: np.ndarray) -> np.ndarray:
     """g p for every element g, by the group's float stack: the (n, ...)
-    complex coordinates p become (n, ..., |G|) ones.  Each is one
-    matrix-vector product, as for a single point, so a batch row equals its
-    single point bit for bit."""
-    mats = group.float_stack[0]
-    if p.ndim == 1:
-        return (mats @ p).T
+    complex coordinates p become (n, ..., |G|) ones, each one matrix-vector
+    product, so a batch row equals its batch of one bit for bit."""
     # the stack acts on axis 0 of (n, ..., 1, 1) arrays, and each moved coordinate lands on axis 0
-    return np.matmul(mats, p[..., None, None], axes=[(-2, -1), (0, -1), (0, -1)])[..., 0]
+    return np.matmul(group.float_stack[0], p[..., None, None], axes=[(-2, -1), (0, -1), (0, -1)])[..., 0]
 
 
 def deck_sum_kernel(group: FiniteUnitaryGroup, n: int, z: Sequence, w: Sequence):
@@ -200,32 +195,40 @@ class CoveringSpec:
 
     def jacobian(self, z: Sequence):
         """J(z); an exact value at Gaussian-rational points (``Cyclotomic``
-        coordinates by value) when the coefficients lie in Q(i), else a
-        complex one, or an array of them for coordinates given as arrays."""
+        coordinates by value) when the coefficients lie in Q(i), else the
+        complex values at the points ``complex_coordinates`` reads."""
         exact = read_points(self.group.dim, z)
         if exact is not None and self.gaussian_jacobian is not None:
             return self.gaussian_jacobian.eval(exact[0])
-        if exact is not None:  # exact points outside the Jacobian's field
-            z = [x.to_complex() for x in exact[0]]
-        return self.complex_jacobian.eval(z)
+        (z,), single = complex_coordinates(self.group.dim, z)
+        values = self.complex_jacobian.eval(z)
+        if np.ndim(values) == 0:  # a constant Jacobian
+            values = np.full(z.shape[1:], values)
+        return complex(values[0]) if single else values
 
 
 def pushforward_kernel(spec: CoveringSpec, z: Sequence, w: Sequence):
     """Quotient kernel in pulled-back chart coordinates:
     deck_sum(z, w) / (J(z) conj(J(w))).  Well-defined on the base: the
     value is unchanged when z or w is replaced by a group translate.
-    Coordinates given as arrays broadcast, as for ``deck_sum_kernel``."""
+    Float points are read once, as one point (z, w) of C^2n, for the deck
+    sum and one Jacobian call.  Raises BranchPointError at the first point
+    whose Jacobian vanishes."""
     n = spec.group.dim
     exact = read_points(n, z, w)
-    if exact is not None:
-        z, w = exact
-    jz = spec.jacobian(z)
-    jw = spec.jacobian(w)
-    for point, jac in ((z, jz), (w, jw)):
-        if np.any(np.abs(np.asarray(jac, dtype=complex)) <= BRANCH_TOL):
-            raise BranchPointError(point)
-    deck = deck_sum_kernel(spec.group, n, z, w)
-    return deck / (jz * conj_scalar(jw))
+    if exact:
+        (z, w), single = exact, False
+        jac = [spec.jacobian(z), spec.jacobian(w)]
+    else:
+        (zw,), single = complex_coordinates(2 * n, (*z, *w))
+        z, w = zw[:n], zw[n:]
+        jac = spec.jacobian(zw.reshape(2, n, *zw.shape[1:]).swapaxes(0, 1))  # J(z), J(w)
+    vanishing = np.abs(np.asarray(jac, dtype=complex)) <= BRANCH_TOL  # z's points, then w's
+    if vanishing.any():
+        side, k = divmod(int(vanishing.argmax()), vanishing[0].size)
+        raise BranchPointError(exact[side] if exact else (z, w)[side].reshape(n, -1)[:, k])
+    value = deck_sum_kernel(spec.group, n, z, w) / (jac[0] * conj_scalar(jac[1]))
+    return complex(value[0]) if single else value
 
 
 # ---------------------------------------------------------------------------

@@ -267,18 +267,23 @@ def exact(re: RationalLike = 0, im: RationalLike = 0, pi_pow: int = 0) -> ExactC
     return ExactComplex(re, im, pi_pow)
 
 
-def read_points(n: int, *points) -> list[tuple] | None:
-    """The one reader of points in C^n, each a sequence of its n coordinates
-    (scalars, or arrays that broadcast).  ValueError unless every point has
-    n coordinates; the points with ``ExactComplex`` coordinates when every
-    coordinate is a Gaussian-rational scalar (a ``Cyclotomic`` by value),
-    else None.  Float and array coordinates are never converted."""
+def check_lengths(n: int, points) -> None:
+    """ValueError unless every point has n coordinates."""
     try:
         for p in points:
             if len(p) != n:
                 raise ValueError(f"expected points in C^{n}")
     except TypeError:  # a bare scalar has no length: it is no point
         raise ValueError(f"expected points in C^{n}") from None
+
+
+def read_points(n: int, *points) -> list[tuple] | None:
+    """The one reader of points in C^n, each a sequence of its n coordinates
+    (scalars, or arrays that broadcast).  ValueError unless every point has
+    n coordinates; the points with ``ExactComplex`` coordinates when every
+    coordinate is a Gaussian-rational scalar (a ``Cyclotomic`` by value),
+    else None.  Float and array coordinates are never converted."""
+    check_lengths(n, points)
     out = []
     for p in points:
         coords = []

@@ -431,7 +431,10 @@ def _named_cover(cover: str) -> CoveringSpec:
 
 def _random_ball_pairs(rng, count: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``count`` pairs of points of C^n as two (n, count) coordinate batches z, w;
-    each point is 2n uniforms in [-r, r] (real parts, then imaginary parts), z first."""
+    each point is 2n uniforms in [-r, r] (real parts, then imaginary parts), z first.
+    A count below 1 is a ValueError: a check over no pairs certifies nothing."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     r = DECK_SAMPLE_RADIUS
     parts = rng.uniform(-r, r, (count, 2, 2 * n))  # one row of 4n uniforms per pair
     return tuple((parts[..., :n] + 1j * parts[..., n:]).transpose(1, 2, 0))

@@ -26,7 +26,7 @@ from berg.algebraic import (
     recover_map_from_kernel,
     u_surface,
 )
-from berg.ball import ball_kernel
+from berg.ball import ball_kernel, complex_coordinates
 from berg.hartogs import omega_closed_kernel, u_kernel
 from berg.polynomials import MultiIndex, monomials_up_to_degree
 from berg.scalars import to_complex
@@ -55,8 +55,11 @@ def laurent_norm(k: int, inner_radius: float) -> float:
 
 def punctured_disk_kernel(z, w, truncation: int = 200):
     """Kernel of the punctured disk: the annulus series with r0 = 0, whose
-    negative powers have infinite norm and drop out."""
-    return _laurent_series(0.0, z, w, truncation)
+    negative powers have infinite norm and drop out; points of C^1 are
+    read as ``annulus_kernel`` reads them, from their one coordinate."""
+    ((z,), (w,)), single = complex_coordinates(1, (z,), (w,))
+    values = _laurent_series(0.0, z, w, truncation)
+    return complex(values[0]) if single else values
 
 
 def test_laurent_norms():
@@ -172,15 +175,14 @@ def test_ball_surfaces_sample_the_single_pair_kernel():
     ids=["omega", "u"],
 )
 def test_hartogs_batches_match_single_pair_calls(surface, kernel):
-    # a batch runs numpy's complex arithmetic and a single pair Python's, so
-    # rows agree to rounding, amplified by cancellation in rho near the
-    # boundary; 1,820 points is the size of the Omega 12/1 fit
+    # a single pair runs as a batch of one, so rows agree bit for bit;
+    # 1,820 points is the size of the Omega 12/1 fit
     points = surface().sample(np.random.default_rng(6), 1820)
     for x, y in ((points, points), (points, np.roll(points, 1, axis=1))):
         rows = kernel(x, y)
         single = np.array([kernel(p, q) for p, q in zip(x.T.tolist(), y.T.tolist())])
         assert rows.shape == (1820,)
-        assert np.all(np.abs(rows - single) <= 1e-13 * np.abs(single))
+        assert np.array_equal(rows.real, single.real) and np.array_equal(rows.imag, single.imag)
 
 
 def test_punctured_disk_equals_disk():

@@ -97,6 +97,7 @@ def test_unitary_invariance_exact():
     assert ball_kernel(2, apply(u, z), apply(u, w)) == ball_kernel(2, z, w)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_boundary_contact_error():
     with pytest.raises(SingularKernelError):
         ball_kernel(1, (1.0,), (1.0,))
@@ -133,6 +134,7 @@ def test_batched_kernel_broadcasts_leading_axes():
     assert abs(grid[1, 3] - _series_oracle(2, z[:, 1, 0], w[:, 3], terms=200)) < 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_batched_kernel_errors_match_scalar():
     # the points (0.1, 0.2j) and (0.6, 0.8), given as coordinates
     z = np.array([[0.1, 0.6], [0.2j, 0.8]])

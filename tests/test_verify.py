@@ -215,6 +215,14 @@ def test_deck_symmetry_reports():
         assert report.residual <= 1e-12
 
 
+@pytest.mark.parametrize("count", [0, -3])
+@pytest.mark.parametrize("check", [check_transformation_law, check_deck_symmetry])
+def test_pair_checks_refuse_a_count_below_one(check, count):
+    # a check over no pairs certifies nothing
+    with pytest.raises(ValueError, match=f"count must be at least 1, got {count}"):
+        check("scalar-i", count=count)
+
+
 def test_suite_transform_builds_each_cover_once():
     verify._named_cover.cache_clear()
     reports = suite_transform(seed=0, count=2)
