@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .polynomials import HermitianPolynomial
-from .scalars import ExactComplex, check_lengths, read_points, to_complex
+from .scalars import ExactComplex, check_lengths, read_points
 
 BOUNDARY_TOL = 1e-9
 GRADIENT_TOL = 1e-9
@@ -80,7 +80,7 @@ def kernel_term(n: int, u, scale):
     """
     one_minus = 1 - u
     exact = isinstance(one_minus, ExactComplex)
-    if exact and one_minus.is_zero:
+    if exact and not one_minus:
         raise SingularKernelError("kernel singular at <z, w> = 1")
     power = one_minus * one_minus
     for _ in range(n - 1):
@@ -110,8 +110,8 @@ def complex_coordinates(n: int, *points) -> tuple[list[np.ndarray], bool]:
     for p in points:
         try:
             p = np.asarray(p, dtype=complex)
-        except (TypeError, ValueError):  # a Cyclotomic, which numpy cannot read, or ragged arrays
-            p = np.array(np.broadcast_arrays(*(x if np.ndim(x) else to_complex(x) for x in p)), dtype=complex)
+        except ValueError:  # coordinates of different shapes that broadcast
+            p = np.array(np.broadcast_arrays(*p), dtype=complex)
         single = single and p.ndim == 1
         arrays.append(p[:, None] if p.ndim == 1 else p)
     return arrays, single
@@ -170,17 +170,17 @@ def levi_form(rho: DefiningFunction | HermitianPolynomial, point: Sequence[compl
     if len(p) != n:
         raise ValueError(f"point dimension {len(p)} does not match rho dimension {n}")
 
-    value = to_complex(poly.eval(p))
+    value = complex(poly.eval(p))
     if not abs(value) <= BOUNDARY_TOL:  # a NaN rho is not on the zero set either
         raise ValueError(f"point is not on the zero set: rho = {value}")
 
-    grad = [to_complex(poly.d_z(i).eval(p)) for i in range(n)]
+    grad = [complex(poly.d_z(i).eval(p)) for i in range(n)]
     gnorm = math.sqrt(sum(abs(g) ** 2 for g in grad))
     if gnorm <= GRADIENT_TOL:
         return LeviReport(point=p, smooth=False, eigenvalues=None, gradient_norm=gnorm)
 
     hess = np.array(
-        [[to_complex(poly.d_z(i).d_zbar(j).eval(p)) for j in range(n)] for i in range(n)]
+        [[complex(poly.d_z(i).d_zbar(j).eval(p)) for j in range(n)] for i in range(n)]
     )
     # the rows of Vh after the first are orthonormal and orthogonal to
     # grad, so their conjugates span the complex tangent space

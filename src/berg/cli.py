@@ -33,7 +33,6 @@ from .hartogs import kernel_series, monomial_norm, omega_closed_kernel
 from .invariants import compute_basic_map, find_syzygies
 from .polynomials import HermitianPolynomial, HoloPolynomial, MultiIndex
 from .quotient import CoveringSpec, deck_sum_kernel, pushforward_kernel
-from .scalars import to_complex
 
 
 class InputError(click.ClickException):
@@ -124,7 +123,7 @@ def _pairs_from_json(data, source: str) -> list[tuple[tuple, tuple]]:
 def _evaluate_pairs(kernel, pairs) -> None:
     """Write the kernel at every pair as CSV once all of them evaluated, so
     a pair that cannot be evaluated leaves only its error line."""
-    rows = [(z, w, _finite(to_complex(kernel(z, w)), "kernel value")) for z, w in pairs]
+    rows = [(z, w, _finite(complex(kernel(z, w)), "kernel value")) for z, w in pairs]
     writer = csv.writer(sys.stdout)
     writer.writerow(["z", "w", "re", "im"])
     for z, w, value in rows:
@@ -146,7 +145,7 @@ def ball_kernel_cmd(dim, z_text, w_text):
     w = _parse_complex_list(w_text)
     if len(z) != dim or len(w) != dim:
         raise InputError("coordinate count must match --dim")
-    value = _finite(to_complex(ball_kernel(dim, z, w)), "kernel value")
+    value = _finite(complex(ball_kernel(dim, z, w)), "kernel value")
     click.echo(json.dumps({"re": value.real, "im": value.imag}, sort_keys=True))
 
 
@@ -263,7 +262,7 @@ def omega_kernel_cmd(z_text, lam_text, w_text, tau_text, series_m):
         result = kernel_series(z, lam, w, tau, truncation=series_m)
         value, series = result.value, {"tail_bound": result.tail_bound, "terms": result.terms}
     else:
-        value = to_complex(omega_closed_kernel(z, lam, w, tau))
+        value = complex(omega_closed_kernel(z, lam, w, tau))
     value = _finite(value, "kernel value")
     click.echo(json.dumps({"re": value.real, "im": value.imag, **series}, sort_keys=True))
 
@@ -277,7 +276,7 @@ def moments_cmd(m_value, alpha_text, want_exact):
     with _decoding(f"monomial --m {m_value} --alpha {alpha_text}"):
         alpha = tuple(int(a) for a in alpha_text.split(","))
         exact = monomial_norm(m_value, alpha)
-    numeric = math.inf if exact == math.inf else to_complex(exact).real
+    numeric = math.inf if exact == math.inf else complex(exact).real
     if want_exact:
         if exact == math.inf:
             click.echo(json.dumps({"exact": "infinite"}))

@@ -221,7 +221,7 @@ class Cyclotomic:
         """Multiplicative inverse: the product of the other Galois conjugates
         divided by the norm, which is that product times this element and
         is rational."""
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         field = self.field
         rest = field.one()
@@ -238,10 +238,11 @@ class Cyclotomic:
         return a * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        # a field element on the left divides by its own __truediv__
+        if not isinstance(other, (int, Fraction)):
             return other / self.to_complex() if isinstance(other, INEXACT) else NotImplemented
-        return o * self.inverse()
+        q, inv = Fraction(other), self.inverse()
+        return _reduced(inv.field, [c * q.numerator for c in inv.nums], inv.den * q.denominator)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation: zeta -> zeta^{-1}."""
@@ -259,8 +260,8 @@ class Cyclotomic:
         return Fraction(trace, self.den * f._trace_den)
 
     # -- predicates / conversion -----------------------------------------
-    def is_zero(self) -> bool:
-        return not any(self.nums)
+    def __bool__(self) -> bool:
+        return any(self.nums)
 
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
@@ -287,6 +288,8 @@ class Cyclotomic:
             if c:
                 total += c / self.den * z
         return total
+
+    __complex__ = to_complex
 
     def to_exact_complex(self) -> "ExactComplex":
         """The exact Gaussian-rational value, decided by value: raises

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cyclotomic import Cyclotomic, CyclotomicField
 from .polynomials import SymmetricPowerTable
-from .scalars import ExactComplex, conj_scalar, inv_scalar, scalar_is_zero, to_complex
+from .scalars import ExactComplex
 
 UNITARITY_TOL = 1e-12
 DEDUP_DECIMALS = 12
@@ -67,7 +67,7 @@ class UnitaryMatrix:
             raise ValueError("matrix must be square")
         exact = all(_is_exact_entry(x) for r in rows for x in r)
         if not exact:
-            rows = tuple(tuple(complex(to_complex(x)) for x in r) for r in rows)
+            rows = tuple(tuple(complex(x) for x in r) for r in rows)
         self.entries = rows
         self.n = n
         self.exact = exact
@@ -103,7 +103,7 @@ class UnitaryMatrix:
                 for j in range(self.n):
                     s = None
                     for k in range(self.n):
-                        t = conj_scalar(self.entries[k][i]) * self.entries[k][j]
+                        t = self.entries[k][i].conjugate() * self.entries[k][j]
                         s = t if s is None else s + t
                     want = 1 if i == j else 0
                     if not s == want:
@@ -130,7 +130,7 @@ class UnitaryMatrix:
 
     def conj_transpose(self) -> "UnitaryMatrix":
         return UnitaryMatrix(
-            [[conj_scalar(self.entries[j][i]) for j in range(self.n)] for i in range(self.n)],
+            [[self.entries[j][i].conjugate() for j in range(self.n)] for i in range(self.n)],
             check=False,
         )
 
@@ -179,7 +179,7 @@ class UnitaryMatrix:
 
     def to_numpy(self) -> np.ndarray:
         return np.array(
-            [[to_complex(x) for x in row] for row in self.entries], dtype=complex
+            [[complex(x) for x in row] for row in self.entries], dtype=complex
         )
 
     def to_exact_complex(self) -> list[list[ExactComplex]]:
@@ -232,7 +232,7 @@ def _fixed_by(diagonal: list[UnitaryMatrix]):
     for h in diagonal:
         ks = []
         for i in range(h.n):
-            turns = cmath.phase(to_complex(h.entries[i][i])) * m / (2 * math.pi)
+            turns = cmath.phase(complex(h.entries[i][i])) * m / (2 * math.pi)
             k = round(turns)
             if abs(turns - k) > 1e-6:
                 raise ValueError(f"diagonal entry {h.entries[i][i]} is not an {m}-th root of unity")
@@ -288,7 +288,7 @@ class FiniteUnitaryGroup:
         """The elements as one read-only (|G|, n, n) complex array, with the
         (|G|,) array of their determinants."""
         mats = np.array([g.to_numpy() for g in self.elements])
-        dets = np.array([to_complex(g.det()) for g in self.elements], dtype=complex)
+        dets = np.array([complex(g.det()) for g in self.elements], dtype=complex)
         mats.flags.writeable = dets.flags.writeable = False
         return mats, dets
 
@@ -305,7 +305,7 @@ class FiniteUnitaryGroup:
             return None
         return tuple(
             (
-                tuple((j, l, x) for j, row in enumerate(m) for l, x in enumerate(row) if not x.is_zero),
+                tuple((j, l, x) for j, row in enumerate(m) for l, x in enumerate(row) if x),
                 determinant(m),
             )
             for m in elements
@@ -436,19 +436,19 @@ def exact_rref(rows: list[list]) -> tuple[list[list], list[int]]:
         r = len(pivots)
         if r == len(mat):
             break
-        pivot_row = next((i for i in range(r, len(mat)) if not scalar_is_zero(mat[i][c])), None)
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
         pivot = mat[r]
-        inv = inv_scalar(pivot[c])
+        inv = Fraction(1) / pivot[c]
         # earlier columns of the pivot row are already zero
-        support = [k for k in range(c, ncols) if not scalar_is_zero(pivot[k])]
+        support = [k for k in range(c, ncols) if pivot[k]]
         for k in support:
             pivot[k] = pivot[k] * inv
         for i, row in enumerate(mat):
             f = row[c]
-            if i != r and not scalar_is_zero(f):
+            if i != r and f:
                 for k in support:
                     row[k] = row[k] - f * pivot[k]
         pivots.append(c)
@@ -505,7 +505,7 @@ def _eigenvector_for_one(g: UnitaryMatrix) -> tuple[complex, ...] | None:
         basis = exact_nullspace(_minus_identity(g))
         if not basis:
             return None
-        vec = [to_complex(x) for x in basis[0]]
+        vec = [complex(x) for x in basis[0]]
     else:
         vals, vecs = np.linalg.eig(g.to_numpy())
         idx = np.argmin(np.abs(vals - 1.0))

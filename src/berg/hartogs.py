@@ -25,7 +25,7 @@ import numpy as np
 
 from .ball import check_finite_values, complex_coordinates
 from .polynomials import HermitianPolynomial, MultiIndex
-from .scalars import ExactComplex, check_lengths, read_points, to_complex
+from .scalars import ExactComplex, check_lengths, read_points
 
 TWO_PI_CUBED = (2.0 * math.pi) ** 3
 
@@ -101,7 +101,7 @@ class SeriesValue:
 
 
 def _series_factor(z, w) -> complex:
-    return (1.0 + to_complex(z) * to_complex(w).conjugate())
+    return (1.0 + complex(z) * complex(w).conjugate())
 
 
 def kernel_series(
@@ -123,7 +123,7 @@ def kernel_series(
     exact = read_points(2, z, w)
     if exact is not None:
         z, w = exact
-    lt = to_complex(lam) * to_complex(tau).conjugate()
+    lt = complex(lam) * complex(tau).conjugate()
     factor = _series_factor(z[0], w[0]) * _series_factor(z[1], w[1])
     x = lt * factor
     q = abs(x)
@@ -175,7 +175,7 @@ def omega_closed_kernel(z: Sequence, lam, w: Sequence, tau):
     two_pi_cubed = ExactComplex(8, 0, 3) if exact else TWO_PI_CUBED
     lt = _times_conj(lam, tau)
     rho = lt * (1 + _times_conj(z1, w1)) * (1 + _times_conj(z2, w2)) - 1
-    if exact and rho.is_zero:
+    if exact and not rho:
         raise BoundaryContactError("rho = 0: boundary contact")
     if not exact and np.any(np.abs(rho) < 1e-13):
         raise BoundaryContactError(f"|rho| = {np.min(np.abs(rho))}: boundary contact")

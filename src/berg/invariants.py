@@ -21,7 +21,6 @@ from .polynomials import (
     monomials_of_degree,
     monomials_up_to_degree,
 )
-from .scalars import inv_scalar, to_complex
 
 
 def reynolds(f: HoloPolynomial, group: FiniteUnitaryGroup) -> HoloPolynomial:
@@ -89,7 +88,7 @@ def _json_terms(p: HoloPolynomial) -> list[list]:
     """The terms as JSON rows [exponent, re, im], sorted by exponent."""
     rows = []
     for a, c in sorted(p.terms.items()):
-        c = to_complex(c)
+        c = complex(c)
         rows.append([list(a), c.real, c.imag])
     return rows
 
@@ -113,7 +112,7 @@ def _products_of_degree(gens: list[HoloPolynomial], degrees: list[int], total: i
 
 def _monic(p: HoloPolynomial) -> HoloPolynomial:
     lead = p.leading_monomial()
-    return _rationalize(p.scale(inv_scalar(p.terms[lead])))
+    return _rationalize(p.scale(Fraction(1) / p.terms[lead]))
 
 
 def _rationalize(p: HoloPolynomial) -> HoloPolynomial:

@@ -11,8 +11,10 @@ coefficients - is a polarized view of it: a HoloPolynomial in the 2n
 variables (z, conj(w)), shown keyed by (holomorphic, antiholomorphic)
 index pairs and evaluated as p(z, conj(w)).
 
-Coefficients are duck-typed: Python complex, Fraction, ExactComplex and
-Cyclotomic all work, and exact kinds stay exact through every operation.
+Coefficients are any scalars of Python's number protocol: int, Fraction,
+float, complex, ExactComplex and Cyclotomic.  A falsy coefficient is a
+zero term and is dropped, and exact kinds stay exact through every
+operation.
 Storage is sparse (exponent tuples to coefficients): invariant-theory
 degrees grow with the group order and dense storage would be wasteful.
 """
@@ -24,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cyclotomic import Cyclotomic
-from .scalars import ExactComplex, conj_scalar, scalar_is_zero, to_complex
+from .scalars import ExactComplex
 
 # the scalar kinds a polynomial adds as a constant
 _SCALARS = (int, Fraction, float, complex, ExactComplex, Cyclotomic)
@@ -117,7 +119,7 @@ class HoloPolynomial:
                     idx = MultiIndex(idx)
                 if len(idx) != dim:
                     raise ValueError("exponent length does not match dimension")
-                if not scalar_is_zero(c):
+                if c:
                     clean[idx] = c
         self.terms = clean
 
@@ -153,7 +155,7 @@ class HoloPolynomial:
         for idx, c in other.terms.items():
             cur = out.get(idx)
             new = (c if sign > 0 else -c) if cur is None else (cur + c if sign > 0 else cur - c)
-            if scalar_is_zero(new):
+            if not new:
                 out.pop(idx, None)
             else:
                 out[idx] = new
@@ -184,7 +186,7 @@ class HoloPolynomial:
                     c = ca * cb
                     cur = out.get(idx)
                     new = c if cur is None else cur + c
-                    if scalar_is_zero(new):
+                    if not new:
                         out.pop(idx, None)
                     else:
                         out[idx] = new
@@ -194,7 +196,7 @@ class HoloPolynomial:
     __rmul__ = __mul__
 
     def scale(self, c) -> "HoloPolynomial":
-        if scalar_is_zero(c):
+        if not c:
             return HoloPolynomial(self.dim)
         return HoloPolynomial(self.dim, {a: v * c for a, v in self.terms.items()})
 
@@ -257,7 +259,7 @@ class HoloPolynomial:
         return max(self.terms, key=lambda a: (a.degree, a))
 
     def to_complex_coeffs(self) -> "HoloPolynomial":
-        return HoloPolynomial(self.dim, {a: to_complex(c) for a, c in self.terms.items()})
+        return HoloPolynomial(self.dim, {a: complex(c) for a, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -444,7 +446,7 @@ class HermitianPolynomial:
         """Exchange holomorphic and antiholomorphic indices and conjugate."""
         n = self.dim
         return self._of(n, HoloPolynomial(
-            2 * n, {k[n:] + k[:n]: conj_scalar(c) for k, c in self.poly.terms.items()}
+            2 * n, {k[n:] + k[:n]: c.conjugate() for k, c in self.poly.terms.items()}
         ))
 
     def is_real_valued(self, tol: float = 0.0) -> bool:
@@ -452,7 +454,7 @@ class HermitianPolynomial:
         if not diff:
             return True
         if tol > 0:
-            return all(abs(to_complex(c)) <= tol for c in diff.values())
+            return all(abs(complex(c)) <= tol for c in diff.values())
         return False
 
     def bidegree(self) -> tuple[int, int]:
@@ -479,7 +481,7 @@ class HermitianPolynomial:
                 f"got {len(z)} and {len(w)}"
             )
         n = self.dim
-        wbar = [conj_scalar(x) for x in w]
+        wbar = [x.conjugate() for x in w]
         total = None
         for k, val in self.poly.terms.items():
             for mono in (_eval_monomial(z, k[:n]), _eval_monomial(wbar, k[n:])):
@@ -500,7 +502,7 @@ class HermitianPolynomial:
     def to_json_dict(self) -> dict:
         rows = []
         for (a, b), c in sorted(self.terms.items()):
-            c = to_complex(c)
+            c = complex(c)
             rows.append([list(a), list(b), c.real, c.imag])
         return {"dim": self.dim, "terms": rows}
 

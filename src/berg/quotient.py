@@ -31,7 +31,7 @@ from .cyclotomic import Cyclotomic, CyclotomicField
 from .groups import FiniteUnitaryGroup, UnitaryMatrix, determinant, generate_group
 from .invariants import compute_basic_map, is_invariant
 from .polynomials import HoloPolynomial
-from .scalars import ExactComplex, conj_scalar, read_points, to_complex
+from .scalars import ExactComplex, read_points
 
 BRANCH_TOL = 1e-12
 
@@ -40,7 +40,7 @@ class BranchPointError(ArithmeticError):
     """Evaluation at (or too close to) a branch point of the covering map."""
 
     def __init__(self, point):
-        self.point = tuple(complex(to_complex(x)) for x in point)
+        self.point = tuple(complex(x) for x in point)
         super().__init__(f"Jacobian vanishes at {self.point} (|J| <= {BRANCH_TOL})")
 
 
@@ -227,7 +227,7 @@ def pushforward_kernel(spec: CoveringSpec, z: Sequence, w: Sequence):
     if vanishing.any():
         side, k = divmod(int(vanishing.argmax()), vanishing[0].size)
         raise BranchPointError(exact[side] if exact else (z, w)[side].reshape(n, -1)[:, k])
-    value = deck_sum_kernel(spec.group, n, z, w) / (jac[0] * conj_scalar(jac[1]))
+    value = deck_sum_kernel(spec.group, n, z, w) / (jac[0] * jac[1].conjugate())
     return complex(value[0]) if single else value
 
 

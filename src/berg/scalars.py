@@ -15,10 +15,13 @@ attempting to do so raises :class:`PiGradeError` rather than silently
 degrading to floats.  With a float or complex operand, the exact value is
 converted and the result is a complex, as with ``Fraction``.
 
-This module is also the one scalar protocol of the package: the zero test,
-inverse, conjugate and Gaussian-rational predicate below accept every
-coefficient kind (int, Fraction, float, complex, ExactComplex and
-cyclotomic field elements).
+Both exact kinds, this one and ``Cyclotomic``, answer Python's number
+protocol as int and Fraction do, so every module asks any scalar the same
+questions: ``bool(x)`` is the zero test, ``complex(x)`` the float value,
+``x.conjugate()`` the conjugate and ``Fraction(1) / x`` an exact inverse.
+A ``Cyclotomic`` whose value lies in Q(i) is read by value, so it meets an
+ExactComplex in arithmetic and comparison, in either operand order, and
+the result is an ExactComplex.
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ class ExactComplex:
     def coerce(x: "ExactComplex | RationalLike") -> "ExactComplex":
         o = _coerce(x)
         if o is None:
-            raise TypeError(f"expected int, Fraction or ExactComplex, got {type(x).__name__}")
+            raise TypeError(f"expected a Gaussian rational, got {type(x).__name__}")
         return o
 
     # -- parts -----------------------------------------------------------
@@ -112,9 +115,8 @@ class ExactComplex:
     def pi_pow(self) -> int:
         return self._k
 
-    @property
-    def is_zero(self) -> bool:
-        return not (self._a or self._b)
+    def __bool__(self) -> bool:
+        return bool(self._a or self._b)
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):
@@ -197,20 +199,11 @@ class ExactComplex:
 
     # -- comparisons / conversion ---------------------------------------
     def __eq__(self, other):
-        if isinstance(other, ExactComplex):
-            # values are reduced, so the fields determine the value
-            return (self._a, self._b, self._d, self._k) == (other._a, other._b, other._d, other._k)
-        if isinstance(other, (int, Fraction)):
-            rational = (other.numerator, other.denominator)
-            return not (self._b or self._k) and (self._a, self._d) == rational
-        if isinstance(other, Cyclotomic):
-            if self._k:
-                return False
-            try:
-                return self == other.to_exact_complex()
-            except ValueError:  # not a Gaussian rational
-                return False
-        return NotImplemented
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        # values are reduced, so the fields determine the value
+        return (self._a, self._b, self._d, self._k) == (o._a, o._b, o._d, o._k)
 
     def __hash__(self):
         if not self._k:
@@ -224,8 +217,7 @@ class ExactComplex:
         scale = math.pi ** self._k
         return complex(self._a / self._d * scale, self._b / self._d * scale)
 
-    def __complex__(self) -> complex:
-        return self.to_complex()
+    __complex__ = to_complex
 
     def __repr__(self) -> str:
         re, im = self.re, self.im
@@ -252,13 +244,19 @@ def _add(x: ExactComplex, a: int, b: int, d: int, k: int) -> ExactComplex:
 
 
 def _coerce(x) -> ExactComplex | None:
-    """x as an ExactComplex, or None when it is not a Gaussian rational kind."""
+    """x as an ExactComplex, or None unless it is a Gaussian rational: an
+    int, a Fraction, or a ``Cyclotomic`` read by value."""
     if isinstance(x, ExactComplex):
         return x
     if type(x) is int:
         return _make(x, 0, 1, 0)
     if isinstance(x, (int, Fraction)):
         return ExactComplex(x)
+    if isinstance(x, Cyclotomic):
+        try:
+            return x.to_exact_complex()
+        except ValueError:  # not in Q(i)
+            return None
     return None
 
 
@@ -290,48 +288,13 @@ def read_points(n: int, *points) -> list[tuple] | None:
         for x in p:
             o = _coerce(x)
             if o is None:
-                if not isinstance(x, Cyclotomic):
-                    return None
-                try:
-                    o = x.to_exact_complex()
-                except ValueError:  # not a Gaussian rational
-                    return None
+                return None
             coords.append(o)
         out.append(tuple(coords))
     return out
 
 
-def conj_scalar(x):
-    """Conjugate a coefficient of any supported scalar kind."""
-    if isinstance(x, (int, Fraction)):
-        return x
-    return x.conjugate()
-
-
-def scalar_is_zero(x) -> bool:
-    """Zero test for every supported scalar kind."""
-    if isinstance(x, Cyclotomic):
-        return x.is_zero()
-    if isinstance(x, ExactComplex):
-        return x.is_zero
-    return x == 0
-
-
-def inv_scalar(x):
-    """Multiplicative inverse; exact for exact kinds."""
-    if isinstance(x, Cyclotomic):
-        return x.inverse()
-    return Fraction(1) / x
-
-
 def to_complex(x) -> complex:
-    """Convert any supported scalar to a Python complex."""
-    if isinstance(x, ExactComplex):
-        return x.to_complex()
-    if isinstance(x, (int, float, Fraction)):
-        return complex(float(x))
-    if isinstance(x, complex):
-        return x
-    if hasattr(x, "to_complex"):
-        return x.to_complex()
+    """``complex(x)``, which every scalar kind answers; the name stays
+    because the benchmark and the tests import it."""
     return complex(x)

@@ -41,7 +41,7 @@ from .quotient import (
     scalar_rotation_cover,
     translates,
 )
-from .scalars import ExactComplex, to_complex
+from .scalars import ExactComplex
 
 FORM_FACTOR_C3 = 8.0  # top-form inner product on C^3 vs Lebesgue measure
 STDERR_REL_CAP = 0.02
@@ -329,7 +329,7 @@ def _orthogonality_reports(
         n2 = monomial_norm(m2, a2)
         if math.inf in (n1, n2):
             raise ValueError("orthogonality check needs square-integrable monomials")
-        scales.append(math.sqrt(to_complex(n1).real * to_complex(n2).real))
+        scales.append(math.sqrt(complex(n1).real * complex(n2).real))
 
         def integrand(pts, m1=m1, a1=a1, m2=m2, a2=a2):
             f = _fiber_monomial(pts, m1, a1)

@@ -13,7 +13,7 @@ from berg.polynomials import (
     MultiIndex,
     monomials_of_degree,
 )
-from berg.scalars import ExactComplex, conj_scalar, scalar_is_zero, to_complex
+from berg.scalars import ExactComplex, to_complex
 
 
 def test_multi_index_validation():
@@ -246,7 +246,7 @@ class PairHermitian:
         self.dim = dim
         self.terms = {}
         for (a, b), c in dict(terms).items():
-            if not scalar_is_zero(c):
+            if c:
                 self.terms[(MultiIndex(a), MultiIndex(b))] = c
 
     def _combine(self, other, sign):
@@ -254,7 +254,7 @@ class PairHermitian:
         for key, c in other.terms.items():
             cur = out.get(key)
             new = (c if sign > 0 else -c) if cur is None else (cur + c if sign > 0 else cur - c)
-            if scalar_is_zero(new):
+            if not new:
                 out.pop(key, None)
             else:
                 out[key] = new
@@ -273,7 +273,7 @@ class PairHermitian:
                 key = (a1 + a2, b1 + b2)
                 cur = out.get(key)
                 new = c1 * c2 if cur is None else cur + c1 * c2
-                if scalar_is_zero(new):
+                if not new:
                     out.pop(key, None)
                 else:
                     out[key] = new
@@ -289,7 +289,7 @@ class PairHermitian:
         return PairHermitian(self.dim, out)
 
     def conj_swap(self):
-        return PairHermitian(self.dim, {(b, a): conj_scalar(c) for (a, b), c in self.terms.items()})
+        return PairHermitian(self.dim, {(b, a): c.conjugate() for (a, b), c in self.terms.items()})
 
     def is_real_valued(self):
         return not (self - self.conj_swap()).terms
@@ -305,7 +305,7 @@ class PairHermitian:
                     out = power if out is None else out * power
             return out
 
-        wbar = [conj_scalar(x) for x in w]
+        wbar = [x.conjugate() for x in w]
         total = None
         for (a, b), c in self.terms.items():
             val = c

@@ -9,11 +9,12 @@ from hypothesis import given, strategies as st
 
 from berg.algebraic import annulus_kernel
 from berg.ball import ball_kernel
-from berg.cyclotomic import CyclotomicField, root_of_unity
+from berg.cyclotomic import Cyclotomic, CyclotomicField, root_of_unity
 from berg.hartogs import kernel_series, omega_closed_kernel, omega_rational_kernel, u_domain_contains, u_kernel
-from berg.polynomials import HermitianPolynomial
+from berg.polynomials import HermitianPolynomial, HoloPolynomial
 from berg.quotient import deck_sum_kernel, dual_deck_sum_kernel, pushforward_kernel, scalar_rotation_cover
 from berg.scalars import ExactComplex, PiGradeError, exact, read_points, to_complex
+from test_quotient import _binary_dihedral_12
 
 
 # -- reference arithmetic: a Gaussian rational as two Fractions ---------------
@@ -210,7 +211,7 @@ def test_to_complex():
 @given(exact_numbers(), exact_numbers(), exact_numbers(st.just(0)))
 def test_ring_axioms(a, b, c):
     # keep a and b in the same grade so addition is defined
-    b = ExactComplex(b.re, b.im, a.pi_pow if not b.is_zero else 0)
+    b = ExactComplex(b.re, b.im, a.pi_pow if b else 0)
     assert a + b == b + a
     assert a * b == b * a
     assert (a + b) * c == a * c + b * c
@@ -219,7 +220,7 @@ def test_ring_axioms(a, b, c):
 
 @given(exact_numbers())
 def test_multiplicative_inverse(a):
-    if not a.is_zero:
+    if a:
         assert a * (ExactComplex(1) / a) == ExactComplex(1)
 
 
@@ -293,6 +294,115 @@ def test_exact_and_complex_coefficients_add():
     q = HermitianPolynomial.term(1, (1,), (0,), 1 + 1j)
     assert p + q == HermitianPolynomial.term(1, (1,), (0,), 2 + 2j)
     assert q + p == p + q
+
+
+# -- the number protocol every scalar kind answers ------------------------------
+
+PROTOCOL_FIELDS = (3, 4, 5, 8, 12)
+
+
+@st.composite
+def field_elements(draw):
+    """An element of one of PROTOCOL_FIELDS, zero included."""
+    field = CyclotomicField(draw(st.sampled_from(PROTOCOL_FIELDS)))
+    return field.element(draw(st.lists(rationals, max_size=field.degree)))
+
+
+protocol_scalars = st.one_of(
+    st.integers(-5, 5),
+    rationals,
+    st.floats(-4, 4),
+    st.complex_numbers(max_magnitude=4),
+    exact_numbers(),
+    field_elements(),
+)
+
+
+def _ladder_complex(x) -> complex:
+    """The float value by the isinstance ladder scalars were once converted by."""
+    if isinstance(x, (ExactComplex, Cyclotomic)):
+        return x.to_complex()
+    if isinstance(x, (int, float, Fraction)):
+        return complex(float(x))
+    return x
+
+
+def _own_inverse(x):
+    """The exact inverse each kind computes itself: the Galois-conjugate
+    product of a field element, the power -1 of any other."""
+    if isinstance(x, Cyclotomic):
+        return x.inverse()
+    return (x if isinstance(x, ExactComplex) else Fraction(x)) ** -1
+
+
+@given(protocol_scalars)
+def test_every_scalar_kind_answers_the_number_protocol(x):
+    assert bool(x) == (x != 0)
+    assert _bits(complex(x)) == _bits(_ladder_complex(x)) == _bits(to_complex(x))
+    assert _bits(np.asarray([x, 0.5], dtype=complex)[0]) == _bits(complex(x))
+    if x and isinstance(x, (int, Fraction, ExactComplex, Cyclotomic)):
+        got, want = Fraction(1) / x, _own_inverse(x)
+        assert type(got) is type(want) and repr(got) == repr(want)
+
+
+def _in_field(g: ExactComplex, n: int) -> Cyclotomic:
+    """A Gaussian rational written in Q(zeta_n), 4 | n: i = zeta_n^(n/4)."""
+    field = CyclotomicField(n)
+    return field.from_rational(g.re) + field.root(n // 4) * g.im
+
+
+ARITHMETIC = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+@given(exact_numbers(st.just(0)), exact_numbers(), st.sampled_from((4, 8, 12)))
+def test_a_gaussian_field_element_computes_with_exact_complex_by_value(g, e, n):
+    c = _in_field(g, n)
+    for op in ARITHMETIC:
+        for got, want in ((_outcome(op, e, c), _outcome(op, e, g)), (_outcome(op, c, e), _outcome(op, g, e))):
+            if isinstance(want, type):
+                assert got is want
+            else:
+                assert type(got) is ExactComplex and _fields(got) == _fields(want)
+
+
+@pytest.mark.parametrize("op", ARITHMETIC, ids=lambda op: op.__name__)
+def test_a_field_element_outside_q_i_does_not_compute_with_exact_complex(op):
+    for e in (exact(1, 1), exact(1, 1, 1)):
+        for a, b in ((e, root_of_unity(8)), (root_of_unity(8), e)):
+            with pytest.raises(TypeError):
+                op(a, b)
+
+
+def test_polynomials_with_mixed_exact_coefficients_add_and_multiply():
+    i4, i8 = root_of_unity(4), CyclotomicField(8).root(2)
+    p = HoloPolynomial(2, {(1, 0): exact(1, 1), (0, 1): i4 * Fraction(1, 2)})
+    # the (1, 0) coefficients cancel in p + q
+    q = HoloPolynomial(2, {(1, 0): -1 - i8, (0, 0): exact(Fraction(1, 3), -2)})
+
+    def as_exact(f):
+        return HoloPolynomial(2, {a: ExactComplex.coerce(c) for a, c in f.terms.items()})
+
+    for op in (operator.add, operator.mul):
+        want = op(as_exact(p), as_exact(q))
+        for got in (op(p, q), op(q, p)):
+            assert got == want and got.terms.keys() == want.terms.keys()
+    assert (1, 0) not in (p + q).terms
+
+
+def test_numpy_reads_exact_coordinates():
+    zeta = CyclotomicField(5)
+    assert _bits(np.asarray([zeta.root(1), 0.5], dtype=complex)[0]) == _bits(zeta.root(1).to_complex())
+    z = (zeta.root(1) * Fraction(1, 4), Fraction(1, 3))
+    w = (zeta.root(2) * Fraction(1, 5), zeta.root(3) * Fraction(-2, 7))
+    group = _binary_dihedral_12()
+    calls = (lambda p, q: ball_kernel(2, p, q), lambda p, q: deck_sum_kernel(group, 2, p, q))
+    for call in calls:
+        got, want = call(z, w), call(tuple(map(complex, z)), tuple(map(complex, w)))
+        assert type(got) is complex and _bits(got) == _bits(want)
+        # an array beside an exact coordinate broadcasts against it
+        batch = (np.array([0.1, 0.2j]), z[0])
+        got, want = call(batch, w), call((batch[0], complex(z[0])), tuple(map(complex, w)))
+        assert [_bits(v) for v in got] == [_bits(v) for v in want]
 
 
 # -- the one point reader -------------------------------------------------------
