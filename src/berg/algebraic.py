@@ -33,7 +33,7 @@ import numpy as np
 
 from .ball import ball_kernel, complex_coordinates
 from .hartogs import omega_closed_kernel, u_kernel
-from .polynomials import HermitianPolynomial, HoloPolynomial, MultiIndex, monomials_up_to_degree
+from .polynomials import HermitianPolynomial, HoloPolynomial, monomials_up_to_degree
 from .verify import _unit_disk_points
 
 TWO_PI = 2.0 * math.pi
@@ -84,7 +84,7 @@ def _laurent_series(r0: float, z: np.ndarray, w: np.ndarray, truncation: int) ->
 
 def annulus_kernel(inner_radius: float, z, w, truncation: int = 200):
     """Truncated Laurent-series kernel of the annulus {r0 < |z| < 1}:
-    sum over |k| <= M of z^k conj(w)^k / ||z^k||^2.
+    sum over |k| <= M of z^k conj(w)^k / ||z^k||^2, M >= 0.
 
     Points of C^1 are read by ``complex_coordinates``, as for
     ``ball_kernel(1, ...)``: a pair of points gives a Python complex,
@@ -93,6 +93,8 @@ def annulus_kernel(inner_radius: float, z, w, truncation: int = 200):
     r0 = float(inner_radius)
     if not 0.0 < r0 < 1.0:
         raise ValueError("inner radius must lie in (0, 1)")
+    if truncation < 0:
+        raise ValueError(f"truncation must be at least 0, got {truncation}")
     ((z,), (w,)), single = complex_coordinates(1, z, w)
     for p in (z, w):
         m = np.abs(p)
@@ -287,44 +289,33 @@ SURFACES: dict[str, Callable[[], KernelSurface]] = {
 
 @dataclass(frozen=True)
 class AlgebraicRelation:
-    """A fitted polynomial relation P(features, K) with unit coefficient
-    vector, its max-abs residual over the fitting samples, and the
-    Hermitian expansions of the feature coordinates."""
+    """A fitted polynomial relation P(features, K) = sum_j a_j(features) K^j,
+    held as one HoloPolynomial ``relation`` in the variables (features...,
+    K) with unit coefficient vector, with its max-abs residual over the
+    fitting samples and the Hermitian expansions of the feature coordinates."""
 
     k_degree: int
     feature_degree: int
-    nfeatures: int
-    coefficients: dict[tuple[MultiIndex, int], float]
+    relation: HoloPolynomial
     residual: float
     feature_polys: tuple[HermitianPolynomial, ...] | None = None
 
-    def coefficient_terms(self, j: int) -> dict[MultiIndex, float]:
-        return {b: c for (b, jj), c in self.coefficients.items() if jj == j}
+    @property
+    def nfeatures(self) -> int:
+        return self.relation.dim - 1
 
-    def eval_coefficient(self, j: int, features: Sequence[float]) -> float:
-        total = 0.0
-        for beta, c in self.coefficient_terms(j).items():
-            term = c
-            for x, e in zip(features, beta):
-                term *= x**e
-            total += term
-        return total
-
-    def eval(self, features: Sequence[float], k_value: float) -> float:
-        return sum(
-            self.eval_coefficient(j, features) * k_value**j
-            for j in range(self.k_degree + 1)
+    def coefficient(self, j: int) -> HoloPolynomial:
+        """a_j, the coefficient of K^j, as a polynomial in the features."""
+        return HoloPolynomial(
+            self.nfeatures, {a[:-1]: c for a, c in self.relation.terms.items() if a[-1] == j}
         )
 
     def coefficient_hermitian(self, j: int) -> HermitianPolynomial:
         """Expand a_j back into a polynomial in (z, conj(z))."""
         if self.feature_polys is None:
             raise ValueError("relation carries no feature expansion data")
-        coefficient = HoloPolynomial(
-            len(self.feature_polys),
-            {beta: complex(c) for beta, c in self.coefficient_terms(j).items()},
-        )
         features = [p.to_complex_coeffs() for p in self.feature_polys]
+        coefficient = self.coefficient(j).to_complex_coeffs()
         return HermitianPolynomial(self.feature_polys[0].dim) + coefficient.eval(features)
 
 
@@ -390,16 +381,17 @@ def _smallest_right_singular_vector(r: np.ndarray) -> np.ndarray:
 
 def _evaluation_matrix(
     samples: Sequence[tuple[Sequence[float], float]], feature_degree: int, k_degree: int
-) -> tuple[list[tuple[MultiIndex, int]], np.ndarray]:
-    """The keys (beta, j) and the matrix of features^beta * K^j, one row
-    per sample and one column per key."""
+) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The exponent vectors (beta..., j) of the relation's monomials and
+    the matrix of features^beta * K^j, one row per sample and one column
+    per exponent vector."""
     feats = np.array([list(s[0]) for s in samples], dtype=float)
     kvals = np.array([s[1] for s in samples], dtype=float)
     _check_fit_size(len(samples), _fit_unknowns(feats.shape[1], feature_degree, k_degree))
     if np.allclose(kvals, 0.0):
         raise ValueError("all kernel samples vanish")
     betas = list(monomials_up_to_degree(feats.shape[1], feature_degree))
-    keys = [(beta, j) for j in range(k_degree + 1) for beta in betas]
+    keys = [(*beta, j) for j in range(k_degree + 1) for beta in betas]
     if len(samples) < 2 * len(keys):
         raise ValueError(
             f"underdetermined fit: {len(samples)} samples for {len(keys)} unknowns "
@@ -408,9 +400,9 @@ def _evaluation_matrix(
     k_powers = [kvals**j for j in range(k_degree + 1)]
     feature_powers = [[x**e for e in range(feature_degree + 1)] for x in feats.T]
     matrix = np.empty((len(keys), len(samples))).T  # columns contiguous
-    for column, (beta, j) in enumerate(keys):
-        col = k_powers[j]
-        for powers, e in zip(feature_powers, beta):
+    for column, key in enumerate(keys):
+        col = k_powers[key[-1]]
+        for powers, e in zip(feature_powers, key):  # stops before the K exponent
             if e:
                 col = col * powers[e]
         matrix[:, column] = col
@@ -455,7 +447,8 @@ def fit_relation(
     square R of its QR decomposition, R is inverted by a blocked
     triangular solve, and inverse iteration with that inverse gives the
     minimal right singular direction.  That direction, unscaled and
-    renormalized to a unit coefficient vector, is returned with its
+    renormalized to a unit coefficient vector, is returned as a
+    HoloPolynomial in (features..., K), zero terms dropped, with its
     max-abs residual over the samples.  A column norm, residual or
     coefficient that is not finite is a ValueError.
 
@@ -483,14 +476,10 @@ def fit_relation(
     residual = float(np.max(np.abs(matrix @ x)) / norm)
     if not (math.isfinite(residual) and np.isfinite(coeff).all()):
         raise ValueError(f"fit is not finite: residual {residual}")
-    coefficients = {
-        key: float(c) for key, c in zip(keys, coeff) if c != 0.0
-    }
     return AlgebraicRelation(
         k_degree=k_degree,
         feature_degree=feature_degree,
-        nfeatures=len(samples[0][0]),
-        coefficients=coefficients,
+        relation=HoloPolynomial(len(samples[0][0]) + 1, dict(zip(keys, coeff.tolist()))),
         residual=residual,
         feature_polys=feature_polys,
     )
@@ -527,7 +516,7 @@ def boundary_leading_coefficient(
     features = np.asarray(boundary_features, dtype=float)
     if features.ndim != 2 or len(features) != relation.nfeatures or not features.size:
         raise ValueError(f"expected {relation.nfeatures} boundary feature arrays, one value per point")
-    return float(np.max(np.abs(relation.eval_coefficient(relation.k_degree, features))))
+    return float(np.max(np.abs(relation.coefficient(relation.k_degree).eval(features))))
 
 
 def best_relation_residual(

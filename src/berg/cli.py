@@ -344,9 +344,8 @@ def fit_cmd(kernel_name, dz, dk, boundary_check, count, seed):
         "k_degree": relation.k_degree,
         "feature_degree": relation.feature_degree,
         "coefficients": [
-            [list(beta), j, c] for (beta, j), c in sorted(
-                relation.coefficients.items(), key=lambda kv: (kv[0][1], tuple(kv[0][0]))
-            )
+            [list(beta), j, c]
+            for j, beta, c in sorted((a[-1], a[:-1], c) for a, c in relation.relation.terms.items())
         ],
     }
     if boundary is not None:

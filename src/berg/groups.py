@@ -99,16 +99,7 @@ class UnitaryMatrix:
     # -- structure ---------------------------------------------------------
     def is_unitary(self) -> bool:
         if self.exact:
-            for i in range(self.n):
-                for j in range(self.n):
-                    s = None
-                    for k in range(self.n):
-                        t = self.entries[k][i].conjugate() * self.entries[k][j]
-                        s = t if s is None else s + t
-                    want = 1 if i == j else 0
-                    if not s == want:
-                        return False
-            return True
+            return (self.conj_transpose() @ self).is_identity()
         m = self.to_numpy()
         return bool(np.max(np.abs(m.conj().T @ m - np.eye(self.n))) <= UNITARITY_TOL)
 
@@ -165,6 +156,9 @@ class UnitaryMatrix:
         return True
 
     def dedup_key(self):
+        """A key for the matrices of one group: exact entries by their
+        representation, which is sound inside the group's common field;
+        float entries rounded to DEDUP_DECIMALS places."""
         if self.exact:
             return tuple(
                 (x.field.n, x.nums, x.den) if isinstance(x, Cyclotomic) else ("q", Fraction(x))
@@ -197,12 +191,16 @@ class UnitaryMatrix:
         return out
 
     def __eq__(self, other):
+        """Exact matrices compare entry by entry, by value, whatever field
+        an entry is written in; float matrices by their rounded key."""
         if not isinstance(other, UnitaryMatrix):
             return NotImplemented
+        if self.exact and other.exact:
+            return self.entries == other.entries
         return self.dedup_key() == other.dedup_key()
 
     def __hash__(self):
-        return hash(self.dedup_key())
+        return hash(self.entries if self.exact else self.dedup_key())
 
     def __repr__(self):
         return f"UnitaryMatrix({self.entries!r})"
@@ -323,9 +321,9 @@ class FiniteUnitaryGroup:
         diagonal = [g for g in self.elements if _is_diagonal(g)]
         covered, reps = set(), []
         for g in self.elements:
-            if g not in covered:
+            if g.dedup_key() not in covered:
                 reps.append(g)
-                covered.update(g @ h for h in diagonal)
+                covered.update((g @ h).dedup_key() for h in diagonal)
         if len(reps) * len(diagonal) != self.order:
             raise RuntimeError("the diagonal elements do not split the group into cosets")
         return SymmetricPowerTable(self.dim, [g.entries for g in reps], _fixed_by(diagonal))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -116,10 +117,12 @@ def kernel_series(
         sum_{m=1}^{M} (m+1) m^2 / (2pi)^3 * (lam conj(tau))^m
                       * prod_i (1 + z_i conj(w_i))^(m-1)
 
-    Requires |lam conj(tau)| prod |1 + z_i conj(w_i)| < 1 and reports a
-    geometric bound on the discarded tail.  Exact coordinates are read
-    by value and computed as Python complex.
+    Requires M >= 0 and |lam conj(tau)| prod |1 + z_i conj(w_i)| < 1 and
+    reports a geometric bound on the discarded tail.  Exact coordinates
+    are read by value and computed as Python complex.
     """
+    if truncation < 0:
+        raise ValueError(f"truncation must be at least 0, got {truncation}")
     exact = read_points(2, z, w)
     if exact is not None:
         z, w = exact
@@ -232,6 +235,12 @@ class RationalKernel:
     numerator: HermitianPolynomial
     denominator: HermitianPolynomial
 
+    @cached_property
+    def complex_polys(self) -> tuple[HermitianPolynomial, HermitianPolynomial]:
+        """Numerator and denominator with complex coefficients, built once
+        for the float path."""
+        return self.numerator.to_complex_coeffs(), self.denominator.to_complex_coeffs()
+
     def eval(self, x: Sequence, y: Sequence):
         """Exact at Gaussian-rational points, whatever field a coordinate
         is written in; complex otherwise."""
@@ -240,7 +249,8 @@ class RationalKernel:
         if points is not None:
             return num_poly.eval(*points) / den_poly.eval(*points)
         points, single = complex_coordinates(num_poly.dim, x, y)
-        value = num_poly.to_complex_coeffs().eval(*points) / den_poly.to_complex_coeffs().eval(*points)
+        num_poly, den_poly = self.complex_polys
+        value = num_poly.eval(*points) / den_poly.eval(*points)
         return complex(value[0]) if single else value
 
     def is_hermitian(self) -> bool:

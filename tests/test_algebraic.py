@@ -28,7 +28,7 @@ from berg.algebraic import (
 )
 from berg.ball import ball_kernel, complex_coordinates
 from berg.hartogs import omega_closed_kernel, u_kernel
-from berg.polynomials import MultiIndex, monomials_up_to_degree
+from berg.polynomials import HoloPolynomial, monomials_up_to_degree
 from berg.scalars import to_complex
 
 
@@ -107,6 +107,14 @@ def test_annulus_domain_check():
         annulus_kernel(0.5, (0.4,), (0.7,))
     with pytest.raises(ValueError, match="outside the open annulus"):
         annulus_kernel(0.5, (0.7,), (1.1,))
+
+
+def test_annulus_refuses_a_negative_truncation():
+    for truncation in (-1, -3):
+        with pytest.raises(ValueError, match=f"truncation must be at least 0, got {truncation}"):
+            annulus_kernel(0.5, (0.7,), (0.6,), truncation=truncation)
+    # truncation 0 keeps the k = 0 term alone
+    assert annulus_kernel(0.5, (0.7,), (0.6,), truncation=0) == pytest.approx(1 / (math.pi * 0.75))
 
 
 def _annulus_loop(r0, z, w, truncation):
@@ -200,7 +208,7 @@ def test_fit_disk_relation():
     assert relation.residual <= 1e-10
     # held-out generalization: the same relation stays tiny off the fit set
     fresh = surface.samples(100, seed=99)
-    worst = max(abs(relation.eval(f, k)) for f, k in fresh)
+    worst = max(abs(relation.relation.eval((*f, k))) for f, k in fresh)
     assert worst <= 1e-10
     boundary = surface.boundary_features(50, seed=1)
     assert boundary_leading_coefficient(relation, boundary) <= 1e-8
@@ -210,16 +218,16 @@ def test_fit_disk_against_known_relation():
     # the fitted direction is proportional to pi (1 - x^2 - y^2)^2 K - 1:
     # normalize on the K-constant coefficient and compare coefficient-wise
     relation = fit_surface_relation(disk_surface(), 4, 1, seed=3)
-    coeffs = dict(relation.coefficients)
-    scale = coeffs[(MultiIndex((0, 0)), 1)] / math.pi
+    coeffs = relation.relation.terms
+    scale = coeffs[(0, 0, 1)] / math.pi
     expected = {
-        (MultiIndex((0, 0)), 1): math.pi,
-        (MultiIndex((2, 0)), 1): -2 * math.pi,
-        (MultiIndex((0, 2)), 1): -2 * math.pi,
-        (MultiIndex((4, 0)), 1): math.pi,
-        (MultiIndex((0, 4)), 1): math.pi,
-        (MultiIndex((2, 2)), 1): 2 * math.pi,
-        (MultiIndex((0, 0)), 0): -1.0,
+        (0, 0, 1): math.pi,
+        (2, 0, 1): -2 * math.pi,
+        (0, 2, 1): -2 * math.pi,
+        (4, 0, 1): math.pi,
+        (0, 4, 1): math.pi,
+        (2, 2, 1): 2 * math.pi,
+        (0, 0, 0): -1.0,
     }
     for key, want in expected.items():
         assert coeffs.get(key, 0.0) / scale == pytest.approx(want, abs=1e-9)
@@ -245,8 +253,8 @@ def test_fit_constant_surface():
     samples = [((float(x),), c) for x in np.linspace(-1, 1, 40)]
     relation = fit_relation(samples, 0, 1)
     assert relation.residual <= 1e-14
-    a1 = relation.eval_coefficient(1, (0.0,))
-    a0 = relation.eval_coefficient(0, (0.0,))
+    a1 = relation.coefficient(1).eval((0.0,))
+    a0 = relation.coefficient(0).eval((0.0,))
     assert a0 / a1 == pytest.approx(-c, rel=1e-12)
 
 
@@ -278,7 +286,7 @@ def test_fit_direction_is_the_smallest_singular_direction(make, feature_degree, 
     keys, matrix = _evaluation_matrix(samples, feature_degree, k_degree)
     scale = np.linalg.norm(matrix, axis=0)
     scale[scale == 0] = 1.0
-    x = np.array([relation.coefficients.get(key, 0.0) for key in keys]) * scale
+    x = np.array([relation.relation.terms.get(key, 0.0) for key in keys]) * scale
     x /= np.linalg.norm(x)
     scaled = matrix / scale
     sigma = np.linalg.svd(scaled, compute_uv=False)
@@ -455,11 +463,14 @@ def test_radial_features_follow_the_scalar_path(make):
 
 
 def test_boundary_leading_coefficient_takes_the_feature_batch():
-    relation = fit_surface_relation(disk_surface(), 4, 1, seed=3)
-    features = disk_surface().boundary_features(50, seed=1)
-    assert len(features) == 2 and all(f.shape == (50,) for f in features)
-    per_point = max(abs(relation.eval_coefficient(1, f)) for f in zip(*(f.tolist() for f in features)))
-    assert boundary_leading_coefficient(relation, features) == pytest.approx(per_point, rel=1e-12, abs=1e-15)
+    # a_q, evaluated point by point, on the disk 4/1 and Omega 12/1 fits
+    for make, feature_degree, seed in ((disk_surface, 4, 3), (omega_diagonal_surface, 12, 106)):
+        relation = fit_surface_relation(make(), feature_degree, 1, seed=seed)
+        features = make().boundary_features(50, seed=1)
+        assert len(features) == relation.nfeatures and all(f.shape == (50,) for f in features)
+        leading = relation.coefficient(relation.k_degree)
+        per_point = max(abs(leading.eval(f)) for f in zip(*(f.tolist() for f in features)))
+        assert boundary_leading_coefficient(relation, features) == pytest.approx(per_point, rel=1e-12, abs=1e-15)
 
 
 def test_annulus_scalar_equals_its_batched_row_bit_for_bit():
@@ -549,7 +560,7 @@ def test_relation_hermitian_expansion():
     rng = np.random.default_rng(0)
     for _ in range(5):
         z = complex(*rng.uniform(-0.7, 0.7, 2))
-        direct = relation.eval_coefficient(1, (z.real, z.imag))
+        direct = relation.coefficient(1).eval((z.real, z.imag))
         herm = to_complex(a1.eval((z,), (z,)))
         assert herm.real == pytest.approx(direct, abs=1e-12)
         assert abs(herm.imag) < 1e-12
@@ -560,12 +571,45 @@ def test_corrupted_relation_flagged_on_boundary():
     corrupted = AlgebraicRelation(
         k_degree=1,
         feature_degree=0,
-        nfeatures=2,
-        coefficients={(MultiIndex((0, 0)), 1): 1.0},
+        relation=HoloPolynomial(3, {(0, 0, 1): 1.0}),
         residual=0.0,
     )
     boundary = disk_surface().boundary_features(50, seed=1)
     assert boundary_leading_coefficient(corrupted, boundary) == pytest.approx(1.0)
+
+
+@pytest.fixture(scope="module", params=[(disk_surface, 4, 1, 3), (omega_diagonal_surface, 12, 1, 106)], ids=["disk", "omega"])
+def fitted(request):
+    make, feature_degree, k_degree, seed = request.param
+    surface = make()
+    count = 2 * algebraic._fit_unknowns(len(surface.feature_polys), feature_degree, k_degree)
+    samples = surface.samples(count, seed=seed)
+    return samples, fit_relation(samples, feature_degree, k_degree, surface.feature_polys)
+
+
+def test_relation_at_its_own_samples_reproduces_the_residual(fitted):
+    # both sides are rounding noise of an exact relation, summed in other
+    # orders; they agree within the rounding bound of summing the terms
+    samples, relation = fitted
+    columns = list(np.array([(*f, k) for f, k in samples]).T)
+    values = np.abs(relation.relation.eval(columns))
+    sizes = HoloPolynomial(relation.relation.dim, {a: abs(c) for a, c in relation.relation.terms.items()})
+    steps = len(relation.relation.terms) + relation.relation.degree()
+    bound = steps * EPS * sizes.eval([np.abs(c) for c in columns]).max()
+    assert abs(values.max() - relation.residual) <= bound
+    assert bound < 1e-10
+
+
+def test_fitted_relation_terms(fitted):
+    _, relation = fitted
+    terms = relation.relation.terms
+    assert terms and all(c != 0.0 for c in terms.values())
+    assert max(a[-1] for a in terms) == relation.k_degree
+    assert max(a.degree - a[-1] for a in terms) <= relation.feature_degree
+    # the coefficients a_j split the relation's terms between them
+    split = sum(len(relation.coefficient(j).terms) for j in range(relation.k_degree + 1))
+    assert split == len(terms)
+    assert math.isclose(math.fsum(c * c for c in terms.values()), 1.0, rel_tol=1e-12)
 
 
 @pytest.mark.slow

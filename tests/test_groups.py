@@ -177,3 +177,30 @@ def test_exact_complex_entries_are_read_by_value():
     assert UnitaryMatrix([[exact(1), 0], [0, I_UNIT]]).exact
     with pytest.raises(ValueError, match="carries pi"):
         UnitaryMatrix.diagonal([exact(0, 1, 1), exact(1)])
+
+
+def test_exact_matrices_compare_and_hash_by_value():
+    # the identity written over Q and over Q(zeta_4), and zeta_8^2 against zeta_4
+    z8 = root_of_unity(8)
+    pairs = [
+        (UnitaryMatrix.identity(2), generate_group([diag(I_UNIT, I_UNIT)]).identity()),
+        (diag(z8 * z8, z8 * z8), diag(I_UNIT, I_UNIT)),
+    ]
+    for a, b in pairs:
+        assert a.entries != b.entries or a.dedup_key() != b.dedup_key()
+        assert a == b and b == a and hash(a) == hash(b) and len({a, b}) == 1
+    assert diag(z8, z8) != diag(I_UNIT, I_UNIT)
+    assert UnitaryMatrix.identity(2) != UnitaryMatrix.identity(3)
+    # float matrices keep their rounded key, and are not equal to exact ones
+    assert UnitaryMatrix.identity(2, exact=False) == UnitaryMatrix([[1 + 1e-14, 0], [0, 1.0]], check=False)
+    assert UnitaryMatrix.identity(2, exact=False) != UnitaryMatrix.identity(2)
+
+
+def test_exact_unitarity_check():
+    h = Fraction(1, 2)
+    assert UnitaryMatrix([[h + h * I_UNIT, h + h * I_UNIT], [-h + h * I_UNIT, h - h * I_UNIT]]).is_unitary()
+    with pytest.raises(NonUnitaryError):
+        UnitaryMatrix([[ONE, ONE], [ONE, -ONE]])
+    with pytest.raises(NonUnitaryError):
+        UnitaryMatrix([[Fraction(1), I_UNIT], [Fraction(0), Fraction(1)]])
+    assert not UnitaryMatrix([[ONE, 0], [0, Fraction(2)]], check=False).is_unitary()

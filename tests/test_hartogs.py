@@ -21,7 +21,7 @@ from berg.hartogs import (
     u_kernel,
 )
 from berg.invariants import find_syzygies
-from berg.polynomials import HoloPolynomial
+from berg.polynomials import HermitianPolynomial, HoloPolynomial
 from berg.scalars import ExactComplex, to_complex
 
 TWO_PI3 = (2 * math.pi) ** 3
@@ -174,6 +174,16 @@ def test_series_matches_closed_form():
 def test_series_divergence_guard():
     with pytest.raises(NonConvergentError):
         kernel_series((1.0, 1.0), 0.9, (1.0, 1.0), 0.9)
+
+
+def test_series_refuses_a_negative_truncation():
+    for truncation in (-1, -3):
+        with pytest.raises(ValueError, match=f"truncation must be at least 0, got {truncation}"):
+            kernel_series((0.1, 0.2), 0.3, (0.1, 0.2), 0.3, truncation=truncation)
+    # truncation 0 is the empty sum, with the whole series as its tail
+    empty = kernel_series((0.1, 0.2), 0.3, (0.1, 0.2), 0.3, truncation=0)
+    assert empty.value == 0 and empty.terms == 0
+    assert empty.tail_bound >= abs(kernel_series((0.1, 0.2), 0.3, (0.1, 0.2), 0.3).value)
 
 
 def test_series_at_an_overflowing_point_does_not_converge():
@@ -446,6 +456,19 @@ def test_rational_kernel_structure():
         direct = to_complex(omega_closed_kernel(z, lam, w, tau))
         rational = to_complex(rk.eval((z[0], z[1], lam), (w[0], w[1], tau)))
         assert abs(direct - rational) <= 1e-14 * max(1.0, abs(direct))
+
+
+def test_rational_kernel_builds_its_complex_copies_once(monkeypatch):
+    rk = omega_rational_kernel()
+    calls = []
+    convert = HermitianPolynomial.to_complex_coeffs
+    monkeypatch.setattr(HermitianPolynomial, "to_complex_coeffs", lambda p: calls.append(p) or convert(p))
+    x, y = (0.1 + 0.2j, -0.1j, 0.3), (0.2, 0.1, 0.25 - 0.1j)
+    values = [rk.eval(x, y) for _ in range(3)]
+    assert len(calls) == 2 and values[0] == values[1] == values[2]
+    # an exact point takes the exact path and converts nothing
+    rk.eval((Fraction(0), Fraction(0), Fraction(1, 2)), (Fraction(0), Fraction(0), Fraction(1, 2)))
+    assert len(calls) == 2
 
 
 def test_rational_kernel_exact_eval():
