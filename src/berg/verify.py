@@ -61,6 +61,8 @@ class IntegrationSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.n_samples, bool) or not isinstance(self.n_samples, int):
+            raise ValueError(f"n_samples must be an integer, got {self.n_samples!r}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
 
@@ -100,11 +102,13 @@ class VerificationReport:
 # samplers: (k coordinates of N points, a (k, N) array; inverse density weights)
 #
 # ``integrate`` draws one block of at most BLOCK points at a time, so no
-# whole draw is ever held.  Both samplers consume their RNG streams in
-# sequence, so consecutive block draws give the points one draw of the
-# whole count gives: the box sampler takes a fixed number of uniforms per
-# point, and the Hartogs sampler draws block by block itself (its stream,
-# and so its points, depend on BLOCK).
+# whole draw is ever held, and between blocks keeps only a count, a mean
+# and an M2 per integrand, so its memory does not grow with N.  Both
+# samplers consume their RNG streams in sequence, so consecutive block
+# draws give the points one draw of the whole count gives: the box sampler
+# takes a fixed number of uniforms per point, and the Hartogs sampler
+# draws block by block itself (its stream, and so its points, depend on
+# BLOCK).
 # ---------------------------------------------------------------------------
 
 BLOCK = 1 << 16  # points drawn, and integrands evaluated, per block
@@ -205,24 +209,43 @@ def integrate(
     Points are drawn, and the integrand evaluated, per block of at most
     ``BLOCK`` points (the ``(k, m)`` coordinates of m points in, ``m``
     values out), so each output entry must depend only on its own point.
-    Given a sequence of integrands, one draw serves them all and one
-    (estimate, stderr) pair is returned for each, in order.
+    Between blocks only the count, the mean and M2 = sum |w - mean|^2 of
+    each integrand's weighted values w are kept, so memory grows with
+    ``BLOCK`` and the number of integrands but not with N; the estimate is
+    the mean and the stderr sqrt(M2 / ((N - 1) N)).  Given a sequence of
+    integrands, one draw serves them all and one (estimate, stderr) pair
+    is returned for each, in order; an empty sequence is a ValueError.
     """
     several = not callable(integrand)
     integrands = list(integrand) if several else [integrand]
+    if not integrands:
+        raise ValueError("integrate needs at least one integrand")
     rng = np.random.default_rng(spec.seed)
     n = spec.n_samples
-    weighted = np.empty((len(integrands), n), dtype=complex)
+    # per integrand: the mean of the weighted values seen so far and their
+    # M2 = sum |w - mean|^2, merged block by block (Chan, Golub and LeVeque)
+    moments = [(0j, 0.0)] * len(integrands)
+    seen = 0
     for b in _blocks(n):
-        points, inv = _draw(spec, rng, b.stop - b.start)
-        for row, f in zip(weighted, integrands):
+        m = b.stop - b.start
+        points, inv = _draw(spec, rng, m)
+        for i, f in enumerate(integrands):
             values = np.asarray(f(points), dtype=complex)
-            row[b] = np.where(inv > 0, values, 0.0) * inv
-    out = []
-    for row in weighted:
-        # one sample has no spread to estimate: its standard error is unbounded
-        var = np.var(row.real, ddof=1) + np.var(row.imag, ddof=1) if n > 1 else math.inf
-        out.append((complex(np.mean(row)), math.sqrt(var / n)))
+            w = np.where(inv > 0, values, 0.0)
+            w *= inv
+            block_mean = complex(np.mean(w))
+            w -= block_mean
+            # |w - block_mean|^2 summed as the interleaved squares of the
+            # real and imaginary parts, in place
+            parts = w.view(float)
+            block_m2 = float(np.sum(np.multiply(parts, parts, out=parts)))
+            mean, m2 = moments[i]
+            delta = block_mean - mean
+            share = m / (seen + m)
+            moments[i] = (mean + delta * share, m2 + block_m2 + abs(delta) ** 2 * seen * share)
+        seen += m
+    # one sample has no spread to estimate: its standard error is unbounded
+    out = [(mean, math.sqrt(m2 / ((n - 1) * n)) if n > 1 else math.inf) for mean, m2 in moments]
     return out if several else out[0]
 
 
@@ -254,17 +277,23 @@ def check_reproducing(
     """Monte Carlo test that integrating a Bergman-space monomial against
     the kernel returns its value at the base point.
 
-    For the disk, ``f`` is an integer power d (the monomial z^d) and z0 a
-    complex point.  For the Hartogs domain, ``f`` is a pair (m, alpha)
-    (the monomial lambda^m z^alpha, which must be square-integrable) and
-    z0 a triple (z1, z2, lambda0).
+    For the disk, ``f`` is an integer power d >= 0 (the monomial z^d) and
+    z0 a complex point with |z0| < 1.  For the Hartogs domain, ``f`` is a
+    pair (m, alpha) (the monomial lambda^m z^alpha, which must be
+    square-integrable) and z0 a triple (z1, z2, lambda0) with
+    |lambda0|^2 (1 + |z1|^2)(1 + |z2|^2) < 1.  Input the check cannot hold
+    for is a ValueError, raised before anything is drawn.
     """
     spec = spec or IntegrationSpec(domain=domain)
     if spec.domain != domain:
         raise ValueError(f"spec domain {spec.domain!r} does not match {domain!r}")
     if domain == "disk":
-        d = int(f)
+        if isinstance(f, bool) or not isinstance(f, int) or f < 0:
+            raise ValueError(f"disk power must be an integer >= 0, got {f!r}")
+        d = f
         z0 = complex(z0)
+        if not abs(z0) < 1.0:
+            raise ValueError(f"base point {z0} is not inside the disk")
 
         def integrand(pts):
             return pts[0] ** d * ball_kernel(1, (z0,), pts)
@@ -279,6 +308,8 @@ def check_reproducing(
             )
         zy = (complex(z0[0]), complex(z0[1]))
         lam_y = complex(z0[2])
+        if not abs(lam_y) ** 2 * (1.0 + abs(zy[0]) ** 2) * (1.0 + abs(zy[1]) ** 2) < 1.0:
+            raise ValueError(f"base point {(*zy, lam_y)} is not inside the domain")
 
         def integrand(pts):
             kernel = omega_closed_kernel(zy, lam_y, pts[:2], pts[2])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,17 +239,126 @@ def _fiber_product(p):
     return 8.0 * p[2] * np.conj(p[2] ** 2) * p[0]
 
 
-@pytest.mark.parametrize("domain", ["disk", "ball-2", "annulus", "omega"])
-def test_blockwise_integrate_equals_one_shot(domain):
-    # blocks change only where integrands are evaluated, not the values or
-    # the reductions: estimate and stderr equal a whole-array evaluation
+def _merged_blocks(weighted):
+    """The merge ``integrate`` makes, over the BLOCK-sized slices of one
+    whole array of weighted values: (estimate, stderr)."""
+    mean, m2, seen = 0j, 0.0, 0
+    for start in range(0, len(weighted), BLOCK):
+        w = weighted[start : start + BLOCK]
+        m = len(w)
+        block_mean = complex(np.mean(w))
+        parts = (w - block_mean).view(float)  # real and imaginary parts, interleaved
+        block_m2 = float(np.sum(parts * parts))
+        delta = block_mean - mean
+        share = m / (seen + m)
+        mean, m2 = mean + delta * share, m2 + block_m2 + abs(delta) ** 2 * seen * share
+        seen += m
+    return mean, math.sqrt(m2 / ((seen - 1) * seen))
+
+
+def _weighted(f, points, inv):
+    return np.where(inv > 0, np.asarray(f(points), dtype=complex), 0.0) * inv
+
+
+def _one_shot(domain):
+    """The spec, the integrand and one whole-array draw of the spec."""
     spec = IntegrationSpec(domain, 3 * BLOCK + 17, seed=12)
     f = _fiber_weight if domain == "omega" else (lambda p: p[0] * np.conj(p[0]) ** 2)
-    points, inv = _draw(spec, np.random.default_rng(spec.seed), spec.n_samples)
-    weighted = np.where(inv > 0, np.asarray(f(points), dtype=complex), 0.0) * inv
+    return spec, f, _draw(spec, np.random.default_rng(spec.seed), spec.n_samples)
+
+
+@pytest.mark.parametrize("domain", ["disk", "ball-2", "annulus", "omega"])
+def test_blockwise_integrate_equals_one_shot(domain):
+    # blocks change only where points are drawn, not the points, and the
+    # moments are merged block by block: estimate and stderr equal the same
+    # merge over the BLOCK-sized slices of one whole-array draw.  Each slice
+    # is evaluated on its own, as integrate evaluates each block: numpy's
+    # complex product can round the last bits of a short array (the final
+    # 17 points) differently from the same points inside a long one
+    spec, f, (points, inv) = _one_shot(domain)
+    weighted = np.concatenate(
+        [_weighted(f, points[:, b], inv[b]) for b in verify._blocks(spec.n_samples)]
+    )
+    assert integrate(spec, f) == _merged_blocks(weighted)
+
+
+@pytest.mark.parametrize("domain", ["disk", "ball-2", "annulus", "omega"])
+def test_merged_moments_agree_with_the_whole_array_reduction(domain):
+    spec, f, (points, inv) = _one_shot(domain)
+    weighted = _weighted(f, points, inv)
+    estimate, stderr = integrate(spec, f)
     var = np.var(weighted.real, ddof=1) + np.var(weighted.imag, ddof=1)
-    want = (complex(np.mean(weighted)), math.sqrt(var / spec.n_samples))
-    assert integrate(spec, f) == want
+    mean = complex(np.mean(weighted))
+    assert abs(estimate - mean) <= 1e-13 * abs(mean)
+    assert stderr == pytest.approx(math.sqrt(var / spec.n_samples), rel=1e-12, abs=0)
+
+
+def test_integrate_memory_does_not_grow_with_the_sample_count():
+    # only a count, a mean and an M2 per integrand outlive a block
+    peaks = {}
+    for k in (2, 16):
+        spec = IntegrationSpec("omega", k * BLOCK, seed=1)
+        tracemalloc.start()
+        try:
+            integrate(spec, [_fiber_weight, _fiber_product])
+            peaks[k] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[16] <= 1.1 * peaks[2], peaks
+
+
+def test_merged_stderr_is_stable_for_a_large_mean(monkeypatch):
+    # values 1e9 + unit noise: the stderr must match a compensated
+    # two-pass reference, which sum(w^2) - n mean^2 cannot do in floats
+    drawn = []
+
+    def offset_noise(spec, rng, count):
+        drawn.append(1e9 + rng.standard_normal(count))
+        return drawn[-1][None, :].astype(complex), np.ones(count)
+
+    monkeypatch.setattr(verify, "_draw", offset_noise)
+    spec = IntegrationSpec("disk", 3 * BLOCK + 17, seed=16)
+    estimate, stderr = integrate(spec, lambda p: p[0])
+    x = np.concatenate(drawn)
+    n = len(x)
+    mean = math.fsum(x) / n
+    m2 = math.fsum((x - mean) ** 2)
+    assert n == spec.n_samples
+    assert estimate == pytest.approx(mean, rel=1e-15)
+    assert stderr == pytest.approx(math.sqrt(m2 / ((n - 1) * n)), rel=1e-9, abs=0)
+
+
+def _no_draw(*args):
+    raise AssertionError("drew points")
+
+
+def test_integrate_refuses_what_it_cannot_integrate(monkeypatch):
+    monkeypatch.setattr(verify, "_draw", _no_draw)
+    with pytest.raises(ValueError, match="at least one integrand"):
+        integrate(IntegrationSpec("disk", 1000), [])
+    for n in (2.5, 1000.0, True, "1000"):
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            IntegrationSpec("disk", n)
+
+
+@pytest.mark.parametrize(
+    "domain, f, z0, match",
+    [
+        ("disk", -1, 0.3, "disk power"),
+        ("disk", 2.7, 0.3, "disk power"),
+        ("disk", True, 0.3, "disk power"),
+        ("disk", 1, 1.5, "not inside the disk"),
+        ("disk", 1, 1.0, "not inside the disk"),
+        ("omega", (1, (0, 0)), (0.0, 0.0, 2.0), "not inside the domain"),
+        ("omega", (1, (0, 0)), (1.0, 1.0, 0.5), "not inside the domain"),
+    ],
+)
+def test_reproducing_refuses_checks_that_cannot_hold(monkeypatch, domain, f, z0, match):
+    # z^-1 is not in the Bergman space, 2.7 and True are not powers, and a
+    # base point outside the domain has no reproducing identity
+    monkeypatch.setattr(verify, "_draw", _no_draw)
+    with pytest.raises(ValueError, match=match):
+        check_reproducing(domain, f, z0, IntegrationSpec(domain, 1000))
 
 
 def test_one_sample_has_an_unbounded_standard_error():
