@@ -65,6 +65,8 @@ class IntegrationSpec:
             raise ValueError(f"n_samples must be an integer, got {self.n_samples!r}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed: expected non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -109,9 +111,24 @@ class VerificationReport:
 # takes a fixed number of uniforms per point, and the Hartogs sampler
 # draws block by block itself (its stream, and so its points, depend on
 # BLOCK).
+#
+# A block is small enough that its working set (under 1 MiB for the
+# Hartogs checks) stays in cache, and that a one-coordinate array of it
+# (64 KiB complex) stays under glibc's default 128 KiB mmap threshold.
+# Memory one block frees is then reused by the next from the heap, where
+# an array above the threshold is handed back to the system when freed
+# and faulted in again when the next block allocates it (about 10 MB per
+# block at 2^16 points).  So the Hartogs sampler makes one disk draw per
+# coordinate and stacks no temporaries; its (3, m) output, freed once,
+# lifts glibc's dynamic threshold above its own size, and ``integrate``
+# frees each block before it draws the next.  glibc can still trim the
+# heap's top after a block whose peak reached past its trim threshold;
+# whether it does depends on the heap layout of the process.
 # ---------------------------------------------------------------------------
 
-BLOCK = 1 << 16  # points drawn, and integrands evaluated, per block
+# points drawn, and integrands evaluated, per block: 2^13 and above fault
+# pages in per block, and below 2^12 the Python cost per block dominates
+BLOCK = 1 << 12
 RADIUS_SQ_CAP = 1.0 - 1e-12  # keeps the Hartogs weights finite
 
 
@@ -141,11 +158,12 @@ def _unit_disk_points(
         cand = rng.uniform(-1.0, 1.0, 2 * dim * (need + need // 3 + 64))
         square = cand * cand
         sq = square[0::2] + square[1::2]
-        sq = sq.reshape(-1, dim).sum(axis=1)  # over each point's coordinates
+        if dim > 1:
+            sq = sq.reshape(-1, dim).sum(axis=1)  # over each point's coordinates
         inside = sq < r_max * r_max
         if r_min > 0.0:
             inside &= sq > r_min * r_min
-        keep = np.flatnonzero(inside)[:need]
+        keep = inside.nonzero()[0][:need]
         points.append(cand.view(complex).reshape(-1, dim).T.take(keep, axis=1))
         modsq.append(sq.take(keep))
         filled += len(keep)
@@ -180,6 +198,8 @@ def _draw(spec: IntegrationSpec, rng, count: int) -> tuple[np.ndarray, np.ndarra
     """Points of ``disk``, ``annulus``, ``omega`` or ``ball-<n>`` (n >= 1),
     with their inverse densities."""
     d = spec.domain
+    if d == "omega":
+        return _sample_omega(rng, count)
     if d == "disk":
         return _sample_box_domain(rng, count, 1, lambda z: np.abs(z[0]) < 1.0)
     ball = re.fullmatch(r"ball-([1-9][0-9]*)", d)
@@ -192,8 +212,6 @@ def _draw(spec: IntegrationSpec, rng, count: int) -> tuple[np.ndarray, np.ndarra
         return _sample_box_domain(
             rng, count, 1, lambda z: (np.abs(z[0]) > r0) & (np.abs(z[0]) < 1.0)
         )
-    if d == "omega":
-        return _sample_omega(rng, count)
     raise ValueError(f"unknown domain {d}")
 
 
@@ -212,7 +230,12 @@ def integrate(
     Between blocks only the count, the mean and M2 = sum |w - mean|^2 of
     each integrand's weighted values w are kept, so memory grows with
     ``BLOCK`` and the number of integrands but not with N; the estimate is
-    the mean and the stderr sqrt(M2 / ((N - 1) N)).  Given a sequence of
+    the mean and the stderr sqrt(M2 / ((N - 1) N)).  ``BLOCK`` is 2^12 so
+    that a block's working set stays in cache and each of its 64 KiB
+    coordinate arrays under glibc's 128 KiB mmap threshold: the next block
+    reuses the heap memory it frees instead of faulting pages in again.
+    The Hartogs draw, and so every Hartogs estimate, depends on ``BLOCK``;
+    the disk, ball and annulus draws do not.  Given a sequence of
     integrands, one draw serves them all and one (estimate, stderr) pair
     is returned for each, in order; an empty sequence is a ValueError.
     """
@@ -228,17 +251,7 @@ def integrate(
     seen = 0
     for b in _blocks(n):
         m = b.stop - b.start
-        points, inv = _draw(spec, rng, m)
-        for i, f in enumerate(integrands):
-            values = np.asarray(f(points), dtype=complex)
-            w = np.where(inv > 0, values, 0.0)
-            w *= inv
-            block_mean = complex(np.mean(w))
-            w -= block_mean
-            # |w - block_mean|^2 summed as the interleaved squares of the
-            # real and imaginary parts, in place
-            parts = w.view(float)
-            block_m2 = float(np.sum(np.multiply(parts, parts, out=parts)))
+        for i, (block_mean, block_m2) in enumerate(_block_moments(spec, rng, m, integrands)):
             mean, m2 = moments[i]
             delta = block_mean - mean
             share = m / (seen + m)
@@ -247,6 +260,45 @@ def integrate(
     # one sample has no spread to estimate: its standard error is unbounded
     out = [(mean, math.sqrt(m2 / ((n - 1) * n)) if n > 1 else math.inf) for mean, m2 in moments]
     return out if several else out[0]
+
+
+def _block_moments(spec: IntegrationSpec, rng, m: int, integrands) -> list[tuple[complex, float]]:
+    """The mean and M2 = sum |w - mean|^2 of each integrand's weighted
+    values w over one fresh draw of m points.  Every array of the block is
+    freed by the time this returns, so the next block's draw reuses the
+    same heap memory instead of being placed beside a block still held."""
+    points, inv = _draw(spec, rng, m)
+    out = []
+    for f in integrands:
+        w = np.where(inv > 0, np.asarray(f(points), dtype=complex), 0.0)
+        w *= inv
+        mean = complex(w.sum() / m)  # np.mean's sum and division
+        w -= mean
+        # |w - mean|^2 summed as the interleaved squares of the real and
+        # imaginary parts, in place
+        parts = w.view(float)
+        out.append((mean, float(np.multiply(parts, parts, out=parts).sum())))
+    return out
+
+
+def _is_exponent(e) -> bool:
+    return isinstance(e, int) and not isinstance(e, bool) and e >= 0
+
+
+Monomial = tuple[int, tuple[int, int]]
+
+
+def _fiber_exponents(f) -> Monomial:
+    """(m, (a1, a2)) of the monomial lambda^m z^alpha given as a pair
+    (m, alpha); a ValueError unless every exponent is an integer >= 0."""
+    try:
+        m, alpha = f
+        alpha = tuple(alpha)
+    except (TypeError, ValueError):
+        raise ValueError(f"a fiber monomial is a pair (m, (a1, a2)), got {f!r}") from None
+    if len(alpha) != 2 or not all(map(_is_exponent, (m, *alpha))):
+        raise ValueError(f"fiber monomial exponents must be integers >= 0, got {f!r}")
+    return m, alpha
 
 
 def _fiber_monomial(pts: np.ndarray, m: int, alpha: Sequence[int]) -> np.ndarray:
@@ -279,16 +331,16 @@ def check_reproducing(
 
     For the disk, ``f`` is an integer power d >= 0 (the monomial z^d) and
     z0 a complex point with |z0| < 1.  For the Hartogs domain, ``f`` is a
-    pair (m, alpha) (the monomial lambda^m z^alpha, which must be
-    square-integrable) and z0 a triple (z1, z2, lambda0) with
-    |lambda0|^2 (1 + |z1|^2)(1 + |z2|^2) < 1.  Input the check cannot hold
-    for is a ValueError, raised before anything is drawn.
+    pair (m, alpha) (the monomial lambda^m z^alpha, its exponents integers
+    >= 0, which must be square-integrable) and z0 a triple (z1, z2,
+    lambda0) with |lambda0|^2 (1 + |z1|^2)(1 + |z2|^2) < 1.  Input the
+    check cannot hold for is a ValueError, raised before anything is drawn.
     """
     spec = spec or IntegrationSpec(domain=domain)
     if spec.domain != domain:
         raise ValueError(f"spec domain {spec.domain!r} does not match {domain!r}")
     if domain == "disk":
-        if isinstance(f, bool) or not isinstance(f, int) or f < 0:
+        if not _is_exponent(f):
             raise ValueError(f"disk power must be an integer >= 0, got {f!r}")
         d = f
         z0 = complex(z0)
@@ -301,7 +353,7 @@ def check_reproducing(
         target = z0**d
         name = f"reproducing:disk:z^{d}"
     elif domain == "omega":
-        m, alpha = int(f[0]), tuple(f[1])
+        m, alpha = _fiber_exponents(f)
         if not square_integrable(m, alpha):
             raise ValueError(
                 f"monomial lambda^{m} z^{alpha} is not square-integrable on the domain"
@@ -333,16 +385,15 @@ def check_reproducing(
     )
 
 
-Monomial = tuple[int, tuple[int, int]]
-
-
 def check_orthogonality(
     first: Monomial,
     second: Monomial,
     spec: IntegrationSpec | None = None,
 ) -> VerificationReport:
     """Inner product of two fiber monomials with distinct fiber degrees is
-    zero; the Monte Carlo estimate must sit within 3 standard errors."""
+    zero; the Monte Carlo estimate must sit within 3 standard errors.  Each
+    monomial is a pair (m, alpha) as for ``check_reproducing``; exponents
+    that are not integers >= 0 are a ValueError, raised before any draw."""
     return _orthogonality_reports([(first, second)], spec or IntegrationSpec(domain="omega"))[0]
 
 
@@ -352,6 +403,7 @@ def _orthogonality_reports(
     """``check_orthogonality`` for several pairs over one draw of ``spec``."""
     if spec.domain != "omega":
         raise ValueError(f"no orthogonality check for domain {spec.domain}")
+    pairs = [(_fiber_exponents(first), _fiber_exponents(second)) for first, second in pairs]
     integrands, scales = [], []
     for (m1, a1), (m2, a2) in pairs:
         if m1 == m2:

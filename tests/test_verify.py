@@ -307,6 +307,21 @@ def test_integrate_memory_does_not_grow_with_the_sample_count():
     assert peaks[16] <= 1.1 * peaks[2], peaks
 
 
+def test_a_block_working_set_is_cache_sized():
+    # a 2^12-point block keeps its working set under 1 MiB, in cache and
+    # with each coordinate array under glibc's 128 KiB mmap threshold;
+    # 2^16-point blocks peaked at about 17.5 MiB.  A first small run makes
+    # the suite's lazy import (numpy.random, 0.7 MiB), which is not a block's
+    suite_orthogonality(3, 1000)
+    tracemalloc.start()
+    try:
+        suite_orthogonality(3, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, peak
+
+
 def test_merged_stderr_is_stable_for_a_large_mean(monkeypatch):
     # values 1e9 + unit noise: the stderr must match a compensated
     # two-pass reference, which sum(w^2) - n mean^2 cannot do in floats
@@ -339,6 +354,39 @@ def test_integrate_refuses_what_it_cannot_integrate(monkeypatch):
     for n in (2.5, 1000.0, True, "1000"):
         with pytest.raises(ValueError, match="n_samples must be an integer"):
             IntegrationSpec("disk", n)
+    # a seed is refused when the spec is built, not later inside numpy
+    for seed in (2.5, 3.0, -1, True, "3", None):
+        with pytest.raises(ValueError, match="seed: expected non-negative integer"):
+            IntegrationSpec("disk", 1000, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [(1.7, (0, 0)), (1, (0.5, 0)), (1.0, (0, 0)), (True, (0, 0)), (-1, (0, 0)), (1, (0, -1)),
+     (1, (0, 0, 0)), (1, (0,)), (1,), 3, "ab"],
+)
+def test_omega_checks_refuse_exponents_that_are_not_integers(monkeypatch, f):
+    # lambda^1.7 is not lambda^1, and z_1^0.5 is not holomorphic: each is
+    # refused before anything is drawn, in either slot of an orthogonality pair
+    monkeypatch.setattr(verify, "_draw", _no_draw)
+    spec = IntegrationSpec("omega", 1000)
+    with pytest.raises(ValueError, match="fiber monomial"):
+        check_reproducing("omega", f, (0.0, 0.0, 0.4), spec)
+    for pair in ((f, (2, (0, 0))), ((2, (0, 0)), f)):
+        with pytest.raises(ValueError, match="fiber monomial"):
+            check_orthogonality(*pair, spec)
+    with pytest.raises(ValueError, match="fiber monomial"):
+        verify._orthogonality_reports([((1, (0, 0)), (2, (0, 0))), (f, (2, (0, 0)))], spec)
+
+
+def test_omega_checks_take_exponents_as_lists():
+    spec = IntegrationSpec("omega", 2000, seed=2)
+    assert check_reproducing("omega", [1, [0, 0]], (0.0, 0.0, 0.4), spec).to_json() == (
+        check_reproducing("omega", (1, (0, 0)), (0.0, 0.0, 0.4), spec).to_json()
+    )
+    assert check_orthogonality([1, [0, 0]], [2, [1, 0]], spec).to_json() == (
+        check_orthogonality((1, (0, 0)), (2, (1, 0)), spec).to_json()
+    )
 
 
 @pytest.mark.parametrize(
@@ -420,7 +468,8 @@ def test_omega_sampler_law():
 
 
 @pytest.mark.parametrize("domain", ["disk", "omega"])
-@pytest.mark.parametrize("count", [1, BLOCK, 3 * BLOCK + 17])
+# one point, one block, whole blocks, and whole blocks plus a remainder
+@pytest.mark.parametrize("count", [1, BLOCK, 1 << 16, 3 * (1 << 16) + 17])
 def test_draw_count_and_byte_replay(domain, count):
     spec = IntegrationSpec(domain, count)
     for seed in (0, 1, 2):
@@ -433,13 +482,14 @@ def test_draw_count_and_byte_replay(domain, count):
 
 # sha256 prefixes of the draws (points, then weights) at seed 7, taken from
 # the (count, k) rows the draws came in before they became coordinates and
-# transposed: the layout changed, the points did not
+# transposed: the layout changed, the points did not.  The Hartogs sampler
+# draws block by block, so its 70000-point digest is that of BLOCK = 2^12
 DRAW_DIGESTS = {
     ("disk", 70000): "c9fc99b7836a1d12",
     ("annulus", 70000): "4632f96ab5a60d8f",
     ("ball-2", 70000): "e3af85ea23faa57e",
     ("ball-3", 1000): "4259edff1f9b597d",
-    ("omega", 70000): "8bf6cc79d413edd0",
+    ("omega", 70000): "0cc4db45cbf6368a",
     ("omega", 1): "c365c864a9e7c4db",
 }
 
