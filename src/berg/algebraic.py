@@ -31,10 +31,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ball import ball_kernel, complex_coordinates
+from .ball import _unit_disk_points, ball_kernel, complex_coordinates
 from .hartogs import omega_closed_kernel, u_kernel
 from .polynomials import HermitianPolynomial, HoloPolynomial, monomials_up_to_degree
-from .verify import _unit_disk_points
 
 TWO_PI = 2.0 * math.pi
 

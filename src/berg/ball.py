@@ -1,4 +1,4 @@
-"""Unit ball kernels and Levi-form positivity checks.
+"""Unit ball kernels, uniform ball and shell samples, and Levi-form checks.
 
 The kernel here is the reproducing kernel of square-integrable holomorphic
 functions with respect to Lebesgue measure on C^n:
@@ -115,6 +115,35 @@ def complex_coordinates(n: int, *points) -> tuple[list[np.ndarray], bool]:
         single = single and p.ndim == 1
         arrays.append(p[:, None] if p.ndim == 1 else p)
     return arrays, single
+
+
+def _unit_disk_points(
+    rng, count: int, dim: int = 1, r_min: float = 0.0, r_max: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates of ``count`` uniform points p of the shell
+    r_min < |p| < r_max in C^dim, a (dim, count) array, and their |p|^2,
+    by rejection from the cube [-1, 1]^(2 dim); accepted candidates keep
+    their draw order."""
+    points, modsq, filled = [], [], 0
+    while filled < count:
+        need = count - filled
+        # pi/4 of the unit-disk candidates land in the disk; the margin
+        # makes a second round rare there
+        cand = rng.uniform(-1.0, 1.0, 2 * dim * (need + need // 3 + 64))
+        square = cand * cand
+        sq = square[0::2] + square[1::2]
+        if dim > 1:
+            sq = sq.reshape(-1, dim).sum(axis=1)  # over each point's coordinates
+        inside = sq < r_max * r_max
+        if r_min > 0.0:
+            inside &= sq > r_min * r_min
+        keep = inside.nonzero()[0][:need]
+        points.append(cand.view(complex).reshape(-1, dim).T.take(keep, axis=1))
+        modsq.append(sq.take(keep))
+        filled += len(keep)
+    if len(points) == 1:
+        return points[0], modsq[0]
+    return np.concatenate(points, axis=1), np.concatenate(modsq)
 
 
 # ---------------------------------------------------------------------------

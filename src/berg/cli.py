@@ -47,6 +47,7 @@ LIBRARY_ERRORS = (ArithmeticError, ValueError, ClosureOverflowError)
 # what a value of the wrong shape also raises while it is decoded; only a
 # decode catches these, since anywhere else they are a bug
 BAD_INPUT = (*LIBRARY_ERRORS, LookupError, TypeError)
+MAX_GRID_POINTS = 2**20  # omega-grid's most points (--steps 1024): about 250 B each, 250 MiB
 
 
 class _Main(click.Group):
@@ -305,6 +306,8 @@ def omega_grid_cmd(rmax, steps, fiber):
         raise InputError(f"--rmax must be positive and finite, got {rmax}")
     if steps < 1:
         raise InputError(f"--steps must be at least 1, got {steps}")
+    if steps * steps > MAX_GRID_POINTS:
+        raise InputError(f"--steps {steps} is {steps * steps} grid points, above the limit of {MAX_GRID_POINTS}")
     radii = rmax * (np.arange(steps) + 0.5) / steps
     r1, r2 = (r.ravel() for r in np.meshgrid(radii, radii, indexing="ij"))
     lam = np.sqrt(fiber / ((1.0 + r1) * (1.0 + r2)))
@@ -374,8 +377,9 @@ def verify_cmd(which, seed, n_samples, tol):
         raise InputError(f"--tol must be finite, got {tol}")
     seed = 0 if seed is None else seed
     n_samples = 1_000_000 if n_samples is None else n_samples
-    if monte_carlo and n_samples < 1:
-        raise InputError(f"--n must be at least 1, got {n_samples}")
+    # one sample has no standard error
+    if monte_carlo and n_samples < 2:
+        raise InputError(f"--n must be at least 2, got {n_samples}")
     if which == "repro":
         reports = verify_mod.suite_repro(seed=seed, n_samples=n_samples)
     elif which == "orthogonality":

@@ -13,9 +13,9 @@ point) and each base radius r_i = |z_i|^2 is drawn from the heavy-tailed
 density (1+r)^-2, giving an unbiased estimator with no domain truncation
 and bounded weights for every square-integrable fiber monomial.  All
 three coordinates are maps of uniform disk points drawn by rejection, so
-the sampler needs no trigonometry.  The relation fits in ``algebraic``
-draw their disk, annulus and ball interiors through the same rejection
-sampler.
+the sampler needs no trigonometry.  That disk sampler is
+``ball._unit_disk_points``; the relation fits in ``algebraic`` draw their
+disk, annulus and ball interiors from it too, without this module.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ball import ball_kernel
+from .ball import _unit_disk_points, ball_kernel
 from .hartogs import monomial_norm, omega_closed_kernel, square_integrable
 from .quotient import (
     CoveringSpec,
@@ -141,35 +141,6 @@ def _sample_box_domain(rng, count: int, n: int, keep) -> tuple[np.ndarray, np.nd
     parts = rng.uniform(-1.0, 1.0, (count, 2 * n)).T
     z = parts[:n] + 1j * parts[n:]
     return z, np.where(keep(z), float(4**n), 0.0)
-
-
-def _unit_disk_points(
-    rng, count: int, dim: int = 1, r_min: float = 0.0, r_max: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """The coordinates of ``count`` uniform points p of the shell
-    r_min < |p| < r_max in C^dim, a (dim, count) array, and their |p|^2,
-    by rejection from the cube [-1, 1]^(2 dim); accepted candidates keep
-    their draw order."""
-    points, modsq, filled = [], [], 0
-    while filled < count:
-        need = count - filled
-        # pi/4 of the unit-disk candidates land in the disk; the margin
-        # makes a second round rare there
-        cand = rng.uniform(-1.0, 1.0, 2 * dim * (need + need // 3 + 64))
-        square = cand * cand
-        sq = square[0::2] + square[1::2]
-        if dim > 1:
-            sq = sq.reshape(-1, dim).sum(axis=1)  # over each point's coordinates
-        inside = sq < r_max * r_max
-        if r_min > 0.0:
-            inside &= sq > r_min * r_min
-        keep = inside.nonzero()[0][:need]
-        points.append(cand.view(complex).reshape(-1, dim).T.take(keep, axis=1))
-        modsq.append(sq.take(keep))
-        filled += len(keep)
-    if len(points) == 1:
-        return points[0], modsq[0]
-    return np.concatenate(points, axis=1), np.concatenate(modsq)
 
 
 def _sample_omega(rng, count: int) -> tuple[np.ndarray, np.ndarray]:

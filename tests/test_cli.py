@@ -200,9 +200,13 @@ GROUP_FILE = "<group file>"
                      id="moments-alpha-wrong-dimension"),
         pytest.param(["moments", "--m", "-1", "--alpha", "0,0"], "m must be nonnegative",
                      id="moments-m-negative"),
-        pytest.param(["verify", "repro", "--n", "0"], "--n must be at least 1", id="repro-no-samples"),
-        pytest.param(["verify", "orthogonality", "--n", "-4"], "--n must be at least 1",
+        pytest.param(["verify", "repro", "--n", "0"], "--n must be at least 2", id="repro-no-samples"),
+        pytest.param(["verify", "orthogonality", "--n", "-4"], "--n must be at least 2",
                      id="orthogonality-negative-samples"),
+        # one sample has no standard error, and JSON has no Infinity
+        pytest.param(["verify", "repro", "--n", "1"], "--n must be at least 2, got 1", id="repro-one-sample"),
+        pytest.param(["verify", "orthogonality", "--n", "1"], "--n must be at least 2, got 1",
+                     id="orthogonality-one-sample"),
         pytest.param(["verify", "transform", "--n", "5"], "--n does not apply to the transform suite",
                      id="transform-samples"),
         pytest.param(["verify", "isometry", "--N", "5"], "--n does not apply to the isometry suite",
@@ -282,6 +286,20 @@ def test_oversized_fit_is_refused_before_it_allocates(runner, monkeypatch):
     assert time.perf_counter() - start < 1.0
     _one_line_usage_error(result)
     assert "98728 samples x 49364 unknowns" in result.output
+
+
+def test_oversized_grid_is_refused_before_it_allocates(runner, monkeypatch):
+    import berg.cli
+
+    monkeypatch.setattr(berg.cli, "MAX_GRID_POINTS", 8)
+    result = runner.invoke(main, ["omega-grid", "--steps", "3"])
+    _one_line_usage_error(result)
+    assert "--steps 3 is 9 grid points, above the limit of 8" in result.output
+    monkeypatch.undo()
+    # 1025^2 points, about 250 MiB: refused before the grid is built
+    result = runner.invoke(main, ["omega-grid", "--steps", "1025"])
+    _one_line_usage_error(result)
+    assert "--steps 1025 is 1050625 grid points, above the limit of 1048576" in result.output
 
 
 def test_fit_samples_file_too_short_prints_one_error_line(runner, tmp_path):
@@ -427,6 +445,21 @@ def test_verify_tolerance_override(runner):
     for name in ("deck-symmetry:disk-2", "deck-symmetry:minus-identity"):
         assert reports[name]["residual"] == 0.0 and reports[name]["passed"]
     assert runner.invoke(main, ["verify", "isometry", "--tol", "0"]).exit_code == 0
+
+
+def _strict_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("which", ["repro", "orthogonality", "transform", "isometry"])
+def test_verify_lines_are_strict_json(runner, which):
+    # the smallest Monte Carlo run is where a standard error could be infinite
+    result = runner.invoke(main, ["verify", which, *(["--n", "2"] if which in MONTE_CARLO else [])])
+    assert result.exit_code in (0, 1), result.output
+    lines = result.output.strip().splitlines()
+    assert lines
+    for line in lines:
+        json.loads(line, parse_constant=_strict_constant)
 
 
 def test_usage_error_exit_code(runner):
