@@ -192,14 +192,6 @@ def ball2_surface() -> KernelSurface:
     )
 
 
-def _uniform_rows(rng, count: int, low, high) -> np.ndarray:
-    """One row of uniforms per point, mapped as rng.uniform maps them, so
-    each point draws what drawing its coordinates in turn would; one array
-    per column."""
-    low, high = np.asarray(low), np.asarray(high)
-    return (low + (high - low) * rng.random((count, len(low)))).T
-
-
 def omega_diagonal_surface() -> KernelSurface:
     """Diagonal kernel of the standard Hartogs domain in radial features
     (|lambda|^2, |z1|^2, |z2|^2); points are (z1, z2, lam) triples with
@@ -212,11 +204,11 @@ def omega_diagonal_surface() -> KernelSurface:
 
     def sample(rng, count):
         low, high = [0, 0, 0.05, 0, 0, 0], [2.5, 2.5, 0.95, TWO_PI, TWO_PI, TWO_PI]
-        r1, r2, s, *angles = _uniform_rows(rng, count, low, high)
+        r1, r2, s, *angles = rng.uniform(low, high, (count, 6)).T
         return points(r1, r2, s / ((1.0 + r1) * (1.0 + r2)), angles)
 
     def boundary(rng, count):
-        r1, r2, *angles = _uniform_rows(rng, count, [0] * 5, [2.5, 2.5, TWO_PI, TWO_PI, TWO_PI])
+        r1, r2, *angles = rng.uniform(0, [2.5, 2.5, TWO_PI, TWO_PI, TWO_PI], (count, 5)).T
         return points(r1, r2, 1.0 / ((1.0 + r1) * (1.0 + r2)), angles)
 
     return KernelSurface(
@@ -240,7 +232,7 @@ def u_surface() -> KernelSurface:
 
     def sample(rng, count):
         low, high = [0, 0, 0, 0, 0.05, 0], [1.5, 1.5, TWO_PI, TWO_PI, 0.95, TWO_PI]
-        r1, r2, t1, t2, s, t3 = _uniform_rows(rng, count, low, high)
+        r1, r2, t1, t2, s, t3 = rng.uniform(low, high, (count, 6)).T
         z1, z2 = np.sqrt([r1, r2]) * np.exp(1j * np.array([t1, t2]))
         h = (1 + _moduli_squared(z1)) * (1 + _moduli_squared(z2))
         lam = np.sqrt(s / h) * np.exp(1j * t3)

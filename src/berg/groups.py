@@ -63,6 +63,8 @@ class UnitaryMatrix:
             for row in entries
         )
         n = len(rows)
+        if n == 0:
+            raise ValueError("matrix must have at least one row")
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
         exact = all(_is_exact_entry(x) for r in rows for x in r)

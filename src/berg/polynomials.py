@@ -201,6 +201,8 @@ class HoloPolynomial:
         return HoloPolynomial(self.dim, {a: v * c for a, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "HoloPolynomial":
+        if n < 0:
+            raise ValueError(f"a polynomial has no negative power, got exponent {n}")
         out = HoloPolynomial.constant(self.dim, 1)
         for _ in range(n):
             out = out * self

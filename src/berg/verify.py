@@ -6,16 +6,18 @@ Conventions.  Ball and disk kernels reproduce with respect to Lebesgue
 measure.  Hartogs-domain norms carry the top-form inner product, which on
 C^3 is 2^3 times Lebesgue measure; the factor 8 appears once, here.
 
-Sampling.  Disk, balls and the annulus are rejection-sampled from
-bounding boxes.  The unbounded Hartogs domain is sampled exactly: the
-fiber disk in lambda is sampled uniformly (its area is known per base
-point) and each base radius r_i = |z_i|^2 is drawn from the heavy-tailed
-density (1+r)^-2, giving an unbiased estimator with no domain truncation
-and bounded weights for every square-integrable fiber monomial.  All
-three coordinates are maps of uniform disk points drawn by rejection, so
-the sampler needs no trigonometry.  That disk sampler is
-``ball._unit_disk_points``; the relation fits in ``algebraic`` draw their
-disk, annulus and ball interiors from it too, without this module.
+Sampling.  The two domains are ``disk`` and ``omega``, and every draw
+is a map of uniform unit-disk points, so every point lies inside its
+domain and every weight is positive.  The disk takes the points as they
+are, with inverse density pi.  The unbounded Hartogs domain is sampled
+exactly: the fiber disk in lambda is sampled uniformly (its area is known
+per base point) and each base radius r_i = |z_i|^2 is drawn from the
+heavy-tailed density (1+r)^-2, giving an unbiased estimator with no domain
+truncation and bounded weights for every square-integrable fiber
+monomial.  The disk points are drawn by rejection, so the samplers need no
+trigonometry.  That disk sampler is ``ball._unit_disk_points``; the
+relation fits in ``algebraic`` draw their disk, annulus and ball interiors
+from it too, without this module.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -49,7 +50,6 @@ STDERR_REL_CAP = 0.02
 # every real and imaginary part in [-r, r], inside the ball for n <= 2
 DECK_TOLERANCE = 1e-12
 DECK_SAMPLE_RADIUS = 0.35
-ANNULUS_INNER_RADIUS = 0.5
 
 
 @dataclass(frozen=True)
@@ -105,12 +105,10 @@ class VerificationReport:
 #
 # ``integrate`` draws one block of at most BLOCK points at a time, so no
 # whole draw is ever held, and between blocks keeps only a count, a mean
-# and an M2 per integrand, so its memory does not grow with N.  Both
-# samplers consume their RNG streams in sequence, so consecutive block
-# draws give the points one draw of the whole count gives: the box sampler
-# takes a fixed number of uniforms per point, and the Hartogs sampler
-# draws block by block itself (its stream, and so its points, depend on
-# BLOCK).
+# and an M2 per integrand, so its memory does not grow with N.  ``_draw``
+# fills a draw block by block from one sampler per domain, each a map of
+# uniform disk points, so a draw of N points is its BLOCK-sized draws in
+# turn, and the points of every draw depend on BLOCK.
 #
 # A block is small enough that its working set (under 1 MiB for the
 # Hartogs checks) stays in cache, and that a one-coordinate array of it
@@ -119,11 +117,11 @@ class VerificationReport:
 # an array above the threshold is handed back to the system when freed
 # and faulted in again when the next block allocates it (about 10 MB per
 # block at 2^16 points).  So the Hartogs sampler makes one disk draw per
-# coordinate and stacks no temporaries; its (3, m) output, freed once,
-# lifts glibc's dynamic threshold above its own size, and ``integrate``
-# frees each block before it draws the next.  glibc can still trim the
-# heap's top after a block whose peak reached past its trim threshold;
-# whether it does depends on the heap layout of the process.
+# coordinate and stacks no temporaries; the (3, m) output of ``_draw``,
+# freed once, lifts glibc's dynamic threshold above its own size, and
+# ``integrate`` frees each block before it draws the next.  glibc can
+# still trim the heap's top after a block whose peak reached past its trim
+# threshold; whether it does depends on the heap layout of the process.
 # ---------------------------------------------------------------------------
 
 # points drawn, and integrands evaluated, per block: 2^13 and above fault
@@ -136,54 +134,45 @@ def _blocks(count: int):
     return (slice(i, min(i + BLOCK, count)) for i in range(0, count, BLOCK))
 
 
-def _sample_box_domain(rng, count: int, n: int, keep) -> tuple[np.ndarray, np.ndarray]:
-    # one row of 2n uniforms per point: real parts, then imaginary parts
-    parts = rng.uniform(-1.0, 1.0, (count, 2 * n)).T
-    z = parts[:n] + 1j * parts[n:]
-    return z, np.where(keep(z), float(4**n), 0.0)
+def _sample_disk(rng, points: np.ndarray, inv: np.ndarray) -> None:
+    """Uniform points of the unit disk, of area pi."""
+    points[:] = _unit_disk_points(rng, len(inv))[0]
+    inv[:] = math.pi
 
 
-def _sample_omega(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _sample_omega(rng, points: np.ndarray, inv: np.ndarray) -> None:
     """z_1, z_2 and lambda each come from a uniform point p of the unit
     disk: z_i = p_i / sqrt(1 - |p_i|^2), so r_i = |z_i|^2 has density
     (1+r)^-2 and a uniform argument, and lambda = p_3 / sqrt(h) with
     h = (1+r_1)(1+r_2) is uniform on its fiber disk {|lambda|^2 < 1/h},
     of area pi/h; the inverse density is pi^3 h."""
-    points = np.empty((3, count), dtype=complex)
-    inv = np.empty(count)
-    for b in _blocks(count):
-        m = b.stop - b.start
-        # one disk draw per coordinate keeps the temporaries small
-        ((p1,), q1), ((p2,), q2), ((p3,), _) = (_unit_disk_points(rng, m) for _ in range(3))
-        q1, q2 = np.minimum(q1, RADIUS_SQ_CAP), np.minimum(q2, RADIUS_SQ_CAP)
-        grow1, grow2 = 1.0 / (1.0 - q1), 1.0 / (1.0 - q2)  # 1 + r_i
-        np.multiply(p1, np.sqrt(grow1), out=points[0, b])
-        np.multiply(p2, np.sqrt(grow2), out=points[1, b])
-        h = grow1 * grow2
-        np.divide(p3, np.sqrt(h), out=points[2, b])
-        inv[b] = math.pi**3 * h
-    return points, inv
+    m = len(inv)
+    # one disk draw per coordinate keeps the temporaries small
+    ((p1,), q1), ((p2,), q2), ((p3,), _) = (_unit_disk_points(rng, m) for _ in range(3))
+    q1, q2 = np.minimum(q1, RADIUS_SQ_CAP), np.minimum(q2, RADIUS_SQ_CAP)
+    grow1, grow2 = 1.0 / (1.0 - q1), 1.0 / (1.0 - q2)  # 1 + r_i
+    np.multiply(p1, np.sqrt(grow1), out=points[0])
+    np.multiply(p2, np.sqrt(grow2), out=points[1])
+    h = grow1 * grow2
+    np.divide(p3, np.sqrt(h), out=points[2])
+    np.multiply(h, math.pi**3, out=inv)
+
+
+# domain name -> (coordinates per point, sampler filling one block in place)
+_SAMPLERS = {"disk": (1, _sample_disk), "omega": (3, _sample_omega)}
 
 
 def _draw(spec: IntegrationSpec, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Points of ``disk``, ``annulus``, ``omega`` or ``ball-<n>`` (n >= 1),
-    with their inverse densities."""
-    d = spec.domain
-    if d == "omega":
-        return _sample_omega(rng, count)
-    if d == "disk":
-        return _sample_box_domain(rng, count, 1, lambda z: np.abs(z[0]) < 1.0)
-    ball = re.fullmatch(r"ball-([1-9][0-9]*)", d)
-    if ball:
-        return _sample_box_domain(
-            rng, count, int(ball[1]), lambda z: np.sum(np.abs(z) ** 2, axis=0) < 1.0
-        )
-    if d == "annulus":
-        r0 = ANNULUS_INNER_RADIUS
-        return _sample_box_domain(
-            rng, count, 1, lambda z: (np.abs(z[0]) > r0) & (np.abs(z[0]) < 1.0)
-        )
-    raise ValueError(f"unknown domain {d}")
+    """Points of ``disk`` or ``omega``, with their inverse densities."""
+    try:
+        dim, sample = _SAMPLERS[spec.domain]
+    except KeyError:
+        raise ValueError(f"unknown domain {spec.domain}") from None
+    points = np.empty((dim, count), dtype=complex)
+    inv = np.empty(count)
+    for b in _blocks(count):
+        sample(rng, points[:, b], inv[b])
+    return points, inv
 
 
 Integrand = Callable[[np.ndarray], np.ndarray]
@@ -205,10 +194,12 @@ def integrate(
     that a block's working set stays in cache and each of its 64 KiB
     coordinate arrays under glibc's 128 KiB mmap threshold: the next block
     reuses the heap memory it frees instead of faulting pages in again.
-    The Hartogs draw, and so every Hartogs estimate, depends on ``BLOCK``;
-    the disk, ball and annulus draws do not.  Given a sequence of
-    integrands, one draw serves them all and one (estimate, stderr) pair
-    is returned for each, in order; an empty sequence is a ValueError.
+    Every point drawn lies inside the domain with a positive weight, so
+    the integrand is evaluated only there.  Each block is a map of fresh
+    uniform disk points, so every draw, and so every estimate, depends on
+    ``BLOCK``.  Given a sequence of integrands, one draw serves them all
+    and one (estimate, stderr) pair is returned for each, in order; an
+    empty sequence is a ValueError.
     """
     several = not callable(integrand)
     integrands = list(integrand) if several else [integrand]
@@ -241,8 +232,7 @@ def _block_moments(spec: IntegrationSpec, rng, m: int, integrands) -> list[tuple
     points, inv = _draw(spec, rng, m)
     out = []
     for f in integrands:
-        w = np.where(inv > 0, np.asarray(f(points), dtype=complex), 0.0)
-        w *= inv
+        w = np.asarray(f(points), dtype=complex) * inv
         mean = complex(w.sum() / m)  # np.mean's sum and division
         w -= mean
         # |w - mean|^2 summed as the interleaved squares of the real and
@@ -604,7 +594,7 @@ def suite_isometry() -> list[VerificationReport]:
             VerificationReport(
                 name=f"isometry:z^{k}:w^{d}",
                 passed=chk.equal,
-                residual=0.0 if chk.equal else math.inf,
+                residual=abs(complex(chk.pullback_norm - chk.scaled_norm)),
                 tolerance=0.0,
                 inputs={
                     "pullback": repr(chk.pullback_norm),

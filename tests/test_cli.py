@@ -133,6 +133,8 @@ NOT_JSON = "[[[1"
         (["basic-map", "--group"], FLOAT_I, []),
         (["basic-map", "--group"], NOT_JSON, []),
         (["group", "--gens"], None, []),
+        (["group", "--gens"], [[]], []),
+        (["basic-map", "--group"], [[]], []),
     ],
     ids=[
         "non-unitary",
@@ -142,6 +144,8 @@ NOT_JSON = "[[[1"
         "basic-map-float-group",
         "not-json",
         "missing-file",
+        "no-rows",
+        "basic-map-no-rows",
     ],
 )
 def test_group_input_errors_exit_2(runner, tmp_path, command, gens, extra):
@@ -460,6 +464,26 @@ def test_verify_lines_are_strict_json(runner, which):
     assert lines
     for line in lines:
         json.loads(line, parse_constant=_strict_constant)
+
+
+def test_a_failing_isometry_line_is_strict_json(runner, monkeypatch):
+    # a wrong norm for z^7 breaks only the identity at (k, d) = (2, 3)
+    import berg.verify
+
+    shipped = berg.verify.disk_monomial_norm
+    monkeypatch.setattr(berg.verify, "disk_monomial_norm", lambda j: shipped(j) * 2 if j == 7 else shipped(j))
+    result = runner.invoke(main, ["verify", "isometry"])
+    assert result.exit_code == 1, result.output
+    reports = [json.loads(line, parse_constant=_strict_constant) for line in result.output.strip().splitlines()]
+    failed = [r for r in reports if not r["passed"]]
+    assert [r["name"] for r in failed] == ["isometry:z^2:w^3"]
+    assert failed[0]["residual"] == pytest.approx(math.pi / 2, rel=1e-15)
+    assert all(r["residual"] == 0.0 for r in reports if r["passed"])
+
+
+def test_quotient_sum_over_a_matrix_with_no_rows_exits_2(runner, tmp_path):
+    args = ["quotient-sum", "--group", _write(tmp_path, "g.json", [[]]), "--dim", "0"]
+    _one_line_usage_error(runner.invoke(main, args + ["--pairs", _write(tmp_path, "p.json", [[[], []]])]))
 
 
 def test_usage_error_exit_code(runner):

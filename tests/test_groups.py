@@ -65,6 +65,13 @@ def test_non_unitary_rejected():
         generate_group([UnitaryMatrix([[0.5 + 0j]], check=False)])
 
 
+def test_a_matrix_with_no_rows_is_refused():
+    # a 0x0 matrix acts on C^0, where there is no kernel to take
+    for make in (lambda: UnitaryMatrix([]), lambda: UnitaryMatrix.identity(0), lambda: matrix_from_json([])):
+        with pytest.raises(ValueError, match="at least one row"):
+            make()
+
+
 def test_closure_overflow():
     theta = math.sqrt(2)  # irrational multiple of pi: infinite closure
     g = UnitaryMatrix([[complex(math.cos(theta), math.sin(theta))]])

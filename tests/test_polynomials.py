@@ -102,6 +102,16 @@ def test_equal_polynomials_hash_equal():
     assert h == k and hash(h) == hash(k)
 
 
+def test_negative_powers_are_refused():
+    # 1 / (z + 1) is no polynomial
+    p = HoloPolynomial.coordinate(2, 0) + 1
+    assert p**0 == HoloPolynomial.constant(2, 1) and p**2 == p * p
+    h = HermitianPolynomial.modulus_squared(2, 0) + 1
+    for q in (p, h):
+        with pytest.raises(ValueError, match="no negative power"):
+            q**-1
+
+
 def test_mul_degree_adds():
     p = HermitianPolynomial.term(2, (1, 0), (0, 1))
     q = HermitianPolynomial.term(2, (0, 2), (1, 0))

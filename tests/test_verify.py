@@ -9,7 +9,6 @@ from berg import verify
 from berg.hartogs import monomial_norm
 from berg.scalars import ExactComplex
 from berg.verify import (
-    ANNULUS_INNER_RADIUS,
     BLOCK,
     STDERR_REL_CAP,
     IntegrationSpec,
@@ -30,20 +29,10 @@ N_FAST = 200_000
 
 
 def test_disk_area():
+    # every disk point weighs pi, so the integral of 1 has no variance
     est, se = integrate(IntegrationSpec("disk", N_FAST, seed=1), lambda p: np.ones(p.shape[1]))
-    assert abs(est.real - math.pi) <= 3 * se
-    assert se < 0.02 * math.pi
-
-
-def test_ball2_volume():
-    est, se = integrate(IntegrationSpec("ball-2", N_FAST, seed=1), lambda p: np.ones(p.shape[1]))
-    assert abs(est.real - math.pi**2 / 2) <= 3 * se
-
-
-def test_annulus_area():
-    spec = IntegrationSpec("annulus", N_FAST, seed=2)
-    est, se = integrate(spec, lambda p: np.ones(p.shape[1]))
-    assert abs(est.real - math.pi * (1 - ANNULUS_INNER_RADIUS**2)) <= 3 * se
+    assert est == pytest.approx(math.pi, rel=1e-12, abs=0)
+    assert se <= 1e-12 * math.pi
 
 
 def test_omega_fiber_norm_mc():
@@ -63,17 +52,12 @@ def test_unknown_domain_and_bad_spec():
 
 
 @pytest.mark.parametrize(
-    "domain", ["ball", "ballistic", "ball-0", "ball3", "ball-", "ball-x", "ball--2", "ball-01", "hartogs"]
+    "domain",
+    ["ball", "ballistic", "ball-0", "ball-2", "ball3", "ball-", "ball-x", "ball--2", "ball-01", "annulus", "hartogs"],
 )
 def test_draw_accepts_only_the_documented_domain_names(domain):
     with pytest.raises(ValueError, match="unknown domain"):
         _draw(IntegrationSpec(domain, 10), np.random.default_rng(0), 10)
-
-
-@pytest.mark.parametrize("n", [1, 3, 12])
-def test_draw_accepts_every_ball_dimension(n):
-    points, inv = _draw(IntegrationSpec(f"ball-{n}", 10), np.random.default_rng(0), 10)
-    assert points.shape == (n, 10) and inv.shape == (10,)
 
 
 def test_hartogs_is_not_a_domain_name():
@@ -88,9 +72,10 @@ def test_hartogs_is_not_a_domain_name():
 
 
 def test_stderr_scaling():
+    # |z|^2 varies over the disk; the integral of 1 would leave only rounding noise
     ses = []
     for n in (10_000, 100_000, 1_000_000):
-        _, se = integrate(IntegrationSpec("disk", n, seed=4), lambda p: np.ones(p.shape[1]))
+        _, se = integrate(IntegrationSpec("disk", n, seed=4), lambda p: np.abs(p[0]) ** 2)
         ses.append(se)
     for a, b in ((0, 1), (1, 2)):
         ratio = ses[a] / ses[b]
@@ -257,7 +242,7 @@ def _merged_blocks(weighted):
 
 
 def _weighted(f, points, inv):
-    return np.where(inv > 0, np.asarray(f(points), dtype=complex), 0.0) * inv
+    return np.asarray(f(points), dtype=complex) * inv
 
 
 def _one_shot(domain):
@@ -267,7 +252,7 @@ def _one_shot(domain):
     return spec, f, _draw(spec, np.random.default_rng(spec.seed), spec.n_samples)
 
 
-@pytest.mark.parametrize("domain", ["disk", "ball-2", "annulus", "omega"])
+@pytest.mark.parametrize("domain", ["disk", "omega"])
 def test_blockwise_integrate_equals_one_shot(domain):
     # blocks change only where points are drawn, not the points, and the
     # moments are merged block by block: estimate and stderr equal the same
@@ -282,7 +267,7 @@ def test_blockwise_integrate_equals_one_shot(domain):
     assert integrate(spec, f) == _merged_blocks(weighted)
 
 
-@pytest.mark.parametrize("domain", ["disk", "ball-2", "annulus", "omega"])
+@pytest.mark.parametrize("domain", ["disk", "omega"])
 def test_merged_moments_agree_with_the_whole_array_reduction(domain):
     spec, f, (points, inv) = _one_shot(domain)
     weighted = _weighted(f, points, inv)
@@ -480,15 +465,13 @@ def test_draw_count_and_byte_replay(domain, count):
         assert [a.tobytes() for a in first] == [a.tobytes() for a in again]
 
 
-# sha256 prefixes of the draws (points, then weights) at seed 7, taken from
-# the (count, k) rows the draws came in before they became coordinates and
-# transposed: the layout changed, the points did not.  The Hartogs sampler
-# draws block by block, so its 70000-point digest is that of BLOCK = 2^12
+# sha256 prefixes of the draws (points, then weights) at seed 7.  The Hartogs
+# digests were taken from the (count, k) rows the draws came in before they
+# became coordinates and transposed: the layout changed, the points did not.
+# Both samplers draw block by block, so each 70000-point digest is that of
+# BLOCK = 2^12
 DRAW_DIGESTS = {
-    ("disk", 70000): "c9fc99b7836a1d12",
-    ("annulus", 70000): "4632f96ab5a60d8f",
-    ("ball-2", 70000): "e3af85ea23faa57e",
-    ("ball-3", 1000): "4259edff1f9b597d",
+    ("disk", 70000): "077d9d2d443684c6",
     ("omega", 70000): "0cc4db45cbf6368a",
     ("omega", 1): "c365c864a9e7c4db",
 }
@@ -500,6 +483,36 @@ def test_draws_are_the_row_layout_draws_as_coordinates(domain, count):
     assert points.shape[1] == count
     digest = hashlib.sha256(np.ascontiguousarray(points).tobytes() + inv.tobytes()).hexdigest()
     assert digest[:16] == DRAW_DIGESTS[domain, count]
+
+
+def _inside(domain, points):
+    if domain == "disk":
+        return np.abs(points[0]) < 1.0
+    r = np.abs(points) ** 2
+    return r[2] * (1.0 + r[0]) * (1.0 + r[1]) < 1.0
+
+
+@pytest.mark.parametrize("domain", ["disk", "omega"])
+def test_every_block_the_integrand_sees_lies_inside_its_domain(domain, monkeypatch):
+    # each point is a map of a uniform disk point, so none is wasted outside
+    # the domain and no weight is zero; the integrand sees only such points
+    weights, seen = [], []
+
+    def recording(spec, rng, count):
+        points, inv = _draw(spec, rng, count)
+        weights.append(inv)
+        return points, inv
+
+    def integrand(p):
+        seen.append(p.copy())
+        return p[0]
+
+    monkeypatch.setattr(verify, "_draw", recording)
+    spec = IntegrationSpec(domain, 3 * BLOCK + 17, seed=11)
+    integrate(spec, integrand)
+    assert sum(p.shape[1] for p in seen) == spec.n_samples
+    assert all(np.all(_inside(domain, p)) for p in seen)
+    assert all(np.all(inv > 0) for inv in weights)
 
 
 def test_disk_points_keep_draw_order_across_rounds():
