@@ -92,6 +92,14 @@ def _parse_one_complex(text: str, option: str) -> complex:
     return values[0]
 
 
+def _seed(seed: int | None) -> int:
+    """A --seed value, default 0, refused with the wording ``IntegrationSpec`` uses."""
+    seed = 0 if seed is None else seed
+    if seed < 0:
+        raise InputError(f"seed: expected non-negative integer, got {seed}")
+    return seed
+
+
 def _reals(values) -> tuple[float, ...]:
     return tuple(_finite(float(x)) for x in values)
 
@@ -188,9 +196,7 @@ def group_cmd(gens_file, check_kind, max_order):
             g, vec = report.witness
             payload["witness_vector"] = [[v.real, v.imag] for v in vec]
     elif check_kind == "reflections":
-        payload["reflections"] = sum(
-            1 for g in group if not g.is_identity() and is_reflection(g)
-        )
+        payload["reflections"] = sum(is_reflection(g) for g in group)
     click.echo(json.dumps(payload, sort_keys=True))
 
 
@@ -330,7 +336,7 @@ def fit_cmd(kernel_name, dz, dk, boundary_check, count, seed):
     """Fit a polynomial relation to diagonal kernel samples."""
     if kernel_name in SURFACES:
         surface = SURFACES[kernel_name]()
-        seed = 0 if seed is None else seed
+        seed = _seed(seed)
         relation = fit_surface_relation(surface, dz, dk, count=count, seed=seed)
         boundary = surface.boundary_features(50, seed=seed) if boundary_check else None
     else:
@@ -356,6 +362,16 @@ def fit_cmd(kernel_name, dz, dk, boundary_check, count, seed):
     click.echo(json.dumps(payload, sort_keys=True))
 
 
+# per suite, the options it takes and how it runs; Monte Carlo reports carry
+# no residual to hold to --tol and keep their own verdict
+VERIFY_SUITES = {
+    "repro": (("--n", "--seed"), lambda seed, n: verify_mod.suite_repro(seed=seed, n_samples=n)),
+    "orthogonality": (("--n", "--seed"), lambda seed, n: verify_mod.suite_orthogonality(seed=seed, n_samples=n)),
+    "transform": (("--tol", "--seed"), lambda seed, n: verify_mod.suite_transform(seed=seed)),
+    "isometry": (("--tol",), lambda seed, n: verify_mod.suite_isometry()),
+}
+
+
 @main.command("verify")
 @click.argument("which", type=click.Choice(["repro", "transform", "isometry", "orthogonality"]))
 @click.option("--seed", type=int, default=None, help="default 0; not for isometry")
@@ -365,29 +381,19 @@ def fit_cmd(kernel_name, dz, dk, boundary_check, count, seed):
               help="residual tolerance; transform and isometry only")
 def verify_cmd(which, seed, n_samples, tol):
     """Run a verification suite; one JSON line per check."""
-    monte_carlo = which in ("repro", "orthogonality")
-    if n_samples is not None and not monte_carlo:
-        raise InputError(f"--n does not apply to the {which} suite")
-    # Monte Carlo reports carry no residual and keep their own verdict
-    if tol is not None and monte_carlo:
-        raise InputError(f"--tol does not apply to the {which} suite")
-    if seed is not None and which == "isometry":
-        raise InputError("--seed does not apply to the isometry suite")
+    takes, run = VERIFY_SUITES[which]
+    for option, value in (("--n", n_samples), ("--tol", tol), ("--seed", seed)):
+        if value is not None and option not in takes:
+            raise InputError(f"{option} does not apply to the {which} suite")
     if tol is not None and not math.isfinite(tol):
         raise InputError(f"--tol must be finite, got {tol}")
-    seed = 0 if seed is None else seed
+    if tol is not None and tol < 0:
+        raise InputError(f"--tol must be non-negative, got {tol}")
     n_samples = 1_000_000 if n_samples is None else n_samples
     # one sample has no standard error
-    if monte_carlo and n_samples < 2:
+    if "--n" in takes and n_samples < 2:
         raise InputError(f"--n must be at least 2, got {n_samples}")
-    if which == "repro":
-        reports = verify_mod.suite_repro(seed=seed, n_samples=n_samples)
-    elif which == "orthogonality":
-        reports = verify_mod.suite_orthogonality(seed=seed, n_samples=n_samples)
-    elif which == "transform":
-        reports = verify_mod.suite_transform(seed=seed)
-    else:
-        reports = verify_mod.suite_isometry()
+    reports = run(_seed(seed), n_samples)
     if tol is not None:
         reports = [dataclasses.replace(r, passed=r.residual <= tol, tolerance=tol) for r in reports]
     all_pass = True

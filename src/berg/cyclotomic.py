@@ -72,7 +72,6 @@ class CyclotomicField:
         self = super().__new__(cls)
         self.n = n
         phi = list(cyclotomic_polynomial(n))
-        self.modulus = phi
         self.degree = len(phi) - 1
         # zeta^k reduced modulo the monic integral cyclotomic polynomial, for
         # k = 0..n-1, by zeta^(k+1) = x zeta^k - lead(zeta^k) Phi_n

@@ -127,20 +127,6 @@ class UnitaryMatrix:
             check=False,
         )
 
-    def inverse(self) -> "UnitaryMatrix":
-        return self.conj_transpose()
-
-    def apply(self, vector: Sequence) -> list:
-        """Matrix-vector product; exact when both sides are exact."""
-        out = []
-        for i in range(self.n):
-            s = None
-            for j in range(self.n):
-                t = self.entries[i][j] * vector[j]
-                s = t if s is None else s + t
-            out.append(s if s is not None else 0)
-        return out
-
     def det(self):
         """Determinant by Laplace expansion (n is small here)."""
         return determinant(self.entries)
@@ -339,7 +325,7 @@ class FiniteUnitaryGroup:
         if not self.elements[0].is_identity():
             return False
         for a in self.elements:
-            if a.inverse().dedup_key() not in keys:
+            if a.conj_transpose().dedup_key() not in keys:
                 return False
             for b in self.elements:
                 if (a @ b).dedup_key() not in keys:
@@ -486,34 +472,17 @@ class FixedPointReport:
         return self.free
 
 
-def _minus_identity(g: UnitaryMatrix) -> list[list]:
-    out = []
-    for i in range(g.n):
-        row = []
-        for j in range(g.n):
-            x = g.entries[i][j]
-            if i == j:
-                x = x - 1
-            row.append(x)
-        out.append(row)
-    return out
-
-
-def _eigenvector_for_one(g: UnitaryMatrix) -> tuple[complex, ...] | None:
-    """A unit vector fixed by g, or None if eigenvalue 1 is absent."""
+def _fixed_space(g: UnitaryMatrix) -> list[list]:
+    """A basis of the vectors g fixes: exactly, the nullspace of g - I; in
+    floats, the eigenvectors whose eigenvalue lies within 1e-9 of 1,
+    nearest first."""
     if g.exact:
-        basis = exact_nullspace(_minus_identity(g))
-        if not basis:
-            return None
-        vec = [complex(x) for x in basis[0]]
-    else:
-        vals, vecs = np.linalg.eig(g.to_numpy())
-        idx = np.argmin(np.abs(vals - 1.0))
-        if abs(vals[idx] - 1.0) > 1e-9:
-            return None
-        vec = list(vecs[:, idx])
-    norm = sum(abs(x) ** 2 for x in vec) ** 0.5
-    return tuple(complex(x) / norm for x in vec)
+        return exact_nullspace(
+            [[x - 1 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(g.entries)]
+        )
+    vals, vecs = np.linalg.eig(g.to_numpy())
+    gaps = np.abs(vals - 1.0)
+    return [list(vecs[:, k]) for k in np.argsort(gaps, kind="stable") if gaps[k] <= 1e-9]
 
 
 def is_fixed_point_free(group: FiniteUnitaryGroup) -> FixedPointReport:
@@ -526,9 +495,11 @@ def is_fixed_point_free(group: FiniteUnitaryGroup) -> FixedPointReport:
     for g in group:
         if g.is_identity():
             continue
-        vec = _eigenvector_for_one(g)
-        if vec is not None:
-            return FixedPointReport(free=False, witness=(g, vec))
+        fixed = _fixed_space(g)
+        if fixed:
+            vec = [complex(x) for x in fixed[0]]
+            norm = sum(abs(x) ** 2 for x in vec) ** 0.5
+            return FixedPointReport(free=False, witness=(g, tuple(x / norm for x in vec)))
     return FixedPointReport(free=True, witness=None)
 
 
@@ -546,14 +517,7 @@ def is_reflection(g: UnitaryMatrix) -> bool:
     """True iff g is a non-identity finite-order element fixing a complex
     hyperplane (eigenvalue 1 with multiplicity exactly n-1)."""
     matrix_order(g)
-    if g.is_identity():
-        return False
-    if g.exact:
-        fixed_dim = len(exact_nullspace(_minus_identity(g)))
-    else:
-        vals = np.linalg.eigvals(g.to_numpy())
-        fixed_dim = int(np.sum(np.abs(vals - 1.0) < 1e-9))
-    return fixed_dim == g.n - 1
+    return len(_fixed_space(g)) == g.n - 1
 
 
 # ---------------------------------------------------------------------------

@@ -76,9 +76,6 @@ class BasicMap:
     def __len__(self):
         return len(self.generators)
 
-    def eval(self, point) -> tuple:
-        return tuple(p.eval(point) for p in self.generators)
-
     def to_json_dict(self) -> dict:
         gens = [{"terms": _json_terms(p)} for p in self.generators]
         return {"dim": self.dim, "degrees": list(self.degrees), "generators": gens}

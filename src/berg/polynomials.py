@@ -251,9 +251,6 @@ class HoloPolynomial:
             return 0
         return total
 
-    def __call__(self, point: Sequence):
-        return self.eval(point)
-
     def leading_monomial(self) -> MultiIndex:
         """Largest monomial in graded-lex order."""
         if self.is_zero():
@@ -459,12 +456,6 @@ class HermitianPolynomial:
             return all(abs(complex(c)) <= tol for c in diff.values())
         return False
 
-    def bidegree(self) -> tuple[int, int]:
-        n = self.dim
-        dh = max((sum(k[:n]) for k in self.poly.terms), default=0)
-        da = max((sum(k[n:]) for k in self.poly.terms), default=0)
-        return dh, da
-
     # -- calculus -------------------------------------------------------------
     def d_z(self, i: int) -> "HermitianPolynomial":
         return self._of(self.dim, self.poly.partial(i))
@@ -493,9 +484,6 @@ class HermitianPolynomial:
         if total is None:
             return 0
         return total
-
-    def __call__(self, z, w=None):
-        return self.eval(z, w)
 
     def to_complex_coeffs(self) -> "HermitianPolynomial":
         return self._of(self.dim, self.poly.to_complex_coeffs())

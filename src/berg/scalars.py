@@ -94,14 +94,6 @@ class ExactComplex:
     def __setattr__(self, name, value):
         raise AttributeError("ExactComplex is immutable")
 
-    # -- constructors -------------------------------------------------
-    @staticmethod
-    def coerce(x: "ExactComplex | RationalLike") -> "ExactComplex":
-        o = _coerce(x)
-        if o is None:
-            raise TypeError(f"expected a Gaussian rational, got {type(x).__name__}")
-        return o
-
     # -- parts -----------------------------------------------------------
     @property
     def re(self) -> Fraction:
@@ -192,10 +184,6 @@ class ExactComplex:
 
     def conjugate(self) -> "ExactComplex":
         return _make(self._a, -self._b, self._d, self._k)
-
-    def abs_squared(self) -> "ExactComplex":
-        a, b, d = self._a, self._b, self._d
-        return _reduced(a * a + b * b, 0, d * d, 2 * self._k)
 
     # -- comparisons / conversion ---------------------------------------
     def __eq__(self, other):

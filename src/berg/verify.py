@@ -407,8 +407,6 @@ def disk_monomial_norm(j: int) -> ExactComplex:
 
 @dataclass(frozen=True)
 class IsometryCheck:
-    cover_exponent: int
-    monomial_degree: int
     pullback_norm: ExactComplex
     scaled_norm: ExactComplex
 
@@ -429,9 +427,7 @@ def check_pullback_isometry(k: int, d: int) -> IsometryCheck:
         raise ValueError("monomial degree must be >= 0")
     lhs = ExactComplex(k * k) * disk_monomial_norm(k * d + k - 1)
     rhs = ExactComplex(k) * disk_monomial_norm(d)
-    return IsometryCheck(
-        cover_exponent=k, monomial_degree=d, pullback_norm=lhs, scaled_norm=rhs
-    )
+    return IsometryCheck(pullback_norm=lhs, scaled_norm=rhs)
 
 
 # ---------------------------------------------------------------------------

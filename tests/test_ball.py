@@ -90,7 +90,7 @@ def test_unitary_invariance_exact():
 
     def apply(m, v):
         return tuple(
-            sum((ExactComplex.coerce(m[i][j]) * v[j] for j in range(2)), start=ExactComplex(0))
+            sum((m[i][j] * v[j] for j in range(2)), start=ExactComplex(0))
             for i in range(2)
         )
 

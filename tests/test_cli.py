@@ -86,6 +86,26 @@ def test_group_cmd(runner, tmp_path):
     assert data["order"] == 2 and data["reflections"] == 1
 
 
+ROTATION_5 = [math.cos(2 * math.pi / 5), math.sin(2 * math.pi / 5)]
+
+
+@pytest.mark.parametrize(
+    "gens, exact, order",
+    [
+        pytest.param(GENS_REFL, True, 2, id="exact-minus"),
+        pytest.param([[[[-1, 0], [0, 0]], [[0, 0], [1, 0]]]], False, 2, id="float-minus"),
+        pytest.param([[[ROTATION_5, [0, 0]], [[0, 0], [1, 0]]]], False, 5, id="float-rotation-5"),
+    ],
+)
+def test_group_checks_report_the_fixed_line_of_e2(runner, tmp_path, gens, exact, order):
+    path = _write(tmp_path, "gens.json", gens)
+    out = _invoke(runner, ["group", "--gens", path, "--check", "fpf"])
+    assert out == json.dumps({"dim": 2, "exact": exact, "fixed_point_free": False, "order": order,
+                              "witness_vector": [[0.0, 0.0], [1.0, 0.0]]}) + "\n"
+    out = _invoke(runner, ["group", "--gens", path, "--check", "reflections"])
+    assert json.loads(out) == {"dim": 2, "exact": exact, "order": order, "reflections": order - 1}
+
+
 def test_basic_map_cmd_replays_and_writes_nothing(runner, tmp_path, monkeypatch):
     home = tmp_path / "home"
     home.mkdir()
@@ -239,10 +259,17 @@ GROUP_FILE = "<group file>"
                      "surface u has no boundary sampler", id="fit-u-boundary-check"),
         pytest.param(["basic-map", "--group", GROUP_FILE, "--syzygies", "-1"],
                      "--syzygies must be a nonnegative degree bound, got -1", id="basic-map-negative-syzygies"),
-        pytest.param(["verify", "transform", "--seed", "-1"], "expected non-negative integer",
+        pytest.param(["verify", "transform", "--seed", "-1"], "seed: expected non-negative integer, got -1",
                      id="transform-negative-seed"),
-        pytest.param(["verify", "repro", "--seed", "-1", "--n", "10"], "expected non-negative integer",
+        pytest.param(["verify", "repro", "--seed", "-1", "--n", "10"], "seed: expected non-negative integer, got -1",
                      id="repro-negative-seed"),
+        pytest.param(["fit", "--kernel", "disk", "--dz", "1", "--dk", "1", "--seed", "-1"],
+                     "seed: expected non-negative integer, got -1", id="fit-negative-seed"),
+        # a negative tolerance fails every check, however small its residual
+        pytest.param(["verify", "isometry", "--tol", "-1"], "--tol must be non-negative, got -1.0",
+                     id="isometry-negative-tol"),
+        pytest.param(["verify", "transform", "--tol", "-1e-30"], "--tol must be non-negative, got -1e-30",
+                     id="transform-negative-tol"),
         pytest.param(["verify", "transform", "--tol", "nan"], "--tol must be finite, got nan", id="transform-tol-nan"),
         pytest.param(["ball-kernel", "--dim", "2", "--z", "nan,0", "--w", "0,0"], "(nan+0j) is not finite",
                      id="ball-nan"),

@@ -92,8 +92,8 @@ def test_fixed_point_free_failure_witness():
     element, vec = report.witness
     # the fixed vector is e_2 up to phase
     assert abs(abs(vec[1]) - 1) < 1e-12 and abs(vec[0]) < 1e-12
-    gv = element.apply([CyclotomicField(2).from_rational(0), CyclotomicField(2).from_rational(1)])
-    assert gv[1] == 1
+    # g e_2, its second column, is e_2 exactly
+    assert [row[1] for row in element.entries] == [0, 1]
 
 
 def test_trivial_group_vacuously_free():
@@ -122,6 +122,28 @@ def test_reflection_predicate():
 
 def test_reflection_float_path():
     assert is_reflection(UnitaryMatrix([[-1.0 + 0j, 0j], [0j, 1.0 + 0j]]))
+
+
+ROTATION_5 = complex(math.cos(2 * math.pi / 5), math.sin(2 * math.pi / 5))
+
+
+@pytest.mark.parametrize(
+    "g, order",
+    [
+        pytest.param(diag(MINUS, ONE), 2, id="exact-minus"),
+        pytest.param(UnitaryMatrix([[-1.0 + 0j, 0j], [0j, 1.0 + 0j]]), 2, id="float-minus"),
+        pytest.param(UnitaryMatrix([[ROTATION_5, 0j], [0j, 1.0 + 0j]]), 5, id="float-rotation-5"),
+    ],
+)
+def test_the_fixed_point_witness_is_e2(g, order):
+    # every non-identity element fixes exactly the line of e_2: a reflection
+    group = generate_group([g])
+    assert group.order == order
+    report = is_fixed_point_free(group)
+    assert not report
+    element, vec = report.witness
+    assert element == g and vec == (0j, 1 + 0j)
+    assert sum(is_reflection(h) for h in group) == order - 1
 
 
 def test_fixed_point_free_group_has_no_reflections():
