@@ -283,20 +283,13 @@ def moments_cmd(m_value, alpha_text, want_exact):
     with _decoding(f"monomial --m {m_value} --alpha {alpha_text}"):
         alpha = tuple(int(a) for a in alpha_text.split(","))
         exact = monomial_norm(m_value, alpha)
-    numeric = math.inf if exact == math.inf else complex(exact).real
+    if exact == math.inf:
+        # JSON has no Infinity: both forms print the same marker
+        click.echo(json.dumps({"exact" if want_exact else "numeric": "infinite"}))
+        return
+    payload = {"numeric": complex(exact).real}
     if want_exact:
-        if exact == math.inf:
-            click.echo(json.dumps({"exact": "infinite"}))
-            return
-        payload = {
-            "exact": {
-                "re": [str(exact.re)],
-                "pi_power": exact.pi_pow,
-            },
-            "numeric": numeric,
-        }
-    else:
-        payload = {"numeric": numeric}
+        payload["exact"] = {"re": [str(exact.re)], "pi_power": exact.pi_pow}
     click.echo(json.dumps(payload, sort_keys=True))
 
 
@@ -326,7 +319,7 @@ def omega_grid_cmd(rmax, steps, fiber):
 
 @main.command("fit")
 @click.option("--kernel", "kernel_name", required=True,
-              help="disk | ball2 | omega | annulus | a JSON samples file")
+              help=f"{' | '.join(SURFACES)} | a JSON samples file")
 @click.option("--dz", type=int, required=True)
 @click.option("--dk", type=int, required=True)
 @click.option("--boundary-check", is_flag=True, default=False)

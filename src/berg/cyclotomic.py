@@ -290,23 +290,6 @@ class Cyclotomic:
 
     __complex__ = to_complex
 
-    def to_exact_complex(self) -> "ExactComplex":
-        """The exact Gaussian-rational value, decided by value: raises
-        ValueError unless this element lies in Q(i), whichever field it is
-        written in."""
-        from .scalars import ExactComplex  # scalars builds on this module
-
-        # in Q(zeta_L), L = lcm(N, 4): 2 re = x + conj x, 2 im = -i (x - conj x)
-        field = CyclotomicField(math.lcm(self.field.n, 4))
-        x = self._in(field)
-        c = x.conjugate()
-        re2, im2 = x + c, (c - x) * field.root(field.n // 4)
-        if not (re2.is_rational() and im2.is_rational()):
-            raise ValueError(f"{self} is not a Gaussian rational")
-        return ExactComplex(
-            Fraction(re2.nums[0], 2 * re2.den), Fraction(im2.nums[0], 2 * im2.den)
-        )
-
     def __repr__(self):
         parts = []
         for i, c in enumerate(self.coeffs):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cyclotomic import Cyclotomic, CyclotomicField
 from .polynomials import SymmetricPowerTable
-from .scalars import ExactComplex
+from .scalars import ExactComplex, read_points
 
 UNITARITY_TOL = 1e-12
 DEDUP_DECIMALS = 12
@@ -164,19 +164,14 @@ class UnitaryMatrix:
             [[complex(x) for x in row] for row in self.entries], dtype=complex
         )
 
-    def to_exact_complex(self) -> list[list[ExactComplex]]:
-        """Entries as Gaussian rationals; raises ValueError unless every
-        entry lies in Q(i), whichever field it is written in."""
-        out = []
-        for row in self.entries:
-            new = []
-            for x in row:
-                if isinstance(x, Cyclotomic):
-                    new.append(x.to_exact_complex())
-                else:
-                    new.append(ExactComplex(Fraction(x)))
-            out.append(new)
-        return out
+    def to_exact_complex(self) -> list[tuple[ExactComplex, ...]]:
+        """The rows as Gaussian rationals, read by ``read_points``; raises
+        ValueError unless every entry lies in Q(i), whichever field it is
+        written in."""
+        rows = read_points(self.n, *self.entries)
+        if rows is None:
+            raise ValueError("matrix entries do not all lie in Q(i)")
+        return rows
 
     def __eq__(self, other):
         """Exact matrices compare entry by entry, by value, whatever field
@@ -564,11 +559,7 @@ def matrix_from_json(data) -> UnitaryMatrix:
                 new.append(val)
             elif any_exact:
                 real, imag = _exact_coefficient(entry[0]), _exact_coefficient(entry[1])
-                if imag == 0:
-                    new.append(real)
-                else:
-                    gauss = CyclotomicField(4)
-                    new.append(gauss.from_rational(real) + gauss.root(1) * imag)
+                new.append(real if imag == 0 else CyclotomicField(4).element((real, imag)))
             else:
                 real, imag = entry
                 new.append(complex(float(real), float(imag)))

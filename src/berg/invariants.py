@@ -309,10 +309,7 @@ def find_syzygies(basic, degree_bound: int = 2) -> list[Syzygy]:
     nullvecs = exact_nullspace(rows)
     out = []
     for vec in nullvecs:
-        rel = HoloPolynomial(nvars, {b: c for b, c in zip(betas, vec)})
-        if rel.is_zero():
-            continue
-        rel = _canonical_relation(rel)
+        rel = _canonical_relation(HoloPolynomial(nvars, {b: c for b, c in zip(betas, vec)}))
         syz = Syzygy(relation=rel)
         if not syz.substitute(gens).is_zero():
             raise RuntimeError("nullspace produced a relation failing substitution")

@@ -22,6 +22,7 @@ degrees grow with the group order and dense storage would be wasteful.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -33,10 +34,11 @@ _SCALARS = (int, Fraction, float, complex, ExactComplex, Cyclotomic)
 
 
 class MultiIndex(tuple):
-    """An exponent vector: a tuple of nonnegative integers."""
+    """An exponent vector: a tuple of nonnegative integers.  An entry that
+    is not an integer (a float, a string) is a TypeError, not truncated."""
 
     def __new__(cls, entries: Iterable[int]):
-        t = tuple(int(e) for e in entries)
+        t = tuple(map(operator.index, entries))
         if any(e < 0 for e in t):
             raise ValueError(f"multi-index entries must be nonnegative, got {t}")
         return super().__new__(cls, t)
@@ -211,7 +213,8 @@ class HoloPolynomial:
     def __eq__(self, other):
         if not isinstance(other, HoloPolynomial):
             return NotImplemented
-        return self.dim == other.dim and (self - other).is_zero()
+        # coefficient equality, so that equal polynomials hash equal
+        return self.dim == other.dim and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.dim, frozenset(self.terms.items())))

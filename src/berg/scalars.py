@@ -30,9 +30,10 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .cyclotomic import INEXACT, Cyclotomic
+from .cyclotomic import INEXACT, Cyclotomic, CyclotomicField
 
 RationalLike = Union[int, Fraction]
+_I = CyclotomicField(4).root(1)
 
 
 class PiGradeError(ArithmeticError):
@@ -241,10 +242,12 @@ def _coerce(x) -> ExactComplex | None:
     if isinstance(x, (int, Fraction)):
         return ExactComplex(x)
     if isinstance(x, Cyclotomic):
-        try:
-            return x.to_exact_complex()
-        except ValueError:  # not in Q(i)
-            return None
+        # x is in Q(i) when 2 re = x + conj x and 2 im = -i (x - conj x) are
+        # rational; the product lands in Q(zeta_L), L = lcm(N, 4)
+        c = x.conjugate()
+        re2, im2 = x + c, (c - x) * _I
+        if re2.is_rational() and im2.is_rational():
+            return ExactComplex(Fraction(re2.nums[0], 2 * re2.den), Fraction(im2.nums[0], 2 * im2.den))
     return None
 
 

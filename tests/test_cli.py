@@ -422,8 +422,10 @@ def test_moments_cmd(runner):
     data = json.loads(_invoke(runner, ["moments", "--m", "1", "--alpha", "0,0"]))
     assert data["exact"]["pi_power"] == 3
     assert data["exact"]["re"] == ["4"]
-    data = json.loads(_invoke(runner, ["moments", "--m", "1", "--alpha", "1,0"]))
-    assert data["exact"] == "infinite"
+    # JSON has no Infinity, so both forms print a marker
+    for form, key in (("--exact", "exact"), ("--numeric", "numeric")):
+        out = _invoke(runner, ["moments", "--m", "1", "--alpha", "1,0", form])
+        assert json.loads(out, parse_constant=_strict_constant) == {key: "infinite"}
     data = json.loads(_invoke(runner, ["moments", "--m", "2", "--alpha", "1,1", "--numeric"]))
     assert data["numeric"] == pytest.approx((2 * math.pi) ** 3 / 12)
 
@@ -561,6 +563,9 @@ PAIR = [[0.2, 0.1], [0.05, -0.3]]
     [
         ("levi", {"rho": {"dim": 2}}),
         ("levi", {"rho": [1, 2]}),
+        # an exponent of 1.5 is refused, not read as 1 (which would give the sphere)
+        ("levi", {"rho": {"dim": 2, "terms": [[[1.5, 0], [1, 0], 1, 0], [[0, 1], [0, 1], 1, 0],
+                                               [[0, 0], [0, 0], -1, 0]]}}),
         ("quotient-sum", {"pairs": [[[[0.2, 0.1]], PAIR]]}),
         ("quotient-sum", {"pairs": [[[[0.2], [0.1, 0.0]], PAIR]]}),
         ("quotient-sum", {"pairs": [[[[0.6, 0], [0.8, 0]], [[0.6, 0], [0.8, 0]]]]}),
@@ -570,6 +575,8 @@ PAIR = [[0.2, 0.1], [0.05, -0.3]]
         ("quotient-push", {"cover": dict(COVER_MINUS, chart=[0, 7])}),
         ("quotient-push", {"cover": dict(COVER_MINUS, map=[{"dim": 2}])}),
         ("quotient-push", {"cover": [1]}),
+        ("quotient-push", {"cover": dict(COVER_MINUS, map=[{"dim": 2, "terms": [[[2.5, 0], 1, 0]]},
+                                                          *COVER_MINUS["map"][1:]])}),
         ("fit", {"samples": {"dim": 2}}),
         ("fit", {"samples": {"features": [["x"]], "values": [1]}}),
         ("fit", {"samples": {"features": [[0.1]] * 8, "values": [1.0] * 7 + [math.nan]}}),
@@ -587,9 +594,9 @@ PAIR = [[0.2, 0.1], [0.05, -0.3]]
                                                           *COVER_MINUS["map"][1:]])}),
     ],
     ids=[
-        "levi-no-terms", "levi-list", "sum-one-number-coordinate", "sum-unpack", "sum-boundary-contact",
+        "levi-no-terms", "levi-list", "levi-fractional-exponent", "sum-one-number-coordinate", "sum-unpack", "sum-boundary-contact",
         "sum-object", "push-branch-point", "push-boundary-contact", "push-chart-range", "push-map-terms",
-        "push-list", "fit-no-features", "fit-string-feature", "fit-nan-value", "fit-inf-feature",
+        "push-list", "push-fractional-exponent", "fit-no-features", "fit-string-feature", "fit-nan-value", "fit-inf-feature",
         "fit-nan-boundary-feature", "fit-no-boundary-features", "fit-boundary-feature-count", "sum-nan", "sum-inf", "sum-value-overflows", "push-negative-inf",
         "push-value-overflows", "push-nan-map-coefficient",
     ],

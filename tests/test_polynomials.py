@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from berg.ball import u_domain_defining_function
 from berg.cyclotomic import CyclotomicField, root_of_unity
+from berg.hartogs import monomial_norm
 from berg.polynomials import (
     HermitianPolynomial,
     HoloPolynomial,
@@ -21,6 +22,22 @@ def test_multi_index_validation():
     assert MultiIndex((1, 0)) + MultiIndex((0, 3)) == MultiIndex((1, 3))
     with pytest.raises(ValueError):
         MultiIndex((1, -1))
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.9, 2.0, "1"], ids=["1.5", "2.9", "2.0", "text"])
+def test_an_exponent_that_is_no_integer_is_refused(bad):
+    # refused, not truncated to 1 or 2
+    for build in (
+        lambda: MultiIndex((bad, 0)),
+        lambda: HoloPolynomial.monomial(1, (bad,)),
+        lambda: HoloPolynomial(2, {(bad, 0): 1}),
+        lambda: monomial_norm(3, (bad, 0)),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    # integers of any kind that has __index__ are read as ints
+    alpha = MultiIndex((np.int64(2), True))
+    assert alpha == (2, 1) and all(type(e) is int for e in alpha)
 
 
 def test_graded_lex_order():
@@ -100,6 +117,31 @@ def test_equal_polynomials_hash_equal():
     h = HermitianPolynomial(1, {((1,), (1,)): Fraction(1)})
     k = HermitianPolynomial(1, {((1,), (1,)): one})
     assert h == k and hash(h) == hash(k)
+
+
+def test_polynomials_compare_by_their_coefficients():
+    # 0.1 - 1/10 rounds to 0.0, but 0.1 is not 1/10
+    assert HoloPolynomial(1, {(1,): 0.1}) != HoloPolynomial(1, {(1,): Fraction(1, 10)})
+    assert HoloPolynomial(1, {(1,): 0.5}) == HoloPolynomial(1, {(1,): Fraction(1, 2)})
+    assert HoloPolynomial(1, {(1,): ExactComplex(1, 1)}) != HoloPolynomial(1, {(1,): 1 + 1j})
+
+
+def _kinds(x: Fraction) -> list:
+    """x as every scalar kind that holds it exactly, and as a float and a
+    complex, which round it unless it is dyadic."""
+    return [x, ExactComplex(x), CyclotomicField(4).from_rational(x), CyclotomicField(3).from_rational(x),
+            float(x), complex(float(x))]
+
+
+@given(st.lists(st.fractions(max_denominator=12), min_size=1, max_size=3), st.data())
+def test_equal_polynomials_with_float_and_exact_coefficients_hash_equal(values, data):
+    def draw():
+        return HoloPolynomial(1, {(k,): data.draw(st.sampled_from(_kinds(v))) for k, v in enumerate(values)})
+
+    p, q = draw(), draw()
+    if p == q:
+        assert hash(p) == hash(q)
+    assert (p == q) == all(p.terms.get(a) == q.terms.get(a) for a in {*p.terms, *q.terms})
 
 
 def test_negative_powers_are_refused():

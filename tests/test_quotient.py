@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from berg.ball import SingularKernelError, ball_kernel
-from berg.cyclotomic import Cyclotomic, CyclotomicField, root_of_unity
+from berg.cyclotomic import CyclotomicField, root_of_unity
 from berg.groups import UnitaryMatrix, generate_group
 from berg.polynomials import HoloPolynomial
 from berg.quotient import (
@@ -23,6 +23,7 @@ from berg.quotient import (
 )
 from berg.scalars import ExactComplex, to_complex
 from test_algebraic import punctured_disk_kernel
+from test_cyclotomic import _gaussian
 
 
 def _pairs(rng, count, n, radius=0.4):
@@ -303,7 +304,7 @@ def test_exact_deck_sums_equal_a_per_element_reference():
     ref = ref_dual = ExactComplex(0)
     for g in group:
         m = g.to_exact_complex()
-        det = g.det().to_exact_complex()
+        det = _gaussian(g.det())
         gz = [m[i][0] * z[0] + m[i][1] * z[1] for i in range(2)]
         gw = [m[i][0] * w[0] + m[i][1] * w[1] for i in range(2)]
         ref = ref + ball_kernel(2, gz, w) * det
@@ -448,10 +449,6 @@ def _exact_group(name):
     return EXACT_GROUPS[name]()
 
 
-def _as_gaussian(x) -> ExactComplex:
-    return x.to_exact_complex() if isinstance(x, Cyclotomic) else ExactComplex(Fraction(x))
-
-
 def _gaussian_point_over(q):
     """Points (a + b i, c + d i) / q strictly inside the unit ball."""
     part = st.integers(-q, q)
@@ -472,8 +469,8 @@ def test_exact_deck_sums_equal_the_sum_of_ball_kernels(name, z, w):
     group = _exact_group(name)
     ref = ref_dual = ExactComplex(0)
     for g in group:
-        m = [[_as_gaussian(x) for x in row] for row in g.entries]
-        det = _as_gaussian(g.det())
+        m = [[_gaussian(x) for x in row] for row in g.entries]
+        det = _gaussian(g.det())
         gz = [m[j][0] * z[0] + m[j][1] * z[1] for j in range(2)]
         gw = [m[j][0] * w[0] + m[j][1] * w[1] for j in range(2)]
         ref = ref + ball_kernel(2, gz, w) * det
@@ -489,7 +486,7 @@ def test_exact_deck_sums_raise_at_boundary_contact_with_any_element(name):
     group = _exact_group(name)
     z = (ExactComplex(Fraction(3, 5)), ExactComplex(0, Fraction(4, 5)))
     for g in group.elements[1:]:
-        m = [[_as_gaussian(x) for x in row] for row in g.entries]
+        m = [[_gaussian(x) for x in row] for row in g.entries]
         w = tuple(m[j][0] * z[0] + m[j][1] * z[1] for j in range(2))
         for fn in (deck_sum_kernel, dual_deck_sum_kernel):
             with pytest.raises(SingularKernelError):

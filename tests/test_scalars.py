@@ -14,6 +14,7 @@ from berg.hartogs import kernel_series, omega_closed_kernel, omega_rational_kern
 from berg.polynomials import HermitianPolynomial, HoloPolynomial
 from berg.quotient import deck_sum_kernel, dual_deck_sum_kernel, pushforward_kernel, scalar_rotation_cover
 from berg.scalars import ExactComplex, PiGradeError, exact, read_points, to_complex
+from test_cyclotomic import _gaussian
 from test_quotient import _binary_dihedral_12
 
 
@@ -247,10 +248,8 @@ def representations(x):
         out = [x, exact(x)] + [CyclotomicField(n).from_rational(x) for n in FIELDS]
         return out + [int(x)] if x.denominator == 1 else out
     out = [CyclotomicField(x.field.n * k).zero() + x for k in (1, 2, 3)]
-    try:
-        return out + [x.to_exact_complex()]
-    except ValueError:  # not in Q(i)
-        return out
+    gaussian = _gaussian(x)
+    return out if gaussian is None else out + [gaussian]
 
 
 scalar_values = st.one_of(rationals, cyclotomic_values())
